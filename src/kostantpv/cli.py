@@ -11,7 +11,8 @@ disagreement or a failing selftest), 2 usage error.
 The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
 the dense Kazhdan-Lusztig table (the kl and both engines, and any
-thinness column outside the maximal case) stop at n = 6.
+thinness column outside the maximal case) stop at n = 6; the cup engine
+refuses blocks whose table would exceed cup_diagrams.MAX_TABLE_BYTES.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .checks import ALL_CHECKS
 from .compositions import Composition, classify_general, is_thin_general
 from .cup_diagrams import (
     MaxParContext,
-    a_value,
-    graded_multiplicity,
+    block_table,
+    graded_multiplicity,  # noqa: F401  the benchmark tracer reads it here
     is_kostant_positive_maximal,
-    is_thin,
-    phi,
+    require_table_fits,
     shortest_reps,
 )
 from .klcells import (
@@ -78,6 +78,13 @@ def _require_kl(n: int, what: str) -> None:
             f'{what} needs the dense Kazhdan-Lusztig table, which is kept '
             f'to n <= {MAX_KL_N}; S_{n} would not fit a desk machine'
         )
+
+
+def _require_cup_table(ctx: MaxParContext) -> None:
+    try:
+        require_table_fits(ctx)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def _parse_parabolic(n: int, text: str):
@@ -147,23 +154,23 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     rows = []
     if kind == 'max':
         ctx = MaxParContext(n, arg)
-        for w in sorted(shortest_reps(ctx), key=lambda u: u.window):
-            mults = []
-            for y in sorted(shortest_reps(ctx), key=lambda u: u.window):
-                d = graded_multiplicity(ctx, w, y)
-                if d is not None:
-                    mults.append([str(y), d])
+        _require_cup_table(ctx)
+        table = block_table(ctx)
+        labels = [str(y) for y in table.reps]
+        for x, w in enumerate(table.reps):
             rows.append({
-                'w': str(w),
-                'word': str(phi(ctx, w)),
+                'w': labels[x],
+                'word': table.words[x],
                 'verdict': (
                     'Positive'
                     if is_kostant_positive_maximal(ctx, w)
                     else 'Negative'
                 ),
-                'thin': is_thin(ctx, w),
-                'a_value': a_value(ctx, w),
-                'multiplicities': mults,
+                'thin': bool(table.thin[x]),
+                'a_value': int(table.ncups[x]),
+                'multiplicities': [
+                    [labels[y], d] for y, d in table.factors(x)
+                ],
             })
     elif kind == 'min':
         _require_kl(n, 'the thinness column for a minimal parabolic')
@@ -215,12 +222,11 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
-    rows = []
-    for y in sorted(shortest_reps(ctx), key=lambda u: u.window):
-        d = graded_multiplicity(ctx, x, y)
-        if d is not None:
-            rows.append({'y': str(y), 'degree': d})
-    return rows
+    table = block_table(ctx)
+    return [
+        {'y': str(table.reps[y]), 'degree': d}
+        for y, d in table.factors(table.index(x))
+    ]
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
@@ -251,6 +257,7 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
         raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}')
     if engine in ('kl', 'both'):
         _require_kl(n, f'engine {engine}')
+    _require_cup_table(ctx)
     agree = None
     if engine == 'cup':
         rows = _cup_mult_rows(ctx, x)

@@ -27,6 +27,11 @@ governed by the contiguity sets Y below.  The answer to Kostant's
 problem is positive for w iff Phi(w) lies in Y -- except at k = 1,
 n-1, or n/2, where only the two flip-2 words survive.
 
+graded_multiplicity, a_value and is_thin read one dense table per
+block (BlockTable), filled in index space with numpy from d(Phi(y))
+once per y.  The word and diagram objects, with orient and the
+exhaustive enumeration, are the reference the table is tested against.
+
 Text forms: a word is a string like '^^vv'; a diagram is
 'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
 """
@@ -34,9 +39,12 @@ Text forms: a word is a string like '^^vv'; a diagram is
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
+
+import numpy as np
 
 from .permutations import Permutation, _raw, is_shortest_coset_rep
 
@@ -395,12 +403,108 @@ def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
     return ocd if ocd.is_admissible() else None
 
 
-def degree(ocd: OrientedCupDiagram) -> int:
-    return ocd.degree
-
-
 # ---------------------------------------------------------------------------
 # Multiplicities, thinness, and the classifier
+
+
+# The dense int8 table takes C(n,k)^2 bytes; a process building it peaks
+# at about 50 MiB more, interpreter included.  The limit is the largest
+# block measured, (17, 8): a 564 MiB table, 616 MiB peak RSS and a 5.3 s
+# build on one core.  It admits every block with n <= 17 and refuses
+# n = 18 for k = 7..11.
+MAX_TABLE_BYTES = math.comb(17, 8) ** 2
+
+# Bound on the x * y * position elements gathered at once while filling.
+_CHUNK = 1 << 20
+
+
+def require_table_fits(ctx: MaxParContext) -> None:
+    """ValueError when the block table of ctx is over MAX_TABLE_BYTES."""
+    size = math.comb(ctx.n, ctx.k) ** 2
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f'the cup engine keeps a dense table of C({ctx.n},{ctx.k})^2 = '
+            f'{size} bytes, over its limit of {MAX_TABLE_BYTES}'
+        )
+
+
+class BlockTable:
+    """Every graded multiplicity of one block, in index space.
+
+    Rows and columns are the shortest reps in window order (equally,
+    the words in lexicographic order with ^ before v).  deg[x, y] is
+    the degree at which L_y sits inside the standard module at x, or
+    -1 when it does not appear.  ncups[y] is the a-value of y and
+    thin[x] says whether the standard module at x is thin.
+    """
+
+    def __init__(self, ctx: MaxParContext):
+        require_table_fits(ctx)
+        self.reps = shortest_reps(ctx)
+        self._index = {w: i for i, w in enumerate(self.reps)}
+        self.words = tuple(
+            ''.join(WEDGE if v <= ctx.k else VEE for v in w.window)
+            for w in self.reps
+        )
+        # Columns are filled in groups of equal cup count, whose left
+        # ends, right ends and strands stack into rectangular arrays.
+        groups = {}
+        for y, word in enumerate(self.words):
+            diagram = d_of(WeightWord(word)).diagram
+            cups = sorted(diagram.cups)
+            cols, left, right, strands = groups.setdefault(
+                len(cups), ([], [], [], []))
+            cols.append(y)
+            left.append([a - 1 for a, _ in cups])
+            right.append([b - 1 for _, b in cups])
+            strands.append(sorted(p - 1 for p in diagram.strands))
+        # wedges[p, x] is True where word x has ^ at position p + 1.
+        wedges = np.ascontiguousarray(
+            np.array([w.window for w in self.reps]).T <= ctx.k)
+        size = len(self.reps)
+        # Row y of by_y is column y of deg, so each group fills whole rows.
+        by_y = np.empty((size, size), dtype=np.int8)
+        self.deg = by_y.T
+        self.ncups = np.empty(size, dtype=np.int8)
+        top_factors = np.zeros(size, dtype=np.intp)
+        step = max(1, _CHUNK // (size * ctx.n))
+        for ncups, group in groups.items():
+            cols, left, right, strands = (
+                np.array(g, dtype=np.intp).T for g in group)
+            self.ncups[cols] = ncups
+            for lo in range(0, len(cols), step):
+                part = slice(lo, lo + step)
+                clockwise = wedges[left[:, part]]    # cup, y, x
+                ok = (clockwise != wedges[right[:, part]]).all(0)
+                # admissible: no v-strand left of an ^-strand
+                along = wedges[strands[:, part]]
+                ok &= (along[:-1] >= along[1:]).all(0)
+                by_y[cols[part]] = np.where(
+                    ok, clockwise.sum(0, dtype=np.int8), -1)
+                if ncups == ctx.a:
+                    top_factors += ok.sum(0)
+        self.thin = top_factors == 1
+
+    def index(self, w: Permutation) -> int:
+        """Row of w; ValueError unless w is a shortest rep of the block."""
+        try:
+            return self._index[w]
+        except KeyError:
+            raise ValueError(
+                f'{w} is not a shortest rep for the maximal parabolic'
+            ) from None
+
+    def factors(self, x: int) -> list:
+        """(y, degree) index pairs of the composition factors at row x."""
+        row = self.deg[x]
+        ys = np.flatnonzero(row >= 0)
+        return list(zip(ys.tolist(), row[ys].tolist()))
+
+
+@lru_cache(maxsize=None)
+def block_table(ctx: MaxParContext) -> BlockTable:
+    """The block table of ctx, built once per process."""
+    return BlockTable(ctx)
 
 
 def graded_multiplicity(
@@ -411,28 +515,21 @@ def graded_multiplicity(
 
     The diagram of d(Phi(y)) is decorated by Phi(x).
     """
-    word_x = phi(ctx, x)
-    word_y = phi(ctx, y)
-    ocd = orient(d_of(word_y).diagram, word_x)
-    return None if ocd is None else ocd.degree
+    table = block_table(ctx)
+    d = int(table.deg[table.index(x), table.index(y)])
+    return None if d < 0 else d
 
 
 def a_value(ctx: MaxParContext, w: Permutation) -> int:
     """Cup count of d(Phi(w)) = Lusztig's a-function on the block."""
-    return len(d_of(phi(ctx, w)).diagram.cups)
+    table = block_table(ctx)
+    return int(table.ncups[table.index(w)])
 
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     """Exactly one composition factor of maximal a-value min(k, m)."""
-    hits = 0
-    for y in shortest_reps(ctx):
-        if a_value(ctx, y) != ctx.a:
-            continue
-        if graded_multiplicity(ctx, w, y) is not None:
-            hits += 1
-            if hits > 1:
-                return False
-    return hits == 1
+    table = block_table(ctx)
+    return bool(table.thin[table.index(w)])
 
 
 def signature(word: WeightWord) -> tuple:
@@ -445,11 +542,6 @@ def signature(word: WeightWord) -> tuple:
         sum(1 for _ in group)
         for _, group in itertools.groupby(word.letters)
     )
-
-
-def flip_number(word: WeightWord) -> int:
-    """Number of maximal runs; at least 2 for any weight word."""
-    return len(signature(word))
 
 
 def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:

@@ -1,8 +1,10 @@
 """Exit codes, schema stability, and byte-for-byte determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import pathlib
 import subprocess
 import sys
 
@@ -171,6 +173,18 @@ def test_usage_errors():
         assert proc.stdout == ''
 
 
+def test_cup_table_ceiling_is_a_usage_error():
+    for args in (
+        ('classify', '--n', '18', '--parabolic', 'max:9'),
+        ('mult', '--n', '18', '--k', '7', '--engine', 'cup',
+         '--x', '[' + ','.join(map(str, range(1, 19))) + ']'),
+    ):
+        proc = run_cli(*args, '--n-max', '18')
+        assert proc.returncode == 2, args
+        assert 'error: the cup engine keeps a dense table' in proc.stderr
+        assert proc.stdout == ''
+
+
 def test_n_max_override_warns():
     proc = run_cli('classify', '--n', '4', '--parabolic', 'max:2',
                    '--n-max', '9')
@@ -193,3 +207,60 @@ def test_selftest_small():
     assert len(lines) == 13
     assert all(line.startswith('ok') for line in lines[:-1])
     assert lines[-1].startswith('12/12 checks passed')
+
+
+# Byte-exact stdout of the maximal-parabolic commands, as sha256 digests
+# recorded before the cup engine moved to the index-space block table.
+# Regenerate (only for a deliberate output change) with
+#   PYTHONPATH=src python tests/test_cli.py
+
+GOLDENS = pathlib.Path(__file__).with_name('cli_goldens.json')
+
+
+def golden_invocations():
+    """Every classify max:k at n = 2..8 and cup multiplicities of the
+    first, middle and last rep of each block, in both formats, plus
+    bracket-window cases at n = 10."""
+    from kostantpv.cup_diagrams import MaxParContext, shortest_reps
+
+    out = []
+    for fmt in ('json', 'tsv'):
+        for n in range(2, 9):
+            for k in range(1, n):
+                out.append(('classify', '--n', str(n), '--parabolic',
+                            f'max:{k}', '--format', fmt))
+                reps = shortest_reps(MaxParContext(n, k))
+                for x in dict.fromkeys(
+                        (reps[0], reps[len(reps) // 2], reps[-1])):
+                    out.append(('mult', '--n', str(n), '--k', str(k),
+                                '--x', str(x), '--engine', 'cup',
+                                '--format', fmt))
+        out.append(('classify', '--n', '10', '--parabolic', 'max:2',
+                    '--format', fmt, '--n-max', '10'))
+        for x in ('[1,2,3,4,5,6,7,8,9,10]', '[1,6,2,7,3,8,4,9,5,10]',
+                  '[6,7,8,9,10,1,2,3,4,5]'):
+            out.append(('mult', '--n', '10', '--k', '5', '--x', x,
+                        '--engine', 'cup', '--format', fmt,
+                        '--n-max', '10'))
+    return out
+
+
+def _stdout_digest(args):
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, out = run_main(*args)
+    assert code == 0, args
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+def test_max_parabolic_goldens():
+    want = json.loads(GOLDENS.read_text())
+    invocations = golden_invocations()
+    assert sorted(want) == sorted(' '.join(a) for a in invocations)
+    for args in invocations:
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+if __name__ == '__main__':
+    GOLDENS.write_text(json.dumps(
+        {' '.join(a): _stdout_digest(a) for a in golden_invocations()},
+        indent=1, sort_keys=True) + '\n')

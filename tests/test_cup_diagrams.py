@@ -1,10 +1,14 @@
 """Weight words, cup diagrams, orientations, and the maximal case."""
 
 import itertools
+import math
+import random
 
+import numpy as np
 import pytest
 
 from kostantpv.cup_diagrams import (
+    MAX_TABLE_BYTES,
     CupDiagram,
     MaxParContext,
     OrientedCupDiagram,
@@ -12,6 +16,7 @@ from kostantpv.cup_diagrams import (
     Y_words,
     a_value,
     antidominant_rep,
+    block_table,
     d_of,
     dominant_word,
     enumerate_admissible,
@@ -243,3 +248,92 @@ def test_positivity_dispatch():
     assert len(pos) == 3
     assert pos == {w for w in shortest_reps(ctx52)
                    if in_Y(ctx52, phi(ctx52, w))}
+
+
+# The block table against the object layer it replaces on the hot path.
+
+
+def _oracle_degree(ctx, x, y):
+    ocd = orient(d_of(phi(ctx, y)).diagram, phi(ctx, x))
+    return None if ocd is None else ocd.degree
+
+
+def _oracle_a_value(ctx, w):
+    return len(d_of(phi(ctx, w)).diagram.cups)
+
+
+def _oracle_thin(ctx, w):
+    word = phi(ctx, w)
+    hits = 0
+    for y in shortest_reps(ctx):
+        diagram = d_of(phi(ctx, y)).diagram
+        if len(diagram.cups) == ctx.a and orient(diagram, word) is not None:
+            hits += 1
+    return hits == 1
+
+
+def test_table_matches_object_layer_exhaustive():
+    for n in range(2, 7):
+        for k in range(1, n):
+            ctx = MaxParContext(n, k)
+            reps = shortest_reps(ctx)
+            for x in reps:
+                assert a_value(ctx, x) == _oracle_a_value(ctx, x)
+                assert is_thin(ctx, x) == _oracle_thin(ctx, x)
+                for y in reps:
+                    assert graded_multiplicity(ctx, x, y) == \
+                        _oracle_degree(ctx, x, y), (n, k, x, y)
+
+
+def test_thinness_matches_object_layer():
+    for n in (7, 8):
+        for k in range(1, n):
+            ctx = MaxParContext(n, k)
+            for w in shortest_reps(ctx):
+                assert is_thin(ctx, w) == _oracle_thin(ctx, w), (n, k, w)
+
+
+def test_table_matches_object_layer_random():
+    rng = random.Random(20230117)
+    for n in range(7, 13):
+        for _ in range(4):
+            # a whole column, so that present factors are checked too
+            ctx = MaxParContext(n, rng.randint(1, n - 1))
+            reps = shortest_reps(ctx)
+            y = rng.choice(reps)
+            assert a_value(ctx, y) == _oracle_a_value(ctx, y)
+            for x in reps:
+                assert graded_multiplicity(ctx, x, y) == \
+                    _oracle_degree(ctx, x, y), (n, ctx.k, x, y)
+        for _ in range(200):
+            ctx = MaxParContext(n, rng.randint(1, n - 1))
+            reps = shortest_reps(ctx)
+            x, y = rng.choice(reps), rng.choice(reps)
+            assert graded_multiplicity(ctx, x, y) == \
+                _oracle_degree(ctx, x, y), (n, ctx.k, x, y)
+
+
+def test_table_rejects_non_reps():
+    ctx = MaxParContext(4, 2)
+    e = identity(4)
+    for bad in (parse_permutation('2134'), identity(5)):
+        with pytest.raises(ValueError):
+            graded_multiplicity(ctx, bad, e)
+        with pytest.raises(ValueError):
+            graded_multiplicity(ctx, e, bad)
+        with pytest.raises(ValueError):
+            a_value(ctx, bad)
+        with pytest.raises(ValueError):
+            is_thin(ctx, bad)
+
+
+def test_table_ceiling_refuses_before_allocating(monkeypatch):
+    assert math.comb(17, 8) ** 2 <= MAX_TABLE_BYTES < math.comb(18, 7) ** 2
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError('allocated past the ceiling')
+
+    monkeypatch.setattr(np, 'empty', no_allocation)
+    monkeypatch.setattr(np, 'array', no_allocation)
+    with pytest.raises(ValueError, match='over its limit'):
+        block_table(MaxParContext(18, 9))
