@@ -11,8 +11,9 @@ disagreement or a failing selftest), 2 usage error.
 The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
 the dense Kazhdan-Lusztig table (the kl and both engines, and any
-thinness column outside the maximal case) stop at n = 6; the cup engine
-refuses blocks whose table would exceed cup_diagrams.MAX_TABLE_BYTES.
+thinness column outside the maximal case) stop at n = 6; classify max:k
+refuses blocks whose cup table would exceed
+cup_diagrams.MAX_TABLE_BYTES.
 """
 
 from __future__ import annotations
@@ -26,10 +27,12 @@ from .checks import ALL_CHECKS
 from .compositions import Composition, classify_general, is_thin_general
 from .cup_diagrams import (
     MaxParContext,
+    block,
     block_table,
-    graded_multiplicity,  # noqa: F401  the benchmark tracer reads it here
+    degree_row,
+    factors,
+    graded_multiplicity,  # noqa: F401  read here by perfbench's tracer test
     is_kostant_positive_maximal,
-    require_table_fits,
     shortest_reps,
 )
 from .klcells import (
@@ -78,13 +81,6 @@ def _require_kl(n: int, what: str) -> None:
             f'{what} needs the dense Kazhdan-Lusztig table, which is kept '
             f'to n <= {MAX_KL_N}; S_{n} would not fit a desk machine'
         )
-
-
-def _require_cup_table(ctx: MaxParContext) -> None:
-    try:
-        require_table_fits(ctx)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
 
 
 def _parse_parabolic(n: int, text: str):
@@ -154,22 +150,24 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     rows = []
     if kind == 'max':
         ctx = MaxParContext(n, arg)
-        _require_cup_table(ctx)
-        table = block_table(ctx)
-        labels = [str(y) for y in table.reps]
-        for x, w in enumerate(table.reps):
+        try:
+            blk, deg, thin = block_table(ctx)
+        except ValueError as e:
+            raise UsageError(str(e)) from None
+        labels = [str(y) for y in blk.reps]
+        for x, w in enumerate(blk.reps):
             rows.append({
                 'w': labels[x],
-                'word': table.words[x],
+                'word': blk.words[x],
                 'verdict': (
                     'Positive'
                     if is_kostant_positive_maximal(ctx, w)
                     else 'Negative'
                 ),
-                'thin': bool(table.thin[x]),
-                'a_value': int(table.ncups[x]),
+                'thin': bool(thin[x]),
+                'a_value': int(blk.ncups[x]),
                 'multiplicities': [
-                    [labels[y], d] for y, d in table.factors(x)
+                    [labels[y], d] for y, d in factors(deg[x])
                 ],
             })
     elif kind == 'min':
@@ -222,11 +220,9 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
-    table = block_table(ctx)
-    return [
-        {'y': str(table.reps[y]), 'degree': d}
-        for y, d in table.factors(table.index(x))
-    ]
+    reps = block(ctx).reps
+    row, _ = degree_row(ctx, x)
+    return [{'y': str(reps[y]), 'degree': d} for y, d in factors(row)]
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
@@ -257,7 +253,6 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
         raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}')
     if engine in ('kl', 'both'):
         _require_kl(n, f'engine {engine}')
-    _require_cup_table(ctx)
     agree = None
     if engine == 'cup':
         rows = _cup_mult_rows(ctx, x)

@@ -27,10 +27,11 @@ governed by the contiguity sets Y below.  The answer to Kostant's
 problem is positive for w iff Phi(w) lies in Y -- except at k = 1,
 n-1, or n/2, where only the two flip-2 words survive.
 
-graded_multiplicity, a_value and is_thin read one dense table per
-block (BlockTable), filled in index space with numpy from d(Phi(y))
-once per y.  The word and diagram objects, with orient and the
-exhaustive enumeration, are the reference the table is tested against.
+graded_multiplicity, is_thin and the classifier work on bit masks of
+the words in index space (Block), with d(Phi(y)) built once per y: one
+row of degrees for a single x, or the dense C(n,k) x C(n,k) table.  The
+word and diagram objects, with orient and the exhaustive enumeration,
+are the reference the Block is tested against.
 
 Text forms: a word is a string like '^^vv'; a diagram is
 'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
@@ -239,9 +240,15 @@ def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
     'vv^^'
     """
     _check_rep(ctx, w)
-    return WeightWord(
-        ''.join(WEDGE if v <= ctx.k else VEE for v in w.window)
-    )
+    return WeightWord(_letters(ctx, w))
+
+
+def _letters(ctx: MaxParContext, w: Permutation) -> str:
+    return ''.join(WEDGE if v <= ctx.k else VEE for v in w.window)
+
+
+def _mask(positions) -> int:
+    return sum(1 << (p - 1) for p in positions)
 
 
 def phi_inverse(ctx: MaxParContext, word: WeightWord) -> Permutation:
@@ -407,86 +414,56 @@ def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
 # Multiplicities, thinness, and the classifier
 
 
-# The dense int8 table takes C(n,k)^2 bytes; a process building it peaks
-# at about 50 MiB more, interpreter included.  The limit is the largest
-# block measured, (17, 8): a 564 MiB table, 616 MiB peak RSS and a 5.3 s
-# build on one core.  It admits every block with n <= 17 and refuses
-# n = 18 for k = 7..11.
+# The dense int8 table takes C(n,k)^2 bytes.  The limit is the largest
+# block measured, (17, 8): a 564 MiB table, built in 2.0 s on one core
+# (1.4 s of it setting up the Block) with a 646 MiB peak RSS.  It admits
+# every block with n <= 17 and refuses n = 18 for k = 7..11.  Only the
+# full table is bounded: a single row (graded_multiplicity, is_thin,
+# mult) takes O(C(n,k) * min(k, n - k)) at any size.
 MAX_TABLE_BYTES = math.comb(17, 8) ** 2
 
-# Bound on the x * y * position elements gathered at once while filling.
-_CHUNK = 1 << 20
 
+class Block:
+    """One block in index space.
 
-def require_table_fits(ctx: MaxParContext) -> None:
-    """ValueError when the block table of ctx is over MAX_TABLE_BYTES."""
-    size = math.comb(ctx.n, ctx.k) ** 2
-    if size > MAX_TABLE_BYTES:
-        raise ValueError(
-            f'the cup engine keeps a dense table of C({ctx.n},{ctx.k})^2 = '
-            f'{size} bytes, over its limit of {MAX_TABLE_BYTES}'
-        )
+    Reps are the shortest reps in window order (equally, the words in
+    lexicographic order with ^ before v) and are named by their index;
+    masks[x] has bit p - 1 set where word x has ^ at position p.
+    d(Phi(y)) is built once per y; ncups[y] is its cup count, the
+    a-value of y.
 
-
-class BlockTable:
-    """Every graded multiplicity of one block, in index space.
-
-    Rows and columns are the shortest reps in window order (equally,
-    the words in lexicographic order with ^ before v).  deg[x, y] is
-    the degree at which L_y sits inside the standard module at x, or
-    -1 when it does not appear.  ncups[y] is the a-value of y and
-    thin[x] says whether the standard module at x is thin.
+    d(Phi(y)) has degree 0, so each of its cups runs from a v to a ^.
+    A word x of the block orients it admissibly exactly when x is Phi(y)
+    with some cups turned round, at the degree of the number turned: x
+    puts one ^ on each cup, which leaves k - ncups[y] wedges for the
+    strands, and admissibility puts them on the leftmost strands, where
+    Phi(y) has its own (capping leaves no v before an uncapped ^).
     """
 
     def __init__(self, ctx: MaxParContext):
-        require_table_fits(ctx)
+        self.ctx = ctx
         self.reps = shortest_reps(ctx)
         self._index = {w: i for i, w in enumerate(self.reps)}
-        self.words = tuple(
-            ''.join(WEDGE if v <= ctx.k else VEE for v in w.window)
-            for w in self.reps
-        )
-        # Columns are filled in groups of equal cup count, whose left
-        # ends, right ends and strands stack into rectangular arrays.
-        groups = {}
+        self.words = tuple(_letters(ctx, w) for w in self.reps)
+        size = len(self.reps)
+        # Python ints hold the masks past 62 positions.
+        dtype = np.int64 if ctx.n < 63 else object
+        self.masks = np.zeros(size, dtype=dtype)
+        self.ncups = np.zeros(size, dtype=np.int8)
+        # _cups[c, y]: the two end bits of cup c of d(Phi(y)), or 0
+        self._cups = np.zeros((ctx.a, size), dtype=dtype)
+        self._strands = np.zeros(size, dtype=dtype)
         for y, word in enumerate(self.words):
             diagram = d_of(WeightWord(word)).diagram
-            cups = sorted(diagram.cups)
-            cols, left, right, strands = groups.setdefault(
-                len(cups), ([], [], [], []))
-            cols.append(y)
-            left.append([a - 1 for a, _ in cups])
-            right.append([b - 1 for _, b in cups])
-            strands.append(sorted(p - 1 for p in diagram.strands))
-        # wedges[p, x] is True where word x has ^ at position p + 1.
-        wedges = np.ascontiguousarray(
-            np.array([w.window for w in self.reps]).T <= ctx.k)
-        size = len(self.reps)
-        # Row y of by_y is column y of deg, so each group fills whole rows.
-        by_y = np.empty((size, size), dtype=np.int8)
-        self.deg = by_y.T
-        self.ncups = np.empty(size, dtype=np.int8)
-        top_factors = np.zeros(size, dtype=np.intp)
-        step = max(1, _CHUNK // (size * ctx.n))
-        for ncups, group in groups.items():
-            cols, left, right, strands = (
-                np.array(g, dtype=np.intp).T for g in group)
-            self.ncups[cols] = ncups
-            for lo in range(0, len(cols), step):
-                part = slice(lo, lo + step)
-                clockwise = wedges[left[:, part]]    # cup, y, x
-                ok = (clockwise != wedges[right[:, part]]).all(0)
-                # admissible: no v-strand left of an ^-strand
-                along = wedges[strands[:, part]]
-                ok &= (along[:-1] >= along[1:]).all(0)
-                by_y[cols[part]] = np.where(
-                    ok, clockwise.sum(0, dtype=np.int8), -1)
-                if ncups == ctx.a:
-                    top_factors += ok.sum(0)
-        self.thin = top_factors == 1
+            self.masks[y] = _mask(
+                p for p, letter in enumerate(word, 1) if letter == WEDGE)
+            self.ncups[y] = len(diagram.cups)
+            for c, cup in enumerate(diagram.cups):
+                self._cups[c, y] = _mask(cup)
+            self._strands[y] = _mask(diagram.strands)
 
     def index(self, w: Permutation) -> int:
-        """Row of w; ValueError unless w is a shortest rep of the block."""
+        """Index of w; ValueError unless w is a shortest rep of the block."""
         try:
             return self._index[w]
         except KeyError:
@@ -494,17 +471,83 @@ class BlockTable:
                 f'{w} is not a shortest rep for the maximal parabolic'
             ) from None
 
-    def factors(self, x: int) -> list:
-        """(y, degree) index pairs of the composition factors at row x."""
-        row = self.deg[x]
-        ys = np.flatnonzero(row >= 0)
-        return list(zip(ys.tolist(), row[ys].tolist()))
+    def row(self, x: int) -> tuple:
+        """(deg, thin) at x, checked against every y at once.
+
+        deg[y] is the degree at which L_y sits inside the standard module
+        at x, or -1 when it does not appear; thin says that exactly one
+        factor has maximal a-value.
+        """
+        turned = self.masks[x] ^ self.masks
+        ok = (turned & self._strands) == 0
+        deg = np.zeros(len(self.reps), dtype=np.int8)
+        for cup in self._cups:
+            hit = turned & cup
+            ok &= (hit == 0) | (hit == cup)
+            deg += hit != 0
+        deg[~ok] = -1
+        return deg, np.count_nonzero(ok[self.ncups == self.ctx.a]) == 1
+
+    def table(self) -> tuple:
+        """(deg, thin) with a row per x: deg is the dense int8
+        C(n,k) x C(n,k) table, each column y filled from the 2^ncups[y]
+        words that orient d(Phi(y)).
+        """
+        size = len(self.reps)
+        deg = np.full((size, size), -1, dtype=np.int8)
+        top_factors = np.zeros(size, dtype=np.intp)
+        order = np.argsort(self.masks)
+        for ncups in range(self.ctx.a + 1):
+            ys = np.flatnonzero(self.ncups == ncups)
+            # turn[t, c] is 1 when subset t of the cups holds cup c
+            turn = (np.arange(1 << ncups)[:, None] >> np.arange(ncups)) & 1
+            turned = self._cups[:ncups, ys].T @ turn.T    # y, t
+            words = self.masks[ys, None] ^ turned
+            xs = order[np.searchsorted(self.masks[order], words)]
+            deg[xs, ys[:, None]] = turn.sum(1)
+            if ncups == self.ctx.a:
+                top_factors += np.bincount(xs.ravel(), minlength=size)
+        return deg, top_factors == 1
 
 
 @lru_cache(maxsize=None)
-def block_table(ctx: MaxParContext) -> BlockTable:
-    """The block table of ctx, built once per process."""
-    return BlockTable(ctx)
+def block(ctx: MaxParContext) -> Block:
+    """The index-space block of ctx, linear in C(n,k) in size; kept
+    for the life of the process, like shortest_reps."""
+    return Block(ctx)
+
+
+def block_table(ctx: MaxParContext) -> tuple:
+    """(block, deg, thin) with every row of the block: deg is the dense
+    int8 C(n,k) x C(n,k) degree table, built anew on each call.
+
+    ValueError, before anything is built, over MAX_TABLE_BYTES.
+    """
+    size = math.comb(ctx.n, ctx.k) ** 2
+    if size > MAX_TABLE_BYTES:
+        raise ValueError(
+            f'the cup engine keeps a dense table of C({ctx.n},{ctx.k})^2 = '
+            f'{size} bytes, over its limit of {MAX_TABLE_BYTES}'
+        )
+    blk = block(ctx)
+    return (blk, *blk.table())
+
+
+@lru_cache(maxsize=1)
+def degree_row(ctx: MaxParContext, x: Permutation) -> tuple:
+    """(deg, thin) of the single row x, read-only.  The last row asked
+    for is kept: callers ask about one x against every y in turn.
+    """
+    blk = block(ctx)
+    row, thin = blk.row(blk.index(x))
+    row.flags.writeable = False
+    return row, thin
+
+
+def factors(row) -> list:
+    """(y, degree) pairs of the composition factors in a row of deg."""
+    ys = np.flatnonzero(row >= 0)
+    return list(zip(ys.tolist(), row[ys].tolist()))
 
 
 def graded_multiplicity(
@@ -515,21 +558,19 @@ def graded_multiplicity(
 
     The diagram of d(Phi(y)) is decorated by Phi(x).
     """
-    table = block_table(ctx)
-    d = int(table.deg[table.index(x), table.index(y)])
+    row, _ = degree_row(ctx, x)
+    d = int(row[block(ctx).index(y)])
     return None if d < 0 else d
 
 
 def a_value(ctx: MaxParContext, w: Permutation) -> int:
     """Cup count of d(Phi(w)) = Lusztig's a-function on the block."""
-    table = block_table(ctx)
-    return int(table.ncups[table.index(w)])
+    return len(d_of(phi(ctx, w)).diagram.cups)
 
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     """Exactly one composition factor of maximal a-value min(k, m)."""
-    table = block_table(ctx)
-    return bool(table.thin[table.index(w)])
+    return degree_row(ctx, w)[1]
 
 
 def signature(word: WeightWord) -> tuple:

@@ -16,6 +16,7 @@ from kostantpv.cup_diagrams import (
     Y_words,
     a_value,
     antidominant_rep,
+    block,
     block_table,
     d_of,
     dominant_word,
@@ -276,21 +277,27 @@ def test_table_matches_object_layer_exhaustive():
     for n in range(2, 7):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            reps = shortest_reps(ctx)
-            for x in reps:
-                assert a_value(ctx, x) == _oracle_a_value(ctx, x)
-                assert is_thin(ctx, x) == _oracle_thin(ctx, x)
-                for y in reps:
-                    assert graded_multiplicity(ctx, x, y) == \
-                        _oracle_degree(ctx, x, y), (n, k, x, y)
+            blk, deg, thin = block_table(ctx)
+            assert blk.reps == shortest_reps(ctx)
+            for x, w in enumerate(blk.reps):
+                assert blk.ncups[x] == a_value(ctx, w) == \
+                    _oracle_a_value(ctx, w)
+                assert thin[x] == is_thin(ctx, w) == _oracle_thin(ctx, w)
+                for y, v in enumerate(blk.reps):
+                    want = _oracle_degree(ctx, w, v)
+                    assert deg[x, y] == (-1 if want is None else want)
+                    assert graded_multiplicity(ctx, w, v) == want, \
+                        (n, k, w, v)
 
 
 def test_thinness_matches_object_layer():
     for n in (7, 8):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            for w in shortest_reps(ctx):
-                assert is_thin(ctx, w) == _oracle_thin(ctx, w), (n, k, w)
+            _, _, thin = block_table(ctx)
+            for x, w in enumerate(shortest_reps(ctx)):
+                assert thin[x] == is_thin(ctx, w) == _oracle_thin(ctx, w), \
+                    (n, k, w)
 
 
 def test_table_matches_object_layer_random():
@@ -299,18 +306,42 @@ def test_table_matches_object_layer_random():
         for _ in range(4):
             # a whole column, so that present factors are checked too
             ctx = MaxParContext(n, rng.randint(1, n - 1))
-            reps = shortest_reps(ctx)
-            y = rng.choice(reps)
-            assert a_value(ctx, y) == _oracle_a_value(ctx, y)
-            for x in reps:
-                assert graded_multiplicity(ctx, x, y) == \
-                    _oracle_degree(ctx, x, y), (n, ctx.k, x, y)
+            blk, deg, _ = block_table(ctx)
+            y = rng.randrange(len(blk.reps))
+            assert blk.ncups[y] == _oracle_a_value(ctx, blk.reps[y])
+            for x, w in enumerate(blk.reps):
+                want = _oracle_degree(ctx, w, blk.reps[y])
+                assert deg[x, y] == (-1 if want is None else want), \
+                    (n, ctx.k, w, blk.reps[y])
         for _ in range(200):
             ctx = MaxParContext(n, rng.randint(1, n - 1))
             reps = shortest_reps(ctx)
             x, y = rng.choice(reps), rng.choice(reps)
             assert graded_multiplicity(ctx, x, y) == \
                 _oracle_degree(ctx, x, y), (n, ctx.k, x, y)
+
+
+def test_rows_match_the_table():
+    # Block.row checks each y against x; Block.table turns cups round.
+    for n in range(2, 11):
+        for k in range(1, n):
+            blk, deg, thin = block_table(MaxParContext(n, k))
+            for x in range(len(blk.reps)):
+                row, row_thin = blk.row(x)
+                assert (row == deg[x]).all() and row_thin == thin[x]
+
+
+def test_masks_past_62_positions():
+    # the masks become Python ints in object arrays
+    ctx = MaxParContext(64, 1)
+    assert block(ctx).masks.dtype == object
+    blk, deg, thin = block_table(ctx)
+    for x, w in enumerate(blk.reps):
+        assert thin[x] == _oracle_thin(ctx, w)
+        for y, v in enumerate(blk.reps):
+            want = _oracle_degree(ctx, w, v)
+            assert deg[x, y] == (-1 if want is None else want)
+            assert graded_multiplicity(ctx, w, v) == want
 
 
 def test_table_rejects_non_reps():
