@@ -1,4 +1,5 @@
-"""Time the numba kernels against their pure-numpy fallbacks.
+"""Time the numba kernels against their pure-numpy fallbacks, and the
+parabolic alternating sum alone.
 
 Runs the Bruhat comparability matrix on S_6 and S_7 and the dense
 Kazhdan-Lusztig fill on S_5 and S_6, once per path, and reports the
@@ -6,17 +7,30 @@ best of --repeat runs.  The numba path gets one untimed warmup call so
 compilation cost is not mixed into the numbers.  Outputs are compared
 for equality before any timing is reported.
 
+The parabolic alternating sum (klcells.parabolic_sums) is timed as the
+classifier calls it: for every composition of 6, every shortest rep
+against the right cell of w_0^mu w_0.  Each entry is first checked
+against the per-pair klcells.parabolic_verma_multiplicity.
+
 Run with KOSTANTPV_NO_NUMBA=1 to confirm the script degrades to
 fallback-only reporting.
 """
 
 import argparse
+import itertools
 import time
 
 import numpy as np
 
 from kostantpv import _kernels
+from kostantpv.compositions import Composition, right_cell_of_longest_quotient
 from kostantpv.groupindex import group_index
+from kostantpv.klcells import (
+    kl_table,
+    parabolic_sums,
+    parabolic_verma_multiplicity,
+)
+from kostantpv.laurent import LaurentPolynomial
 
 
 def best_of(repeat, fn, *args):
@@ -57,6 +71,47 @@ def kl_args(n):
     )
 
 
+def compositions(n):
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        yield Composition(tuple(parts))
+
+
+def bench_parabolic_sums(n, repeat):
+    table = kl_table(n)
+    g = table.group
+    cases = []
+    for mu in compositions(n):
+        J = mu.simple_reflections()
+        reps = g.coset_reps(J)
+        cell = sorted(g.idx(u) for u in right_cell_of_longest_quotient(mu))
+        sums = parabolic_sums(table, J, reps, cell)
+        for a, w in enumerate(reps):
+            for b, y in enumerate(cell):
+                got = LaurentPolynomial.from_q_coeffs(
+                    sums[a, b].tolist(), int(g.lengths[y] - g.lengths[w]))
+                if got != parabolic_verma_multiplicity(
+                        table, J, g.perm(w), g.perm(y)):
+                    raise SystemExit(
+                        f'parabolic_sums {mu.to_text()}: {g.perm(w)} '
+                        f'{g.perm(y)} disagrees with the per-pair sum')
+        cases.append((J, reps, cell))
+
+    def run_all():
+        for J, reps, cell in cases:
+            parabolic_sums(table, J, reps, cell)
+
+    t = best_of(repeat, run_all)
+    name = f'parabolic_sums S_{n}'
+    print(f'{name:24s} {"numpy":6s} {t * 1e3:10.2f} ms'
+          f'  ({len(cases)} compositions, reps x cell)')
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -84,6 +139,7 @@ def main():
             _kernels.kl_fill_numpy,
             *kl_args(n),
         )
+    bench_parabolic_sums(6, args.repeat)
 
 
 if __name__ == '__main__':

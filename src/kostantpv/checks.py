@@ -18,6 +18,7 @@ component pass for cells.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .bigrassmannian import (
@@ -27,8 +28,7 @@ from .bigrassmannian import (
 )
 from .compositions import (
     Composition,
-    classify_general,
-    is_thin_general,
+    classify_all,
     positive_sufficient,
 )
 from .cup_diagrams import (
@@ -117,7 +117,7 @@ def check_factorization(n_max: int):
                 problems.append(f'({n},{k}): collision in G x X')
             if products != reps:
                 problems.append(f'({n},{k}): image is not the rep set')
-            if len(reps) * 2 != _factorial(n):
+            if len(reps) * 2 != math.factorial(n):
                 problems.append(f'({n},{k}): |reps| != n!/2')
             for w in reps:
                 f = factorize(ctx, w)
@@ -126,13 +126,6 @@ def check_factorization(n_max: int):
                     break
             seen += len(reps)
     return _verdict(problems, f'bijection on {seen} reps, n <= {top}')
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def check_case_chains(n_max: int):
@@ -395,8 +388,7 @@ def check_reconciliation(n_max: int):
             parts = (1,) * (k - 1) + (2,) + (1,) * (n - k - 1)
             mu = Composition(parts)
             ctx = MinParContext(n, k)
-            for w in enumerate_shortest_reps(n, frozenset({k})):
-                verdict = classify_general(mu, w).verdict
+            for w, verdict, _ in classify_all(mu):
                 expect = (
                     'Positive'
                     if is_kostant_positive_minimal(ctx, w)
@@ -421,11 +413,10 @@ def check_reconciliation(n_max: int):
             mu = Composition((k, n - k))
             unknowns = set()
             suff = set()
-            for w in shortest_reps(ctx):
-                verdict = classify_general(mu, w).verdict
+            for w, verdict, thin in classify_all(mu):
                 if verdict == 'Positive':
                     suff.add(w)
-                    if not is_thin_general(mu, w):
+                    if not thin:
                         problems.append(
                             f'maximal ({n},{k}) w={w}: positive but not thin'
                         )

@@ -16,6 +16,11 @@ multiplicity one, indexed by the right cell of w_0^mu w_0.  The cases
 that are thin but not covered by the sufficient condition are left
 Unknown -- deliberately: they are open in general.
 
+Both conditions are decided for every shortest rep of mu at once: the
+positive set is built once per mu, and thinness is one call of the
+index-space alternating sum (klcells.parabolic_sums) over the reps and
+the cell.
+
 Composition text form: "2,1,3,2".
 """
 
@@ -25,11 +30,13 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .klcells import kl_table, parabolic_verma_multiplicity, right_cell_key
+import numpy as np
+
+from .groupindex import group_index
+from .klcells import kl_table, parabolic_sums, right_cell_key, right_cells
 from .permutations import (
     Permutation,
     _raw,
-    enumerate_group,
     is_shortest_coset_rep,
     longest_element,
     longest_element_parabolic,
@@ -157,46 +164,63 @@ def _similar_compositions(mu: Composition) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
+def _positive_windows(mu: Composition) -> frozenset:
+    """Windows of G_mu omega_{nu,mu} over every nu similar to mu."""
+    gm = G_mu(mu)
+    return frozenset(
+        (g * omega(nu, mu)).window
+        for nu in _similar_compositions(mu)
+        for g in gm
+    )
+
+
 def positive_sufficient(mu: Composition, w: Permutation) -> bool:
     """Is w in G_mu omega_{nu,mu} for some nu similar to mu?"""
     if not is_shortest_coset_rep(w, mu.simple_reflections()):
         raise ValueError(f'{w} is not a shortest rep for {mu.to_text()}')
-    gm = G_mu(mu)
-    for nu in _similar_compositions(mu):
-        om = omega(nu, mu)
-        if any((g * om) == w for g in gm):
-            return True
-    return False
+    return w.window in _positive_windows(mu)
+
+
+@lru_cache(maxsize=None)
+def _quotient_cell(mu: Composition) -> np.ndarray:
+    """Group indices of the right cell containing w_0^mu w_0."""
+    n = mu.n
+    w0_mu = longest_element_parabolic(n, mu.simple_reflections())
+    return right_cells(n)[right_cell_key(w0_mu * longest_element(n))]
 
 
 @lru_cache(maxsize=None)
 def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
     """The right cell containing w_0^mu w_0."""
-    n = mu.n
-    seed = longest_element_parabolic(n, mu.simple_reflections()) * longest_element(n)
-    key = right_cell_key(seed)
-    return frozenset(
-        u for u in enumerate_group(n) if right_cell_key(u) == key
+    g = group_index(mu.n)
+    return frozenset(g.perm(i) for i in _quotient_cell(mu))
+
+
+def _thin(mu: Composition, reps: np.ndarray) -> np.ndarray:
+    """Thinness at each rep (group indices): exactly one u in the cell
+    of w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1."""
+    sums = parabolic_sums(
+        kl_table(mu.n), mu.simple_reflections(), reps, _quotient_cell(mu)
     )
+    m = sums.sum(axis=-1)
+    return ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
 
 
 def is_thin_general(mu: Composition, w: Permutation) -> bool:
     """Unique u in the cell of w_0^mu w_0 with nonzero ungraded
     multiplicity, and that multiplicity equal to 1."""
-    J = mu.simple_reflections()
-    if not is_shortest_coset_rep(w, J):
+    if not is_shortest_coset_rep(w, mu.simple_reflections()):
         raise ValueError(f'{w} is not a shortest rep for {mu.to_text()}')
-    table = kl_table(mu.n)
-    hits = 0
-    for u in right_cell_of_longest_quotient(mu):
-        m = parabolic_verma_multiplicity(table, J, w, u).at_one()
-        if m != 0:
-            if m != 1:
-                return False
-            hits += 1
-            if hits > 1:
-                return False
-    return hits == 1
+    return bool(_thin(mu, np.array([group_index(mu.n).idx(w)]))[0])
+
+
+def thin_all(mu: Composition):
+    """(reps, thin): every shortest rep of mu in window order, and the
+    thinness of each, from one kernel call."""
+    g = group_index(mu.n)
+    reps = g.coset_reps(mu.simple_reflections())
+    return [g.perm(i) for i in reps], _thin(mu, reps)
 
 
 @dataclass(frozen=True)
@@ -208,11 +232,27 @@ class Classification:
             raise ValueError(f'unknown verdict {self.verdict!r}')
 
 
-def classify_general(mu: Composition, w: Permutation) -> Classification:
+def _verdict(positive: bool, thin: bool) -> str:
     """Positive by the sufficient condition; Negative by non-thinness;
     Unknown in the remaining (genuinely open) thin cases."""
-    if positive_sufficient(mu, w):
-        return Classification('Positive')
-    if not is_thin_general(mu, w):
-        return Classification('Negative')
-    return Classification('Unknown')
+    if positive:
+        return 'Positive'
+    return 'Unknown' if thin else 'Negative'
+
+
+def classify_general(mu: Composition, w: Permutation) -> Classification:
+    """The verdict for one shortest rep w of mu."""
+    return Classification(
+        _verdict(positive_sufficient(mu, w), is_thin_general(mu, w))
+    )
+
+
+def classify_all(mu: Composition) -> list:
+    """(w, verdict, thin) for every shortest rep w of mu, in window
+    order; thinness is computed once, for all reps together."""
+    reps, thin = thin_all(mu)
+    positive = _positive_windows(mu)
+    return [
+        (w, _verdict(w.window in positive, bool(t)), bool(t))
+        for w, t in zip(reps, thin)
+    ]

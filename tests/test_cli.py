@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import pathlib
 import subprocess
@@ -214,29 +215,35 @@ def test_selftest_small():
     assert lines[-1].startswith('12/12 checks passed')
 
 
-# Byte-exact stdout of the maximal-parabolic commands, as sha256 digests
-# recorded before the cup engine moved to the index-space block table.
-# Regenerate (only for a deliberate output change) with
+# Byte-exact stdout of the maximal-parabolic and Kazhdan-Lusztig paths,
+# as sha256 digests.  The maximal-parabolic ones were recorded before the
+# cup engine moved to the index-space block table, the KL ones before the
+# parabolic alternating sum moved to index space.  Regenerate (only for a
+# deliberate output change) with
 #   PYTHONPATH=src python tests/test_cli.py
 
 GOLDENS = pathlib.Path(__file__).with_name('cli_goldens.json')
 
 
-def golden_invocations():
+def _three_reps(n, k):
+    """The first, middle and last shortest rep of max:k."""
+    from kostantpv.cup_diagrams import MaxParContext, shortest_reps
+
+    reps = shortest_reps(MaxParContext(n, k))
+    return list(dict.fromkeys((reps[0], reps[len(reps) // 2], reps[-1])))
+
+
+def max_golden_invocations():
     """Every classify max:k at n = 2..8 and cup multiplicities of the
     first, middle and last rep of each block, in both formats, plus
     bracket-window cases at n = 10."""
-    from kostantpv.cup_diagrams import MaxParContext, shortest_reps
-
     out = []
     for fmt in ('json', 'tsv'):
         for n in range(2, 9):
             for k in range(1, n):
                 out.append(('classify', '--n', str(n), '--parabolic',
                             f'max:{k}', '--format', fmt))
-                reps = shortest_reps(MaxParContext(n, k))
-                for x in dict.fromkeys(
-                        (reps[0], reps[len(reps) // 2], reps[-1])):
+                for x in _three_reps(n, k):
                     out.append(('mult', '--n', str(n), '--k', str(k),
                                 '--x', str(x), '--engine', 'cup',
                                 '--format', fmt))
@@ -250,6 +257,44 @@ def golden_invocations():
     return out
 
 
+def _proper_compositions(n):
+    """Compositions of n with more than one and fewer than n parts."""
+    out = []
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        if 1 < len(parts) < n:
+            out.append(','.join(map(str, parts)))
+    return out
+
+
+def kl_golden_invocations():
+    """Every classify min:k at n = 2..6, every classify comp: with
+    1 < parts < n at n = 3..6, and KL and two-engine multiplicities of
+    the first, middle and last rep of each max:k block at n <= 6, in
+    both formats."""
+    out = []
+    for fmt in ('json', 'tsv'):
+        for n in range(2, 7):
+            for k in range(1, n):
+                out.append(('classify', '--n', str(n), '--parabolic',
+                            f'min:{k}', '--format', fmt))
+            for mu in _proper_compositions(n):
+                out.append(('classify', '--n', str(n), '--parabolic',
+                            f'comp:{mu}', '--format', fmt))
+            for k in range(1, n):
+                for x in _three_reps(n, k):
+                    for engine in ('kl', 'both'):
+                        out.append(('mult', '--n', str(n), '--k', str(k),
+                                    '--x', str(x), '--engine', engine,
+                                    '--format', fmt))
+    return out
+
+
 def _stdout_digest(args):
     with contextlib.redirect_stderr(io.StringIO()):
         code, out = run_main(*args)
@@ -257,15 +302,29 @@ def _stdout_digest(args):
     return hashlib.sha256(out.encode()).hexdigest()
 
 
+def _goldens():
+    return json.loads(GOLDENS.read_text())
+
+
+def test_golden_keys_cover_invocations():
+    invocations = max_golden_invocations() + kl_golden_invocations()
+    assert sorted(_goldens()) == sorted(' '.join(a) for a in invocations)
+
+
 def test_max_parabolic_goldens():
-    want = json.loads(GOLDENS.read_text())
-    invocations = golden_invocations()
-    assert sorted(want) == sorted(' '.join(a) for a in invocations)
-    for args in invocations:
+    want = _goldens()
+    for args in max_golden_invocations():
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_kl_path_goldens():
+    want = _goldens()
+    for args in kl_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 
 if __name__ == '__main__':
     GOLDENS.write_text(json.dumps(
-        {' '.join(a): _stdout_digest(a) for a in golden_invocations()},
+        {' '.join(a): _stdout_digest(a)
+         for a in max_golden_invocations() + kl_golden_invocations()},
         indent=1, sort_keys=True) + '\n')

@@ -6,6 +6,8 @@ from kostantpv.compositions import (
     Classification,
     Composition,
     G_mu,
+    _similar_compositions,
+    classify_all,
     classify_general,
     is_thin_general,
     omega,
@@ -13,9 +15,14 @@ from kostantpv.compositions import (
     right_cell_of_longest_quotient,
     similar,
     sorted_partition,
+    thin_all,
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
-from kostantpv.klcells import same_right_cell
+from kostantpv.klcells import (
+    kl_table,
+    parabolic_verma_multiplicity,
+    same_right_cell,
+)
 from kostantpv.minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from kostantpv.permutations import (
     Permutation,
@@ -149,3 +156,52 @@ def test_classification_validation():
     Classification('Positive')
     with pytest.raises(ValueError):
         Classification('positive')
+
+
+# -- the vectorized classifier against per-rep object loops
+
+
+def _thin_by_loop(mu, w):
+    """Thinness the slow way: one polynomial per u in the cell, until
+    a second factor or a multiplicity above one shows up."""
+    table = kl_table(mu.n)
+    J = mu.simple_reflections()
+    hits = 0
+    for u in right_cell_of_longest_quotient(mu):
+        m = parabolic_verma_multiplicity(table, J, w, u).at_one()
+        if m != 0:
+            hits += 1
+            if m != 1 or hits > 1:
+                return False
+    return hits == 1
+
+
+def test_thin_all_matches_object_loop():
+    for n in range(1, 7):
+        for parts in _compositions_of(n):
+            mu = Composition(parts)
+            reps, thin = thin_all(mu)
+            assert reps == sorted(
+                enumerate_shortest_reps(n, mu.simple_reflections()))
+            for w, t in zip(reps, thin):
+                assert bool(t) == _thin_by_loop(mu, w), (parts, w)
+
+
+def test_positive_set_matches_transport_loop():
+    for n in range(1, 7):
+        for parts in _compositions_of(n):
+            mu = Composition(parts)
+            gm = G_mu(mu)
+            oms = [omega(nu, mu) for nu in _similar_compositions(mu)]
+            for w in enumerate_shortest_reps(n, mu.simple_reflections()):
+                want = any(g * om == w for om in oms for g in gm)
+                assert positive_sufficient(mu, w) == want, (parts, w)
+
+
+def test_classify_all_matches_per_rep_classifier():
+    for n in range(1, 6):
+        for parts in _compositions_of(n):
+            mu = Composition(parts)
+            for w, verdict, thin in classify_all(mu):
+                assert verdict == classify_general(mu, w).verdict
+                assert thin == is_thin_general(mu, w)

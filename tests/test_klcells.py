@@ -1,5 +1,9 @@
 """Kazhdan-Lusztig tables, graded multiplicities, and cells."""
 
+import itertools
+import random
+
+import numpy as np
 import pytest
 
 from kostantpv.klcells import (
@@ -11,18 +15,22 @@ from kostantpv.klcells import (
     kl_polynomial,
     kl_table,
     left_cell_key,
+    parabolic_sums,
     parabolic_verma_multiplicity,
     penultimate_cell,
     right_cell_key,
+    right_cells,
     same_left_cell,
     same_right_cell,
     same_two_sided_cell,
     small_cell,
     verma_multiplicity,
 )
+from kostantpv.groupindex import group_index
 from kostantpv.laurent import LaurentPolynomial
 from kostantpv.permutations import (
     enumerate_group,
+    enumerate_shortest_reps,
     identity,
     longest_element,
     parse_permutation,
@@ -166,3 +174,73 @@ def test_penultimate_cell():
         assert {w0 * u for u in small_cell(n)} == set(cell)
         for w in cell:
             assert rsk(w).shape == (2,) + (1,) * (n - 2)
+
+
+# -- the index-space parabolic alternating sum against the per-pair oracle
+
+
+def test_rank_and_mul_match_objects():
+    for n in range(1, 7):
+        g = group_index(n)
+        assert np.array_equal(g.rank(g.windows), np.arange(g.N))
+        perms = list(enumerate_group(n))
+        got = g.mul(np.arange(g.N)[:, None], np.arange(g.N)[None, :])
+        want = [[g.index[(a * b).window] for b in perms] for a in perms]
+        assert np.array_equal(got, want), n
+
+
+def _subsets(n):
+    """Every J inside 1..n-1, i.e. every composition of n."""
+    return [frozenset(J) for r in range(n)
+            for J in itertools.combinations(range(1, n), r)]
+
+
+def _as_polynomial(g, coeffs, w, y):
+    """v^{l(y)-l(w)} S(v^{-2}) for one entry S of parabolic_sums."""
+    return LaurentPolynomial.from_q_coeffs(
+        coeffs.tolist(), vshift=int(g.lengths[y] - g.lengths[w]))
+
+
+def test_parabolic_sums_match_oracle_exhaustive():
+    for n in range(1, 6):
+        table = kl_table(n)
+        g = table.group
+        for J in _subsets(n):
+            reps = g.coset_reps(J)
+            assert [g.perm(i) for i in reps] == \
+                sorted(enumerate_shortest_reps(n, J))
+            sums = parabolic_sums(table, J, reps, reps)
+            for a, w in enumerate(reps):
+                for b, y in enumerate(reps):
+                    want = parabolic_verma_multiplicity(
+                        table, J, g.perm(w), g.perm(y))
+                    assert _as_polynomial(g, sums[a, b], w, y) == want, \
+                        (n, sorted(J), w, y)
+
+
+def test_parabolic_sums_match_oracle_seeded_n6():
+    rng = random.Random(6)
+    table = kl_table(6)
+    g = table.group
+    for J in _subsets(6):
+        reps = g.coset_reps(J)
+        ws = rng.sample(list(reps), min(4, len(reps)))
+        ys = rng.sample(list(reps), min(6, len(reps)))
+        sums = parabolic_sums(table, J, ws, ys)
+        for a, w in enumerate(ws):
+            for b, y in enumerate(ys):
+                want = parabolic_verma_multiplicity(
+                    table, J, g.perm(w), g.perm(y))
+                assert _as_polynomial(g, sums[a, b], w, y) == want, \
+                    (sorted(J), w, y)
+
+
+def test_right_cells_partition_the_group():
+    for n in range(1, 6):
+        g = group_index(n)
+        cells = right_cells(n)
+        members = np.sort(np.concatenate(list(cells.values())))
+        assert np.array_equal(members, np.arange(g.N))
+        for key, cell in cells.items():
+            assert list(cell) == sorted(cell)
+            assert all(right_cell_key(g.perm(i)) == key for i in cell)
