@@ -1,26 +1,18 @@
-"""Time the numba kernels against their pure-numpy fallbacks, and the
-parabolic alternating sum alone.
+"""Time the numpy kernels and the parabolic alternating sum alone.
 
 Runs the Bruhat comparability matrix on S_6 and S_7 and the dense
-Kazhdan-Lusztig fill on S_5 and S_6, once per path, and reports the
-best of --repeat runs.  The numba path gets one untimed warmup call so
-compilation cost is not mixed into the numbers.  Outputs are compared
-for equality before any timing is reported.
+Kazhdan-Lusztig fill on S_5 and S_6, and reports the best of --repeat
+runs.
 
 The parabolic alternating sum (klcells.parabolic_sums) is timed as the
 classifier calls it: for every composition of 6, every shortest rep
 against the right cell of w_0^mu w_0.  Each entry is first checked
 against the per-pair klcells.parabolic_verma_multiplicity.
-
-Run with KOSTANTPV_NO_NUMBA=1 to confirm the script degrades to
-fallback-only reporting.
 """
 
 import argparse
 import itertools
 import time
-
-import numpy as np
 
 from kostantpv import _kernels
 from kostantpv.compositions import Composition, right_cell_of_longest_quotient
@@ -42,20 +34,8 @@ def best_of(repeat, fn, *args):
     return best
 
 
-def bench_case(name, repeat, numba_fn, numpy_fn, *args):
-    ref = numpy_fn(*args)
-    rows = []
-    if _kernels.HAS_NUMBA:
-        got = numba_fn(*args)
-        if not np.array_equal(got, ref):
-            raise SystemExit(f'{name}: numba and numpy outputs disagree')
-        numba_fn(*args)  # warmup is already done; keep caches hot
-        rows.append(('numba', best_of(repeat, numba_fn, *args)))
-    rows.append(('numpy', best_of(repeat, numpy_fn, *args)))
-    for path, t in rows:
-        print(f'{name:24s} {path:6s} {t * 1e3:10.2f} ms')
-    if len(rows) == 2:
-        print(f'{name:24s} {"ratio":6s} {rows[1][1] / rows[0][1]:10.1f} x')
+def bench_case(name, repeat, fn, *args):
+    print(f'{name:24s} {best_of(repeat, fn, *args) * 1e3:10.2f} ms')
 
 
 def kl_args(n):
@@ -108,7 +88,7 @@ def bench_parabolic_sums(n, repeat):
 
     t = best_of(repeat, run_all)
     name = f'parabolic_sums S_{n}'
-    print(f'{name:24s} {"numpy":6s} {t * 1e3:10.2f} ms'
+    print(f'{name:24s} {t * 1e3:10.2f} ms'
           f'  ({len(cases)} compositions, reps x cell)')
 
 
@@ -119,26 +99,12 @@ def main():
     )
     args = parser.parse_args()
 
-    if not _kernels.HAS_NUMBA:
-        print('numba path unavailable; timing the numpy fallback only')
-
     for n in (6, 7):
-        dom = group_index(n).dominance
-        bench_case(
-            f'leq_matrix S_{n}',
-            args.repeat,
-            _kernels.leq_matrix,
-            _kernels.leq_matrix_numpy,
-            dom,
-        )
+        bench_case(f'leq_matrix S_{n}', args.repeat, _kernels.leq_matrix,
+                   group_index(n).dominance)
     for n in (5, 6):
-        bench_case(
-            f'kl_fill S_{n}',
-            args.repeat,
-            _kernels.kl_fill,
-            _kernels.kl_fill_numpy,
-            *kl_args(n),
-        )
+        bench_case(f'kl_fill S_{n}', args.repeat, _kernels.kl_fill,
+                   *kl_args(n))
     bench_parabolic_sums(6, args.repeat)
 
 

@@ -1,6 +1,5 @@
 """
-Hot numeric kernels, with numba-compiled primaries and pure-numpy
-fallbacks.
+Hot numeric kernels, in numpy.
 
 Two computations dominate everything else at n = 6, 7:
 
@@ -9,35 +8,22 @@ Two computations dominate everything else at n = 6, 7:
 - the dense Kazhdan-Lusztig coefficient fill over a whole symmetric
   group.
 
-Both are implemented twice.  The numba versions are used when numba
-imports cleanly; setting the environment variable ``KOSTANTPV_NO_NUMBA``
-to a non-empty value before import forces the numpy path.  The two
-paths are checked against each other in the test suite and timed
-against each other in benchmarks/bench_kernels.py.
+The fill is in the classical variable q and carries no grading; the
+graded lift, and the degree shift on the z-th term of the parabolic
+alternating sum (without it S_3 already gives a negative coefficient),
+live in klcells.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_FORCE_FALLBACK = bool(os.environ.get('KOSTANTPV_NO_NUMBA'))
-
-try:
-    if _FORCE_FALLBACK:
-        raise ImportError('numba disabled by KOSTANTPV_NO_NUMBA')
-    from numba import njit
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
 # Bruhat comparability
 
 
-def leq_matrix_numpy(dom: np.ndarray) -> np.ndarray:
+def leq_matrix(dom: np.ndarray) -> np.ndarray:
     """All-pairs entrywise comparison of flattened dominance tables.
 
     dom has shape (N, m); the result L has L[x, y] = all(dom[x] <= dom[y]).
@@ -51,30 +37,6 @@ def leq_matrix_numpy(dom: np.ndarray) -> np.ndarray:
         hi = min(N, lo + chunk)
         out[lo:hi] = (dom[lo:hi, None, :] <= dom[None, :, :]).all(axis=2)
     return out
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _leq_matrix_numba(dom):  # pragma: no cover - exercised via wrapper
-        N, m = dom.shape
-        out = np.empty((N, N), dtype=np.bool_)
-        for x in range(N):
-            for y in range(N):
-                ok = True
-                for t in range(m):
-                    if dom[x, t] > dom[y, t]:
-                        ok = False
-                        break
-                out[x, y] = ok
-        return out
-
-    def leq_matrix(dom: np.ndarray) -> np.ndarray:
-        return _leq_matrix_numba(np.ascontiguousarray(dom))
-
-else:
-
-    leq_matrix = leq_matrix_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +54,7 @@ else:
 # so filling columns in any length-increasing order is safe.
 
 
-def kl_fill_numpy(order, lengths, ldesc, lmul, leq, ncoef):
+def kl_fill(order, lengths, ldesc, lmul, leq, ncoef):
     """Dense KL table, vectorized over x one column at a time.
 
     order: element indices sorted by increasing length (identity first).
@@ -138,69 +100,3 @@ def kl_fill_numpy(order, lengths, ldesc, lmul, leq, ncoef):
             col[rows, shift:] -= mu * P[xs[rows], z, :ncoef - shift]
         P[xs, w, :] = col
     return P
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _kl_fill_numba(order, lengths, ldesc, lmul, leq, ncoef):
-        # pragma: no cover - exercised via wrapper
-        N = len(lengths)
-        P = np.zeros((N, N, ncoef), dtype=np.int32)
-        zbuf = np.empty(N, dtype=np.int64)
-        mubuf = np.empty(N, dtype=np.int64)
-        for oi in range(N):
-            w = order[oi]
-            s = ldesc[w]
-            if s < 0:
-                P[w, w, 0] = 1
-                continue
-            v = lmul[s, w]
-            lw = lengths[w]
-            nz = 0
-            for z in range(N):
-                diff = lw - 1 - lengths[z]
-                if diff <= 0 or diff % 2 == 0 or not leq[z, v]:
-                    continue
-                if lengths[lmul[s, z]] >= lengths[z]:
-                    continue
-                mu = P[z, v, (diff - 1) // 2]
-                if mu != 0:
-                    zbuf[nz] = z
-                    mubuf[nz] = mu
-                    nz += 1
-            for x in range(N):
-                if not leq[x, w]:
-                    continue
-                sx = lmul[s, x]
-                c = 1 if lengths[sx] < lengths[x] else 0
-                for d in range(ncoef - 1, -1, -1):
-                    acc = 0
-                    if d - (1 - c) >= 0:
-                        acc += P[sx, v, d - (1 - c)]
-                    if d - c >= 0:
-                        acc += P[x, v, d - c]
-                    P[x, w, d] = acc
-                for t in range(nz):
-                    z = zbuf[t]
-                    if not leq[x, z]:
-                        continue
-                    shift = (lw - lengths[z]) // 2
-                    mu = mubuf[t]
-                    for d in range(ncoef - shift):
-                        P[x, w, d + shift] -= mu * P[x, z, d]
-        return P
-
-    def kl_fill(order, lengths, ldesc, lmul, leq, ncoef):
-        return _kl_fill_numba(
-            np.ascontiguousarray(order, dtype=np.int64),
-            np.ascontiguousarray(lengths, dtype=np.int64),
-            np.ascontiguousarray(ldesc, dtype=np.int64),
-            np.ascontiguousarray(lmul, dtype=np.int64),
-            np.ascontiguousarray(leq),
-            ncoef,
-        )
-
-else:
-
-    kl_fill = kl_fill_numpy

@@ -223,13 +223,6 @@ def enumerate_words(ctx: MaxParContext) -> frozenset:
     return frozenset(out)
 
 
-def _check_rep(ctx: MaxParContext, w: Permutation) -> None:
-    if w.n != ctx.n:
-        raise ValueError(f'{w} has rank {w.n}, context has {ctx.n}')
-    if not is_shortest_coset_rep(w, ctx.J):
-        raise ValueError(f'{w} is not a shortest rep for the maximal parabolic')
-
-
 def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
     """Transport of the dominant word along w: letter p is dominant
     letter number w(p).
@@ -239,7 +232,10 @@ def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
     >>> str(phi(MaxParContext(4, 2), Permutation('3412')))
     'vv^^'
     """
-    _check_rep(ctx, w)
+    if w.n != ctx.n:
+        raise ValueError(f'{w} has rank {w.n}, context has {ctx.n}')
+    if not is_shortest_coset_rep(w, ctx.J):
+        raise ValueError(f'{w} is not a shortest rep for the maximal parabolic')
     return WeightWord(_letters(ctx, w))
 
 
@@ -617,8 +613,10 @@ def Y_words(ctx: MaxParContext) -> frozenset:
 
 def is_kostant_positive_maximal(ctx: MaxParContext, w: Permutation) -> bool:
     """Positive iff Phi(w) is in Y, except that for k = 1, n-1, or n/2
-    only the two extreme reps are positive."""
-    _check_rep(ctx, w)
+    only the two extreme reps are positive: e and antidominant_rep,
+    whose words are ^k v^m and v^m ^k."""
+    word = phi(ctx, w)
     if ctx.k in (1, ctx.n - 1) or ctx.n == 2 * ctx.k:
-        return w.is_identity or w == antidominant_rep(ctx)
-    return in_Y(ctx, phi(ctx, w))
+        return word.letters in (WEDGE * ctx.k + VEE * ctx.m,
+                                VEE * ctx.m + WEDGE * ctx.k)
+    return in_Y(ctx, word)

@@ -11,24 +11,20 @@ overall power of v -- happens only at the multiplicity boundary:
 which collects Sum_i [Delta_x : L_y<i>] v^i.  Parabolic Verma modules
 expand as an alternating sum of Vermas over the parabolic subgroup;
 the graded lift of that sum carries a degree shift <l(z)> on the z-th
-term.  Whether that shift is present is exactly the grading-convention
-choice that the literature leaves implicit, so both candidates are
-implemented behind the ``convention`` switch; the shifted one is the
-default, frozen by tests against the worked graded decomposition
-tables (the plain one already produces a negative coefficient in S_3,
-which is impossible for an actual composition-series count).
+term, which the literature leaves implicit; it is taken here because
+without it S_3 already gives a negative coefficient, impossible for a
+composition-series count.
 
 Cells are decided through RSK: two elements share a right cell iff
-they share the tableau named by RIGHT_CELL_TABLEAU.  The assignment of
-insertion/recording to right/left is fixed empirically by the
+they share the insertion tableau, and a left cell iff they share the
+recording tableau.  That assignment of sides is checked against the
 mu-coefficient-graph oracle in the test suite, not assumed from any
-one book's convention.
+one book.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -51,20 +47,12 @@ __all__ = [
     'same_right_cell', 'same_left_cell', 'same_two_sided_cell', 'right_cells',
     'is_small_cell_member', 'small_cell', 'penultimate_cell',
     'is_involution',
-    'GRADING_CONVENTION', 'RIGHT_CELL_TABLEAU',
 ]
 
 # Dense tables are quadratic in n!: S_6 takes 16.6 MB, and the numpy
 # fill of S_7 (dense int32, 11 coefficients) was measured at 5.9 s and
 # a 1.15 GB peak on a 2-core x86 host.
 MAX_KL_N = 6
-
-# 'shifted': the z-term of the parabolic alternating sum is twisted by
-# v^{l(z)} (graded lift of the expansion); 'plain': no twist.
-GRADING_CONVENTION = 'shifted'
-
-# Which RSK tableau is constant along a right cell.
-RIGHT_CELL_TABLEAU = 'insertion'
 
 
 class KLTable:
@@ -175,18 +163,14 @@ def parabolic_verma_multiplicity(
     J,
     w: Permutation,
     y: Permutation,
-    convention: Optional[str] = None,
 ) -> LaurentPolynomial:
     """Graded multiplicity of L_y in the parabolic Verma at w, for the
     parabolic subgroup W_J.
 
     Expands the parabolic Verma as sum over z in W_J of
     (-1)^{l(z)} Delta_{z w}, with the z-th term degree-shifted by l(z)
-    under the default 'shifted' convention (see module docstring).
+    (see module docstring).
     """
-    conv = GRADING_CONVENTION if convention is None else convention
-    if conv not in ('shifted', 'plain'):
-        raise ValueError(f'unknown grading convention {conv!r}')
     J = frozenset(J)
     for rep in (w, y):
         if not is_shortest_coset_rep(rep, J):
@@ -194,9 +178,7 @@ def parabolic_verma_multiplicity(
     total = LaurentPolynomial.zero()
     for z in subgroup_elements(w.n, J):
         lz = z.length
-        term = verma_multiplicity(table, z * w, y)
-        if conv == 'shifted':
-            term = term.shifted(lz)
+        term = verma_multiplicity(table, z * w, y).shifted(lz)
         total = total + (term if lz % 2 == 0 else -term)
     return total
 
@@ -220,8 +202,7 @@ def parabolic_sums(table: KLTable, J, reps, targets) -> np.ndarray:
 
     reps and targets are group indices; reps must be shortest coset
     representatives (not checked here).  Then l(z w) = l(z) + l(w), so
-    under the 'shifted' convention every z-term carries the same power
-    of v and
+    with the shift by l(z) every z-term carries the same power of v and
 
         parabolic_verma_multiplicity(w, y) = v^{l(y)-l(w)} S[w, y](v^{-2}).
 
@@ -240,17 +221,11 @@ def parabolic_sums(table: KLTable, J, reps, targets) -> np.ndarray:
 
 
 def right_cell_key(w: Permutation) -> tuple:
-    pair = rsk(w)
-    return (
-        pair.insertion if RIGHT_CELL_TABLEAU == 'insertion' else pair.recording
-    )
+    return rsk(w).insertion
 
 
 def left_cell_key(w: Permutation) -> tuple:
-    pair = rsk(w)
-    return (
-        pair.recording if RIGHT_CELL_TABLEAU == 'insertion' else pair.insertion
-    )
+    return rsk(w).recording
 
 
 def two_sided_cell_key(w: Permutation) -> tuple:

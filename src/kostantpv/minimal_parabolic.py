@@ -31,7 +31,6 @@ from .permutations import (
     from_word,
     is_shortest_coset_rep,
     longest_element,
-    transposition,
 )
 
 
@@ -103,13 +102,6 @@ def hat_G(ctx: MinParContext) -> frozenset:
         )
         out.append(_raw(window))
     return frozenset(out)
-
-
-def G(ctx: MinParContext) -> frozenset:
-    """The centralizer of (k, k+1): fix or swap the pair, |G| = 2(n-2)!."""
-    t = transposition(ctx.n, ctx.k, ctx.k + 1)
-    base = hat_G(ctx)
-    return base | frozenset(sigma * t for sigma in base)
 
 
 @lru_cache(maxsize=None)

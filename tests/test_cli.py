@@ -6,12 +6,14 @@ import io
 import itertools
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from kostantpv import cli
+from kostantpv.permutations import Permutation, enumerate_group
 
 ROW_FIELDS = {'w', 'word', 'verdict', 'thin', 'a_value', 'multiplicities'}
 
@@ -215,10 +217,12 @@ def test_selftest_small():
     assert lines[-1].startswith('12/12 checks passed')
 
 
-# Byte-exact stdout of the maximal-parabolic and Kazhdan-Lusztig paths,
-# as sha256 digests.  The maximal-parabolic ones were recorded before the
-# cup engine moved to the index-space block table, the KL ones before the
-# parabolic alternating sum moved to index space.  Regenerate (only for a
+# Byte-exact stdout of the maximal-parabolic and Kazhdan-Lusztig paths
+# and of socle and cells, as sha256 digests.  The maximal-parabolic ones
+# were recorded before the cup engine moved to the index-space block
+# table, the KL ones before the parabolic alternating sum moved to index
+# space, the socle and cells ones before the second kernel path and
+# the grading and cell-side switches were removed.  Regenerate (only for a
 # deliberate output change) with
 #   PYTHONPATH=src python tests/test_cli.py
 
@@ -295,6 +299,31 @@ def kl_golden_invocations():
     return out
 
 
+def socle_cells_golden_invocations():
+    """cells at n = 2..7, and socle of every w at n <= 4 and of ten
+    seeded w per n at n = 5..8, in both formats."""
+    out = []
+    for fmt in ('json', 'tsv'):
+        for n in range(2, 8):
+            out.append(('cells', '--n', str(n), '--format', fmt))
+        for n in range(1, 9):
+            if n <= 4:
+                ws = [str(w) for w in enumerate_group(n)]
+            else:
+                rng = random.Random(n)
+                ws = [str(Permutation(rng.sample(range(1, n + 1), n)))
+                      for _ in range(10)]
+            for w in ws:
+                out.append(('socle', '--n', str(n), '--w', w,
+                            '--format', fmt))
+    return out
+
+
+def golden_invocations():
+    return (max_golden_invocations() + kl_golden_invocations()
+            + socle_cells_golden_invocations())
+
+
 def _stdout_digest(args):
     with contextlib.redirect_stderr(io.StringIO()):
         code, out = run_main(*args)
@@ -307,8 +336,8 @@ def _goldens():
 
 
 def test_golden_keys_cover_invocations():
-    invocations = max_golden_invocations() + kl_golden_invocations()
-    assert sorted(_goldens()) == sorted(' '.join(a) for a in invocations)
+    assert sorted(_goldens()) == sorted(
+        ' '.join(a) for a in golden_invocations())
 
 
 def test_max_parabolic_goldens():
@@ -323,8 +352,14 @@ def test_kl_path_goldens():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 
+def test_socle_cells_goldens():
+    want = _goldens()
+    for args in socle_cells_golden_invocations():
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
 if __name__ == '__main__':
     GOLDENS.write_text(json.dumps(
         {' '.join(a): _stdout_digest(a)
-         for a in max_golden_invocations() + kl_golden_invocations()},
+         for a in golden_invocations()},
         indent=1, sort_keys=True) + '\n')

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from kostantpv.klcells import (
-    GRADING_CONVENTION,
     MAX_KL_N,
     KLTable,
     is_involution,
@@ -92,16 +91,8 @@ def test_parabolic_conventions():
     J = frozenset({1})
     e = identity(3)
     y = parse_permutation('312')
-    shifted = parabolic_verma_multiplicity(t, J, e, y, convention='shifted')
-    assert shifted == parabolic_verma_multiplicity(t, J, e, y)
-    assert GRADING_CONVENTION == 'shifted'
-    plain = parabolic_verma_multiplicity(t, J, e, y, convention='plain')
-    assert not plain.is_nonnegative()
-    assert plain == (LaurentPolynomial.monomial(1, 2)
-                     + LaurentPolynomial.monomial(-1, 1))
-    assert shifted.is_nonnegative()
-    with pytest.raises(ValueError):
-        parabolic_verma_multiplicity(t, J, e, y, convention='typo')
+    # the z-term is shifted by l(z); unshifted, this pair gives v^2 - v
+    assert parabolic_verma_multiplicity(t, J, e, y).is_zero()
 
 
 def test_parabolic_rejects_non_reps():
