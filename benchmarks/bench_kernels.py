@@ -8,6 +8,11 @@ The parabolic alternating sum (klcells.parabolic_sums) is timed as the
 classifier calls it: for every composition of 6, every shortest rep
 against the right cell of w_0^mu w_0.  Each entry is first checked
 against the per-pair klcells.parabolic_verma_multiplicity.
+
+The socle sweep times bigrassmannian.socle_descriptor on every element
+of S_2..S_6, after checking every descriptor with n <= 5 against the
+pairwise definition (Bruhat-maximal among the bigrassmannians b with
+permutations.bruhat_leq(b, w)).
 """
 
 import argparse
@@ -15,6 +20,7 @@ import itertools
 import time
 
 from kostantpv import _kernels
+from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.compositions import Composition, right_cell_of_longest_quotient
 from kostantpv.groupindex import group_index
 from kostantpv.klcells import (
@@ -23,6 +29,7 @@ from kostantpv.klcells import (
     parabolic_verma_multiplicity,
 )
 from kostantpv.laurent import LaurentPolynomial
+from kostantpv.permutations import bruhat_leq, enumerate_group
 
 
 def best_of(repeat, fn, *args):
@@ -92,6 +99,26 @@ def bench_parabolic_sums(n, repeat):
           f'  ({len(cases)} compositions, reps x cell)')
 
 
+def bench_socle(repeat):
+    for n in range(2, 6):
+        for w in enumerate_group(n):
+            below = [b for b in bigrassmannians(n) if bruhat_leq(b, w)]
+            want = {b for b in below
+                    if not any(b != c and bruhat_leq(b, c) for c in below)}
+            if set(socle_descriptor(w)) != want:
+                raise SystemExit(f'socle_descriptor {w} disagrees with '
+                                 'the pairwise definition')
+    groups = [list(enumerate_group(n)) for n in range(2, 7)]
+
+    def run_all():
+        for group in groups:
+            for w in group:
+                socle_descriptor(w)
+
+    t = best_of(repeat, run_all)
+    print(f'{"socle S_2..S_6":24s} {t * 1e3:10.2f} ms  (every w)')
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -106,6 +133,7 @@ def main():
         bench_case(f'kl_fill S_{n}', args.repeat, _kernels.kl_fill,
                    *kl_args(n))
     bench_parabolic_sums(6, args.repeat)
+    bench_socle(args.repeat)
 
 
 if __name__ == '__main__':

@@ -8,8 +8,12 @@ cokernel of the inclusion of Verma modules attached to w; the quotient
 Delta_e / Delta_w has simple socle exactly when w itself is
 bigrassmannian, and the test suite checks that shadow exhaustively.
 
-All enumeration here is a filtered scan over the full group, which is
-the right tool at desk scale (n <= 7).
+S_n has C(n+1, 3) bigrassmannians.  Whether b <= w is decided for all
+of them at once by comparing their dominance rows
+(groupindex.dominance_tables) with the row of w, and the maximal ones
+below w come from the square comparison matrix of their rows
+(_kernels.leq_matrix).  The rows are built from bigrassmannians(n)
+itself, not from GroupIndex, so n is not capped at GroupIndex.MAX_N.
 """
 
 from __future__ import annotations
@@ -17,7 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .permutations import Permutation, bruhat_leq, enumerate_group
+import numpy as np
+
+from ._kernels import leq_matrix
+from .groupindex import dominance_tables
+from .permutations import Permutation, enumerate_group
 
 
 @dataclass(frozen=True)
@@ -52,19 +60,28 @@ def bigrassmannians(n: int) -> tuple:
     return tuple(w for w in enumerate_group(n) if is_bigrassmannian(w))
 
 
-def interval(x: Permutation, y: Permutation) -> set:
-    """The Bruhat interval {z : x <= z <= y}.
+@lru_cache(maxsize=None)
+def _rows(n: int) -> np.ndarray:
+    """Dominance rows of bigrassmannians(n), shape (C(n+1, 3), n*n)."""
+    windows = [b.window for b in bigrassmannians(n)]
+    rows = dominance_tables(np.array(windows, dtype=np.int8).reshape(-1, n))
+    rows.flags.writeable = False
+    return rows
 
-    >>> sorted(str(z) for z in interval(Permutation('123'), Permutation('231')))
-    ['123', '132', '213', '231']
+
+def _row(w: Permutation) -> np.ndarray:
+    return dominance_tables(np.array(w.window, dtype=np.int8))
+
+
+def below(w: Permutation) -> np.ndarray:
+    """Mask over bigrassmannians(w.n) of the b with b <= w.
+
+    >>> [str(b) for b in bigrassmannians(3)]
+    ['132', '213', '231', '312']
+    >>> below(Permutation('231')).tolist()
+    [True, True, True, False]
     """
-    if not bruhat_leq(x, y):
-        raise ValueError(f'incomparable endpoints {x} and {y}')
-    return {
-        z
-        for z in enumerate_group(x.n)
-        if bruhat_leq(x, z) and bruhat_leq(z, y)
-    }
+    return (_rows(w.n) <= _row(w)).all(axis=1)
 
 
 def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
@@ -72,13 +89,10 @@ def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
 
     Requires w <= u, so the second interval sits inside the first.
     """
-    if not bruhat_leq(w, u):
+    if not (_row(w) <= _row(u)).all():
         raise ValueError(f'{w} is not Bruhat-below {u}')
-    return {
-        b
-        for b in bigrassmannians(u.n)
-        if bruhat_leq(b, u) and not bruhat_leq(b, w)
-    }
+    bs = bigrassmannians(u.n)
+    return {bs[i] for i in np.flatnonzero(below(u) & ~below(w))}
 
 
 def socle_descriptor(w: Permutation) -> SocleDescriptor:
@@ -87,10 +101,11 @@ def socle_descriptor(w: Permutation) -> SocleDescriptor:
     >>> sorted(str(b) for b in socle_descriptor(Permutation('321')))
     ['231', '312']
     """
-    below = [b for b in bigrassmannians(w.n) if bruhat_leq(b, w)]
-    maximal = frozenset(
-        b
-        for b in below
-        if not any(b != c and bruhat_leq(b, c) for c in below)
+    bs = bigrassmannians(w.n)
+    under = np.flatnonzero(below(w))
+    # distinct permutations have distinct rows, so b is maximal exactly
+    # when its row of the comparison matrix is set on the diagonal only
+    maximal = leq_matrix(_rows(w.n)[under]).sum(axis=1) == 1
+    return SocleDescriptor(
+        generators=frozenset(bs[i] for i in under[maximal])
     )
-    return SocleDescriptor(generators=maximal)

@@ -121,7 +121,8 @@ def check_factorization(n_max: int):
                 problems.append(f'({n},{k}): |reps| != n!/2')
             for w in reps:
                 f = factorize(ctx, w)
-                if f.sigma * f.tau != w:
+                if not (f.sigma in ghat and f.tau in taus
+                        and f.sigma * f.tau == w):
                     problems.append(f'({n},{k}): bad factorization of {w}')
                     break
             seen += len(reps)

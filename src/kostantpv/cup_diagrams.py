@@ -123,23 +123,6 @@ class CupDiagram:
         strands = ','.join(str(p) for p in sorted(self.strands))
         return f'cups={cups};strands={strands}'
 
-    @classmethod
-    def from_text(cls, text: str, n: Optional[int] = None) -> 'CupDiagram':
-        head, _, tail = text.strip().partition(';')
-        if not head.startswith('cups=') or not tail.startswith('strands='):
-            raise ValueError(f'bad diagram text: {text!r}')
-        cups = set()
-        body = head[len('cups='):]
-        if body:
-            for part in body.replace('),(', ');(').split(';'):
-                a, b = part.strip('()').split(',')
-                cups.add((int(a), int(b)))
-        strands = {
-            int(p) for p in tail[len('strands='):].split(',') if p
-        }
-        total = 2 * len(cups) + len(strands)
-        return cls(frozenset(cups), frozenset(strands), n or total)
-
 
 @dataclass(frozen=True)
 class OrientedCupDiagram:

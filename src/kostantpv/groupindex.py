@@ -25,6 +25,20 @@ from .permutations import Permutation, _raw
 MAX_N = 8
 
 
+def dominance_tables(windows: np.ndarray) -> np.ndarray:
+    """Flattened dominance tables of windows of shape (..., n), uint8.
+
+    Entry [..., i*n + j] is #{a <= i+1 : w(a) >= j+1}, the table of
+    permutations.dominance_matrix; x <= y in Bruhat order exactly when
+    every entry of x's table is <= the same entry of y's.
+    """
+    w = np.asarray(windows)
+    n = w.shape[-1]
+    ge = w[..., :, None] >= np.arange(1, n + 1, dtype=w.dtype)
+    return np.cumsum(ge, axis=-2, dtype=np.uint8).reshape(
+        w.shape[:-1] + (n * n,))
+
+
 class GroupIndex:
     """Indexed enumeration of S_n with multiplication and order tables."""
 
@@ -107,11 +121,7 @@ class GroupIndex:
     def dominance(self) -> np.ndarray:
         """Flattened dominance tables, shape (N, n*n), uint8."""
         if self._dominance is None:
-            n = self.n
-            ge = self.windows[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
-            self._dominance = (
-                np.cumsum(ge, axis=1, dtype=np.uint8).reshape(self.N, n * n)
-            )
+            self._dominance = dominance_tables(self.windows)
         return self._dominance
 
     @property
@@ -124,11 +134,6 @@ class GroupIndex:
                 )
             self._leq = _kernels.leq_matrix(self.dominance)
         return self._leq
-
-    def below(self, y: int) -> np.ndarray:
-        """Indices of all x <= y, without needing the full matrix."""
-        mask = (self.dominance <= self.dominance[y]).all(axis=1)
-        return np.nonzero(mask)[0]
 
 
 @lru_cache(maxsize=None)

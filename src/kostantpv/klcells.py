@@ -94,47 +94,6 @@ class KLTable:
         last = int(np.max(np.nonzero(row)[0])) if row.any() else -1
         return tuple(int(c) for c in row[:last + 1])
 
-    # -- deterministic text form: one line "x w : c_0 c_1 ..." per
-    # nonzero pair, both windows in canonical text, window-lex order.
-
-    def to_text(self) -> str:
-        g = self.group
-        lines = []
-        for xi in range(g.N):
-            for wi in range(g.N):
-                row = self._coeffs(xi, wi)
-                if row:
-                    lines.append(
-                        f'{g.perm(xi)} {g.perm(wi)} : '
-                        + ' '.join(str(c) for c in row)
-                    )
-        return '\n'.join(lines) + '\n'
-
-    @classmethod
-    def from_text(cls, text: str) -> 'KLTable':
-        entries = {}
-        n = None
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            head, _, tail = line.partition(':')
-            xs, ws = head.split()
-            x, w = Permutation(xs), Permutation(ws)
-            n = x.n
-            entries[x.window, w.window] = tuple(
-                int(c) for c in tail.split()
-            )
-        if n is None:
-            raise ValueError('empty table text')
-        g = group_index(n)
-        maxlen = int(g.lengths[g.w0_idx])
-        dense = np.zeros((g.N, g.N, maxlen // 2 + 1), dtype=np.int32)
-        for (xw, ww), cs in entries.items():
-            xi, wi = g.index[xw], g.index[ww]
-            dense[xi, wi, :len(cs)] = cs
-        return cls(g, dense)
-
 
 @lru_cache(maxsize=None)
 def kl_table(n: int) -> KLTable:

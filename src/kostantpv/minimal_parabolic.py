@@ -22,8 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 from .permutations import (
     Permutation,
@@ -104,37 +103,23 @@ def hat_G(ctx: MinParContext) -> frozenset:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
-def _factorization_table(n: int, k: int) -> dict:
-    ctx = MinParContext(n, k)
-    plus, minus = enumerate_X(ctx)
-    table = {}
-    for sigma in hat_G(ctx):
-        for t, pos in itertools.chain(
-            ((t, True) for t in plus), ((t, False) for t in minus)
-        ):
-            w = sigma * t
-            if w.window in table:
-                raise AssertionError(f'factorization collision at {w}')
-            table[w.window] = MinParFactorization(sigma, t, pos)
-    if len(table) != factorial(n - 2) * comb(n, 2):
-        raise AssertionError('factorization table has wrong cardinality')
-    return table
-
-
 def factorize(ctx: MinParContext, w: Permutation) -> MinParFactorization:
     """The unique (sigma, tau) with w = sigma o tau.
 
-    Requires w to be a shortest coset representative for J = {k}.
+    tau sends i to k and j to k+1, and sigma fixes k and k+1, so
+    w(i) = k and w(j) = k+1: tau = tau_{i,j} with i = w^-1(k) and
+    j = w^-1(k+1), and sigma = w tau^-1.  Requires w to be a shortest
+    coset representative for J = {k}, which is exactly i < j.
+
+    >>> f = factorize(MinParContext(4, 2), Permutation('2431'))
+    >>> str(f.sigma), str(f.tau), f.positive
+    ('4231', '2134', False)
     """
     if not is_shortest_coset_rep(w, {ctx.k}):
         raise ValueError(f'{w} is not a shortest rep for J = {{{ctx.k}}}')
-    try:
-        return _factorization_table(ctx.n, ctx.k)[w.window]
-    except KeyError:
-        raise AssertionError(
-            f'no factorization for rep {w}: bijection violated'
-        ) from None
+    i, j = w.inverse(ctx.k), w.inverse(ctx.k + 1)
+    t = tau(ctx, i, j)
+    return MinParFactorization(w * t.inverse, t, j == i + 1)
 
 
 def is_kostant_positive_minimal(ctx: MinParContext, w: Permutation) -> bool:

@@ -63,16 +63,6 @@ def test_table_ceiling():
         KLTable.build(MAX_KL_N + 1)
 
 
-def test_text_round_trip():
-    t = kl_table(4)
-    text = t.to_text()
-    assert 'q' not in text
-    back = KLTable.from_text(text)
-    for w in enumerate_group(4):
-        for x in enumerate_group(4):
-            assert t.coeffs(x, w) == back.coeffs(x, w)
-
-
 def test_verma_multiplicity():
     t = kl_table(3)
     e = identity(3)
