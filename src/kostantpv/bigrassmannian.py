@@ -8,12 +8,20 @@ cokernel of the inclusion of Verma modules attached to w; the quotient
 Delta_e / Delta_w has simple socle exactly when w itself is
 bigrassmannian, and the test suite checks that shadow exhaustively.
 
-S_n has C(n+1, 3) bigrassmannians.  Whether b <= w is decided for all
-of them at once by comparing their dominance rows
-(groupindex.dominance_tables) with the row of w, and the maximal ones
-below w come from the square comparison matrix of their rows
-(_kernels.leq_matrix).  The rows are built from bigrassmannians(n)
-itself, not from GroupIndex, so n is not capped at GroupIndex.MAX_N.
+Everything here reads the dominance table D_w(i, c) = #{a <= i :
+w(a) >= c} (permutations.dominance_matrix) at one cell per
+bigrassmannian.  S_n has C(n+1, 3) of them, one per cell (i, c) and
+threshold r with 1 <= r <= i < n and i - r + 2 <= c <= n + 1 - r: the
+window with the values c..c+r-1 at positions i-r+1..i and every other
+value in increasing order.  It is the least w with D_w(i, c) >= r, so
+b <= w is one comparison.  Every non-constant cell of D is such a
+threshold cell, so w <= u exactly when every bigrassmannian below w is
+below u.  The maximal ones below w correspond to the boxes (p, q) of
+Fulton's essential set of w, the box giving the threshold at (p, q+1)
+(W. Fulton, Duke Math. J. 65 (1992); M. Kobayashi, Electron. J.
+Combin. 17 (2010) N27).  The diagram of w is {(p, q) : w(p) > q,
+w^-1(q) > p}; its essential boxes have neither (p+1, q) nor (p, q+1)
+in it.
 """
 
 from __future__ import annotations
@@ -21,11 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from ._kernels import leq_matrix
-from .groupindex import dominance_tables
-from .permutations import Permutation, enumerate_group
+from .permutations import Permutation, _raw, dominance_matrix
 
 
 @dataclass(frozen=True)
@@ -54,34 +58,39 @@ def is_bigrassmannian(w: Permutation) -> bool:
     return len(w.right_descents()) == 1 and len(w.left_descents()) == 1
 
 
+def _window(n: int, i: int, c: int, r: int) -> tuple:
+    """The least w with D_w(i, c) >= r: values c..c+r-1 at positions
+    i-r+1..i, every other value in increasing order."""
+    return (*range(1, i - r + 1), *range(c, c + r), *range(i - r + 1, c),
+            *range(c + r, n + 1))
+
+
+def _cells(n: int):
+    """(i, c, r) of every bigrassmannian of S_n, in window order: the
+    window starts 1..a, c with a = i - r and has a+1 at position i+1,
+    so it sorts by a descending, then by c and i ascending."""
+    for a in range(n - 2, -1, -1):
+        for c in range(a + 2, n + 1):
+            for i in range(a + 1, n + a + 2 - c):
+                yield i, c, i - a
+
+
 @lru_cache(maxsize=None)
 def bigrassmannians(n: int) -> tuple:
     """All bigrassmannian elements of S_n, in window order."""
-    return tuple(w for w in enumerate_group(n) if is_bigrassmannian(w))
+    return tuple(_raw(_window(n, *cell)) for cell in _cells(n))
 
 
-@lru_cache(maxsize=None)
-def _rows(n: int) -> np.ndarray:
-    """Dominance rows of bigrassmannians(n), shape (C(n+1, 3), n*n)."""
-    windows = [b.window for b in bigrassmannians(n)]
-    rows = dominance_tables(np.array(windows, dtype=np.int8).reshape(-1, n))
-    rows.flags.writeable = False
-    return rows
-
-
-def _row(w: Permutation) -> np.ndarray:
-    return dominance_tables(np.array(w.window, dtype=np.int8))
-
-
-def below(w: Permutation) -> np.ndarray:
-    """Mask over bigrassmannians(w.n) of the b with b <= w.
+def below(w: Permutation) -> list:
+    """Flags over bigrassmannians(w.n): is b <= w?
 
     >>> [str(b) for b in bigrassmannians(3)]
     ['132', '213', '231', '312']
-    >>> below(Permutation('231')).tolist()
+    >>> below(Permutation('231'))
     [True, True, True, False]
     """
-    return (_rows(w.n) <= _row(w)).all(axis=1)
+    d = dominance_matrix(w)
+    return [d[i - 1][c - 1] >= r for i, c, r in _cells(w.n)]
 
 
 def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
@@ -89,23 +98,23 @@ def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
 
     Requires w <= u, so the second interval sits inside the first.
     """
-    if not (_row(w) <= _row(u)).all():
+    flags = list(zip(bigrassmannians(u.n), below(u), below(w)))
+    if any(bw and not bu for _, bu, bw in flags):
         raise ValueError(f'{w} is not Bruhat-below {u}')
-    bs = bigrassmannians(u.n)
-    return {bs[i] for i in np.flatnonzero(below(u) & ~below(w))}
+    return {b for b, bu, bw in flags if bu and not bw}
 
 
 def socle_descriptor(w: Permutation) -> SocleDescriptor:
-    """Maximal elements among the bigrassmannians below w.
+    """Maximal elements among the bigrassmannians below w: the least w'
+    with D_w'(p, q+1) >= D_w(p, q+1), for each box (p, q) of the
+    essential set of w.
 
     >>> sorted(str(b) for b in socle_descriptor(Permutation('321')))
     ['231', '312']
     """
-    bs = bigrassmannians(w.n)
-    under = np.flatnonzero(below(w))
-    # distinct permutations have distinct rows, so b is maximal exactly
-    # when its row of the comparison matrix is set on the diagonal only
-    maximal = leq_matrix(_rows(w.n)[under]).sum(axis=1) == 1
-    return SocleDescriptor(
-        generators=frozenset(bs[i] for i in under[maximal])
-    )
+    n, d, inv = w.n, dominance_matrix(w), w.inverse
+    diagram = {(p, q) for p in range(1, n) for q in range(1, n)
+               if w(p) > q and inv(q) > p}
+    return SocleDescriptor(generators=frozenset(
+        _raw(_window(n, p, q + 1, d[p - 1][q])) for p, q in diagram
+        if (p + 1, q) not in diagram and (p, q + 1) not in diagram))

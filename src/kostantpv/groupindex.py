@@ -25,20 +25,6 @@ from .permutations import Permutation, _raw
 MAX_N = 8
 
 
-def dominance_tables(windows: np.ndarray) -> np.ndarray:
-    """Flattened dominance tables of windows of shape (..., n), uint8.
-
-    Entry [..., i*n + j] is #{a <= i+1 : w(a) >= j+1}, the table of
-    permutations.dominance_matrix; x <= y in Bruhat order exactly when
-    every entry of x's table is <= the same entry of y's.
-    """
-    w = np.asarray(windows)
-    n = w.shape[-1]
-    ge = w[..., :, None] >= np.arange(1, n + 1, dtype=w.dtype)
-    return np.cumsum(ge, axis=-2, dtype=np.uint8).reshape(
-        w.shape[:-1] + (n * n,))
-
-
 class GroupIndex:
     """Indexed enumeration of S_n with multiplication and order tables."""
 
@@ -119,9 +105,13 @@ class GroupIndex:
 
     @property
     def dominance(self) -> np.ndarray:
-        """Flattened dominance tables, shape (N, n*n), uint8."""
+        """Flattened dominance tables, shape (N, n*n), uint8: x <= y
+        exactly when row x is entrywise <= row y."""
         if self._dominance is None:
-            self._dominance = dominance_tables(self.windows)
+            n = self.n
+            ge = self.windows[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
+            self._dominance = np.cumsum(
+                ge, axis=1, dtype=np.uint8).reshape(self.N, n * n)
         return self._dominance
 
     @property

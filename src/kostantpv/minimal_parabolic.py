@@ -69,12 +69,9 @@ def tau(ctx: MinParContext, i: int, j: int) -> Permutation:
     n, k = ctx.n, ctx.k
     if not 1 <= i < j <= n:
         raise ValueError(f'need 1 <= i < j <= {n}, got ({i}, {j})')
-    rest = iter(v for v in range(1, n + 1) if v not in (k, k + 1))
-    window = [
-        k if p == i else k + 1 if p == j else next(rest)
-        for p in range(1, n + 1)
-    ]
-    return _raw(tuple(window))
+    rest = (*range(1, k), *range(k + 2, n + 1))
+    return _raw(rest[:i - 1] + (k,) + rest[i - 1:j - 2] + (k + 1,)
+                + rest[j - 2:])
 
 
 def enumerate_X(ctx: MinParContext):

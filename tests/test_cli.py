@@ -13,7 +13,11 @@ import sys
 import pytest
 
 from kostantpv import cli
-from kostantpv.permutations import Permutation, enumerate_group
+from kostantpv.permutations import (
+    Permutation,
+    enumerate_group,
+    longest_element,
+)
 
 ROW_FIELDS = {'w', 'word', 'verdict', 'thin', 'a_value', 'multiplicities'}
 
@@ -300,8 +304,9 @@ def kl_golden_invocations():
 
 
 def socle_cells_golden_invocations():
-    """cells at n = 2..7, and socle of every w at n <= 4 and of ten
-    seeded w per n at n = 5..8, in both formats."""
+    """cells at n = 2..7, and socle of every w at n <= 4, of ten seeded
+    w per n at n = 5..8, and of w_0 and two seeded w at n = 9 (digit
+    windows) and n = 10 (bracket windows), in both formats."""
     out = []
     for fmt in ('json', 'tsv'):
         for n in range(2, 8):
@@ -316,6 +321,14 @@ def socle_cells_golden_invocations():
             for w in ws:
                 out.append(('socle', '--n', str(n), '--w', w,
                             '--format', fmt))
+        for n in (9, 10):
+            rng = random.Random(n)
+            ws = [str(longest_element(n))] + [
+                str(Permutation(rng.sample(range(1, n + 1), n)))
+                for _ in range(2)]
+            for w in ws:
+                out.append(('socle', '--n', str(n), '--w', w,
+                            '--format', fmt, '--n-max', str(n)))
     return out
 
 
