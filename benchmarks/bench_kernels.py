@@ -25,11 +25,7 @@ from kostantpv import _kernels
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.compositions import Composition, right_cell_of_longest_quotient
 from kostantpv.groupindex import group_index
-from kostantpv.klcells import (
-    kl_table,
-    parabolic_sums,
-    parabolic_verma_multiplicity,
-)
+from kostantpv.klcells import parabolic_sums, parabolic_verma_multiplicity
 from kostantpv.laurent import LaurentPolynomial
 from kostantpv.permutations import Permutation, bruhat_leq, enumerate_group
 
@@ -72,20 +68,19 @@ def compositions(n):
 
 
 def bench_parabolic_sums(n, repeat):
-    table = kl_table(n)
-    g = table.group
+    g = group_index(n)
     cases = []
     for mu in compositions(n):
         J = mu.simple_reflections()
         reps = g.coset_reps(J)
         cell = sorted(g.idx(u) for u in right_cell_of_longest_quotient(mu))
-        sums = parabolic_sums(table, J, reps, cell)
+        sums = parabolic_sums(n, J, reps, cell)
         for a, w in enumerate(reps):
             for b, y in enumerate(cell):
                 got = LaurentPolynomial.from_q_coeffs(
                     sums[a, b].tolist(), int(g.lengths[y] - g.lengths[w]))
                 if got != parabolic_verma_multiplicity(
-                        table, J, g.perm(w), g.perm(y)):
+                        J, g.perm(w), g.perm(y)):
                     raise SystemExit(
                         f'parabolic_sums {mu.to_text()}: {g.perm(w)} '
                         f'{g.perm(y)} disagrees with the per-pair sum')
@@ -93,7 +88,7 @@ def bench_parabolic_sums(n, repeat):
 
     def run_all():
         for J, reps, cell in cases:
-            parabolic_sums(table, J, reps, cell)
+            parabolic_sums(n, J, reps, cell)
 
     t = best_of(repeat, run_all)
     name = f'parabolic_sums S_{n}'

@@ -11,15 +11,19 @@ their full bounds.
 
 Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
-Kazhdan-Lusztig polynomials, and a mu-graph strongly-connected
-component pass for cells.
+Kazhdan-Lusztig polynomials, computed on LaurentPolynomial in q, and
+a mu-graph strongly-connected-component pass for cells, computed on
+boolean arrays.  The table properties (normalization, vanishing,
+degree bound, both symmetries) are identities on the whole
+klcells.kl_table array.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
+
+import numpy as np
 
 from .bigrassmannian import (
     complement_bigrassmannians,
@@ -46,7 +50,7 @@ from .cup_diagrams import (
 )
 from .groupindex import group_index
 from .klcells import (
-    is_involution,
+    kl_polynomial,
     kl_table,
     left_cell_key,
     parabolic_verma_multiplicity,
@@ -219,7 +223,6 @@ def check_cross_oracle(n_max: int):
     top = min(n_max, 6)
     pairs = 0
     for n in range(2, top + 1):
-        table = kl_table(n)
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             J = ctx.J
@@ -227,7 +230,7 @@ def check_cross_oracle(n_max: int):
             for x in reps:
                 for y in reps:
                     cup = graded_multiplicity(ctx, x, y)
-                    kl = parabolic_verma_multiplicity(table, J, x, y)
+                    kl = parabolic_verma_multiplicity(J, x, y)
                     pairs += 1
                     if cup is None:
                         if not kl.is_zero():
@@ -334,49 +337,44 @@ def check_socle_shadow(n_max: int):
     return _verdict(problems, f'shadow equivalence exhaustive, n <= {top}')
 
 
+def _kl_table_problems(g, P) -> list:
+    """The properties of a KL table P over the group index g, stated as
+    identities on the whole array: normalization P_ww = 1, vanishing
+    off the Bruhat order, the degree bound 2d <= l(w) - l(x) - 1 for
+    x != w, and the symmetries P_{x,w} = P_{x^-1,w^-1} and
+    P_{x,w} = P_{w0 x w0, w0 w w0}."""
+    problems = []
+    n = g.n
+    diag = np.arange(g.N)
+    if not (P[diag, diag, 0] == 1).all() or P[diag, diag, 1:].any():
+        problems.append(f'n={n}: P_ww != 1')
+    if P[~g.leq].any():
+        problems.append(f'n={n}: nonzero below Bruhat')
+    room = g.lengths[None, :] - g.lengths[:, None] - 1
+    high = 2 * np.arange(P.shape[2]) > room[:, :, None]
+    high[diag, diag] = False
+    if (high & (P != 0)).any():
+        problems.append(f'n={n}: degree bound violated')
+    inv = g.inverse
+    if not (P[inv[:, None], inv[None, :]] == P).all():
+        problems.append(f'n={n}: inverse symmetry')
+    c = g.rank(n + 1 - g.windows[:, ::-1])
+    if not (P[c[:, None], c[None, :]] == P).all():
+        problems.append(f'n={n}: w0-conjugation symmetry')
+    return problems
+
+
 def check_kl_properties(n_max: int):
     """Normalization, vanishing, degree bound, symmetries, both oracles,
     and one involution per one-sided cell."""
     problems = []
     top = min(n_max, 5)
     for n in range(2, top + 1):
-        table = kl_table(n)
-        g = table.group
-        w0 = longest_element(n)
-        for wi in range(g.N):
-            for xi in range(g.N):
-                coeffs = table._coeffs(xi, wi)
-                if xi == wi and coeffs != (1,):
-                    problems.append(f'n={n}: P_ww != 1')
-                if not g.leq[xi, wi]:
-                    if coeffs:
-                        problems.append(f'n={n}: nonzero below Bruhat')
-                    continue
-                diff = int(g.lengths[wi]) - int(g.lengths[xi])
-                if xi != wi and any(
-                    c for e, c in enumerate(coeffs) if 2 * e > diff - 1
-                ):
-                    problems.append(f'n={n}: degree bound violated')
-                inv_x = g.idx(g.perm(xi).inverse)
-                inv_w = g.idx(g.perm(wi).inverse)
-                if coeffs != table._coeffs(inv_x, inv_w):
-                    problems.append(f'n={n}: inverse symmetry')
-                cx = g.idx(w0 * g.perm(xi) * w0)
-                cw = g.idx(w0 * g.perm(wi) * w0)
-                if coeffs != table._coeffs(cx, cw):
-                    problems.append(f'n={n}: w0-conjugation symmetry')
+        problems.extend(_kl_table_problems(group_index(n), kl_table(n)))
     if n_max >= 4:
         problems.extend(_kl_against_r_oracle(4))
     for n in range(2, top + 1):
-        if n >= 4:
-            problems.extend(_cells_against_mu_graph(n))
-        for key_fn in (left_cell_key, right_cell_key):
-            cells: dict = {}
-            for w in enumerate_group(n):
-                cells.setdefault(key_fn(w), []).append(w)
-            for members in cells.values():
-                if sum(1 for w in members if is_involution(w)) != 1:
-                    problems.append(f'n={n}: cell without unique involution')
+        problems.extend(_cells_against_mu_graph(n))
     return _verdict(problems, f'tables, oracles, and cells agree, n <= {top}')
 
 
@@ -438,39 +436,13 @@ def check_reconciliation(n_max: int):
     return _verdict(problems, f'classifier reconciled, n <= {top}')
 
 
-def _poly_add(a: tuple, b: tuple) -> tuple:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+def r_polynomial(x: Permutation, w: Permutation,
+                 _memo=None) -> LaurentPolynomial:
+    """R_{x,w} as a polynomial in q (exponents are q-degrees), by the
+    descent recursion.
 
-
-def _poly_scale_shift(p: tuple, scale: int, shift: int) -> tuple:
-    if not p or scale == 0:
-        return ()
-    return (0,) * shift + tuple(scale * c for c in p)
-
-
-def _poly_mul(a: tuple, b: tuple) -> tuple:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def r_polynomial(x: Permutation, w: Permutation, _memo=None) -> tuple:
-    """R_{x,w} as ascending q-coefficients, by the descent recursion.
-
-    >>> r_polynomial(parse_permutation('12'), parse_permutation('21'))
+    >>> r = r_polynomial(parse_permutation('12'), parse_permutation('21'))
+    >>> r.coefficient(0), r.coefficient(1)
     (-1, 1)
     """
     if _memo is None:
@@ -479,9 +451,9 @@ def r_polynomial(x: Permutation, w: Permutation, _memo=None) -> tuple:
     if key in _memo:
         return _memo[key]
     if x == w:
-        out: tuple = (1,)
+        out = LaurentPolynomial.one()
     elif not bruhat_leq(x, w):
-        out = ()
+        out = LaurentPolynomial.zero()
     else:
         s = simple_reflection(len(w.window), min(w.left_descents()))
         sw = s * w
@@ -489,16 +461,16 @@ def r_polynomial(x: Permutation, w: Permutation, _memo=None) -> tuple:
         if sx.length < x.length:
             out = r_polynomial(sx, sw, _memo)
         else:
-            out = _poly_add(
-                _poly_mul((-1, 1), r_polynomial(x, sw, _memo)),
-                _poly_scale_shift(r_polynomial(sx, sw, _memo), 1, 1),
-            )
+            # (q - 1) R_{x,sw} + q R_{sx,sw}
+            r = r_polynomial(x, sw, _memo)
+            out = r.shifted(1) - r + r_polynomial(sx, sw, _memo).shifted(1)
     _memo[key] = out
     return out
 
 
 def kl_from_r_oracle(n: int) -> dict:
-    """Every P_{x,w} for S_n by inverting the R-polynomial identity.
+    """Every nonzero P_{x,w} for S_n by inverting the R-polynomial
+    identity, as polynomials in q.
 
     Independent of the production recursion: only R-polynomials and
     the defining degree truncation are used.
@@ -507,124 +479,73 @@ def kl_from_r_oracle(n: int) -> dict:
     memo: dict = {}
     P: dict = {}
     for wi, w in enumerate(elements):
-        P[(w, w)] = (1,)
+        P[(w, w)] = LaurentPolynomial.one()
         below = [x for x in elements[:wi] if bruhat_leq(x, w)]
         for x in sorted(below, key=lambda u: -u.length):
-            total: tuple = ()
+            total = LaurentPolynomial.zero()
             for y in below + [w]:
                 if y.length <= x.length or not bruhat_leq(x, y):
                     continue
-                total = _poly_add(
-                    total, _poly_mul(r_polynomial(x, y, memo), P[(y, w)])
-                )
+                total = total + r_polynomial(x, y, memo) * P[(y, w)]
             bound = (w.length - x.length - 1) // 2
-            P[(x, w)] = tuple(-c for c in total[: bound + 1])
-            while P[(x, w)] and P[(x, w)][-1] == 0:
-                P[(x, w)] = P[(x, w)][:-1]
+            P[(x, w)] = LaurentPolynomial(
+                (e, -c) for e, c in total.terms if e <= bound)
     return P
 
 
 def _kl_against_r_oracle(n: int) -> list:
     problems = []
-    table = kl_table(n)
-    g = table.group
     oracle = kl_from_r_oracle(n)
     for w in enumerate_group(n):
         for x in enumerate_group(n):
-            got = table.coeffs(x, w)
-            want = oracle.get((x, w), ())
+            got = kl_polynomial(x, w)
+            want = oracle.get((x, w), LaurentPolynomial.zero())
             if got != want:
-                problems.append(f'S_{n} oracle: P({x},{w}) = {got} != {want}')
+                problems.append(
+                    f'S_{n} oracle: P({x},{w}) = {got.terms} != {want.terms}')
     return problems
 
 
-def _mu_graph_cells(n: int, side: str) -> list:
-    """Cells as strongly connected components of the mu-graph."""
-    table = kl_table(n)
-    g = table.group
+def _mu_graph_cells(n: int, side: str) -> set:
+    """Cells as strongly connected components of the mu-graph.
+
+    y -> s y for every s with s y > y, and y -> z for every z < y with
+    mu(z, y) != 0 and some s that is a descent of z but not of y (s
+    acting on the given side).  Two elements share a cell when each
+    reaches the other: the classes of R & R.T, where R is the reflexive
+    transitive closure of the graph (Warshall).
+    """
+    g = group_index(n)
+    P = kl_table(n)
     mult = g.lmul if side == 'left' else g.rmul
-    adj: list = [set() for _ in range(g.N)]
-    for yi in range(g.N):
-        ly = int(g.lengths[yi])
-        for s in range(n - 1):
-            ti = int(mult[s, yi])
-            if int(g.lengths[ti]) > ly:
-                adj[yi].add(ti)
-        for zi in range(g.N):
-            diff = int(g.lengths[yi]) - int(g.lengths[zi])
-            if diff <= 0 or diff % 2 == 0 or not g.leq[zi, yi]:
-                continue
-            coeffs = table._coeffs(zi, yi)
-            d = (diff - 1) // 2
-            if len(coeffs) <= d or coeffs[d] == 0:
-                continue
-            for s in range(n - 1):
-                down_z = int(g.lengths[int(mult[s, zi])]) < int(g.lengths[zi])
-                down_y = int(g.lengths[int(mult[s, yi])]) < ly
-                if down_z and not down_y:
-                    adj[yi].add(zi)
-                    break
-    return _scc(adj)
-
-
-def _scc(adj: list) -> list:
-    """Strongly connected components, iterative Kosaraju."""
-    size = len(adj)
-    order = []
-    seen = [False] * size
-    for start in range(size):
-        if seen[start]:
-            continue
-        stack = [(start, iter(adj[start]))]
-        seen[start] = True
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if not seen[nxt]:
-                    seen[nxt] = True
-                    stack.append((nxt, iter(adj[nxt])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(node)
-                stack.pop()
-    radj: list = [set() for _ in range(size)]
-    for src, dsts in enumerate(adj):
-        for dst in dsts:
-            radj[dst].add(src)
-    comp = [-1] * size
-    current = 0
-    for start in reversed(order):
-        if comp[start] != -1:
-            continue
-        stack = [start]
-        comp[start] = current
-        while stack:
-            node = stack.pop()
-            for nxt in radj[node]:
-                if comp[nxt] == -1:
-                    comp[nxt] = current
-                    stack.append(nxt)
-        current += 1
-    out: list = [set() for _ in range(current)]
-    for node, c in enumerate(comp):
-        out[c].add(node)
-    return out
+    up = g.lengths[mult] > g.lengths
+    diff = g.lengths[None, :] - g.lengths[:, None]
+    d = np.clip((diff - 1) // 2, 0, P.shape[2] - 1)
+    mu = (np.take_along_axis(P, d[:, :, None], axis=2)[:, :, 0] != 0) \
+        & (diff % 2 == 1) & (diff > 0) & g.leq
+    split = (~up).T.astype(np.int64) @ up.astype(np.int64) > 0
+    R = (mu & split).T | np.eye(g.N, dtype=bool)
+    R[np.nonzero(up)[1], mult[up]] = True
+    for k in range(g.N):
+        R[R[:, k]] |= R[k]
+    return {frozenset(np.flatnonzero(row).tolist()) for row in R & R.T}
 
 
 def _cells_against_mu_graph(n: int) -> list:
+    """Tableau cells against mu-graph cells on both sides, and one
+    involution per cell."""
     problems = []
     g = group_index(n)
+    involution = g.inverse == np.arange(g.N)
     for side, key_fn in (('left', left_cell_key), ('right', right_cell_key)):
-        graph_cells = {
-            frozenset(c) for c in _mu_graph_cells(n, side)
-        }
         tableau_cells: dict = {}
         for i in range(g.N):
             tableau_cells.setdefault(key_fn(g.perm(i)), set()).add(i)
-        if graph_cells != {frozenset(c) for c in tableau_cells.values()}:
+        cells = {frozenset(c) for c in tableau_cells.values()}
+        if _mu_graph_cells(n, side) != cells:
             problems.append(f'S_{n} {side} cells: graph != tableau')
+        if any(involution[list(c)].sum() != 1 for c in cells):
+            problems.append(f'n={n}: cell without unique involution')
     return problems
 
 

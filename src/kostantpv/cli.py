@@ -34,14 +34,14 @@ from .cup_diagrams import (
     graded_multiplicity,  # noqa: F401  read here by perfbench's tracer test
     is_kostant_positive_maximal,
 )
-from .klcells import MAX_KL_N, is_small_cell_member, kl_table, parabolic_sums
+from .groupindex import group_index
+from .klcells import MAX_KL_N, parabolic_sums
 from .laurent import LaurentPolynomial
 from .minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from .permutations import (
     Permutation,
     enumerate_group,
     is_shortest_coset_rep,
-    longest_element,
     parse_permutation,
 )
 from .tableaux import rsk
@@ -53,15 +53,15 @@ class UsageError(Exception):
     pass
 
 
-def _guard_n(n: int, n_max: int, hard: bool = False) -> None:
+def _guard_n(n: int, n_max: int) -> None:
     if n < 1:
         raise UsageError(f'n must be positive, got {n}')
     if n > n_max:
         raise UsageError(
-            f'n={n} exceeds the limit {n_max}'
-            + ('' if hard else '; raise it with --n-max if you mean it')
+            f'n={n} exceeds the limit {n_max}; '
+            'raise it with --n-max if you mean it'
         )
-    if n_max > DEFAULT_N_MAX and not hard:
+    if n_max > DEFAULT_N_MAX:
         print(
             f'warning: n limit raised to {n_max}; runs beyond n=8 can take '
             'very long and use much memory',
@@ -215,11 +215,10 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
-    table = kl_table(ctx.n)
-    g = table.group
+    g = group_index(ctx.n)
     xi = g.idx(x)
     reps = g.coset_reps(ctx.J)
-    sums = parabolic_sums(table, ctx.J, [xi], reps)[0]
+    sums = parabolic_sums(ctx.n, ctx.J, [xi], reps)[0]
     rows = []
     for y, coeffs in zip(reps, sums.tolist()):
         nonzero = [d for d, c in enumerate(coeffs) if c]
@@ -283,14 +282,17 @@ def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
 def cmd_cells(n: int, fmt: str, n_max: int):
     """Cell data for the whole group: shape, small and penultimate flags."""
     _guard_n(n, n_max)
-    w0 = longest_element(n)
+    # small: the shape (n-1, 1); penultimate: w w_0 small, and w -> w w_0
+    # reverses the window, which transposes the shape
+    small, penultimate = (n - 1, 1), (2,) + (1,) * (n - 2)
     rows = []
     for w in enumerate_group(n):
+        shape = rsk(w).shape
         rows.append({
             'w': str(w),
-            'shape': ','.join(str(p) for p in rsk(w).shape),
-            'small': is_small_cell_member(w),
-            'penultimate': is_small_cell_member(w * w0),
+            'shape': ','.join(str(p) for p in shape),
+            'small': shape == small,
+            'penultimate': shape == penultimate,
         })
     if fmt == 'json':
         return _emit_json({'context': {'n': n}, 'rows': rows}), 0

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groupindex import group_index
-from .klcells import kl_table, parabolic_sums, right_cell_key, right_cells
+from .klcells import parabolic_sums, right_cell_key, right_cells
 from .permutations import (
     Permutation,
     _raw,
@@ -201,7 +201,7 @@ def _thin(mu: Composition, reps: np.ndarray) -> np.ndarray:
     """Thinness at each rep (group indices): exactly one u in the cell
     of w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1."""
     sums = parabolic_sums(
-        kl_table(mu.n), mu.simple_reflections(), reps, _quotient_cell(mu)
+        mu.n, mu.simple_reflections(), reps, _quotient_cell(mu)
     )
     m = sums.sum(axis=-1)
     return ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)

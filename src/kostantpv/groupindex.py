@@ -61,7 +61,6 @@ class GroupIndex:
             t[:, [s - 1, s]] = w[:, [s, s - 1]]
             self.rmul[s - 1] = self.rank(t)
 
-        self.identity_idx = self.index[tuple(range(1, n + 1))]
         self.w0_idx = self.index[tuple(range(n, 0, -1))]
         self.order_by_length = np.argsort(self.lengths, kind='stable')
         # first left descent per element, -1 for the identity

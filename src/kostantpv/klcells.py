@@ -2,9 +2,11 @@ r"""
 Kazhdan-Lusztig polynomials, graded Verma multiplicities, and cells.
 
 The table for a whole symmetric group is filled by the classical
-descent recursion (see _kernels) and stored densely in the classical
-variable q.  The translation to the graded world -- q = v^{-2} plus an
-overall power of v -- happens only at the multiplicity boundary:
+descent recursion (see _kernels) into one read-only int32 array in the
+classical variable q, P[x, w, d] = [q^d] P_{x,w}, indexed by the
+element indices of group_index(n).  The translation to the graded
+world -- q = v^{-2} plus an overall power of v -- happens only at the
+multiplicity boundary:
 
     verma_multiplicity(x, y)  =  v^{l(y)-l(x)} P_{x,y}(v^{-2}),
 
@@ -17,9 +19,12 @@ composition-series count.
 
 Cells are decided through RSK: two elements share a right cell iff
 they share the insertion tableau, and a left cell iff they share the
-recording tableau.  That assignment of sides is checked against the
-mu-coefficient-graph oracle in the test suite, not assumed from any
-one book.
+recording tableau, and a two-sided cell iff they share the shape.
+That assignment of sides is checked against the mu-coefficient-graph
+oracle (checks, run by selftest and the test suite), not assumed from
+any one book.  The small cell of unique-reduced-word elements is the
+shape (n-1, 1); multiplying by w_0 transposes the shape, so its
+translate, the penultimate cell, is the shape (2, 1^{n-2}).
 """
 
 from __future__ import annotations
@@ -29,19 +34,18 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
-from .groupindex import GroupIndex, group_index
+from .groupindex import group_index
 from .laurent import LaurentPolynomial
 from .permutations import (
     Permutation,
     enumerate_group,
     is_shortest_coset_rep,
-    simple_reflection,
     subgroup_elements,
 )
 from .tableaux import TableauPair, rsk
 
 __all__ = [
-    'KLTable', 'kl_table', 'kl_polynomial',
+    'kl_table', 'kl_polynomial',
     'verma_multiplicity', 'parabolic_verma_multiplicity', 'parabolic_sums',
     'rsk', 'TableauPair',
     'same_right_cell', 'same_left_cell', 'same_two_sided_cell', 'right_cells',
@@ -55,70 +59,57 @@ __all__ = [
 MAX_KL_N = 6
 
 
-class KLTable:
-    """All polynomials P_{x,w} for one symmetric group, stored densely.
-
-    coeffs(x, w) returns the tuple (c_0, c_1, ...) of q-coefficients,
-    () when the polynomial is zero.
-    """
-
-    def __init__(self, group: GroupIndex, dense: np.ndarray):
-        self.group = group
-        self.n = group.n
-        self._P = dense
-
-    @classmethod
-    def build(cls, n: int) -> 'KLTable':
-        if not 1 <= n <= MAX_KL_N:
-            raise ValueError(
-                f'dense KL table supported for 1 <= n <= {MAX_KL_N}, got {n}'
-            )
-        g = group_index(n)
-        maxlen = int(g.lengths[g.w0_idx])
-        ncoef = maxlen // 2 + 1
-        dense = _kernels.kl_fill(
-            g.order_by_length,
-            g.lengths,
-            g.first_left_descent,
-            g.lmul,
-            g.leq,
-            ncoef,
-        )
-        return cls(g, dense)
-
-    def coeffs(self, x: Permutation, w: Permutation) -> tuple:
-        return self._coeffs(self.group.idx(x), self.group.idx(w))
-
-    def _coeffs(self, xi: int, wi: int) -> tuple:
-        row = self._P[xi, wi]
-        last = int(np.max(np.nonzero(row)[0])) if row.any() else -1
-        return tuple(int(c) for c in row[:last + 1])
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: cached arrays are shared by every caller."""
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
-def kl_table(n: int) -> KLTable:
-    return KLTable.build(n)
+def kl_table(n: int) -> np.ndarray:
+    """All polynomials P_{x,w} of S_n, stored densely and read-only:
+    P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
+    x, w of group_index(n).  Zero where x is not Bruhat-below w.
+    """
+    if not 1 <= n <= MAX_KL_N:
+        raise ValueError(
+            f'dense KL table supported for 1 <= n <= {MAX_KL_N}, got {n}'
+        )
+    g = group_index(n)
+    return _frozen(_kernels.kl_fill(
+        g.order_by_length,
+        g.lengths,
+        g.first_left_descent,
+        g.lmul,
+        g.leq,
+        int(g.lengths[g.w0_idx]) // 2 + 1,
+    ))
 
 
-def kl_polynomial(table: KLTable, x: Permutation, w: Permutation) -> LaurentPolynomial:
+def _row(x: Permutation, w: Permutation) -> list:
+    """The row P[x, w] of the table, as q-coefficients."""
+    g = group_index(x.n)
+    return kl_table(x.n)[g.idx(x), g.idx(w)].tolist()
+
+
+def kl_polynomial(x: Permutation, w: Permutation) -> LaurentPolynomial:
     """P_{x,w} as a polynomial in q (exponents are q-degrees).
 
     Zero when x is not Bruhat-below w; no exception.
     """
-    return LaurentPolynomial(enumerate(table.coeffs(x, w)))
+    return LaurentPolynomial(enumerate(_row(x, w)))
 
 
-def verma_multiplicity(table: KLTable, x: Permutation, y: Permutation) -> LaurentPolynomial:
+def verma_multiplicity(x: Permutation, y: Permutation) -> LaurentPolynomial:
     """Sum_i [Delta_x : L_y<i>] v^i = v^{l(y)-l(x)} P_{x,y}(v^{-2}).
 
     Zero unless x <= y; equals 1 at x = y.
     """
-    cs = table.coeffs(x, y)
-    return LaurentPolynomial.from_q_coeffs(cs, vshift=y.length - x.length)
+    return LaurentPolynomial.from_q_coeffs(
+        _row(x, y), vshift=y.length - x.length)
 
 
 def parabolic_verma_multiplicity(
-    table: KLTable,
     J,
     w: Permutation,
     y: Permutation,
@@ -137,15 +128,9 @@ def parabolic_verma_multiplicity(
     total = LaurentPolynomial.zero()
     for z in subgroup_elements(w.n, J):
         lz = z.length
-        term = verma_multiplicity(table, z * w, y).shifted(lz)
+        term = verma_multiplicity(z * w, y).shifted(lz)
         total = total + (term if lz % 2 == 0 else -term)
     return total
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: cached arrays are shared by every caller."""
-    a.flags.writeable = False
-    return a
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +141,7 @@ def _parabolic_subgroup(n: int, J: frozenset) -> tuple:
     return _frozen(z), _frozen(1 - 2 * (g.lengths[z] % 2))
 
 
-def parabolic_sums(table: KLTable, J, reps, targets) -> np.ndarray:
+def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
     """S[i, j, d] = Sum_{z in W_J} (-1)^{l(z)} P_{z reps[i], targets[j]}[q^d].
 
     reps and targets are group indices; reps must be shortest coset
@@ -169,9 +154,9 @@ def parabolic_sums(table: KLTable, J, reps, targets) -> np.ndarray:
     from the table.  The sum stays in the table's int32: up to S_6 it
     has at most 720 terms, each coefficient at most 4.
     """
-    z, sign = _parabolic_subgroup(table.n, frozenset(J))
-    zw = table.group.mul(z[:, None], np.asarray(reps)[None, :])
-    terms = table._P[zw[:, :, None], np.asarray(targets)[None, None, :]]
+    z, sign = _parabolic_subgroup(n, frozenset(J))
+    zw = group_index(n).mul(z[:, None], np.asarray(reps)[None, :])
+    terms = kl_table(n)[zw[:, :, None], np.asarray(targets)[None, None, :]]
     return np.tensordot(sign.astype(terms.dtype), terms, axes=1)
 
 
@@ -222,20 +207,10 @@ def is_small_cell_member(w: Permutation) -> bool:
     """Membership in the two-sided cell of unique-reduced-word elements.
 
     The identity is excluded: it forms its own two-sided cell.  Decided
-    by descent peeling -- a word is unique iff at every stage there is
-    exactly one right descent -- which avoids materializing the word
-    set (checked equivalent to |reduced_words(w)| = 1 in tests).
+    by the shape (n-1, 1) (checked against descent peeling and against
+    |reduced_words(w)| = 1 in tests).
     """
-    if w.is_identity:
-        return False
-    cur = w
-    while not cur.is_identity:
-        ds = cur.right_descents()
-        if len(ds) != 1:
-            return False
-        (i,) = ds
-        cur = cur * simple_reflection(cur.n, i)
-    return True
+    return two_sided_cell_key(w) == (w.n - 1, 1)
 
 
 @lru_cache(maxsize=None)

@@ -19,7 +19,6 @@ from kostantpv.compositions import (
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
 from kostantpv.klcells import (
-    kl_table,
     parabolic_verma_multiplicity,
     same_right_cell,
 )
@@ -164,11 +163,10 @@ def test_classification_validation():
 def _thin_by_loop(mu, w):
     """Thinness the slow way: one polynomial per u in the cell, until
     a second factor or a multiplicity above one shows up."""
-    table = kl_table(mu.n)
     J = mu.simple_reflections()
     hits = 0
     for u in right_cell_of_longest_quotient(mu):
-        m = parabolic_verma_multiplicity(table, J, w, u).at_one()
+        m = parabolic_verma_multiplicity(J, w, u).at_one()
         if m != 0:
             hits += 1
             if m != 1 or hits > 1:

@@ -8,7 +8,6 @@ import pytest
 
 from kostantpv.klcells import (
     MAX_KL_N,
-    KLTable,
     is_involution,
     is_small_cell_member,
     kl_polynomial,
@@ -33,77 +32,84 @@ from kostantpv.permutations import (
     identity,
     longest_element,
     parse_permutation,
+    reduced_words,
+    simple_reflection,
 )
 from kostantpv.tableaux import rsk
 
 
+def _q(*coeffs):
+    """The polynomial in q with ascending coefficients coeffs."""
+    return LaurentPolynomial(enumerate(coeffs))
+
+
 def test_known_polynomials():
-    t = kl_table(4)
     e = identity(4)
-    assert t.coeffs(e, parse_permutation('3412')) == (1, 1)
-    assert t.coeffs(e, parse_permutation('4231')) == (1, 1)
-    assert t.coeffs(parse_permutation('1324'), parse_permutation('3412')) == \
-        (1, 1)
-    assert t.coeffs(e, longest_element(4)) == (1,)
-    assert t.coeffs(parse_permutation('2134'), parse_permutation('2134')) == \
-        (1,)
-    assert t.coeffs(parse_permutation('3412'), parse_permutation('1324')) == ()
+    P = kl_polynomial
+    assert P(e, parse_permutation('3412')) == _q(1, 1)
+    assert P(e, parse_permutation('4231')) == _q(1, 1)
+    assert P(parse_permutation('1324'), parse_permutation('3412')) == _q(1, 1)
+    assert P(e, longest_element(4)) == _q(1)
+    assert P(parse_permutation('2134'), parse_permutation('2134')) == _q(1)
+    assert P(parse_permutation('3412'), parse_permutation('1324')) == _q()
 
 
 def test_kl_polynomial_wrapper():
-    t = kl_table(4)
-    p = kl_polynomial(t, identity(4), parse_permutation('3412'))
+    p = kl_polynomial(identity(4), parse_permutation('3412'))
     assert p == LaurentPolynomial(((0, 1), (1, 1)))
     assert p.at_one() == 2
-    assert kl_polynomial(t, parse_permutation('3412'), identity(4)).is_zero()
+    assert kl_polynomial(parse_permutation('3412'), identity(4)).is_zero()
 
 
 def test_table_ceiling():
     with pytest.raises(ValueError):
-        KLTable.build(MAX_KL_N + 1)
+        kl_table(MAX_KL_N + 1)
+
+
+def test_table_is_read_only():
+    P = kl_table(4)
+    with pytest.raises(ValueError):
+        P[0, 0, 0] = 2
+    assert P[0, 0, 0] == 1
 
 
 def test_verma_multiplicity():
-    t = kl_table(3)
     e = identity(3)
     s1 = parse_permutation('213')
-    assert verma_multiplicity(t, e, e) == LaurentPolynomial.one()
-    assert verma_multiplicity(t, e, s1) == LaurentPolynomial.monomial(1, 1)
-    assert verma_multiplicity(t, s1, e).is_zero()
+    assert verma_multiplicity(e, e) == LaurentPolynomial.one()
+    assert verma_multiplicity(e, s1) == LaurentPolynomial.monomial(1, 1)
+    assert verma_multiplicity(s1, e).is_zero()
     w0 = longest_element(3)
     for x in enumerate_group(3):
-        m = verma_multiplicity(t, x, w0)
+        m = verma_multiplicity(x, w0)
         assert m == LaurentPolynomial.monomial(1, w0.length - x.length)
 
 
 def test_parabolic_conventions():
-    t = kl_table(3)
     J = frozenset({1})
     e = identity(3)
     y = parse_permutation('312')
     # the z-term is shifted by l(z); unshifted, this pair gives v^2 - v
-    assert parabolic_verma_multiplicity(t, J, e, y).is_zero()
+    assert parabolic_verma_multiplicity(J, e, y).is_zero()
 
 
 def test_parabolic_rejects_non_reps():
-    t = kl_table(3)
     J = frozenset({1})
     s1 = parse_permutation('213')
     e = identity(3)
     with pytest.raises(ValueError):
-        parabolic_verma_multiplicity(t, J, s1, e)
+        parabolic_verma_multiplicity(J, s1, e)
     with pytest.raises(ValueError):
-        parabolic_verma_multiplicity(t, J, e, s1)
+        parabolic_verma_multiplicity(J, e, s1)
 
 
 def test_parabolic_shifted_is_graded_nonnegative():
-    t = kl_table(4)
     J = frozenset({1, 3})
     reps = [w for w in enumerate_group(4)
             if not ({1, 3} & w.left_descents())]
     for x in reps:
         for y in reps:
-            m = parabolic_verma_multiplicity(t, J, x, y)
+            m = parabolic_verma_multiplicity(J, x, y)
             assert m.is_nonnegative(), (x, y, m)
 
 
@@ -134,6 +140,21 @@ def test_duflo_property_small_n():
                 assert sum(1 for w in members if is_involution(w)) == 1
 
 
+def _small_by_peeling(w):
+    """Small-cell membership by descent peeling: a reduced word is unique
+    iff at every stage there is exactly one right descent."""
+    if w.is_identity:
+        return False
+    cur = w
+    while not cur.is_identity:
+        ds = cur.right_descents()
+        if len(ds) != 1:
+            return False
+        (i,) = ds
+        cur = cur * simple_reflection(cur.n, i)
+    return True
+
+
 def test_small_cell():
     assert {str(w) for w in small_cell(3)} == {'132', '213', '231', '312'}
     for n in range(2, 6):
@@ -145,6 +166,19 @@ def test_small_cell():
         outside = set(enumerate_group(n)) - set(cell)
         for w in outside:
             assert not is_small_cell_member(w)
+
+
+def test_small_cell_shape_matches_peeling():
+    for n in range(1, 8):
+        for w in enumerate_group(n):
+            assert is_small_cell_member(w) == _small_by_peeling(w), w
+
+
+def test_small_cell_is_unique_reduced_words():
+    for n in range(1, 7):
+        for w in enumerate_group(n):
+            assert is_small_cell_member(w) == (
+                not w.is_identity and len(reduced_words(w)) == 1), w
 
 
 def test_penultimate_cell():
@@ -184,34 +218,32 @@ def _as_polynomial(g, coeffs, w, y):
 
 def test_parabolic_sums_match_oracle_exhaustive():
     for n in range(1, 6):
-        table = kl_table(n)
-        g = table.group
+        g = group_index(n)
         for J in _subsets(n):
             reps = g.coset_reps(J)
             assert [g.perm(i) for i in reps] == \
                 sorted(enumerate_shortest_reps(n, J))
-            sums = parabolic_sums(table, J, reps, reps)
+            sums = parabolic_sums(n, J, reps, reps)
             for a, w in enumerate(reps):
                 for b, y in enumerate(reps):
                     want = parabolic_verma_multiplicity(
-                        table, J, g.perm(w), g.perm(y))
+                        J, g.perm(w), g.perm(y))
                     assert _as_polynomial(g, sums[a, b], w, y) == want, \
                         (n, sorted(J), w, y)
 
 
 def test_parabolic_sums_match_oracle_seeded_n6():
     rng = random.Random(6)
-    table = kl_table(6)
-    g = table.group
+    g = group_index(6)
     for J in _subsets(6):
         reps = g.coset_reps(J)
         ws = rng.sample(list(reps), min(4, len(reps)))
         ys = rng.sample(list(reps), min(6, len(reps)))
-        sums = parabolic_sums(table, J, ws, ys)
+        sums = parabolic_sums(6, J, ws, ys)
         for a, w in enumerate(ws):
             for b, y in enumerate(ys):
                 want = parabolic_verma_multiplicity(
-                    table, J, g.perm(w), g.perm(y))
+                    J, g.perm(w), g.perm(y))
                 assert _as_polynomial(g, sums[a, b], w, y) == want, \
                     (sorted(J), w, y)
 
