@@ -26,23 +26,9 @@ in it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .permutations import Permutation, _raw, dominance_matrix
-
-
-@dataclass(frozen=True)
-class SocleDescriptor:
-    """The Bruhat-maximal bigrassmannians below a permutation."""
-
-    generators: frozenset
-
-    def __iter__(self):
-        return iter(self.generators)
-
-    def __len__(self):
-        return len(self.generators)
 
 
 def is_bigrassmannian(w: Permutation) -> bool:
@@ -104,7 +90,7 @@ def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
     return {b for b, bu, bw in flags if bu and not bw}
 
 
-def socle_descriptor(w: Permutation) -> SocleDescriptor:
+def socle_descriptor(w: Permutation) -> frozenset:
     """Maximal elements among the bigrassmannians below w: the least w'
     with D_w'(p, q+1) >= D_w(p, q+1), for each box (p, q) of the
     essential set of w.
@@ -115,6 +101,6 @@ def socle_descriptor(w: Permutation) -> SocleDescriptor:
     n, d, inv = w.n, dominance_matrix(w), w.inverse
     diagram = {(p, q) for p in range(1, n) for q in range(1, n)
                if w(p) > q and inv(q) > p}
-    return SocleDescriptor(generators=frozenset(
+    return frozenset(
         _raw(_window(n, p, q + 1, d[p - 1][q])) for p, q in diagram
-        if (p + 1, q) not in diagram and (p, q + 1) not in diagram))
+        if (p + 1, q) not in diagram and (p, q + 1) not in diagram)

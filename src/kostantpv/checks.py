@@ -9,6 +9,12 @@ reported, never thrown, so the selftest command can print a full
 scoreboard.  The acceptance test suite calls the same functions at
 their full bounds.
 
+cross-oracle, thin-y, linear-quiver and the maximal part of
+reconciliation read the arrays the CLI serves: the degree table and
+thin column of cup_diagrams.block_table, and, for cross-oracle, one
+klcells.parabolic_sums block per (n, k) compared with that table as a
+whole.
+
 Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
 Kazhdan-Lusztig polynomials, computed on LaurentPolynomial in q, and
@@ -37,14 +43,15 @@ from .compositions import (
 )
 from .cup_diagrams import (
     MaxParContext,
+    WeightWord,
     antidominant_rep,
+    block_table,
     enumerate_admissible,
     enumerate_oriented,
     enumerate_words,
     graded_multiplicity,
     in_Y,
     is_kostant_positive_maximal,
-    is_thin,
     phi,
     shortest_reps,
 )
@@ -53,7 +60,7 @@ from .klcells import (
     kl_polynomial,
     kl_table,
     left_cell_key,
-    parabolic_verma_multiplicity,
+    parabolic_sums,
     right_cell_key,
 )
 from .laurent import LaurentPolynomial
@@ -218,29 +225,37 @@ def check_worked_tables(n_max: int):
 
 
 def check_cross_oracle(n_max: int):
-    """Cup-diagram multiplicities equal the KL alternating sums."""
+    """Cup-diagram multiplicities equal the KL alternating sums: a cup
+    degree c at (x, y) must be the single term v^c = v^(l(y)-l(x)) q^d
+    at q = v^-2 of the sum, and no cup means a zero sum."""
     problems = []
     top = min(n_max, 6)
     pairs = 0
     for n in range(2, top + 1):
+        g = group_index(n)
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            J = ctx.J
-            reps = shortest_reps(ctx)
-            for x in reps:
-                for y in reps:
-                    cup = graded_multiplicity(ctx, x, y)
-                    kl = parabolic_verma_multiplicity(J, x, y)
-                    pairs += 1
-                    if cup is None:
-                        if not kl.is_zero():
-                            problems.append(
-                                f'({n},{k}) x={x} y={y}: cup absent, KL {kl}'
-                            )
-                    elif kl != LaurentPolynomial.monomial(1, cup):
-                        problems.append(
-                            f'({n},{k}) x={x} y={y}: cup v^{cup}, KL {kl}'
-                        )
+            blk, deg, _ = block_table(ctx)
+            reps = g.coset_reps(ctx.J)
+            if g.windows[reps].tolist() != [list(w.window) for w in blk.reps]:
+                problems.append(f'({n},{k}): coset reps != block reps')
+                continue
+            sums = parabolic_sums(n, ctx.J, reps, reps)
+            lengths = g.lengths[reps]
+            d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
+            cup = deg >= 0
+            fits = cup & (odd == 0) & (d >= 0) & (d < sums.shape[2])
+            want = np.zeros_like(sums)
+            x, y = np.nonzero(fits)
+            want[x, y, d[x, y]] = 1
+            bad = (sums != want).any(axis=2) | (cup & ~fits)
+            pairs += bad.size
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                problems.append(
+                    f'({n},{k}): {np.count_nonzero(bad)} pairs differ, '
+                    f'first x={blk.reps[x]} y={blk.reps[y]}'
+                )
     return _verdict(problems, f'{pairs} pairs agree, n <= {top}')
 
 
@@ -251,14 +266,14 @@ def check_thinness(n_max: int):
     for n in range(2, top + 1):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            for w in shortest_reps(ctx):
-                if is_thin(ctx, w) != in_Y(ctx, phi(ctx, w)):
-                    problems.append(f'({n},{k}) w={w}')
-    if top >= 4:
-        ctx = MaxParContext(4, 2)
-        thin = {str(w) for w in shortest_reps(ctx) if is_thin(ctx, w)}
-        if thin != {'1234', '1342', '3124', '3412'}:
-            problems.append(f'thin list at (4,2): {sorted(thin)}')
+            blk, _, thin = block_table(ctx)
+            in_y = [in_Y(ctx, WeightWord(word)) for word in blk.words]
+            for x in np.flatnonzero(thin != in_y):
+                problems.append(f'({n},{k}) w={blk.reps[x]}')
+            if (n, k) == (4, 2):
+                listed = {str(w) for w, t in zip(blk.reps, thin) if t}
+                if listed != {'1234', '1342', '3124', '3412'}:
+                    problems.append(f'thin list at (4,2): {sorted(listed)}')
     return _verdict(problems, f'thin iff Y membership, n <= {top}')
 
 
@@ -283,46 +298,15 @@ def check_branch_consistency(n_max: int):
 
 
 def check_linear_quiver(n_max: int):
-    """At k = 1 the standard modules form a linear chain of length n."""
+    """At k = 1 the standard modules form a linear chain of length n:
+    the standard at rep x has L_x at degree 0 and L_{x+1} at degree 1,
+    and no other factor."""
     problems = []
     top = min(n_max, 7)
     for n in range(2, top + 1):
-        ctx = MaxParContext(n, 1)
-        reps = shortest_reps(ctx)
-        succ = {}
-        terminal = []
-        for x in reps:
-            factors = {}
-            for y in reps:
-                d = graded_multiplicity(ctx, x, y)
-                if d is not None:
-                    factors[y] = d
-            if factors.get(x) != 0:
-                problems.append(f'n={n} x={x}: missing head at degree 0')
-                continue
-            rest = {y: d for y, d in factors.items() if y != x}
-            if not rest:
-                terminal.append(x)
-            elif len(rest) == 1 and set(rest.values()) == {1}:
-                succ[x] = next(iter(rest))
-            else:
-                problems.append(f'n={n} x={x}: factors {len(factors)}')
-        if not problems:
-            if len(terminal) != 1:
-                problems.append(f'n={n}: {len(terminal)} one-step modules')
-            else:
-                seen = set()
-                starts = set(reps) - set(succ.values())
-                if len(starts) != 1:
-                    problems.append(f'n={n}: chain has {len(starts)} sources')
-                else:
-                    x = next(iter(starts))
-                    while x in succ and x not in seen:
-                        seen.add(x)
-                        x = succ[x]
-                    seen.add(x)
-                    if seen != set(reps) or x != terminal[0]:
-                        problems.append(f'n={n}: chain does not cover reps')
+        _, deg, _ = block_table(MaxParContext(n, 1))
+        if not (deg == np.eye(n, k=1) * 2 + np.eye(n) - 1).all():
+            problems.append(f'({n},1): not a two-step chain')
     return _verdict(problems, f'two-step chains verified, n <= {top}')
 
 
@@ -409,6 +393,7 @@ def check_reconciliation(n_max: int):
                 problems.append(f'(k,k) with k={k}: {len(pos)} positives')
         for k in range(1, n):
             ctx = MaxParContext(n, k)
+            blk, _, cup_thin = block_table(ctx)
             mu = Composition((k, n - k))
             unknowns = set()
             suff = set()
@@ -422,15 +407,14 @@ def check_reconciliation(n_max: int):
                 elif verdict == 'Unknown':
                     unknowns.add(w)
             thin_nontrivial = {
-                w for w in shortest_reps(ctx) if is_thin(ctx, w)
+                w for w, t in zip(blk.reps, cup_thin) if t
             } - {identity(n), antidominant_rep(ctx)}
             if unknowns != thin_nontrivial:
                 problems.append(
                     f'maximal ({n},{k}): unknowns != thin non-trivial set'
                 )
             if not suff <= {
-                w for w in shortest_reps(ctx)
-                if is_kostant_positive_maximal(ctx, w)
+                w for w in blk.reps if is_kostant_positive_maximal(ctx, w)
             }:
                 problems.append(f'maximal ({n},{k}): spurious positive')
     return _verdict(problems, f'classifier reconciled, n <= {top}')

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from .bigrassmannian import socle_descriptor
 from .checks import ALL_CHECKS
@@ -300,7 +301,8 @@ def cmd_cells(n: int, fmt: str, n_max: int):
 
 
 def cmd_selftest(n_max: int) -> int:
-    """Run every named check up to n_max and print a scoreboard."""
+    """Run every named check up to n_max and print a scoreboard; the
+    time each check took goes to stderr."""
     if n_max > DEFAULT_N_MAX:
         raise UsageError(
             f'selftest is bounded at n_max={DEFAULT_N_MAX}; '
@@ -310,10 +312,12 @@ def cmd_selftest(n_max: int) -> int:
         raise UsageError('selftest needs n_max >= 2')
     failures = 0
     for name, fn in ALL_CHECKS:
+        start = time.perf_counter()
         try:
             ok, detail = fn(n_max)
         except Exception as exc:
             ok, detail = False, f'unexpected {type(exc).__name__}: {exc}'
+        print(f'{name}: {time.perf_counter() - start:.3f} s', file=sys.stderr)
         print(f'{"ok  " if ok else "FAIL"} {name}: {detail}')
         if not ok:
             failures += 1

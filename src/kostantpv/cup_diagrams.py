@@ -552,18 +552,6 @@ def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     return degree_row(ctx, w)[1]
 
 
-def signature(word: WeightWord) -> tuple:
-    """Maximal-run lengths, left to right.
-
-    >>> signature(WeightWord('v^^v^^^'))
-    (1, 2, 1, 3)
-    """
-    return tuple(
-        sum(1 for _ in group)
-        for _, group in itertools.groupby(word.letters)
-    )
-
-
 def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:
     """The contiguity predicate: for k < m all vees adjacent, for
     k > m all wedges adjacent, for k = m either way.

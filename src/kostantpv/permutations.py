@@ -188,14 +188,6 @@ def simple_reflection(n: int, i: int) -> Permutation:
     return _raw(tuple(window))
 
 
-def transposition(n: int, a: int, b: int) -> Permutation:
-    if a == b or not (1 <= a <= n and 1 <= b <= n):
-        raise ValueError(f'bad transposition ({a} {b}) in S_{n}')
-    window = list(range(1, n + 1))
-    window[a - 1], window[b - 1] = window[b - 1], window[a - 1]
-    return _raw(tuple(window))
-
-
 def from_word(n: int, word: Iterable[int]) -> Permutation:
     """Product s_{i_1} s_{i_2} ... s_{i_r} of simple reflections.
 

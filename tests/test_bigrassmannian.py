@@ -8,7 +8,6 @@ import pytest
 
 from kostantpv._kernels import leq_matrix
 from kostantpv.bigrassmannian import (
-    SocleDescriptor,
     below,
     bigrassmannians,
     complement_bigrassmannians,
@@ -145,5 +144,5 @@ def test_below_and_socle_match_dominance_rows():
 
 def test_socle_descriptor_container():
     d = socle_descriptor(longest_element(3))
-    assert isinstance(d, SocleDescriptor)
+    assert isinstance(d, frozenset)
     assert len(d) == len(list(d))

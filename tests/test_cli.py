@@ -7,6 +7,7 @@ import itertools
 import json
 import pathlib
 import random
+import re
 import subprocess
 import sys
 
@@ -219,6 +220,11 @@ def test_selftest_small():
     assert len(lines) == 13
     assert all(line.startswith('ok') for line in lines[:-1])
     assert lines[-1].startswith('12/12 checks passed')
+    # one timing line per check on stderr, in scoreboard order
+    timings = proc.stderr.splitlines()
+    assert [t.partition(':')[0] for t in timings] == \
+        [name for name, _ in cli.ALL_CHECKS]
+    assert all(re.fullmatch(r'[a-z-]+: \d+\.\d{3} s', t) for t in timings)
 
 
 # Byte-exact stdout of the maximal-parabolic and Kazhdan-Lusztig paths
@@ -226,7 +232,8 @@ def test_selftest_small():
 # were recorded before the cup engine moved to the index-space block
 # table, the KL ones before the parabolic alternating sum moved to index
 # space, the socle and cells ones before the second kernel path and
-# the grading and cell-side switches were removed.  Regenerate (only for a
+# the grading and cell-side switches were removed, the selftest ones before
+# four checks moved onto the production tables.  Regenerate (only for a
 # deliberate output change) with
 #   PYTHONPATH=src python tests/test_cli.py
 
@@ -332,9 +339,15 @@ def socle_cells_golden_invocations():
     return out
 
 
+def selftest_golden_invocations():
+    """The selftest scoreboard at every n_max from 2 to 8."""
+    return [('selftest', '--n-max', str(n)) for n in range(2, 9)]
+
+
 def golden_invocations():
     return (max_golden_invocations() + kl_golden_invocations()
-            + socle_cells_golden_invocations())
+            + socle_cells_golden_invocations()
+            + selftest_golden_invocations())
 
 
 def _stdout_digest(args):
@@ -368,6 +381,12 @@ def test_kl_path_goldens():
 def test_socle_cells_goldens():
     want = _goldens()
     for args in socle_cells_golden_invocations():
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_selftest_goldens():
+    want = _goldens()
+    for args in selftest_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 

@@ -32,7 +32,6 @@ from kostantpv.cup_diagrams import (
     phi_inverse,
     planar_diagrams,
     shortest_reps,
-    signature,
     word_from_diagram,
 )
 from kostantpv.permutations import identity, parse_permutation
@@ -224,8 +223,7 @@ def test_thin_list():
     assert thin == {'1234', '1342', '3124', '3412'}
 
 
-def test_signature_and_Y():
-    assert signature(WeightWord('^vv^vvv')) == (1, 2, 1, 3)
+def test_Y_words():
     ctx = MaxParContext(5, 2)
     assert in_Y(ctx, WeightWord('^^vvv'))
     assert in_Y(ctx, WeightWord('vv^^v')) is False

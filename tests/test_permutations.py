@@ -26,7 +26,6 @@ from kostantpv.permutations import (
     reduced_words,
     simple_reflection,
     subgroup_elements,
-    transposition,
 )
 
 
@@ -84,10 +83,8 @@ def test_descents():
             assert (i in w.left_descents()) == ((s * w).length < w.length)
 
 
-def test_from_word_and_transposition():
+def test_from_word():
     assert from_word(4, (2, 1, 3, 2)).window == (3, 4, 1, 2)
-    assert transposition(5, 2, 4).window == (1, 4, 3, 2, 5)
-    assert transposition(4, 1, 2) == simple_reflection(4, 1)
 
 
 def test_longest_element():
