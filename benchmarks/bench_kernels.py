@@ -2,7 +2,8 @@
 
 Runs the Bruhat comparability matrix on S_6 and S_7 and the dense
 Kazhdan-Lusztig fill on S_5 and S_6, and reports the best of --repeat
-runs.
+runs.  Each fill is timed only after its table has passed the
+kl-properties identities (checks._kl_table_problems).
 
 The parabolic alternating sum (klcells.parabolic_sums) is timed as the
 classifier calls it: for every composition of 6, every shortest rep
@@ -23,6 +24,7 @@ import time
 
 from kostantpv import _kernels
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
+from kostantpv.checks import _kl_table_problems
 from kostantpv.compositions import Composition, right_cell_of_longest_quotient
 from kostantpv.groupindex import group_index
 from kostantpv.klcells import parabolic_sums, parabolic_verma_multiplicity
@@ -51,9 +53,17 @@ def kl_args(n):
         g.lengths,
         g.first_left_descent,
         g.lmul,
-        g.leq,
         maxlen // 2 + 1,
     )
+
+
+def bench_kl_fill(n, repeat):
+    args = kl_args(n)
+    P = _kernels.kl_fill(*args).transpose(1, 0, 2)
+    problems = _kl_table_problems(group_index(n), P)
+    if problems:
+        raise SystemExit(f'kl_fill S_{n}: {problems}')
+    bench_case(f'kl_fill S_{n}', repeat, _kernels.kl_fill, *args)
 
 
 def compositions(n):
@@ -144,8 +154,7 @@ def main():
         bench_case(f'leq_matrix S_{n}', args.repeat, _kernels.leq_matrix,
                    group_index(n).dominance)
     for n in (5, 6):
-        bench_case(f'kl_fill S_{n}', args.repeat, _kernels.kl_fill,
-                   *kl_args(n))
+        bench_kl_fill(n, args.repeat)
     bench_parabolic_sums(6, args.repeat)
     bench_socle(args.repeat)
 

@@ -4,9 +4,11 @@ Hot numeric kernels, in numpy.
 Two computations dominate everything else at n = 6, 7:
 
 - the pairwise Bruhat comparability matrix (all-pairs entrywise
-  dominance comparison), and
+  dominance comparison), which only selftest and the tests read, and
 - the dense Kazhdan-Lusztig coefficient fill over a whole symmetric
-  group.
+  group.  It fills the columns of one length at a time, computes half
+  of each column and copies it to the other half (P_{sx,w} = P_{x,w}
+  for a left descent s of w), and needs no Bruhat matrix.
 
 The fill is in the classical variable q and carries no grading; the
 graded lift, and the degree shift on the z-th term of the parabolic
@@ -42,61 +44,74 @@ def leq_matrix(dom: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Dense Kazhdan-Lusztig fill
 #
-# Classical recursion on the left descent s of w, with v = s w and
-# c = [s x < x]:
+# Columns w are filled one length level at a time: a column only reads
+# strictly shorter ones, so a whole level is one set of array operations.
+# With s the first left descent of w and v = s w:
 #
-#   P_{x,w} = q^{1-c} P_{sx,v} + q^c P_{x,v}
-#             - sum over z < v with sz < z of
-#                 mu(z, v) q^{(l(w)-l(z))/2} P_{x,z}   (for x <= z),
+#   P_{sx,w} = P_{x,w}, so only the half of the rows with s x > x is
+#   computed, and each is copied to the row s x;
 #
-# where mu(z, v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}.
-# The uniform c-formula only ever reads columns strictly shorter than w,
-# so filling columns in any length-increasing order is safe.
+#   for s x > x,  P_{x,w} = P_{x,v} + q P_{sx,v}
+#                           - sum over z with s z < z of
+#                               mu(z, v) q^{(l(w)-l(z))/2} P_{x,z},
+#
+# where mu(z, v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}, and
+# z runs over l(z) < l(v) with l(v) - l(z) odd.  That coefficient is read
+# from the table for every such z: it is zero unless z <= v, and P_{x,z}
+# is zero unless x <= z, so no Bruhat matrix is needed.
 
 
-def kl_fill(order, lengths, ldesc, lmul, leq, ncoef):
-    """Dense KL table, vectorized over x one column at a time.
+def kl_fill(order, lengths, ldesc, lmul, ncoef):
+    """Dense KL table, vectorized over the columns of one length.
 
     order: element indices sorted by increasing length (identity first).
     lengths[i]: Coxeter length; ldesc[i]: one left descent (0-based
     generator index, -1 for the identity); lmul[s, i]: index of s_i+1
-    composed with element i on the left; leq[x, y]: Bruhat x <= y.
-    Returns an int32 array P of shape (N, N, ncoef) with
-    P[x, w, d] = coefficient of q^d in P_{x,w}.
+    composed with element i on the left.
+    Returns an int32 array Pt of shape (N, N, ncoef), column-major, with
+    Pt[w, x, d] = coefficient of q^d in P_{x,w}.
     """
     N = len(lengths)
-    P = np.zeros((N, N, ncoef), dtype=np.int32)
-    for w in order:
-        s = ldesc[w]
-        if s < 0:
-            P[w, w, 0] = 1
-            continue
-        v = lmul[s, w]
-        xs = np.nonzero(leq[:, w])[0]
-        sx = lmul[s, xs]
-        col = np.zeros((len(xs), ncoef), dtype=np.int32)
-        up = lengths[sx] > lengths[xs]  # c = 0 rows
-        # q^{1-c} P_{sx,v}: shift by one where c = 0
-        col[up, 1:] += P[sx[up], v, :-1]
-        col[~up, :] += P[sx[~up], v, :]
-        # q^c P_{x,v}: shift by one where c = 1
-        col[up, :] += P[xs[up], v, :]
-        col[~up, 1:] += P[xs[~up], v, :-1]
-        # correction terms over z < v with sz < z and mu(z, v) != 0
-        lw = lengths[w]
-        diff = lw - 1 - lengths  # l(v) - l(z)
-        cand = np.nonzero(
-            leq[:, v]
-            & (diff % 2 == 1)
-            & (diff > 0)
-            & (lengths[lmul[s]] < lengths)
-        )[0]
-        for z in cand:
-            mu = int(P[z, v, (lw - 2 - lengths[z]) // 2])
-            if mu == 0:
-                continue
-            shift = (lw - lengths[z]) // 2
-            rows = leq[xs, z]
-            col[rows, shift:] -= mu * P[xs[rows], z, :ncoef - shift]
-        P[xs, w, :] = col
-    return P
+    Pt = np.zeros((N, N, ncoef), dtype=np.int32)
+    rows = Pt.reshape(N * N, ncoef)
+    Pt[order[0], order[0], 0] = 1
+    up = lengths[lmul] > lengths
+    # ups[s]: the x with s x > x, half of the group; sups[s]: their s x
+    ups = np.nonzero(up)[1].reshape(len(lmul), N // 2)
+    sups = np.take_along_axis(lmul, ups, axis=1)
+    # ~256 kB per (columns, N/2, ncoef) temporary: a chunk of columns
+    # stays in cache, and its temporaries stay out of the peak RSS
+    chunk = max(1, (256 << 10) // (2 * N * ncoef))
+    by_length = lengths[order]
+    cuts = np.searchsorted(by_length, np.arange(by_length[-1] + 2))
+    for lw in range(1, int(by_length[-1]) + 1):
+        zs = np.flatnonzero((lengths <= lw - 2) & (lengths % 2 == lw % 2))
+        shift = (lw - lengths[zs]) // 2  # mu(z, v) sits at degree shift - 1
+        level = order[cuts[lw]:cuts[lw + 1]]
+        for lo in range(0, len(level), chunk):
+            w = level[lo:lo + chunk]
+            s = ldesc[w]
+            v = lmul[s, w][:, None]
+            xs, sxs = ups[s], sups[s]
+            col = rows.take(v * N + xs, axis=0)
+            col[:, :, 1:] += rows.take(v * N + sxs, axis=0)[:, :, :-1]
+            mu = Pt.reshape(-1).take((v * N + zs) * ncoef + shift - 1)
+            mu *= ~up[s][:, zs]
+            i, j = np.nonzero(mu)
+            terms = rows.take(zs[j, None] * N + xs[i], axis=0)
+            terms *= mu[i, j, None, None]
+            # i comes sorted, so a (rank within its column, shift) group
+            # names each column at most once
+            rank = np.arange(len(i)) - np.searchsorted(i, i)
+            key = rank * ncoef + shift[j]
+            for group in np.unique(key):
+                k = key == group
+                sh = group % ncoef
+                col[i[k], :, sh:] -= terms[k, :, :ncoef - sh]
+            # write only x <= w, where P_{x,w}(0) = 1: pages of the zeroed
+            # table that hold no such x are never touched
+            i, j = np.nonzero(col[:, :, 0])
+            vals = col[i, j]
+            rows[w[i] * N + xs[i, j]] = vals
+            rows[w[i] * N + sxs[i, j]] = vals
+    return Pt

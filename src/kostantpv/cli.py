@@ -75,7 +75,7 @@ def _require_kl(n: int, what: str) -> None:
         raise UsageError(
             f'{what} needs the dense Kazhdan-Lusztig table, which is kept '
             f'to n <= {MAX_KL_N}; the dense int32 fill of S_7 alone was '
-            'measured at 5.9 s and a 1.15 GB peak'
+            'measured at 3.0 s and a 1.16 GB peak'
         )
 
 

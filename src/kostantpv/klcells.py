@@ -2,8 +2,9 @@ r"""
 Kazhdan-Lusztig polynomials, graded Verma multiplicities, and cells.
 
 The table for a whole symmetric group is filled by the classical
-descent recursion (see _kernels) into one read-only int32 array in the
-classical variable q, P[x, w, d] = [q^d] P_{x,w}, indexed by the
+descent recursion (see _kernels), one length level of columns at a
+time and without the Bruhat matrix, into one read-only int32 array in
+the classical variable q, P[x, w, d] = [q^d] P_{x,w}, indexed by the
 element indices of group_index(n).  The translation to the graded
 world -- q = v^{-2} plus an overall power of v -- happens only at the
 multiplicity boundary:
@@ -54,8 +55,8 @@ __all__ = [
 ]
 
 # Dense tables are quadratic in n!: S_6 takes 16.6 MB, and the numpy
-# fill of S_7 (dense int32, 11 coefficients) was measured at 5.9 s and
-# a 1.15 GB peak on a 2-core x86 host.
+# fill of S_7 (dense int32, 11 coefficients) was measured at 3.0 s and
+# a 1.16 GB peak on a 2-core x86 host.
 MAX_KL_N = 6
 
 
@@ -70,6 +71,7 @@ def kl_table(n: int) -> np.ndarray:
     """All polynomials P_{x,w} of S_n, stored densely and read-only:
     P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
     x, w of group_index(n).  Zero where x is not Bruhat-below w.
+    A transposed view of the read-only buffer Pt[w, x, d] of the fill.
     """
     if not 1 <= n <= MAX_KL_N:
         raise ValueError(
@@ -81,9 +83,8 @@ def kl_table(n: int) -> np.ndarray:
         g.lengths,
         g.first_left_descent,
         g.lmul,
-        g.leq,
         int(g.lengths[g.w0_idx]) // 2 + 1,
-    ))
+    )).transpose(1, 0, 2)
 
 
 def _row(x: Permutation, w: Permutation) -> list:

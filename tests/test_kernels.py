@@ -3,21 +3,83 @@
 Each kernel is one path of two that must agree: the Bruhat matrix with
 the pairwise bruhat_leq (itself checked against reduced subwords in
 test_permutations), and the dense KL fill with the R-polynomial
-inversion.  The array oracles of the kl-properties check (the table
-identities and the mu-graph cells) also run here at n = 6, one size
-past selftest.
+inversion and with the earlier per-column fill kept below, which reads
+the Bruhat matrix.  The array oracles of the kl-properties check (the
+table identities and the mu-graph cells) also run here at n = 6, one
+size past selftest.
 """
 
+import hashlib
+
+import numpy as np
 import pytest
 
+from kostantpv import _kernels
 from kostantpv.checks import (
     _cells_against_mu_graph,
     _kl_against_r_oracle,
     _kl_table_problems,
 )
-from kostantpv.groupindex import group_index
+from kostantpv.groupindex import GroupIndex, group_index
 from kostantpv.klcells import kl_table
 from kostantpv.permutations import bruhat_leq
+
+# sha256 of kl_table(n).tobytes() as the per-column fill produced it
+KL_TABLE_SHA256 = {
+    1: '67abdd721024f0ff4e0b3f4c2fc13bc5bad42d0b7851d456d88d203d15aaa450',
+    2: '69ca48872b2a26917a764222a6a41b2371ebf9eaad4e239cd7984d46635bfe7b',
+    3: '87747396dc9cbd00578a8014c997ce618eac6d6448fd5ad815ae46d0260a56c7',
+    4: '0074a38781d0902ffbc1d1a2ea9289d4e18d3bac3d228dc9811f378e1325c357',
+    5: '765eee00eefea19829fdf7b6a460b859b78043dc514119653c76843a3773ce47',
+    6: '3101a60652b7c646ff4fefd7f52321be3457d933437dc84835ff2729782ebef1',
+}
+
+
+def _kl_fill_by_column(order, lengths, ldesc, lmul, leq, ncoef):
+    """The per-column fill: P[x, w, d] over x <= w read off the Bruhat
+    matrix leq, with the uniform recursion on c = [s x < x]
+
+        P_{x,w} = q^{1-c} P_{sx,v} + q^c P_{x,v}
+                  - sum over z < v with sz < z of
+                      mu(z, v) q^{(l(w)-l(z))/2} P_{x,z}   (x <= z).
+    """
+    N = len(lengths)
+    P = np.zeros((N, N, ncoef), dtype=np.int32)
+    for w in order:
+        s = ldesc[w]
+        if s < 0:
+            P[w, w, 0] = 1
+            continue
+        v = lmul[s, w]
+        xs = np.nonzero(leq[:, w])[0]
+        sx = lmul[s, xs]
+        col = np.zeros((len(xs), ncoef), dtype=np.int32)
+        up = lengths[sx] > lengths[xs]
+        col[up, 1:] += P[sx[up], v, :-1]
+        col[~up, :] += P[sx[~up], v, :]
+        col[up, :] += P[xs[up], v, :]
+        col[~up, 1:] += P[xs[~up], v, :-1]
+        lw = lengths[w]
+        diff = lw - 1 - lengths
+        cand = np.nonzero(
+            leq[:, v]
+            & (diff % 2 == 1)
+            & (diff > 0)
+            & (lengths[lmul[s]] < lengths)
+        )[0]
+        for z in cand:
+            mu = int(P[z, v, (lw - 2 - lengths[z]) // 2])
+            if mu == 0:
+                continue
+            shift = (lw - lengths[z]) // 2
+            rows = leq[xs, z]
+            col[rows, shift:] -= mu * P[xs[rows], z, :ncoef - shift]
+        P[xs, w, :] = col
+    return P
+
+
+def _fill_args(g):
+    return (g.order_by_length, g.lengths, g.first_left_descent, g.lmul)
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5])
@@ -41,3 +103,30 @@ def test_kl_table_identities_n6():
 
 def test_cells_against_mu_graph_n6():
     assert _cells_against_mu_graph(6) == []
+
+
+@pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
+def test_kl_fill_matches_per_column_fill(n):
+    g = group_index(n)
+    ncoef = int(g.lengths[g.w0_idx]) // 2 + 1
+    Pt = _kernels.kl_fill(*_fill_args(g), ncoef)
+    P = _kl_fill_by_column(*_fill_args(g), g.leq, ncoef)
+    assert Pt.transpose(1, 0, 2).tobytes() == P.tobytes()
+
+
+@pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
+def test_kl_table_digest(n):
+    digest = hashlib.sha256(kl_table(n).tobytes()).hexdigest()
+    assert digest == KL_TABLE_SHA256[n]
+
+
+def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError('kl_table read GroupIndex.leq')
+
+    kl_table.cache_clear()
+    group_index.cache_clear()
+    monkeypatch.setattr(GroupIndex, 'leq', property(refuse))
+    for n in range(1, 7):
+        digest = hashlib.sha256(kl_table(n).tobytes()).hexdigest()
+        assert digest == KL_TABLE_SHA256[n]

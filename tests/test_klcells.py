@@ -70,6 +70,11 @@ def test_table_is_read_only():
     P = kl_table(4)
     with pytest.raises(ValueError):
         P[0, 0, 0] = 2
+    if P.base is not None:
+        with pytest.raises(ValueError):
+            P.base[0, 0, 0] = 2
+        with pytest.raises(ValueError):
+            P.flags.writeable = True
     assert P[0, 0, 0] == 1
 
 
