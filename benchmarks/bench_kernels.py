@@ -10,6 +10,11 @@ classifier calls it: for every composition of 6, every shortest rep
 against the right cell of w_0^mu w_0.  Each entry is first checked
 against the per-pair klcells.parabolic_verma_multiplicity.
 
+The cup layer is timed at (16, 8): setting up cup_diagrams.Block (the
+shortest reps listed anew each run) and filling its degree table
+(Block.table), after three seeded columns of the table have matched
+the object-level orient(d_of(phi(y)).diagram, phi(x)) at every x.
+
 The socle sweep times bigrassmannian.socle_descriptor on every element
 of S_2..S_6, after checking every descriptor with n <= 5 against the
 pairwise definition (Bruhat-maximal among the bigrassmannians b with
@@ -26,6 +31,14 @@ from kostantpv import _kernels
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.checks import _kl_table_problems
 from kostantpv.compositions import Composition, right_cell_of_longest_quotient
+from kostantpv.cup_diagrams import (
+    Block,
+    MaxParContext,
+    d_of,
+    orient,
+    phi,
+    shortest_reps,
+)
 from kostantpv.groupindex import group_index
 from kostantpv.klcells import parabolic_sums, parabolic_verma_multiplicity
 from kostantpv.laurent import LaurentPolynomial
@@ -106,6 +119,27 @@ def bench_parabolic_sums(n, repeat):
           f'  ({len(cases)} compositions, reps x cell)')
 
 
+def bench_cup_block(n, k, repeat):
+    ctx = MaxParContext(n, k)
+    blk = Block(ctx)
+    deg, _ = blk.table()
+    words = [phi(ctx, w) for w in blk.reps]
+    for y in random.Random(n).sample(range(len(words)), 3):
+        diagram = d_of(words[y]).diagram
+        for x, word in enumerate(words):
+            ocd = orient(diagram, word)
+            if deg[x, y] != (-1 if ocd is None else ocd.degree):
+                raise SystemExit(f'Block({n},{k}).table() at {blk.reps[x]} '
+                                 f'{blk.reps[y]} disagrees with orient')
+
+    def build():
+        shortest_reps.cache_clear()
+        Block(ctx)
+
+    bench_case(f'Block({n},{k})', repeat, build)
+    bench_case(f'Block.table ({n},{k})', repeat, blk.table)
+
+
 def check_socle(n, ws):
     """Compare socle_descriptor(w) with the pairwise definition."""
     bs = bigrassmannians(n)
@@ -156,6 +190,7 @@ def main():
     for n in (5, 6):
         bench_kl_fill(n, args.repeat)
     bench_parabolic_sums(6, args.repeat)
+    bench_cup_block(16, 8, args.repeat)
     bench_socle(args.repeat)
 
 

@@ -13,7 +13,8 @@ warning, except for selftest where 8 is a hard bound.  Paths that need
 the dense Kazhdan-Lusztig table (the kl and both engines, and any
 thinness column outside the maximal case) stop at n = 6; classify max:k
 refuses blocks whose cup table would exceed
-cup_diagrams.MAX_TABLE_BYTES.
+cup_diagrams.MAX_TABLE_BYTES, mult --engine cup blocks of more than
+cup_diagrams.MAX_BLOCK_WORDS words, and cells n > MAX_CELLS_N.
 """
 
 from __future__ import annotations
@@ -48,6 +49,11 @@ from .permutations import (
 from .tableaux import rsk
 
 DEFAULT_N_MAX = 8
+
+# cells keeps a row for every element of S_n.  At n = 9 it took 6.3 s
+# and a 196 MiB peak as TSV, 11.6 s and 439 MiB as JSON (one core);
+# n = 10 has ten times the rows.
+MAX_CELLS_N = 9
 
 
 class UsageError(Exception):
@@ -210,7 +216,10 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
-    reps = block(ctx).reps
+    try:
+        reps = block(ctx).reps
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     row, _ = degree_row(ctx, x)
     return [{'y': str(reps[y]), 'degree': d} for y, d in factors(row)]
 
@@ -283,6 +292,11 @@ def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
 def cmd_cells(n: int, fmt: str, n_max: int):
     """Cell data for the whole group: shape, small and penultimate flags."""
     _guard_n(n, n_max)
+    if n > MAX_CELLS_N:
+        raise UsageError(
+            'cells keeps a row for each of the n! elements of S_n, and is '
+            f'kept to n <= {MAX_CELLS_N}'
+        )
     # small: the shape (n-1, 1); penultimate: w w_0 small, and w -> w w_0
     # reverses the window, which transposes the shape
     small, penultimate = (n - 1, 1), (2,) + (1,) * (n - 2)

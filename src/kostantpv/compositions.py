@@ -166,12 +166,10 @@ def _similar_compositions(mu: Composition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _positive_windows(mu: Composition) -> frozenset:
-    """Windows of G_mu omega_{nu,mu} over every nu similar to mu."""
-    gm = G_mu(mu)
+    """Windows of G_mu omega_{nu,mu} over every nu similar to mu: the
+    blocks of mu, each increasing, laid end to end in every order."""
     return frozenset(
-        (g * omega(nu, mu)).window
-        for nu in _similar_compositions(mu)
-        for g in gm
+        sum(order, ()) for order in itertools.permutations(mu.blocks())
     )
 
 

@@ -28,10 +28,11 @@ problem is positive for w iff Phi(w) lies in Y -- except at k = 1,
 n-1, or n/2, where only the two flip-2 words survive.
 
 graded_multiplicity, is_thin and the classifier work on bit masks of
-the words in index space (Block), with d(Phi(y)) built once per y: one
-row of degrees for a single x, or the dense C(n,k) x C(n,k) table.  The
-word and diagram objects, with orient and the exhaustive enumeration,
-are the reference the Block is tested against.
+the words in index space (Block), with d(Phi(y)) capped once per y
+from its letters: one row of degrees for a single x, or the dense
+C(n,k) x C(n,k) table.  The word and diagram objects, with d_of, orient
+and the exhaustive enumeration, are the reference the Block is tested
+against.
 
 Text forms: a word is a string like '^^vv'; a diagram is
 'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
@@ -186,24 +187,21 @@ class MaxParContext:
         return frozenset(range(1, self.n)) - {self.k}
 
 
-def dominant_word(ctx: MaxParContext) -> WeightWord:
-    """k wedges then m vees.
-
-    >>> str(dominant_word(MaxParContext(4, 2)))
-    '^^vv'
-    """
-    return WeightWord(WEDGE * ctx.k + VEE * ctx.m)
-
-
-def enumerate_words(ctx: MaxParContext) -> frozenset:
-    """All C(n, k) words with k wedges."""
-    out = set()
+def _words(ctx: MaxParContext) -> tuple:
+    """The C(n, k) words with k wedges, in lexicographic order with ^
+    first, which is the window order of their shortest reps."""
+    out = []
     for wedge_positions in itertools.combinations(range(ctx.n), ctx.k):
         letters = [VEE] * ctx.n
         for p in wedge_positions:
             letters[p] = WEDGE
-        out.add(WeightWord(''.join(letters)))
-    return frozenset(out)
+        out.append(''.join(letters))
+    return tuple(out)
+
+
+def enumerate_words(ctx: MaxParContext) -> frozenset:
+    """All C(n, k) words with k wedges."""
+    return frozenset(WeightWord(word) for word in _words(ctx))
 
 
 def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
@@ -219,11 +217,7 @@ def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
         raise ValueError(f'{w} has rank {w.n}, context has {ctx.n}')
     if not is_shortest_coset_rep(w, ctx.J):
         raise ValueError(f'{w} is not a shortest rep for the maximal parabolic')
-    return WeightWord(_letters(ctx, w))
-
-
-def _letters(ctx: MaxParContext, w: Permutation) -> str:
-    return ''.join(WEDGE if v <= ctx.k else VEE for v in w.window)
+    return WeightWord(''.join(WEDGE if v <= ctx.k else VEE for v in w.window))
 
 
 def _mask(positions) -> int:
@@ -234,27 +228,17 @@ def phi_inverse(ctx: MaxParContext, word: WeightWord) -> Permutation:
     """The unique shortest rep mapping to the word under phi."""
     if word.n != ctx.n or word.k != ctx.k:
         raise ValueError(f'{word} does not belong to the (n,k)=({ctx.n},{ctx.k}) block')
-    window = []
-    wedges_seen = vees_seen = 0
-    for p in range(1, ctx.n + 1):
-        if word[p] == WEDGE:
-            wedges_seen += 1
-            window.append(wedges_seen)
-        else:
-            vees_seen += 1
-            window.append(ctx.k + vees_seen)
-    return _raw(tuple(window))
+    wedges, vees = itertools.count(1), itertools.count(ctx.k + 1)
+    return _raw(tuple(
+        next(wedges) if letter == WEDGE else next(vees)
+        for letter in word.letters
+    ))
 
 
 @lru_cache(maxsize=None)
 def shortest_reps(ctx: MaxParContext) -> tuple:
     """All shortest reps of the block, in window order."""
-    return tuple(
-        sorted(
-            (phi_inverse(ctx, word) for word in enumerate_words(ctx)),
-            key=lambda w: w.window,
-        )
-    )
+    return tuple(phi_inverse(ctx, WeightWord(word)) for word in _words(ctx))
 
 
 def antidominant_rep(ctx: MaxParContext) -> Permutation:
@@ -262,6 +246,22 @@ def antidominant_rep(ctx: MaxParContext) -> Permutation:
     return phi_inverse(
         ctx, WeightWord(VEE * ctx.m + WEDGE * ctx.k)
     )
+
+
+def _cap(letters: str) -> tuple:
+    """(cups, strands) of d(word), 1-based: each v caps the nearest
+    free ^ to its right, and what is left uncapped is a strand."""
+    stack = []
+    cups = []
+    strands = []
+    for p, letter in enumerate(letters, 1):
+        if letter == VEE:
+            stack.append(p)
+        elif stack:
+            cups.append((stack.pop(), p))
+        else:
+            strands.append(p)
+    return cups, strands + stack
 
 
 def d_of(word: WeightWord) -> OrientedCupDiagram:
@@ -272,42 +272,10 @@ def d_of(word: WeightWord) -> OrientedCupDiagram:
     >>> d_of(WeightWord('vv^^vv^')).diagram.to_text()
     'cups=(1,4),(2,3),(6,7);strands=5'
     """
-    stack = []
-    cups = set()
-    strands = set()
-    for p in range(1, word.n + 1):
-        if word[p] == VEE:
-            stack.append(p)
-        elif stack:
-            cups.add((stack.pop(), p))
-        else:
-            strands.add(p)
-    strands.update(stack)
+    cups, strands = _cap(word.letters)
     return OrientedCupDiagram(
         CupDiagram(frozenset(cups), frozenset(strands), word.n), word
     )
-
-
-def word_from_diagram(ctx: MaxParContext, c: CupDiagram) -> WeightWord:
-    """The unique word whose degree-0 diagram has c as its shape.
-
-    Cups are oriented counter-clockwise (v on the left end); of the
-    strands, the leftmost remaining wedges come first.
-    """
-    if len(c.cups) > ctx.a:
-        raise ValueError(
-            f'{len(c.cups)} cups exceed the maximum {ctx.a} for (n,k)=({ctx.n},{ctx.k})'
-        )
-    wedges_needed = ctx.k - len(c.cups)
-    if wedges_needed < 0 or wedges_needed > len(c.strands):
-        raise ValueError('cup count incompatible with the wedge count')
-    letters = [''] * c.n
-    for a, b in c.cups:
-        letters[a - 1] = VEE
-        letters[b - 1] = WEDGE
-    for count, p in enumerate(sorted(c.strands)):
-        letters[p - 1] = WEDGE if count < wedges_needed else VEE
-    return WeightWord(''.join(letters))
 
 
 # ---------------------------------------------------------------------------
@@ -394,12 +362,18 @@ def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
 
 
 # The dense int8 table takes C(n,k)^2 bytes.  The limit is the largest
-# block measured, (17, 8): a 564 MiB table, built in 2.0 s on one core
-# (1.4 s of it setting up the Block) with a 646 MiB peak RSS.  It admits
-# every block with n <= 17 and refuses n = 18 for k = 7..11.  Only the
-# full table is bounded: a single row (graded_multiplicity, is_thin,
-# mult) takes O(C(n,k) * min(k, n - k)) at any size.
+# table measured, (17, 8): 564 MiB, built in 1.0-1.6 s on one core
+# (0.55-0.75 s of it setting up the Block) with a 651 MiB peak RSS.  It
+# admits every block with n <= 17 and refuses n = 18 for k = 7..11.
 MAX_TABLE_BYTES = math.comb(17, 8) ** 2
+
+# A single row (graded_multiplicity, is_thin, mult) takes
+# O(C(n,k) * min(k, n - k)), but its Block keeps a rep, a mask and the
+# cups of d(word) for every word.  The limit is the largest block
+# measured, (20, 10): 184,756 words, set up in 5.3-5.9 s on one core
+# with a 131 MiB peak RSS.  It admits every block with n <= 20 and
+# refuses n = 21 for k = 8..13.
+MAX_BLOCK_WORDS = math.comb(20, 10)
 
 
 class Block:
@@ -408,7 +382,8 @@ class Block:
     Reps are the shortest reps in window order (equally, the words in
     lexicographic order with ^ before v) and are named by their index;
     masks[x] has bit p - 1 set where word x has ^ at position p.
-    d(Phi(y)) is built once per y; ncups[y] is its cup count, the
+    d(Phi(y)) is capped once per y straight from its letters (_cap),
+    with no word or diagram objects; ncups[y] is its cup count, the
     a-value of y.
 
     d(Phi(y)) has degree 0, so each of its cups runs from a v to a ^.
@@ -421,9 +396,9 @@ class Block:
 
     def __init__(self, ctx: MaxParContext):
         self.ctx = ctx
+        self.words = _words(ctx)
         self.reps = shortest_reps(ctx)
         self._index = {w: i for i, w in enumerate(self.reps)}
-        self.words = tuple(_letters(ctx, w) for w in self.reps)
         size = len(self.reps)
         # Python ints hold the masks past 62 positions.
         dtype = np.int64 if ctx.n < 63 else object
@@ -433,13 +408,13 @@ class Block:
         self._cups = np.zeros((ctx.a, size), dtype=dtype)
         self._strands = np.zeros(size, dtype=dtype)
         for y, word in enumerate(self.words):
-            diagram = d_of(WeightWord(word)).diagram
+            cups, strands = _cap(word)
             self.masks[y] = _mask(
                 p for p, letter in enumerate(word, 1) if letter == WEDGE)
-            self.ncups[y] = len(diagram.cups)
-            for c, cup in enumerate(diagram.cups):
+            self.ncups[y] = len(cups)
+            for c, cup in enumerate(cups):
                 self._cups[c, y] = _mask(cup)
-            self._strands[y] = _mask(diagram.strands)
+            self._strands[y] = _mask(strands)
 
     def index(self, w: Permutation) -> int:
         """Index of w; ValueError unless w is a shortest rep of the block."""
@@ -492,7 +467,16 @@ class Block:
 @lru_cache(maxsize=None)
 def block(ctx: MaxParContext) -> Block:
     """The index-space block of ctx, linear in C(n,k) in size; kept
-    for the life of the process, like shortest_reps."""
+    for the life of the process, like shortest_reps.
+
+    ValueError, before any word is listed, over MAX_BLOCK_WORDS.
+    """
+    size = math.comb(ctx.n, ctx.k)
+    if size > MAX_BLOCK_WORDS:
+        raise ValueError(
+            f'the cup engine lists all C({ctx.n},{ctx.k}) = {size} words '
+            f'of the block, over its limit of {MAX_BLOCK_WORDS}'
+        )
     return Block(ctx)
 
 
@@ -574,12 +558,6 @@ def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:
     if ctx.k > ctx.m:
         return contiguous(WEDGE)
     return contiguous(VEE) or contiguous(WEDGE)
-
-
-def Y_words(ctx: MaxParContext) -> frozenset:
-    return frozenset(
-        word for word in enumerate_words(ctx) if in_Y(ctx, word)
-    )
 
 
 def is_kostant_positive_maximal(ctx: MaxParContext, w: Permutation) -> bool:

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import pathlib
 import random
 import re
@@ -188,14 +189,42 @@ def test_cup_table_ceiling():
     assert proc.returncode == 2
     assert 'error: the cup engine keeps a dense table' in proc.stderr
     assert proc.stdout == ''
-    # mult reads one row, which has no ceiling; the digest was recorded
-    # from the per-pair engine that preceded the block table
+    # mult reads one row, under the lower ceiling on the block alone;
+    # the digest was recorded from the per-pair engine that preceded
+    # the block table
     proc = run_cli('mult', '--n', '18', '--k', '7', '--engine', 'cup',
                    '--x', '[' + ','.join(map(str, range(1, 19))) + ']',
                    '--format', 'tsv', '--n-max', '18')
     assert proc.returncode == 0
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
         'dea6bb0b69c87f2549ddd0c869b9a800f9c2b0331dd11497b4638279c290f709')
+
+
+def test_cup_block_ceiling(monkeypatch, capsys):
+    # mult refuses a block with too many words before listing one
+    from kostantpv import cup_diagrams
+
+    assert math.comb(20, 10) <= cup_diagrams.MAX_BLOCK_WORDS \
+        < math.comb(21, 8)
+
+    def no_listing(ctx):
+        raise AssertionError('listed the words past the ceiling')
+
+    monkeypatch.setattr(cup_diagrams, '_words', no_listing)
+    code = cli.main(['mult', '--n', '30', '--k', '15', '--engine', 'cup',
+                     '--x', '[' + ','.join(map(str, range(1, 31))) + ']',
+                     '--n-max', '30'])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ''
+    assert 'error: the cup engine lists all C(30,15)' in err
+
+
+def test_cells_ceiling():
+    proc = run_cli('cells', '--n', '10', '--n-max', '10')
+    assert proc.returncode == 2
+    assert 'error: cells keeps a row' in proc.stderr
+    assert proc.stdout == ''
 
 
 def test_n_max_override_warns():

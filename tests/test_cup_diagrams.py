@@ -7,19 +7,19 @@ import random
 import numpy as np
 import pytest
 
+from kostantpv import cup_diagrams
 from kostantpv.cup_diagrams import (
     MAX_TABLE_BYTES,
+    Block,
     CupDiagram,
     MaxParContext,
     OrientedCupDiagram,
     WeightWord,
-    Y_words,
     a_value,
     antidominant_rep,
     block,
     block_table,
     d_of,
-    dominant_word,
     enumerate_admissible,
     enumerate_oriented,
     enumerate_words,
@@ -32,7 +32,6 @@ from kostantpv.cup_diagrams import (
     phi_inverse,
     planar_diagrams,
     shortest_reps,
-    word_from_diagram,
 )
 from kostantpv.permutations import identity, parse_permutation
 
@@ -84,8 +83,7 @@ def _binomial(n, k):
 
 def test_extreme_words():
     ctx = MaxParContext(4, 2)
-    assert str(dominant_word(ctx)) == '^^vv'
-    assert phi(ctx, identity(4)) == dominant_word(ctx)
+    assert phi(ctx, identity(4)) == WeightWord('^^vv')
     anti = antidominant_rep(ctx)
     assert anti.window == (3, 4, 1, 2)
     assert str(phi(ctx, anti)) == 'vv^^'
@@ -149,18 +147,20 @@ def _all_pairings(points):
     return out
 
 
-def test_word_from_diagram_round_trip():
-    for n in range(2, 7):
+def test_capping_matches_the_diagram_enumeration():
+    # d_of is a bijection from the words onto the planar diagrams with at
+    # most min(k, n - k) cups, and the only degree-0 admissible diagram
+    for n in range(2, 8):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            for d in planar_diagrams(n):
-                if len(d.cups) > ctx.a:
-                    with pytest.raises(ValueError):
-                        word_from_diagram(ctx, d)
-                    continue
-                word = word_from_diagram(ctx, d)
-                assert word.k == k
-                assert d_of(word).diagram == d
+            words = enumerate_words(ctx)
+            images = {d_of(word).diagram for word in words}
+            assert len(images) == len(words)
+            assert images == {
+                d for d in planar_diagrams(n) if len(d.cups) <= ctx.a}
+            for word in words:
+                assert [o for o in enumerate_admissible(word)
+                        if o.degree == 0] == [d_of(word)], word
 
 
 def test_oriented_and_admissible_counts():
@@ -227,12 +227,14 @@ def test_Y_words():
     ctx = MaxParContext(5, 2)
     assert in_Y(ctx, WeightWord('^^vvv'))
     assert in_Y(ctx, WeightWord('vv^^v')) is False
-    assert len(Y_words(ctx)) == 3
-    ctx44 = MaxParContext(4, 2)
-    assert {str(w) for w in Y_words(ctx44)} == \
+    assert len(_Y_words(ctx)) == 3
+    assert _Y_words(MaxParContext(4, 2)) == \
         {'^^vv', '^vv^', 'v^^v', 'vv^^'}
-    ctx41 = MaxParContext(4, 1)
-    assert {str(w) for w in Y_words(ctx41)} == {'^vvv', 'vvv^'}
+    assert _Y_words(MaxParContext(4, 1)) == {'^vvv', 'vvv^'}
+
+
+def _Y_words(ctx):
+    return {str(w) for w in enumerate_words(ctx) if in_Y(ctx, w)}
 
 
 def test_positivity_dispatch():
@@ -365,3 +367,17 @@ def test_table_ceiling_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(np, 'array', no_allocation)
     with pytest.raises(ValueError, match='over its limit'):
         block_table(MaxParContext(18, 9))
+
+
+def test_block_builds_without_word_or_diagram_objects(monkeypatch):
+    def unusable(*args, **kwargs):
+        raise AssertionError('the block built an object')
+
+    for name in ('d_of', 'CupDiagram', 'OrientedCupDiagram'):
+        monkeypatch.setattr(cup_diagrams, name, unusable)
+    for n in range(2, 11):
+        for k in range(1, n):
+            Block(MaxParContext(n, k)).table()
+    blk = Block(MaxParContext(18, 7))
+    deg, _ = blk.row(0)
+    assert deg[0] == 0
