@@ -3,7 +3,13 @@
 Runs the Bruhat comparability matrix on S_6 and S_7 and the dense
 Kazhdan-Lusztig fill on S_5 and S_6, and reports the best of --repeat
 runs.  Each fill is timed only after its table has passed the
-kl-properties identities (checks._kl_table_problems).
+kl-properties identities (checks._kl_table_problems); its row also
+gives the bytes of the int8 table it writes.
+
+The quotient cell (compositions._quotient_cell, by inverse row
+insertion) is timed over every composition of 6, with its cache
+cleared each run, after each cell has matched the RSK partition of S_6
+(the elements whose insertion tableau is that of w_0^mu w_0).
 
 The parabolic alternating sum (klcells.parabolic_sums) is timed as the
 classifier calls it: for every composition of 6, every shortest rep
@@ -27,10 +33,16 @@ import itertools
 import random
 import time
 
+import numpy as np
+
 from kostantpv import _kernels
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.checks import _kl_table_problems
-from kostantpv.compositions import Composition, right_cell_of_longest_quotient
+from kostantpv.compositions import (
+    Composition,
+    _quotient_cell,
+    right_cell_of_longest_quotient,
+)
 from kostantpv.cup_diagrams import (
     Block,
     MaxParContext,
@@ -42,7 +54,14 @@ from kostantpv.cup_diagrams import (
 from kostantpv.groupindex import group_index
 from kostantpv.klcells import parabolic_sums, parabolic_verma_multiplicity
 from kostantpv.laurent import LaurentPolynomial
-from kostantpv.permutations import Permutation, bruhat_leq, enumerate_group
+from kostantpv.permutations import (
+    Permutation,
+    bruhat_leq,
+    enumerate_group,
+    longest_element,
+    longest_element_parabolic,
+)
+from kostantpv.tableaux import rsk
 
 
 def best_of(repeat, fn, *args):
@@ -54,8 +73,8 @@ def best_of(repeat, fn, *args):
     return best
 
 
-def bench_case(name, repeat, fn, *args):
-    print(f'{name:24s} {best_of(repeat, fn, *args) * 1e3:10.2f} ms')
+def bench_case(name, repeat, fn, *args, note=''):
+    print(f'{name:24s} {best_of(repeat, fn, *args) * 1e3:10.2f} ms{note}')
 
 
 def kl_args(n):
@@ -76,7 +95,8 @@ def bench_kl_fill(n, repeat):
     problems = _kl_table_problems(group_index(n), P)
     if problems:
         raise SystemExit(f'kl_fill S_{n}: {problems}')
-    bench_case(f'kl_fill S_{n}', repeat, _kernels.kl_fill, *args)
+    bench_case(f'kl_fill S_{n}', repeat, _kernels.kl_fill, *args,
+               note=f'  ({P.nbytes:,} bytes, {P.dtype})')
 
 
 def compositions(n):
@@ -88,6 +108,27 @@ def compositions(n):
             else:
                 parts[-1] += 1
         yield Composition(tuple(parts))
+
+
+def bench_quotient_cell(n, repeat):
+    g = group_index(n)
+    tableau = [rsk(g.perm(i)).insertion for i in range(g.N)]
+    mus = list(compositions(n))
+    for mu in mus:
+        seed = rsk(longest_element_parabolic(n, mu.simple_reflections())
+                   * longest_element(n)).insertion
+        want = [i for i in range(g.N) if tableau[i] == seed]
+        if not np.array_equal(_quotient_cell(mu), want):
+            raise SystemExit(f'_quotient_cell {mu.to_text()} is not the '
+                             'right cell of the RSK partition')
+
+    def run_all():
+        _quotient_cell.cache_clear()
+        for mu in mus:
+            _quotient_cell(mu)
+
+    bench_case(f'quotient_cell S_{n}', repeat, run_all,
+               note=f'  ({len(mus)} compositions, inverse RSK)')
 
 
 def bench_parabolic_sums(n, repeat):
@@ -189,6 +230,7 @@ def main():
                    group_index(n).dominance)
     for n in (5, 6):
         bench_kl_fill(n, args.repeat)
+    bench_quotient_cell(6, args.repeat)
     bench_parabolic_sums(6, args.repeat)
     bench_cup_block(16, 8, args.repeat)
     bench_socle(args.repeat)

@@ -8,7 +8,8 @@ Two computations dominate everything else at n = 6, 7:
 - the dense Kazhdan-Lusztig coefficient fill over a whole symmetric
   group.  It fills the columns of one length at a time, computes half
   of each column and copies it to the other half (P_{sx,w} = P_{x,w}
-  for a left descent s of w), and needs no Bruhat matrix.
+  for a left descent s of w), and needs no Bruhat matrix.  Columns are
+  computed in int32 and stored as int8, after a range check.
 
 The fill is in the classical variable q and carries no grading; the
 graded lift, and the degree shift on the z-th term of the parabolic
@@ -61,6 +62,15 @@ def leq_matrix(dom: np.ndarray) -> np.ndarray:
 # is zero unless x <= z, so no Bruhat matrix is needed.
 
 
+def _narrow(vals: np.ndarray) -> np.ndarray:
+    """vals as int8, or OverflowError if any value does not fit."""
+    if vals.min() < -128 or vals.max() > 127:
+        raise OverflowError(
+            f'KL coefficient outside int8: {vals.min()}..{vals.max()}'
+        )
+    return vals.astype(np.int8)
+
+
 def kl_fill(order, lengths, ldesc, lmul, ncoef):
     """Dense KL table, vectorized over the columns of one length.
 
@@ -68,11 +78,12 @@ def kl_fill(order, lengths, ldesc, lmul, ncoef):
     lengths[i]: Coxeter length; ldesc[i]: one left descent (0-based
     generator index, -1 for the identity); lmul[s, i]: index of s_i+1
     composed with element i on the left.
-    Returns an int32 array Pt of shape (N, N, ncoef), column-major, with
-    Pt[w, x, d] = coefficient of q^d in P_{x,w}.
+    Returns an int8 array Pt of shape (N, N, ncoef), column-major, with
+    Pt[w, x, d] = coefficient of q^d in P_{x,w}; a coefficient outside
+    the int8 range raises OverflowError.
     """
     N = len(lengths)
-    Pt = np.zeros((N, N, ncoef), dtype=np.int32)
+    Pt = np.zeros((N, N, ncoef), dtype=np.int8)
     rows = Pt.reshape(N * N, ncoef)
     Pt[order[0], order[0], 0] = 1
     up = lengths[lmul] > lengths
@@ -93,25 +104,25 @@ def kl_fill(order, lengths, ldesc, lmul, ncoef):
             s = ldesc[w]
             v = lmul[s, w][:, None]
             xs, sxs = ups[s], sups[s]
-            col = rows.take(v * N + xs, axis=0)
+            col = rows.take(v * N + xs, axis=0).astype(np.int32)
             col[:, :, 1:] += rows.take(v * N + sxs, axis=0)[:, :, :-1]
             mu = Pt.reshape(-1).take((v * N + zs) * ncoef + shift - 1)
             mu *= ~up[s][:, zs]
             i, j = np.nonzero(mu)
             terms = rows.take(zs[j, None] * N + xs[i], axis=0)
-            terms *= mu[i, j, None, None]
+            terms = terms * mu[i, j, None, None].astype(np.int32)
             # i comes sorted, so a (rank within its column, shift) group
             # names each column at most once
             rank = np.arange(len(i)) - np.searchsorted(i, i)
             key = rank * ncoef + shift[j]
-            for group in np.unique(key):
+            for group in sorted(set(key.tolist())):
                 k = key == group
                 sh = group % ncoef
                 col[i[k], :, sh:] -= terms[k, :, :ncoef - sh]
             # write only x <= w, where P_{x,w}(0) = 1: pages of the zeroed
             # table that hold no such x are never touched
             i, j = np.nonzero(col[:, :, 0])
-            vals = col[i, j]
+            vals = _narrow(col[i, j])
             rows[w[i] * N + xs[i, j]] = vals
             rows[w[i] * N + sxs[i, j]] = vals
     return Pt

@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groupindex import group_index
-from .klcells import parabolic_sums, right_cell_key, right_cells
+from .klcells import _frozen, parabolic_sums
 from .permutations import (
     Permutation,
     _raw,
@@ -41,6 +41,7 @@ from .permutations import (
     longest_element,
     longest_element_parabolic,
 )
+from .tableaux import inverse_rsk, rsk, standard_tableaux
 
 VERDICTS = ('Positive', 'Negative', 'Unknown')
 
@@ -182,10 +183,20 @@ def positive_sufficient(mu: Composition, w: Permutation) -> bool:
 
 @lru_cache(maxsize=None)
 def _quotient_cell(mu: Composition) -> np.ndarray:
-    """Group indices of the right cell containing w_0^mu w_0."""
+    """Group indices of the right cell containing w_0^mu w_0, sorted.
+
+    The cell is the elements sharing its insertion tableau P, one for
+    each standard tableau Q of the shape of P: each pair (P, Q) is
+    mapped back to its window by inverse row insertion.
+    """
     n = mu.n
     w0_mu = longest_element_parabolic(n, mu.simple_reflections())
-    return right_cells(n)[right_cell_key(w0_mu * longest_element(n))]
+    pair = rsk(w0_mu * longest_element(n))
+    index = group_index(n).index
+    return _frozen(np.array(sorted(
+        index[inverse_rsk(pair.insertion, q)]
+        for q in standard_tableaux(pair.shape)
+    ), dtype=np.int64))
 
 
 @lru_cache(maxsize=None)

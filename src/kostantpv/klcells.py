@@ -3,7 +3,7 @@ Kazhdan-Lusztig polynomials, graded Verma multiplicities, and cells.
 
 The table for a whole symmetric group is filled by the classical
 descent recursion (see _kernels), one length level of columns at a
-time and without the Bruhat matrix, into one read-only int32 array in
+time and without the Bruhat matrix, into one read-only int8 array in
 the classical variable q, P[x, w, d] = [q^d] P_{x,w}, indexed by the
 element indices of group_index(n).  The translation to the graded
 world -- q = v^{-2} plus an overall power of v -- happens only at the
@@ -49,14 +49,15 @@ __all__ = [
     'kl_table', 'kl_polynomial',
     'verma_multiplicity', 'parabolic_verma_multiplicity', 'parabolic_sums',
     'rsk', 'TableauPair',
-    'same_right_cell', 'same_left_cell', 'same_two_sided_cell', 'right_cells',
+    'same_right_cell', 'same_left_cell', 'same_two_sided_cell',
     'is_small_cell_member', 'small_cell', 'penultimate_cell',
     'is_involution',
 ]
 
-# Dense tables are quadratic in n!: S_6 takes 16.6 MB, and the numpy
-# fill of S_7 (dense int32, 11 coefficients) was measured at 3.0 s and
-# a 1.16 GB peak on a 2-core x86 host.
+# Dense tables are quadratic in n!: S_6 takes 4.1 MB as int8, and the
+# numpy fill of S_7 (dense int8, 11 coefficients, 279 MB) was measured at
+# 1.1-1.2 s and a 303 MiB peak on a 2-core x86 host.  Nothing that reads
+# the table has been measured at n = 7, so the ceiling stays at 6.
 MAX_KL_N = 6
 
 
@@ -139,7 +140,8 @@ def _parabolic_subgroup(n: int, J: frozenset) -> tuple:
     """Indices of W_J in S_n and their signs (-1)^{l(z)}."""
     g = group_index(n)
     z = np.array([g.idx(u) for u in subgroup_elements(n, J)], dtype=np.int64)
-    return _frozen(z), _frozen(1 - 2 * (g.lengths[z] % 2))
+    sign = (1 - 2 * (g.lengths[z] % 2)).astype(np.int32)
+    return _frozen(z), _frozen(sign)
 
 
 def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
@@ -152,13 +154,13 @@ def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
         parabolic_verma_multiplicity(w, y) = v^{l(y)-l(w)} S[w, y](v^{-2}).
 
     Only the |W_J| x len(reps) x len(targets) entries needed are read
-    from the table.  The sum stays in the table's int32: up to S_6 it
-    has at most 720 terms, each coefficient at most 4.
+    from the table.  The sum is taken in int32, not in the table's int8:
+    up to S_6 it has at most 720 terms, each coefficient at most 4.
     """
     z, sign = _parabolic_subgroup(n, frozenset(J))
     zw = group_index(n).mul(z[:, None], np.asarray(reps)[None, :])
     terms = kl_table(n)[zw[:, :, None], np.asarray(targets)[None, None, :]]
-    return np.tensordot(sign.astype(terms.dtype), terms, axes=1)
+    return np.tensordot(sign, terms, axes=1)
 
 
 # ---------------------------------------------------------------------------
@@ -175,17 +177,6 @@ def left_cell_key(w: Permutation) -> tuple:
 
 def two_sided_cell_key(w: Permutation) -> tuple:
     return rsk(w).shape
-
-
-@lru_cache(maxsize=None)
-def right_cells(n: int) -> dict:
-    """Right cell key -> group indices of the cell, in window order."""
-    g = group_index(n)
-    cells: dict = {}
-    for i in range(g.N):
-        cells.setdefault(right_cell_key(g.perm(i)), []).append(i)
-    return {key: _frozen(np.array(c, dtype=np.int64))
-            for key, c in cells.items()}
 
 
 def same_right_cell(x: Permutation, y: Permutation) -> bool:

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from kostantpv import cli
+from kostantpv import checks, cli
 from kostantpv.permutations import (
     Permutation,
     enumerate_group,
@@ -242,6 +242,33 @@ def test_mult_cup_engine_allows_large_n():
     assert rows and rows[0]['y'] == '1234567'
 
 
+def _modules_after(code):
+    """The names in sys.modules of a fresh interpreter that ran code."""
+    proc = subprocess.run(
+        [sys.executable, '-c', code + '\nimport json, sys\n'
+         'print(json.dumps(sorted(sys.modules)), file=sys.stderr)'],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stderr.splitlines()[-1]))
+
+
+def test_cli_import_leaves_out_checks_and_numpy_ma():
+    loaded = _modules_after('import kostantpv.cli')
+    assert 'kostantpv.cli' in loaded
+    assert 'kostantpv.checks' not in loaded
+    assert 'numpy.ma' not in loaded
+
+
+def test_cold_kl_request_leaves_out_numpy_ma():
+    loaded = _modules_after(
+        'from kostantpv.cli import main\n'
+        "assert main(['classify', '--n', '6', '--parabolic', 'min:3']) == 0")
+    assert 'kostantpv.klcells' in loaded
+    assert 'numpy.ma' not in loaded
+
+
 def test_selftest_small():
     proc = run_cli('selftest', '--n-max', '3')
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -252,7 +279,7 @@ def test_selftest_small():
     # one timing line per check on stderr, in scoreboard order
     timings = proc.stderr.splitlines()
     assert [t.partition(':')[0] for t in timings] == \
-        [name for name, _ in cli.ALL_CHECKS]
+        [name for name, _ in checks.ALL_CHECKS]
     assert all(re.fullmatch(r'[a-z-]+: \d+\.\d{3} s', t) for t in timings)
 
 

@@ -24,7 +24,8 @@ from kostantpv.groupindex import GroupIndex, group_index
 from kostantpv.klcells import kl_table
 from kostantpv.permutations import bruhat_leq
 
-# sha256 of kl_table(n).tobytes() as the per-column fill produced it
+# sha256 of kl_table(n).astype(np.int32).tobytes(), as the int32
+# per-column fill produced it
 KL_TABLE_SHA256 = {
     1: '67abdd721024f0ff4e0b3f4c2fc13bc5bad42d0b7851d456d88d203d15aaa450',
     2: '69ca48872b2a26917a764222a6a41b2371ebf9eaad4e239cd7984d46635bfe7b',
@@ -111,12 +112,14 @@ def test_kl_fill_matches_per_column_fill(n):
     ncoef = int(g.lengths[g.w0_idx]) // 2 + 1
     Pt = _kernels.kl_fill(*_fill_args(g), ncoef)
     P = _kl_fill_by_column(*_fill_args(g), g.leq, ncoef)
-    assert Pt.transpose(1, 0, 2).tobytes() == P.tobytes()
+    assert Pt.dtype == np.int8
+    assert Pt.transpose(1, 0, 2).astype(np.int32).tobytes() == P.tobytes()
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
 def test_kl_table_digest(n):
-    digest = hashlib.sha256(kl_table(n).tobytes()).hexdigest()
+    assert kl_table(n).dtype == np.int8
+    digest = hashlib.sha256(kl_table(n).astype(np.int32).tobytes()).hexdigest()
     assert digest == KL_TABLE_SHA256[n]
 
 
@@ -128,5 +131,18 @@ def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
     group_index.cache_clear()
     monkeypatch.setattr(GroupIndex, 'leq', property(refuse))
     for n in range(1, 7):
-        digest = hashlib.sha256(kl_table(n).tobytes()).hexdigest()
+        digest = hashlib.sha256(
+            kl_table(n).astype(np.int32).tobytes()).hexdigest()
         assert digest == KL_TABLE_SHA256[n]
+
+
+def test_narrowing_to_int8_refuses_out_of_range_values():
+    edge = np.array([[127, -128], [0, 4]], dtype=np.int32)
+    narrowed = _kernels._narrow(edge)
+    assert narrowed.dtype == np.int8
+    assert np.array_equal(narrowed, edge)
+    for bad in (128, -129):
+        block = edge.copy()
+        block[1, 0] = bad
+        with pytest.raises(OverflowError):
+            _kernels._narrow(block)

@@ -2,12 +2,15 @@
 
 import itertools
 import random
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.klcells import (
     MAX_KL_N,
+    _frozen,
     is_involution,
     is_small_cell_member,
     kl_polynomial,
@@ -17,7 +20,6 @@ from kostantpv.klcells import (
     parabolic_verma_multiplicity,
     penultimate_cell,
     right_cell_key,
-    right_cells,
     same_left_cell,
     same_right_cell,
     same_two_sided_cell,
@@ -31,6 +33,7 @@ from kostantpv.permutations import (
     enumerate_shortest_reps,
     identity,
     longest_element,
+    longest_element_parabolic,
     parse_permutation,
     reduced_words,
     simple_reflection,
@@ -253,6 +256,30 @@ def test_parabolic_sums_match_oracle_seeded_n6():
                     (sorted(J), w, y)
 
 
+def test_parabolic_sums_accumulate_in_int32():
+    # the table is int8; the sum over W_J must not be taken in it
+    g = group_index(6)
+    J = frozenset(range(1, 6))
+    sums = parabolic_sums(6, J, g.coset_reps(J), np.arange(g.N))
+    assert kl_table(6).dtype == np.int8
+    assert sums.dtype == np.int32
+
+
+# -- cells: the right cells of all of S_n by RSK, the oracle that the
+# classifier's quotient cell (found by inverse row insertion) is held to
+
+
+@lru_cache(maxsize=None)
+def right_cells(n: int) -> dict:
+    """Right cell key -> group indices of the cell, in window order."""
+    g = group_index(n)
+    cells: dict = {}
+    for i in range(g.N):
+        cells.setdefault(right_cell_key(g.perm(i)), []).append(i)
+    return {key: _frozen(np.array(c, dtype=np.int64))
+            for key, c in cells.items()}
+
+
 def test_right_cells_partition_the_group():
     for n in range(1, 6):
         g = group_index(n)
@@ -262,3 +289,18 @@ def test_right_cells_partition_the_group():
         for key, cell in cells.items():
             assert list(cell) == sorted(cell)
             assert all(right_cell_key(g.perm(i)) == key for i in cell)
+
+
+def test_quotient_cell_matches_the_rsk_partition():
+    count = 0
+    for n in range(1, 9):
+        for J in _subsets(n):
+            cuts = [0, *sorted(set(range(1, n)) - J), n]
+            mu = Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+            assert mu.simple_reflections() == J
+            seed = longest_element_parabolic(n, J) * longest_element(n)
+            cell = _quotient_cell(mu)
+            assert np.array_equal(cell, right_cells(n)[right_cell_key(seed)])
+            assert not cell.flags.writeable
+            count += 1
+    assert count == 255
