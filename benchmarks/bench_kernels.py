@@ -6,6 +6,10 @@ runs.  Each fill is timed only after its table has passed the
 kl-properties identities (checks._kl_table_problems); its row also
 gives the bytes of the int8 table it writes.
 
+The same fill over the shortest reps alone (klcells.parabolic_table)
+is timed at n = 6 for min:3 (J = {3}) and max:3 (J = {1, 2, 4, 5}),
+each after its table has matched klcells.parabolic_sums over the reps.
+
 The quotient cell (compositions._quotient_cell, by inverse row
 insertion) is timed over every composition of 6, with its cache
 cleared each run, after each cell has matched the RSK partition of S_6
@@ -52,7 +56,11 @@ from kostantpv.cup_diagrams import (
     shortest_reps,
 )
 from kostantpv.groupindex import group_index
-from kostantpv.klcells import parabolic_sums, parabolic_verma_multiplicity
+from kostantpv.klcells import (
+    _fill_args,
+    parabolic_sums,
+    parabolic_verma_multiplicity,
+)
 from kostantpv.laurent import LaurentPolynomial
 from kostantpv.permutations import (
     Permutation,
@@ -77,26 +85,26 @@ def bench_case(name, repeat, fn, *args, note=''):
     print(f'{name:24s} {best_of(repeat, fn, *args) * 1e3:10.2f} ms{note}')
 
 
-def kl_args(n):
-    g = group_index(n)
-    maxlen = int(g.lengths[g.w0_idx])
-    return (
-        g.order_by_length,
-        g.lengths,
-        g.first_left_descent,
-        g.lmul,
-        maxlen // 2 + 1,
-    )
-
-
 def bench_kl_fill(n, repeat):
-    args = kl_args(n)
+    _, *args = _fill_args(n, ())
     P = _kernels.kl_fill(*args).transpose(1, 0, 2)
     problems = _kl_table_problems(group_index(n), P)
     if problems:
         raise SystemExit(f'kl_fill S_{n}: {problems}')
     bench_case(f'kl_fill S_{n}', repeat, _kernels.kl_fill, *args,
                note=f'  ({P.nbytes:,} bytes, {P.dtype})')
+
+
+def bench_parabolic_fill(n, kind, k, J, repeat):
+    reps, *args = _fill_args(n, J)
+    S = _kernels.kl_fill(*args).transpose(1, 0, 2)
+    sums = parabolic_sums(n, J, reps, reps)
+    if not (np.array_equal(S, sums[:, :, :S.shape[2]])
+            and not sums[:, :, S.shape[2]:].any()):
+        raise SystemExit(f'kl_fill {kind}:{k} at n = {n} disagrees with '
+                         'parabolic_sums')
+    bench_case(f'kl_fill {kind}:{k} n={n}', repeat, _kernels.kl_fill, *args,
+               note=f'  ({len(reps)} reps, {S.nbytes:,} bytes)')
 
 
 def compositions(n):
@@ -230,6 +238,8 @@ def main():
                    group_index(n).dominance)
     for n in (5, 6):
         bench_kl_fill(n, args.repeat)
+    bench_parabolic_fill(6, 'min', 3, {3}, args.repeat)
+    bench_parabolic_fill(6, 'max', 3, {1, 2, 4, 5}, args.repeat)
     bench_quotient_cell(6, args.repeat)
     bench_parabolic_sums(6, args.repeat)
     bench_cup_block(16, 8, args.repeat)

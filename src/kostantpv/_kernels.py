@@ -5,11 +5,13 @@ Two computations dominate everything else at n = 6, 7:
 
 - the pairwise Bruhat comparability matrix (all-pairs entrywise
   dominance comparison), which only selftest and the tests read, and
-- the dense Kazhdan-Lusztig coefficient fill over a whole symmetric
-  group.  It fills the columns of one length at a time, computes half
-  of each column and copies it to the other half (P_{sx,w} = P_{x,w}
-  for a left descent s of w), and needs no Bruhat matrix.  Columns are
-  computed in int32 and stored as int8, after a range check.
+- the dense Kazhdan-Lusztig coefficient fill over the shortest coset
+  representatives of a parabolic subgroup W_J (the whole group when J
+  is empty).  It fills the columns of one length at a time, computes
+  half of each column and copies it to the other half (S_{xs,w} =
+  S_{x,w} for a right descent s of w), and needs no Bruhat matrix.
+  Columns are computed in int32 and stored as int8, after a range
+  check.
 
 The fill is in the classical variable q and carries no grading; the
 graded lift, and the degree shift on the z-th term of the parabolic
@@ -43,23 +45,39 @@ def leq_matrix(dom: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dense Kazhdan-Lusztig fill
+# Kazhdan-Lusztig fill over the shortest coset representatives
 #
-# Columns w are filled one length level at a time: a column only reads
-# strictly shorter ones, so a whole level is one set of array operations.
-# With s the first left descent of w and v = s w:
+# The elements are the shortest reps W^J of the cosets W_J w (J = {}
+# gives the whole group).  The sign parabolic module (Deodhar's u = -1
+# family, in Soergel's normalisation C_s = H_s + v) has a basis m_x,
+# x in W^J, on which H_s acts on the right by
 #
-#   P_{sx,w} = P_{x,w}, so only the half of the rows with s x > x is
-#   computed, and each is copied to the row s x;
+#   m_x H_s = m_{xs}                      if xs > x is a rep,
+#             m_{xs} + (v^-1 - v) m_x     if xs < x,
+#             -v m_x                      if xs is not a rep.
 #
-#   for s x > x,  P_{x,w} = P_{x,v} + q P_{sx,v}
-#                           - sum over z with s z < z of
-#                               mu(z, v) q^{(l(w)-l(z))/2} P_{x,z},
+# Its KL basis n_w = sum_x v^{l(w)-l(x)} S_{x,w}(v^-2) m_x is filled in
+# the classical variable q, one length level of columns w at a time: a
+# column only reads strictly shorter ones.  With s the first right
+# descent of w and v = w s:
 #
-# where mu(z, v) is the coefficient of q^{(l(v)-l(z)-1)/2} in P_{z,v}, and
+#   S_{xs,w} = S_{x,w}, so only the rows with xs > x a rep are computed,
+#   and each is copied to the row xs; the rows with xs not a rep are 0;
+#
+#   for xs > x,  S_{x,w} = S_{x,v} + q S_{xs,v}
+#                          - sum over z with z s < z of
+#                              mu(z, v) q^{(l(w)-l(z))/2} S_{x,z},
+#
+# where mu(z, v) is the coefficient of q^{(l(v)-l(z)-1)/2} in S_{z,v}, and
 # z runs over l(z) < l(v) with l(v) - l(z) odd.  That coefficient is read
-# from the table for every such z: it is zero unless z <= v, and P_{x,z}
-# is zero unless x <= z, so no Bruhat matrix is needed.
+# from the table for every such z: it is zero unless z <= v, and S_{x,z}
+# is zero unless x <= z, so no Bruhat matrix is needed.  With J = {},
+# S_{x,w} is the KL polynomial P_{x,w}; in general
+#
+#   S_{x,w} = sum over z in W_J of (-1)^{l(z)} P_{zx,w},
+#
+# the alternating sum klcells.parabolic_sums takes from the whole-group
+# table.
 
 
 def _narrow(vals: np.ndarray) -> np.ndarray:
@@ -71,28 +89,44 @@ def _narrow(vals: np.ndarray) -> np.ndarray:
     return vals.astype(np.int8)
 
 
-def kl_fill(order, lengths, ldesc, lmul, ncoef):
-    """Dense KL table, vectorized over the columns of one length.
+def kl_fill(order, lengths, desc, mul, ncoef):
+    """KL table over the shortest reps, vectorized over the columns of
+    one length.
 
-    order: element indices sorted by increasing length (identity first).
-    lengths[i]: Coxeter length; ldesc[i]: one left descent (0-based
-    generator index, -1 for the identity); lmul[s, i]: index of s_i+1
-    composed with element i on the left.
-    Returns an int8 array Pt of shape (N, N, ncoef), column-major, with
-    Pt[w, x, d] = coefficient of q^d in P_{x,w}; a coefficient outside
-    the int8 range raises OverflowError.
+    order: rep indices sorted by increasing length (identity first).
+    lengths[i]: Coxeter length; desc[i]: one right descent (0-based
+    generator index, -1 for the identity); mul[s, i]: index of rep i
+    composed with s_{s+1} on the right, or -1 where that is not a rep.
+    Returns an int8 array Pt of shape (R, R, ncoef), column-major, with
+    Pt[w, x, d] = coefficient of q^d in S_{x,w}: a view of an
+    (R, R + 1, ncoef) buffer.  A coefficient outside the int8 range
+    raises OverflowError.
     """
-    N = len(lengths)
-    Pt = np.zeros((N, N, ncoef), dtype=np.int8)
-    rows = Pt.reshape(N * N, ncoef)
+    R = len(lengths)
+    # column w holds R + 1 rows: row R stays zero, and pads the row
+    # lists below, which differ in length from one s to the next
+    R1 = R + 1
+    Pt = np.zeros((R, R1, ncoef), dtype=np.int8)
+    rows = Pt.reshape(R * R1, ncoef)
     Pt[order[0], order[0], 0] = 1
-    up = lengths[lmul] > lengths
-    # ups[s]: the x with s x > x, half of the group; sups[s]: their s x
-    ups = np.nonzero(up)[1].reshape(len(lmul), N // 2)
-    sups = np.take_along_axis(lmul, ups, axis=1)
-    # ~256 kB per (columns, N/2, ncoef) temporary: a chunk of columns
+    # the length of x s, -1 where it is not a rep (the value read at
+    # index -1 is discarded)
+    ml = np.where(mul >= 0, lengths[mul], -1)
+    up = ml > lengths
+    down = (ml >= 0) & (ml < lengths)
+    # ups[s]: the x with x s > x a rep; sups[s]: their x s
+    ups = np.full((len(mul), int(up.sum(axis=1).max())), R)
+    sups = ups.copy()
+    for s, row in enumerate(up):
+        x = np.flatnonzero(row)
+        ups[s, :len(x)] = x
+        sups[s, :len(x)] = mul[s, x]
+    # a row of ncoef bytes, padded to whole int64 words, is tested for
+    # zero in one comparison per word
+    width = -(-ncoef // 8) * 8
+    # ~256 kB per (columns, rows, ncoef) temporary: a chunk of columns
     # stays in cache, and its temporaries stay out of the peak RSS
-    chunk = max(1, (256 << 10) // (2 * N * ncoef))
+    chunk = max(1, (256 << 10) // (4 * max(1, ups.shape[1]) * ncoef))
     by_length = lengths[order]
     cuts = np.searchsorted(by_length, np.arange(by_length[-1] + 2))
     for lw in range(1, int(by_length[-1]) + 1):
@@ -101,15 +135,15 @@ def kl_fill(order, lengths, ldesc, lmul, ncoef):
         level = order[cuts[lw]:cuts[lw + 1]]
         for lo in range(0, len(level), chunk):
             w = level[lo:lo + chunk]
-            s = ldesc[w]
-            v = lmul[s, w][:, None]
+            s = desc[w]
+            v = mul[s, w][:, None]
             xs, sxs = ups[s], sups[s]
-            col = rows.take(v * N + xs, axis=0).astype(np.int32)
-            col[:, :, 1:] += rows.take(v * N + sxs, axis=0)[:, :, :-1]
-            mu = Pt.reshape(-1).take((v * N + zs) * ncoef + shift - 1)
-            mu *= ~up[s][:, zs]
+            col = rows.take(v * R1 + xs, axis=0).astype(np.int32)
+            col[:, :, 1:] += rows.take(v * R1 + sxs, axis=0)[:, :, :-1]
+            mu = Pt.reshape(-1).take((v * R1 + zs) * ncoef + shift - 1)
+            mu *= down[s][:, zs]
             i, j = np.nonzero(mu)
-            terms = rows.take(zs[j, None] * N + xs[i], axis=0)
+            terms = rows.take(zs[j, None] * R1 + xs[i], axis=0)
             terms = terms * mu[i, j, None, None].astype(np.int32)
             # i comes sorted, so a (rank within its column, shift) group
             # names each column at most once
@@ -119,10 +153,13 @@ def kl_fill(order, lengths, ldesc, lmul, ncoef):
                 k = key == group
                 sh = group % ncoef
                 col[i[k], :, sh:] -= terms[k, :, :ncoef - sh]
-            # write only x <= w, where P_{x,w}(0) = 1: pages of the zeroed
-            # table that hold no such x are never touched
-            i, j = np.nonzero(col[:, :, 0])
-            vals = _narrow(col[i, j])
-            rows[w[i] * N + xs[i, j]] = vals
-            rows[w[i] * N + sxs[i, j]] = vals
-    return Pt
+            # write only the nonzero rows: pages of the zeroed table that
+            # hold none are never touched
+            small = _narrow(col)
+            wide = np.zeros(col.shape[:2] + (width,), dtype=np.int8)
+            wide[:, :, :ncoef] = small
+            i, j = np.nonzero(wide.view(np.int64).any(axis=2))
+            vals = small[i, j]
+            rows[w[i] * R1 + xs[i, j]] = vals
+            rows[w[i] * R1 + sxs[i, j]] = vals
+    return Pt[:, :R]

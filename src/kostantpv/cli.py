@@ -10,7 +10,7 @@ disagreement or a failing selftest), 2 usage error.
 
 The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
-the dense Kazhdan-Lusztig table (the kl and both engines, and any
+a parabolic Kazhdan-Lusztig table (the kl and both engines, and any
 thinness column outside the maximal case) stop at n = 6; classify max:k
 refuses blocks whose cup table would exceed
 cup_diagrams.MAX_TABLE_BYTES, mult --engine cup blocks of more than
@@ -23,6 +23,9 @@ import argparse
 import json
 import sys
 import time
+from functools import lru_cache
+
+import numpy as np
 
 from .bigrassmannian import socle_descriptor
 from .compositions import Composition, classify_all, thin_all
@@ -36,7 +39,7 @@ from .cup_diagrams import (
     is_kostant_positive_maximal,
 )
 from .groupindex import group_index
-from .klcells import MAX_KL_N, parabolic_sums
+from .klcells import MAX_KL_N, parabolic_table
 from .laurent import LaurentPolynomial
 from .minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from .permutations import (
@@ -78,9 +81,8 @@ def _guard_n(n: int, n_max: int) -> None:
 def _require_kl(n: int, what: str) -> None:
     if n > MAX_KL_N:
         raise UsageError(
-            f'{what} needs the dense Kazhdan-Lusztig table, which is kept '
-            f'to n <= {MAX_KL_N}; the dense int8 fill of S_7 alone was '
-            'measured at 1.2 s and a 303 MiB peak'
+            f'{what} needs a parabolic Kazhdan-Lusztig table, which is '
+            f'kept to n <= {MAX_KL_N}'
         )
 
 
@@ -223,11 +225,19 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
     return [{'y': str(reps[y]), 'degree': d} for y, d in factors(row)]
 
 
+@lru_cache(maxsize=None)
+def _max_table(ctx: MaxParContext) -> tuple:
+    """parabolic_table for max:k, kept for the life of the process like
+    block(ctx): a mult request reads one row of it, and the table is at
+    most 2 KB at n <= 6."""
+    return parabolic_table(ctx.n, ctx.J)
+
+
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
     g = group_index(ctx.n)
     xi = g.idx(x)
-    reps = g.coset_reps(ctx.J)
-    sums = parabolic_sums(ctx.n, ctx.J, [xi], reps)[0]
+    reps, S = _max_table(ctx)
+    sums = S[np.searchsorted(reps, xi)]
     rows = []
     for y, coeffs in zip(reps, sums.tolist()):
         nonzero = [d for d, c in enumerate(coeffs) if c]
@@ -341,7 +351,10 @@ def cmd_selftest(n_max: int) -> int:
     return 1 if failures else 0
 
 
+@lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog='kostantpv',
         description='Kostant positivity of parabolic Verma modules for sl_n.',

@@ -17,9 +17,9 @@ that are thin but not covered by the sufficient condition are left
 Unknown -- deliberately: they are open in general.
 
 Both conditions are decided for every shortest rep of mu at once: the
-positive set is built once per mu, and thinness is one call of the
-index-space alternating sum (klcells.parabolic_sums) over the reps and
-the cell.
+positive set is built once per mu, and thinness is read from one fill
+of the parabolic KL table over the reps (klcells.parabolic_table), at
+the columns of the cell.
 
 Composition text form: "2,1,3,2".
 """
@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 
 from .groupindex import group_index
-from .klcells import _frozen, parabolic_sums
+from .klcells import _frozen, parabolic_table
 from .permutations import (
     Permutation,
     _raw,
@@ -206,14 +206,20 @@ def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
     return frozenset(g.perm(i) for i in _quotient_cell(mu))
 
 
-def _thin(mu: Composition, reps: np.ndarray) -> np.ndarray:
-    """Thinness at each rep (group indices): exactly one u in the cell
-    of w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1."""
-    sums = parabolic_sums(
-        mu.n, mu.simple_reflections(), reps, _quotient_cell(mu)
-    )
-    m = sums.sum(axis=-1)
-    return ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
+def _thin(mu: Composition) -> tuple:
+    """(reps, thin): the shortest reps of mu as group indices in window
+    order, and the thinness of each: exactly one u in the cell of
+    w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1."""
+    reps, S = parabolic_table(mu.n, mu.simple_reflections())
+    cell = _quotient_cell(mu)
+    at = np.searchsorted(reps, cell)
+    if not np.array_equal(reps.take(at, mode='clip'), cell):
+        raise ValueError(
+            f'the cell of w_0^mu w_0 leaves the shortest reps of '
+            f'{mu.to_text()}'
+        )
+    m = S[:, at].sum(axis=-1)
+    return reps, ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
 
 
 def is_thin_general(mu: Composition, w: Permutation) -> bool:
@@ -221,15 +227,16 @@ def is_thin_general(mu: Composition, w: Permutation) -> bool:
     multiplicity, and that multiplicity equal to 1."""
     if not is_shortest_coset_rep(w, mu.simple_reflections()):
         raise ValueError(f'{w} is not a shortest rep for {mu.to_text()}')
-    return bool(_thin(mu, np.array([group_index(mu.n).idx(w)]))[0])
+    reps, thin = _thin(mu)
+    return bool(thin[np.searchsorted(reps, group_index(mu.n).idx(w))])
 
 
 def thin_all(mu: Composition):
     """(reps, thin): every shortest rep of mu in window order, and the
-    thinness of each, from one kernel call."""
+    thinness of each, from one fill of the parabolic table."""
+    reps, thin = _thin(mu)
     g = group_index(mu.n)
-    reps = g.coset_reps(mu.simple_reflections())
-    return [g.perm(i) for i in reps], _thin(mu, reps)
+    return [g.perm(i) for i in reps], thin
 
 
 @dataclass(frozen=True)

@@ -61,13 +61,6 @@ class GroupIndex:
             t[:, [s - 1, s]] = w[:, [s, s - 1]]
             self.rmul[s - 1] = self.rank(t)
 
-        self.w0_idx = self.index[tuple(range(n, 0, -1))]
-        self.order_by_length = np.argsort(self.lengths, kind='stable')
-        # first left descent per element, -1 for the identity
-        self.first_left_descent = np.full(self.N, -1, dtype=np.int64)
-        for s in range(n - 1, 0, -1):
-            drop = self.lengths[self.lmul[s - 1]] < self.lengths
-            self.first_left_descent[drop] = s - 1
         self._dominance = None
         self._leq = None
 

@@ -1,13 +1,25 @@
 r"""
 Kazhdan-Lusztig polynomials, graded Verma multiplicities, and cells.
 
-The table for a whole symmetric group is filled by the classical
-descent recursion (see _kernels), one length level of columns at a
-time and without the Bruhat matrix, into one read-only int8 array in
-the classical variable q, P[x, w, d] = [q^d] P_{x,w}, indexed by the
-element indices of group_index(n).  The translation to the graded
-world -- q = v^{-2} plus an overall power of v -- happens only at the
-multiplicity boundary:
+One fill (see _kernels) serves every table: it runs over the shortest
+coset representatives W^J of a parabolic subgroup W_J, one length
+level of columns at a time and without the Bruhat matrix, with the
+right action of the sign parabolic module (Deodhar's u = -1 family):
+H_s sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x
+if xs < x, and to -v m_x if xs is not a rep.  It returns one read-only
+int8 array in the classical variable q, indexed by positions among the
+reps.  With J empty the reps are the whole group and the array is
+
+    kl_table(n)[x, w, d] = [q^d] P_{x,w},
+
+and for any J, parabolic_table(n, J) gives the q-form
+
+    S[x, w, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z x, w},
+
+equal entry by entry to parabolic_sums(n, J, reps, reps), which takes
+the same alternating sum from the whole-group table and stays as its
+oracle.  The translation to the graded world -- q = v^{-2} plus an
+overall power of v -- happens only at the multiplicity boundary:
 
     verma_multiplicity(x, y)  =  v^{l(y)-l(x)} P_{x,y}(v^{-2}),
 
@@ -16,7 +28,8 @@ expand as an alternating sum of Vermas over the parabolic subgroup;
 the graded lift of that sum carries a degree shift <l(z)> on the z-th
 term, which the literature leaves implicit; it is taken here because
 without it S_3 already gives a negative coefficient, impossible for a
-composition-series count.
+composition-series count.  With that shift the parabolic multiplicity
+of L_y in the parabolic Verma at w is v^{l(y)-l(w)} S[w, y](v^{-2}).
 
 Cells are decided through RSK: two elements share a right cell iff
 they share the insertion tableau, and a left cell iff they share the
@@ -46,7 +59,7 @@ from .permutations import (
 from .tableaux import TableauPair, rsk
 
 __all__ = [
-    'kl_table', 'kl_polynomial',
+    'kl_table', 'parabolic_table', 'kl_polynomial',
     'verma_multiplicity', 'parabolic_verma_multiplicity', 'parabolic_sums',
     'rsk', 'TableauPair',
     'same_right_cell', 'same_left_cell', 'same_two_sided_cell',
@@ -54,17 +67,54 @@ __all__ = [
     'is_involution',
 ]
 
-# Dense tables are quadratic in n!: S_6 takes 4.1 MB as int8, and the
-# numpy fill of S_7 (dense int8, 11 coefficients, 279 MB) was measured at
-# 1.1-1.2 s and a 303 MiB peak on a 2-core x86 host.  Nothing that reads
-# the table has been measured at n = 7, so the ceiling stays at 6.
+# The whole-group table is quadratic in n!: S_6 takes 4.1 MB as int8,
+# and the fill of S_7 (dense int8, 11 coefficients, 279 MB) was measured
+# at 1.1-1.2 s and a 303 MiB peak on a 2-core x86 host.  kl_table stops
+# at MAX_KL_N, and so do the CLI's KL paths (cli._require_kl), although
+# they read only parabolic_table, which GroupIndex.MAX_N alone bounds.
 MAX_KL_N = 6
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only: cached arrays are shared by every caller."""
+    """a, made read-only with the array it views: cached arrays are
+    shared by every caller."""
+    if a.base is not None:
+        a.base.flags.writeable = False
     a.flags.writeable = False
     return a
+
+
+def _fill_args(n: int, J) -> tuple:
+    """(reps, order, lengths, desc, mul, ncoef): the shortest reps of
+    W_J \\ S_n as group indices in window order, and the arguments of
+    _kernels.kl_fill over them, indexed by position among the reps."""
+    g = group_index(n)
+    reps = g.coset_reps(J)
+    pos = np.full(g.N, -1, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    mul = pos[g.rmul[:, reps]]
+    lengths = g.lengths[reps]
+    # first right descent per rep, -1 for the identity
+    desc = np.full(len(reps), -1, dtype=np.int64)
+    for s in range(len(mul) - 1, -1, -1):
+        desc[g.lengths[g.rmul[s, reps]] < lengths] = s
+    order = np.argsort(lengths, kind='stable')
+    return reps, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
+
+
+def parabolic_table(n: int, J) -> tuple:
+    """(reps, S): the shortest reps of W_J \\ S_n as group indices in
+    window order, and the read-only int8 array
+
+        S[i, j, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z reps[i], reps[j]},
+
+    laid out like parabolic_sums(n, J, reps, reps), with the degrees
+    past the longest rep's l // 2 left out (they are zero).  Filled
+    over the reps alone, anew on each call; n up to GroupIndex.MAX_N.
+    A transposed view of the buffer Pt[j, i, d] of the fill.
+    """
+    reps, *args = _fill_args(n, J)
+    return reps, _frozen(_kernels.kl_fill(*args)).transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=None)
@@ -72,20 +122,13 @@ def kl_table(n: int) -> np.ndarray:
     """All polynomials P_{x,w} of S_n, stored densely and read-only:
     P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
     x, w of group_index(n).  Zero where x is not Bruhat-below w.
-    A transposed view of the read-only buffer Pt[w, x, d] of the fill.
+    The parabolic table with J empty, whose reps are the whole group.
     """
     if not 1 <= n <= MAX_KL_N:
         raise ValueError(
             f'dense KL table supported for 1 <= n <= {MAX_KL_N}, got {n}'
         )
-    g = group_index(n)
-    return _frozen(_kernels.kl_fill(
-        g.order_by_length,
-        g.lengths,
-        g.first_left_descent,
-        g.lmul,
-        int(g.lengths[g.w0_idx]) // 2 + 1,
-    )).transpose(1, 0, 2)
+    return parabolic_table(n, ())[1]
 
 
 def _row(x: Permutation, w: Permutation) -> list:

@@ -120,8 +120,13 @@ def factorize(ctx: MinParContext, w: Permutation) -> MinParFactorization:
 
 
 def is_kostant_positive_minimal(ctx: MinParContext, w: Permutation) -> bool:
-    """Positive answers are exactly those with tau part in X+."""
-    return factorize(ctx, w).positive
+    """Positive answers are exactly those with tau part in X+, that is
+    w^-1(k+1) = w^-1(k) + 1; read off the inverse window, without
+    building sigma or tau (factorize does, and agrees)."""
+    if not is_shortest_coset_rep(w, {ctx.k}):
+        raise ValueError(f'{w} is not a shortest rep for J = {{{ctx.k}}}')
+    inv = w.inverse.window
+    return inv[ctx.k] == inv[ctx.k - 1] + 1
 
 
 def case_analysis(ctx: MinParContext, i: int, j: int) -> CaseAnalysis:

@@ -446,6 +446,35 @@ def test_selftest_goldens():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 
+def test_kl_paths_never_build_a_whole_group_table(monkeypatch):
+    from kostantpv import klcells
+
+    def refuse(n):
+        raise AssertionError('a KL request built kl_table')
+
+    monkeypatch.setattr(klcells, 'kl_table', refuse)
+    cli._max_table.cache_clear()
+    want = _goldens()
+    for args in (
+        ('classify', '--n', '6', '--parabolic', 'min:3', '--format', 'json'),
+        ('classify', '--n', '6', '--parabolic', 'comp:1,2,1,2',
+         '--format', 'tsv'),
+        ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both',
+         '--format', 'json'),
+    ):
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_one_parser_serves_a_bad_request_then_a_good_one():
+    args = ('classify', '--n', '5', '--parabolic', 'min:2', '--format', 'tsv')
+    with contextlib.redirect_stderr(io.StringIO()):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(['classify', '--n', 'five', '--parabolic', 'min:2'])
+    assert exc.value.code == 2
+    assert _stdout_digest(args) == _goldens()[' '.join(args)]
+    assert cli._build_parser() is cli._build_parser()
+
+
 if __name__ == '__main__':
     GOLDENS.write_text(json.dumps(
         {' '.join(a): _stdout_digest(a)

@@ -1,7 +1,9 @@
 """Blocks, transports, and the three-valued classifier."""
 
+import numpy as np
 import pytest
 
+from kostantpv import compositions
 from kostantpv.compositions import (
     Classification,
     Composition,
@@ -18,6 +20,7 @@ from kostantpv.compositions import (
     thin_all,
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
+from kostantpv.groupindex import group_index
 from kostantpv.klcells import (
     parabolic_verma_multiplicity,
     same_right_cell,
@@ -183,6 +186,15 @@ def test_thin_all_matches_object_loop():
                 enumerate_shortest_reps(n, mu.simple_reflections()))
             for w, t in zip(reps, thin):
                 assert bool(t) == _thin_by_loop(mu, w), (parts, w)
+
+
+def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):
+    mu = Composition((2, 2))
+    non_rep = group_index(4).idx(parse_permutation('2134'))
+    monkeypatch.setattr(compositions, '_quotient_cell',
+                        lambda _: np.array([non_rep]))
+    with pytest.raises(ValueError):
+        thin_all(mu)
 
 
 def test_positive_set_matches_transport_loop():

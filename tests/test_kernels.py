@@ -4,7 +4,8 @@ Each kernel is one path of two that must agree: the Bruhat matrix with
 the pairwise bruhat_leq (itself checked against reduced subwords in
 test_permutations), and the dense KL fill with the R-polynomial
 inversion and with the earlier per-column fill kept below, which reads
-the Bruhat matrix.  The array oracles of the kl-properties check (the
+the Bruhat matrix and recurses on left descents, where the fill, run
+with no parabolic subgroup, recurses on right ones.  The array oracles of the kl-properties check (the
 table identities and the mu-graph cells) also run here at n = 6, one
 size past selftest.
 """
@@ -21,7 +22,7 @@ from kostantpv.checks import (
     _kl_table_problems,
 )
 from kostantpv.groupindex import GroupIndex, group_index
-from kostantpv.klcells import kl_table
+from kostantpv.klcells import _fill_args, kl_table
 from kostantpv.permutations import bruhat_leq
 
 # sha256 of kl_table(n).astype(np.int32).tobytes(), as the int32
@@ -79,8 +80,13 @@ def _kl_fill_by_column(order, lengths, ldesc, lmul, leq, ncoef):
     return P
 
 
-def _fill_args(g):
-    return (g.order_by_length, g.lengths, g.first_left_descent, g.lmul)
+def _left_args(g):
+    """(order, lengths, first left descent, lmul) of the left recursion
+    the per-column fill runs; the identity has descent -1."""
+    ldesc = np.full(g.N, -1, dtype=np.int64)
+    for s in range(len(g.lmul) - 1, -1, -1):
+        ldesc[g.lengths[g.lmul[s]] < g.lengths] = s
+    return np.argsort(g.lengths, kind='stable'), g.lengths, ldesc, g.lmul
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5])
@@ -109,9 +115,10 @@ def test_cells_against_mu_graph_n6():
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
 def test_kl_fill_matches_per_column_fill(n):
     g = group_index(n)
-    ncoef = int(g.lengths[g.w0_idx]) // 2 + 1
-    Pt = _kernels.kl_fill(*_fill_args(g), ncoef)
-    P = _kl_fill_by_column(*_fill_args(g), g.leq, ncoef)
+    reps, *args = _fill_args(n, ())
+    assert np.array_equal(reps, np.arange(g.N))
+    Pt = _kernels.kl_fill(*args)
+    P = _kl_fill_by_column(*_left_args(g), g.leq, args[-1])
     assert Pt.dtype == np.int8
     assert Pt.transpose(1, 0, 2).astype(np.int32).tobytes() == P.tobytes()
 

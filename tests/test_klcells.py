@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from kostantpv.compositions import Composition, _quotient_cell
+from kostantpv.cup_diagrams import MaxParContext, block_table
 from kostantpv.klcells import (
     MAX_KL_N,
     _frozen,
@@ -17,6 +18,7 @@ from kostantpv.klcells import (
     kl_table,
     left_cell_key,
     parabolic_sums,
+    parabolic_table,
     parabolic_verma_multiplicity,
     penultimate_cell,
     right_cell_key,
@@ -263,6 +265,52 @@ def test_parabolic_sums_accumulate_in_int32():
     sums = parabolic_sums(6, J, g.coset_reps(J), np.arange(g.N))
     assert kl_table(6).dtype == np.int8
     assert sums.dtype == np.int32
+
+
+# -- the fill over the shortest reps against the whole-group table and
+# against the cup engine
+
+
+def test_parabolic_table_matches_parabolic_sums():
+    count = 0
+    for n in range(1, 7):
+        for J in _subsets(n):
+            reps, S = parabolic_table(n, J)
+            assert np.array_equal(reps, group_index(n).coset_reps(J))
+            assert S.dtype == np.int8 and not S.flags.writeable
+            sums = parabolic_sums(n, J, reps, reps)
+            ncoef = S.shape[2]
+            assert np.array_equal(S, sums[:, :, :ncoef]), (n, sorted(J))
+            assert not sums[:, :, ncoef:].any(), (n, sorted(J))
+            count += 1
+    assert count == 63
+
+
+def test_parabolic_table_without_levi_is_kl_table():
+    for n in range(1, 7):
+        reps, S = parabolic_table(n, ())
+        assert np.array_equal(reps, np.arange(group_index(n).N))
+        assert np.array_equal(S, kl_table(n)), n
+
+
+def test_parabolic_table_matches_cup_degrees_to_n8():
+    # a cup degree c at (x, y) is the single term v^c of
+    # v^{l(y)-l(x)} S(v^{-2}), i.e. S = q^d with 2d = l(y) - l(x) - c;
+    # no cup is a zero S
+    for n in range(2, 9):
+        g = group_index(n)
+        for k in range(1, n):
+            ctx = MaxParContext(n, k)
+            reps, S = parabolic_table(n, ctx.J)
+            _, deg, _ = block_table(ctx)
+            lengths = g.lengths[reps]
+            d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
+            cup = deg >= 0
+            assert not (cup & ((odd != 0) | (d < 0))).any(), (n, k)
+            want = np.zeros_like(S)
+            x, y = np.nonzero(cup)
+            want[x, y, d[x, y]] = 1
+            assert np.array_equal(S, want), (n, k)
 
 
 # -- cells: the right cells of all of S_n by RSK, the oracle that the

@@ -93,6 +93,18 @@ def test_factorize_round_trip():
                 assert f.positive == is_kostant_positive_minimal(ctx, w)
 
 
+def test_positive_reads_the_inverse_window_as_factorize_does():
+    for n in range(2, 8):
+        for k in range(1, n):
+            ctx = MinParContext(n, k)
+            for w in enumerate_shortest_reps(n, frozenset({k})):
+                assert is_kostant_positive_minimal(ctx, w) == \
+                    factorize(ctx, w).positive, (n, k, w)
+    with pytest.raises(ValueError):
+        is_kostant_positive_minimal(MinParContext(4, 2),
+                                    parse_permutation('1324'))
+
+
 def test_factorize_rejects_non_reps():
     ctx = MinParContext(4, 2)
     with pytest.raises(ValueError):
