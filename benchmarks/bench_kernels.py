@@ -30,16 +30,31 @@ of S_2..S_6, after checking every descriptor with n <= 5 against the
 pairwise definition (Bruhat-maximal among the bigrassmannians b with
 permutations.bruhat_leq(b, w)).  The S_12 row times 1,000 seeded w,
 after checking 50 of them the same way.
+
+The cold-start rows give the median wall time of 5 fresh interpreters
+each, with PYTHONPATH pointing at this checkout's src/ and no bytecode
+written (so each compiles every module it loads): `import kostantpv.cli`,
+a `classify max:5` at n = 10 and a `classify min:3` at n = 6, whose
+stdout must match kostantpv.cli.main run in this process.
+
+    PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
+import contextlib
+import io
 import itertools
+import os
 import random
+import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from kostantpv import _kernels
+from kostantpv import _kernels, cli
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.checks import _kl_table_problems
 from kostantpv.compositions import (
@@ -70,6 +85,9 @@ from kostantpv.permutations import (
     longest_element_parabolic,
 )
 from kostantpv.tableaux import rsk
+
+SRC = Path(__file__).resolve().parent.parent / 'src'
+COLD_RUNS = 5
 
 
 def best_of(repeat, fn, *args):
@@ -226,6 +244,34 @@ def bench_socle(repeat):
     print(f'{"socle S_12":24s} {t * 1e3:10.2f} ms  (1,000 seeded w)')
 
 
+def bench_cold_start():
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE='1')
+    cases = [('import kostantpv.cli', ['-c', 'import kostantpv.cli'], None)]
+    for argv in (
+        ['classify', '--n', '10', '--parabolic', 'max:5', '--n-max', '10'],
+        ['classify', '--n', '6', '--parabolic', 'min:3'],
+    ):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.main(argv)
+        cases.append((f'cold {argv[4]} n={argv[2]}',
+                      ['-m', 'kostantpv.cli', *argv], out.getvalue()))
+    for name, args, want in cases:
+        times = []
+        for _ in range(COLD_RUNS):
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, *args], env=env,
+                                  capture_output=True, text=True)
+            times.append(time.perf_counter() - t0)
+            if proc.returncode != 0 or (want is not None
+                                        and proc.stdout != want):
+                raise SystemExit(f'{name}: a fresh process disagrees with '
+                                 f'cli.main in process\n{proc.stderr}')
+        print(f'{name:24s} {statistics.median(times) * 1e3:10.2f} ms'
+              f'  (median of {COLD_RUNS} fresh processes)')
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -244,6 +290,7 @@ def main():
     bench_parabolic_sums(6, args.repeat)
     bench_cup_block(16, 8, args.repeat)
     bench_socle(args.repeat)
+    bench_cold_start()
 
 
 if __name__ == '__main__':

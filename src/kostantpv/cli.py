@@ -25,30 +25,16 @@ import sys
 import time
 from functools import lru_cache
 
-import numpy as np
-
-from .bigrassmannian import socle_descriptor
-from .compositions import Composition, classify_all, thin_all
-from .cup_diagrams import (
-    MaxParContext,
-    block,
-    block_table,
-    degree_row,
-    factors,
-    graded_multiplicity,  # noqa: F401  read here by perfbench's tracer test
-    is_kostant_positive_maximal,
-)
-from .groupindex import group_index
-from .klcells import MAX_KL_N, parabolic_table
-from .laurent import LaurentPolynomial
-from .minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from .permutations import (
     Permutation,
     enumerate_group,
     is_shortest_coset_rep,
     parse_permutation,
 )
-from .tableaux import rsk
+
+# Each command imports the engine it runs, so a request loads (and,
+# when no bytecode is written, compiles) only that engine: classify
+# max:k the cup diagrams alone, socle and cells no numpy.
 
 DEFAULT_N_MAX = 8
 
@@ -79,6 +65,8 @@ def _guard_n(n: int, n_max: int) -> None:
 
 
 def _require_kl(n: int, what: str) -> None:
+    from .klcells import MAX_KL_N
+
     if n > MAX_KL_N:
         raise UsageError(
             f'{what} needs a parabolic Kazhdan-Lusztig table, which is '
@@ -99,6 +87,8 @@ def _parse_parabolic(n: int, text: str):
             raise UsageError(f'k={k} out of range 1..{n - 1}')
         return kind, k
     if kind == 'comp':
+        from .compositions import Composition
+
         try:
             mu = Composition.from_text(rest)
         except ValueError as e:
@@ -152,19 +142,26 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     kind, arg = _parse_parabolic(n, parabolic)
     rows = []
     if kind == 'max':
+        from .cup_diagrams import (
+            MaxParContext,
+            block_table,
+            factors,
+            is_positive_word,
+        )
+
         ctx = MaxParContext(n, arg)
         try:
             blk, deg, thin = block_table(ctx)
         except ValueError as e:
             raise UsageError(str(e)) from None
         labels = [str(y) for y in blk.reps]
-        for x, w in enumerate(blk.reps):
+        for x, word in enumerate(blk.words):
             rows.append({
                 'w': labels[x],
-                'word': blk.words[x],
+                'word': word,
                 'verdict': (
                     'Positive'
-                    if is_kostant_positive_maximal(ctx, w)
+                    if is_positive_word(ctx, word)
                     else 'Negative'
                 ),
                 'thin': bool(thin[x]),
@@ -175,6 +172,12 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
             })
     elif kind == 'min':
         _require_kl(n, 'the thinness column for a minimal parabolic')
+        from .compositions import Composition, thin_all
+        from .minimal_parabolic import (
+            MinParContext,
+            is_kostant_positive_minimal,
+        )
+
         ctx = MinParContext(n, arg)
         mu = Composition((1,) * (arg - 1) + (2,) + (1,) * (n - arg - 1))
         reps, thin = thin_all(mu)
@@ -193,6 +196,8 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
             })
     else:
         _require_kl(n, 'classification for a general composition')
+        from .compositions import classify_all
+
         for w, verdict, thin in classify_all(arg):
             rows.append({
                 'w': str(w),
@@ -217,6 +222,8 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
+    from .cup_diagrams import block, degree_row, factors
+
     try:
         reps = block(ctx).reps
     except ValueError as e:
@@ -230,20 +237,28 @@ def _max_table(ctx: MaxParContext) -> tuple:
     """parabolic_table for max:k, kept for the life of the process like
     block(ctx): a mult request reads one row of it, and the table is at
     most 2 KB at n <= 6."""
+    from .klcells import parabolic_table
+
     return parabolic_table(ctx.n, ctx.J)
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
+    import numpy as np
+
+    from .groupindex import group_index
+    from .laurent import LaurentPolynomial
+
     g = group_index(ctx.n)
     xi = g.idx(x)
     reps, S = _max_table(ctx)
     sums = S[np.searchsorted(reps, xi)]
+    shifts = g.lengths[reps] - g.lengths[xi]
     rows = []
-    for y, coeffs in zip(reps, sums.tolist()):
+    for y, shift, coeffs in zip(reps.tolist(), shifts.tolist(),
+                                sums.tolist()):
         nonzero = [d for d, c in enumerate(coeffs) if c]
         if not nonzero:
             continue
-        shift = int(g.lengths[y] - g.lengths[xi])
         if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
             degree = shift - 2 * nonzero[0]
         else:
@@ -258,6 +273,8 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     _guard_n(n, n_max)
     if not 1 <= k <= n - 1:
         raise UsageError(f'k={k} out of range 1..{n - 1}')
+    from .cup_diagrams import MaxParContext
+
     ctx = MaxParContext(n, k)
     x = _parse_perm(n, x_text)
     if not is_shortest_coset_rep(x, ctx.J):
@@ -290,6 +307,8 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
 def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
     """Generators of the socle descriptor of one element."""
     _guard_n(n, n_max)
+    from .bigrassmannian import socle_descriptor
+
     w = _parse_perm(n, w_text)
     generators = sorted(str(b) for b in socle_descriptor(w))
     if fmt == 'json':
@@ -306,6 +325,8 @@ def cmd_cells(n: int, fmt: str, n_max: int):
             'cells keeps a row for each of the n! elements of S_n, and is '
             f'kept to n <= {MAX_CELLS_N}'
         )
+    from .tableaux import rsk
+
     # small: the shape (n-1, 1); penultimate: w w_0 small, and w -> w w_0
     # reverses the window, which transposes the shape
     small, penultimate = (n - 1, 1), (2,) + (1,) * (n - 2)
@@ -326,7 +347,7 @@ def cmd_cells(n: int, fmt: str, n_max: int):
 def cmd_selftest(n_max: int) -> int:
     """Run every named check up to n_max and print a scoreboard; the
     time each check took goes to stderr."""
-    from .checks import ALL_CHECKS  # only selftest loads the checks
+    from .checks import ALL_CHECKS
 
     if n_max > DEFAULT_N_MAX:
         raise UsageError(

@@ -206,10 +206,16 @@ def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
     return frozenset(g.perm(i) for i in _quotient_cell(mu))
 
 
+@lru_cache(maxsize=None)
 def _thin(mu: Composition) -> tuple:
     """(reps, thin): the shortest reps of mu as group indices in window
     order, and the thinness of each: exactly one u in the cell of
-    w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1."""
+    w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1.
+
+    Both read-only and kept for the life of the process (48 KB of
+    arrays for all 63 compositions with n <= 6); the table they are
+    read from is not.  min:k and the comp: of the same Levi share one
+    entry."""
     reps, S = parabolic_table(mu.n, mu.simple_reflections())
     cell = _quotient_cell(mu)
     at = np.searchsorted(reps, cell)
@@ -219,7 +225,8 @@ def _thin(mu: Composition) -> tuple:
             f'{mu.to_text()}'
         )
     m = S[:, at].sum(axis=-1)
-    return reps, ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
+    thin = ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
+    return _frozen(reps), _frozen(thin)
 
 
 def is_thin_general(mu: Composition, w: Permutation) -> bool:
@@ -233,7 +240,7 @@ def is_thin_general(mu: Composition, w: Permutation) -> bool:
 
 def thin_all(mu: Composition):
     """(reps, thin): every shortest rep of mu in window order, and the
-    thinness of each, from one fill of the parabolic table."""
+    read-only thinness of each, from one fill of the parabolic table."""
     reps, thin = _thin(mu)
     g = group_index(mu.n)
     return [g.perm(i) for i in reps], thin

@@ -224,21 +224,26 @@ def _mask(positions) -> int:
     return sum(1 << (p - 1) for p in positions)
 
 
+def _rep(k: int, letters: str) -> Permutation:
+    """The shortest rep whose word has these letters, k of them ^."""
+    wedges, vees = itertools.count(1), itertools.count(k + 1)
+    return _raw(tuple(
+        next(wedges) if letter == WEDGE else next(vees)
+        for letter in letters
+    ))
+
+
 def phi_inverse(ctx: MaxParContext, word: WeightWord) -> Permutation:
     """The unique shortest rep mapping to the word under phi."""
     if word.n != ctx.n or word.k != ctx.k:
         raise ValueError(f'{word} does not belong to the (n,k)=({ctx.n},{ctx.k}) block')
-    wedges, vees = itertools.count(1), itertools.count(ctx.k + 1)
-    return _raw(tuple(
-        next(wedges) if letter == WEDGE else next(vees)
-        for letter in word.letters
-    ))
+    return _rep(ctx.k, word.letters)
 
 
 @lru_cache(maxsize=None)
 def shortest_reps(ctx: MaxParContext) -> tuple:
     """All shortest reps of the block, in window order."""
-    return tuple(phi_inverse(ctx, WeightWord(word)) for word in _words(ctx))
+    return tuple(_rep(ctx.k, word) for word in _words(ctx))
 
 
 def antidominant_rep(ctx: MaxParContext) -> Permutation:
@@ -526,11 +531,6 @@ def graded_multiplicity(
     return None if d < 0 else d
 
 
-def a_value(ctx: MaxParContext, w: Permutation) -> int:
-    """Cup count of d(Phi(w)) = Lusztig's a-function on the block."""
-    return len(d_of(phi(ctx, w)).diagram.cups)
-
-
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     """Exactly one composition factor of maximal a-value min(k, m)."""
     return degree_row(ctx, w)[1]
@@ -547,11 +547,14 @@ def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:
     """
     if word.n != ctx.n or word.k != ctx.k:
         raise ValueError(f'{word} not in the (n,k)=({ctx.n},{ctx.k}) block')
+    return _in_Y(ctx, word.letters)
 
+
+def _in_Y(ctx: MaxParContext, letters: str) -> bool:
     def contiguous(letter: str) -> bool:
-        first = word.letters.find(letter)
-        last = word.letters.rfind(letter)
-        return last - first + 1 == word.letters.count(letter)
+        first = letters.find(letter)
+        last = letters.rfind(letter)
+        return last - first + 1 == letters.count(letter)
 
     if ctx.k < ctx.m:
         return contiguous(VEE)
@@ -560,12 +563,17 @@ def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:
     return contiguous(VEE) or contiguous(WEDGE)
 
 
+def is_positive_word(ctx: MaxParContext, letters: str) -> bool:
+    """is_kostant_positive_maximal of the rep whose word, one of the
+    block's, has these letters, read off the letters alone."""
+    if ctx.k in (1, ctx.n - 1) or ctx.n == 2 * ctx.k:
+        return letters in (WEDGE * ctx.k + VEE * ctx.m,
+                           VEE * ctx.m + WEDGE * ctx.k)
+    return _in_Y(ctx, letters)
+
+
 def is_kostant_positive_maximal(ctx: MaxParContext, w: Permutation) -> bool:
     """Positive iff Phi(w) is in Y, except that for k = 1, n-1, or n/2
     only the two extreme reps are positive: e and antidominant_rep,
     whose words are ^k v^m and v^m ^k."""
-    word = phi(ctx, w)
-    if ctx.k in (1, ctx.n - 1) or ctx.n == 2 * ctx.k:
-        return word.letters in (WEDGE * ctx.k + VEE * ctx.m,
-                                VEE * ctx.m + WEDGE * ctx.k)
-    return in_Y(ctx, word)
+    return is_positive_word(ctx, phi(ctx, w).letters)

@@ -254,19 +254,68 @@ def _modules_after(code):
     return set(json.loads(proc.stderr.splitlines()[-1]))
 
 
-def test_cli_import_leaves_out_checks_and_numpy_ma():
-    loaded = _modules_after('import kostantpv.cli')
-    assert 'kostantpv.cli' in loaded
-    assert 'kostantpv.checks' not in loaded
-    assert 'numpy.ma' not in loaded
-
-
 def test_cold_kl_request_leaves_out_numpy_ma():
     loaded = _modules_after(
         'from kostantpv.cli import main\n'
         "assert main(['classify', '--n', '6', '--parabolic', 'min:3']) == 0")
     assert 'kostantpv.klcells' in loaded
     assert 'numpy.ma' not in loaded
+
+
+# The kostantpv modules every command loads: the package itself loads
+# permutations.
+BASE = {'kostantpv', 'kostantpv.cli', 'kostantpv.permutations'}
+KL_STACK = {'kostantpv.klcells', 'kostantpv.groupindex', 'kostantpv._kernels',
+            'kostantpv.tableaux', 'kostantpv.laurent'}
+
+
+def test_cli_import_leaves_out_checks_and_numpy_ma():
+    # and every other engine, and numpy itself
+    loaded = _modules_after('import kostantpv.cli')
+    assert {m for m in loaded if m.startswith('kostantpv')} == BASE
+    assert 'numpy' not in loaded
+
+
+@pytest.mark.parametrize('args, engine', [
+    (('classify', '--n', '5', '--parabolic', 'max:2'),
+     {'kostantpv.cup_diagrams'}),
+    (('classify', '--n', '5', '--parabolic', 'min:2'),
+     KL_STACK | {'kostantpv.compositions', 'kostantpv.minimal_parabolic'}),
+    (('classify', '--n', '5', '--parabolic', 'comp:2,1,2'),
+     KL_STACK | {'kostantpv.compositions'}),
+    (('mult', '--n', '4', '--k', '2', '--x', '1234'),
+     KL_STACK | {'kostantpv.cup_diagrams'}),
+    (('mult', '--n', '4', '--k', '2', '--x', '1234', '--engine', 'cup'),
+     {'kostantpv.cup_diagrams'}),
+    (('socle', '--n', '5', '--w', '35142'), {'kostantpv.bigrassmannian'}),
+    (('cells', '--n', '4'), {'kostantpv.tableaux'}),
+], ids=['max', 'min', 'comp', 'mult', 'mult-cup', 'socle', 'cells'])
+def test_each_command_loads_only_its_engine(args, engine):
+    loaded = _modules_after(
+        'import contextlib, io\n'
+        'from kostantpv.cli import main\n'
+        'with contextlib.redirect_stdout(io.StringIO()):\n'
+        f'    assert main({list(args)!r}) == 0')
+    assert {m for m in loaded if m.startswith('kostantpv')} == BASE | engine
+    if args[0] in ('socle', 'cells'):
+        assert 'numpy' not in loaded
+
+
+def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):
+    from kostantpv import compositions, klcells
+
+    min_args = ('classify', '--n', '5', '--parabolic', 'min:2',
+                '--format', 'tsv')
+    compositions._thin.cache_clear()
+    assert run_main('classify', '--n', '5', '--parabolic', 'comp:1,2,1,1',
+                    '--format', 'tsv')[0] == 0
+
+    def refuse(n, J):
+        raise AssertionError('refilled the table of a cached Levi')
+
+    monkeypatch.setattr(klcells, 'parabolic_table', refuse)
+    monkeypatch.setattr(compositions, 'parabolic_table', refuse)
+    assert _stdout_digest(min_args) == _goldens()[' '.join(min_args)]
 
 
 def test_selftest_small():

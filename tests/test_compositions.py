@@ -188,8 +188,27 @@ def test_thin_all_matches_object_loop():
                 assert bool(t) == _thin_by_loop(mu, w), (parts, w)
 
 
+def test_thinness_is_filled_once_per_composition(monkeypatch):
+    from kostantpv import klcells
+
+    mu = Composition((2, 1, 2))
+    compositions._thin.cache_clear()
+    first_reps, first_thin = thin_all(mu)
+
+    def refuse(n, J):
+        raise AssertionError('refilled the table of a cached composition')
+
+    monkeypatch.setattr(klcells, 'parabolic_table', refuse)
+    monkeypatch.setattr(compositions, 'parabolic_table', refuse)
+    reps, thin = thin_all(mu)
+    assert reps == first_reps and thin is first_thin
+    assert not thin.flags.writeable
+    assert is_thin_general(mu, reps[0]) == bool(thin[0])
+
+
 def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):
     mu = Composition((2, 2))
+    compositions._thin.cache_clear()
     non_rep = group_index(4).idx(parse_permutation('2134'))
     monkeypatch.setattr(compositions, '_quotient_cell',
                         lambda _: np.array([non_rep]))

@@ -15,7 +15,6 @@ from kostantpv.cup_diagrams import (
     MaxParContext,
     OrientedCupDiagram,
     WeightWord,
-    a_value,
     antidominant_rep,
     block,
     block_table,
@@ -26,6 +25,7 @@ from kostantpv.cup_diagrams import (
     graded_multiplicity,
     in_Y,
     is_kostant_positive_maximal,
+    is_positive_word,
     is_thin,
     orient,
     phi,
@@ -33,7 +33,12 @@ from kostantpv.cup_diagrams import (
     planar_diagrams,
     shortest_reps,
 )
-from kostantpv.permutations import identity, parse_permutation
+from kostantpv.permutations import Permutation, identity, parse_permutation
+
+
+def a_value(ctx: MaxParContext, w: Permutation) -> int:
+    """Cup count of d(Phi(w)) = Lusztig's a-function on the block."""
+    return len(d_of(phi(ctx, w)).diagram.cups)
 
 
 def test_context():
@@ -341,6 +346,16 @@ def test_masks_past_62_positions():
             want = _oracle_degree(ctx, w, v)
             assert deg[x, y] == (-1 if want is None else want)
             assert graded_multiplicity(ctx, w, v) == want
+
+
+def test_reps_and_verdicts_come_from_the_words():
+    for n in range(2, 11):
+        for k in range(1, n):
+            ctx = MaxParContext(n, k)
+            for word, w in zip(block(ctx).words, shortest_reps(ctx)):
+                assert w == phi_inverse(ctx, WeightWord(word))
+                assert is_positive_word(ctx, word) == \
+                    is_kostant_positive_maximal(ctx, w), (n, k, word)
 
 
 def test_table_rejects_non_reps():
