@@ -34,7 +34,36 @@ from .permutations import (
 
 # Each command imports the engine it runs, so a request loads (and,
 # when no bytecode is written, compiles) only that engine: classify
-# max:k the cup diagrams alone, socle and cells no numpy.
+# max:k the cup diagrams alone, socle and cells no numpy.  The requests
+# that take well under a millisecond (classify max:k, mult, socle) reach
+# their engines through the cached loaders below, not an import
+# statement per call: in a warm process whose caches went cold between
+# requests, one import statement took 5-40 us, a cached call 1-5 us.
+
+
+@lru_cache(maxsize=None)
+def _cup_diagrams():
+    from . import cup_diagrams
+    return cup_diagrams
+
+
+@lru_cache(maxsize=None)
+def _klcells():
+    from . import klcells
+    return klcells
+
+
+@lru_cache(maxsize=None)
+def _groupindex():
+    from . import groupindex
+    return groupindex
+
+
+@lru_cache(maxsize=None)
+def _bigrassmannian():
+    from . import bigrassmannian
+    return bigrassmannian
+
 
 DEFAULT_N_MAX = 8
 
@@ -65,12 +94,11 @@ def _guard_n(n: int, n_max: int) -> None:
 
 
 def _require_kl(n: int, what: str) -> None:
-    from .klcells import MAX_KL_N
-
-    if n > MAX_KL_N:
+    limit = _klcells().MAX_KL_N
+    if n > limit:
         raise UsageError(
             f'{what} needs a parabolic Kazhdan-Lusztig table, which is '
-            f'kept to n <= {MAX_KL_N}'
+            f'kept to n <= {limit}'
         )
 
 
@@ -142,16 +170,10 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     kind, arg = _parse_parabolic(n, parabolic)
     rows = []
     if kind == 'max':
-        from .cup_diagrams import (
-            MaxParContext,
-            block_table,
-            factors,
-            is_positive_word,
-        )
-
-        ctx = MaxParContext(n, arg)
+        cup = _cup_diagrams()
+        ctx = cup.MaxParContext(n, arg)
         try:
-            blk, deg, thin = block_table(ctx)
+            blk, deg, thin = cup.block_table(ctx)
         except ValueError as e:
             raise UsageError(str(e)) from None
         labels = [str(y) for y in blk.reps]
@@ -161,13 +183,13 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
                 'word': word,
                 'verdict': (
                     'Positive'
-                    if is_positive_word(ctx, word)
+                    if cup.is_positive_word(ctx, word)
                     else 'Negative'
                 ),
                 'thin': bool(thin[x]),
                 'a_value': int(blk.ncups[x]),
                 'multiplicities': [
-                    [labels[y], d] for y, d in factors(deg[x])
+                    [labels[y], d] for y, d in cup.factors(deg[x])
                 ],
             })
     elif kind == 'min':
@@ -222,14 +244,13 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
-    from .cup_diagrams import block, degree_row, factors
-
+    cup = _cup_diagrams()
     try:
-        reps = block(ctx).reps
+        reps = cup.block(ctx).reps
     except ValueError as e:
         raise UsageError(str(e)) from None
-    row, _ = degree_row(ctx, x)
-    return [{'y': str(reps[y]), 'degree': d} for y, d in factors(row)]
+    row, _ = cup.degree_row(ctx, x)
+    return [{'y': str(reps[y]), 'degree': d} for y, d in cup.factors(row)]
 
 
 @lru_cache(maxsize=None)
@@ -243,25 +264,21 @@ def _max_table(ctx: MaxParContext) -> tuple:
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
-    import numpy as np
-
-    from .groupindex import group_index
-    from .laurent import LaurentPolynomial
-
-    g = group_index(ctx.n)
+    g = _groupindex().group_index(ctx.n)
     xi = g.idx(x)
     reps, S = _max_table(ctx)
-    sums = S[np.searchsorted(reps, xi)]
-    shifts = g.lengths[reps] - g.lengths[xi]
+    sums = S[reps.searchsorted(xi)]
     rows = []
-    for y, shift, coeffs in zip(reps.tolist(), shifts.tolist(),
-                                sums.tolist()):
+    for y, coeffs in zip(reps, sums.tolist()):
         nonzero = [d for d, c in enumerate(coeffs) if c]
         if not nonzero:
             continue
+        shift = int(g.lengths[y] - g.lengths[xi])
         if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
             degree = shift - 2 * nonzero[0]
         else:
+            from .laurent import LaurentPolynomial
+
             degree = str(LaurentPolynomial.from_q_coeffs(coeffs, shift))
         rows.append({'y': str(g.perm(y)), 'degree': degree})
     return rows
@@ -273,9 +290,7 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     _guard_n(n, n_max)
     if not 1 <= k <= n - 1:
         raise UsageError(f'k={k} out of range 1..{n - 1}')
-    from .cup_diagrams import MaxParContext
-
-    ctx = MaxParContext(n, k)
+    ctx = _cup_diagrams().MaxParContext(n, k)
     x = _parse_perm(n, x_text)
     if not is_shortest_coset_rep(x, ctx.J):
         raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}')
@@ -307,10 +322,10 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
 def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
     """Generators of the socle descriptor of one element."""
     _guard_n(n, n_max)
-    from .bigrassmannian import socle_descriptor
-
     w = _parse_perm(n, w_text)
-    generators = sorted(str(b) for b in socle_descriptor(w))
+    generators = sorted(
+        str(b) for b in _bigrassmannian().socle_descriptor(w)
+    )
     if fmt == 'json':
         payload = {'context': {'n': n, 'w': str(w)}, 'generators': generators}
         return _emit_json(payload), 0

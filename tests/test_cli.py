@@ -318,6 +318,34 @@ def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):
     assert _stdout_digest(min_args) == _goldens()[' '.join(min_args)]
 
 
+def test_repeat_requests_run_no_import_statement(monkeypatch):
+    # classify max:k, mult and socle reach their engines through cached
+    # loaders, so once the engine is loaded a request imports nothing.
+    import builtins
+
+    requests = (
+        ('classify', '--n', '6', '--parabolic', 'max:3', '--format', 'tsv'),
+        ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both',
+         '--format', 'json'),
+        ('socle', '--n', '6', '--w', '134625', '--format', 'json'),
+    )
+    for args in requests:
+        _stdout_digest(args)
+    imported = []
+    real_import = builtins.__import__
+
+    def counting_import(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, '__import__', counting_import)
+    digests = [_stdout_digest(args) for args in requests]
+    monkeypatch.undo()
+    assert imported == []
+    want = _goldens()
+    assert digests == [want[' '.join(args)] for args in requests]
+
+
 def test_selftest_small():
     proc = run_cli('selftest', '--n-max', '3')
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -496,13 +524,14 @@ def test_selftest_goldens():
 
 
 def test_kl_paths_never_build_a_whole_group_table(monkeypatch):
-    from kostantpv import klcells
+    from kostantpv import compositions, klcells
 
     def refuse(n):
         raise AssertionError('a KL request built kl_table')
 
     monkeypatch.setattr(klcells, 'kl_table', refuse)
     cli._max_table.cache_clear()
+    compositions._thin.cache_clear()
     want = _goldens()
     for args in (
         ('classify', '--n', '6', '--parabolic', 'min:3', '--format', 'json'),
