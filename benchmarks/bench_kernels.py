@@ -20,10 +20,11 @@ classifier calls it: for every composition of 6, every shortest rep
 against the right cell of w_0^mu w_0.  Each entry is first checked
 against the per-pair klcells.parabolic_verma_multiplicity.
 
-The cup layer is timed at (16, 8): setting up cup_diagrams.Block (the
-shortest reps listed anew each run) and filling its degree table
-(Block.table), after three seeded columns of the table have matched
-the object-level orient(d_of(phi(y)).diagram, phi(x)) at every x.
+The cup layer is timed at (14, 7), (16, 8) and (17, 8): setting up
+cup_diagrams.Block (the shortest reps listed anew each run) and filling
+its sparse rows (Block.table), after three seeded columns of the rows
+have matched the object-level orient(d_of(phi(y)).diagram, phi(x)) at
+every x.
 
 The socle sweep times bigrassmannian.socle_descriptor on every element
 of S_2..S_6, after checking every descriptor with n <= 5 against the
@@ -32,16 +33,19 @@ permutations.bruhat_leq(b, w)).  The S_12 row times 1,000 seeded w,
 after checking 50 of them the same way.
 
 The cold-start rows give the median wall time of 5 fresh interpreters
-each, with PYTHONPATH pointing at this checkout's src/ and no bytecode
+each, and the largest peak RSS among them (getrusage of each child),
+with PYTHONPATH pointing at this checkout's src/ and no bytecode
 written (so each compiles every module it loads): `import kostantpv.cli`,
-a `classify max:5` at n = 10 and a `classify min:3` at n = 6, whose
-stdout must match kostantpv.cli.main run in this process.
+a `classify max:5` at n = 10, a `classify min:3` at n = 6, and
+`classify max:8` at n = 16 in both formats, whose stdout must match
+kostantpv.cli.main run in this process.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
 import contextlib
+import hashlib
 import io
 import itertools
 import os
@@ -63,6 +67,7 @@ from kostantpv.compositions import (
     right_cell_of_longest_quotient,
 )
 from kostantpv.cup_diagrams import (
+    DEGREE_BITS,
     Block,
     MaxParContext,
     d_of,
@@ -189,15 +194,18 @@ def bench_parabolic_sums(n, repeat):
 def bench_cup_block(n, k, repeat):
     ctx = MaxParContext(n, k)
     blk = Block(ctx)
-    deg, _ = blk.table()
+    rows, _ = blk.table()
     words = [phi(ctx, w) for w in blk.reps]
     for y in random.Random(n).sample(range(len(words)), 3):
         diagram = d_of(words[y]).diagram
         for x, word in enumerate(words):
             ocd = orient(diagram, word)
-            if deg[x, y] != (-1 if ocd is None else ocd.degree):
+            got = [f - (y << DEGREE_BITS) for f in rows[x]
+                   if f >> DEGREE_BITS == y]
+            if got != ([] if ocd is None else [ocd.degree]):
                 raise SystemExit(f'Block({n},{k}).table() at {blk.reps[x]} '
                                  f'{blk.reps[y]} disagrees with orient')
+    del rows
 
     def build():
         shortest_reps.cache_clear()
@@ -244,32 +252,63 @@ def bench_socle(repeat):
     print(f'{"socle S_12":24s} {t * 1e3:10.2f} ms  (1,000 seeded w)')
 
 
+# Starts one child and prints its wall time, its peak RSS in MiB (from
+# getrusage), its exit code and the sha256 of its stdout.  It runs in a
+# small interpreter of its own: a child started straight from this
+# (larger) process would be charged this process's peak RSS as well.
+LAUNCHER = """
+import hashlib, os, subprocess, sys, tempfile, time
+with tempfile.TemporaryFile() as out:
+    t0 = time.perf_counter()
+    proc = subprocess.Popen(sys.argv[1:], stdout=out,
+                            stderr=subprocess.DEVNULL)
+    _, status, usage = os.wait4(proc.pid, 0)
+    wall = time.perf_counter() - t0
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    out.seek(0)
+    print(wall, usage.ru_maxrss / 1024, proc.returncode,
+          hashlib.sha256(out.read()).hexdigest())
+"""
+
+
+def cold_run(args, env):
+    """(wall seconds, peak RSS in MiB, exit code, sha256 of stdout) of
+    one fresh interpreter."""
+    proc = subprocess.run([sys.executable, '-c', LAUNCHER, sys.executable,
+                           *args], env=env, capture_output=True, text=True,
+                          check=True)
+    wall, rss, code, digest = proc.stdout.split()
+    return float(wall), float(rss), int(code), digest
+
+
 def bench_cold_start():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE='1')
     cases = [('import kostantpv.cli', ['-c', 'import kostantpv.cli'], None)]
     for argv in (
         ['classify', '--n', '10', '--parabolic', 'max:5', '--n-max', '10'],
         ['classify', '--n', '6', '--parabolic', 'min:3'],
+        *(['classify', '--n', '16', '--parabolic', 'max:8', '--n-max', '16',
+           '--format', fmt] for fmt in ('tsv', 'json')),
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv)
-        cases.append((f'cold {argv[4]} n={argv[2]}',
-                      ['-m', 'kostantpv.cli', *argv], out.getvalue()))
+        name = ' '.join([f'cold {argv[4]} n={argv[2]}', *argv[8:]])
+        want = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        cases.append((name, ['-m', 'kostantpv.cli', *argv], want))
     for name, args, want in cases:
-        times = []
+        times, peak = [], 0.0
         for _ in range(COLD_RUNS):
-            t0 = time.perf_counter()
-            proc = subprocess.run([sys.executable, *args], env=env,
-                                  capture_output=True, text=True)
-            times.append(time.perf_counter() - t0)
-            if proc.returncode != 0 or (want is not None
-                                        and proc.stdout != want):
+            wall, rss, code, digest = cold_run(args, env)
+            times.append(wall)
+            peak = max(peak, rss)
+            if code != 0 or (want is not None and digest != want):
                 raise SystemExit(f'{name}: a fresh process disagrees with '
-                                 f'cli.main in process\n{proc.stderr}')
+                                 'cli.main in process')
         print(f'{name:24s} {statistics.median(times) * 1e3:10.2f} ms'
-              f'  (median of {COLD_RUNS} fresh processes)')
+              f'  (median of {COLD_RUNS} fresh processes, '
+              f'peak {peak:.0f} MiB)')
 
 
 def main():
@@ -288,7 +327,8 @@ def main():
     bench_parabolic_fill(6, 'max', 3, {1, 2, 4, 5}, args.repeat)
     bench_quotient_cell(6, args.repeat)
     bench_parabolic_sums(6, args.repeat)
-    bench_cup_block(16, 8, args.repeat)
+    for n, k in ((14, 7), (16, 8), (17, 8)):
+        bench_cup_block(n, k, args.repeat)
     bench_socle(args.repeat)
     bench_cold_start()
 

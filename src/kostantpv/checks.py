@@ -10,10 +10,10 @@ scoreboard.  The acceptance test suite calls the same functions at
 their full bounds.
 
 cross-oracle, thin-y, linear-quiver and the maximal part of
-reconciliation read the arrays the CLI serves: the degree table and
-thin column of cup_diagrams.block_table, and, for cross-oracle, one
-klcells.parabolic_sums block per (n, k) compared with that table as a
-whole.
+reconciliation read the tables the CLI serves: the sparse rows and thin
+column of cup_diagrams.block_table, and, for cross-oracle, one
+klcells.parabolic_sums block per (n, k) compared with the rows as a
+whole, laid out as a dense array (dense_degrees).
 
 Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
@@ -42,6 +42,7 @@ from .compositions import (
     positive_sufficient,
 )
 from .cup_diagrams import (
+    DEGREE_BITS,
     MaxParContext,
     WeightWord,
     antidominant_rep,
@@ -71,7 +72,6 @@ from .minimal_parabolic import (
     factorize,
     hat_G,
     is_kostant_positive_minimal,
-    ratio,
     tau,
 )
 from .permutations import (
@@ -172,6 +172,12 @@ def check_case_chains(n_max: int):
     return _verdict(problems, f'{count} chains verified, n <= {top}')
 
 
+def ratio(ctx: MinParContext) -> Fraction:
+    """Positive over negative counts: (n-1) / (C(n,2) - (n-1))."""
+    n = ctx.n
+    return Fraction(n - 1, math.comb(n, 2) - (n - 1))
+
+
 def check_ratio(n_max: int):
     """Positive-to-negative count is (n-1) : (C(n,2)-(n-1)), any k."""
     problems = []
@@ -224,6 +230,17 @@ def check_worked_tables(n_max: int):
     return _verdict(problems, 'section tables at (4,2) reproduced')
 
 
+def dense_degrees(rows) -> np.ndarray:
+    """The rows of block_table as one int8 array: deg[x, y] is the
+    degree of L_y in the standard module at x, -1 where it is no factor.
+    """
+    deg = np.full((len(rows), len(rows)), -1, dtype=np.int8)
+    for x, factors in enumerate(rows):
+        f = np.array(factors)
+        deg[x, f >> DEGREE_BITS] = f & ((1 << DEGREE_BITS) - 1)
+    return deg
+
+
 def check_cross_oracle(n_max: int):
     """Cup-diagram multiplicities equal the KL alternating sums: a cup
     degree c at (x, y) must be the single term v^c = v^(l(y)-l(x)) q^d
@@ -235,7 +252,8 @@ def check_cross_oracle(n_max: int):
         g = group_index(n)
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk, deg, _ = block_table(ctx)
+            blk, rows, _ = block_table(ctx)
+            deg = dense_degrees(rows)
             reps = g.coset_reps(ctx.J)
             if g.windows[reps].tolist() != [list(w.window) for w in blk.reps]:
                 problems.append(f'({n},{k}): coset reps != block reps')
@@ -267,9 +285,9 @@ def check_thinness(n_max: int):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             blk, _, thin = block_table(ctx)
-            in_y = [in_Y(ctx, WeightWord(word)) for word in blk.words]
-            for x in np.flatnonzero(thin != in_y):
-                problems.append(f'({n},{k}) w={blk.reps[x]}')
+            for w, word, t in zip(blk.reps, blk.words, thin):
+                if t != in_Y(ctx, WeightWord(word)):
+                    problems.append(f'({n},{k}) w={w}')
             if (n, k) == (4, 2):
                 listed = {str(w) for w, t in zip(blk.reps, thin) if t}
                 if listed != {'1234', '1342', '3124', '3412'}:
@@ -304,7 +322,7 @@ def check_linear_quiver(n_max: int):
     problems = []
     top = min(n_max, 7)
     for n in range(2, top + 1):
-        _, deg, _ = block_table(MaxParContext(n, 1))
+        deg = dense_degrees(block_table(MaxParContext(n, 1))[1])
         if not (deg == np.eye(n, k=1) * 2 + np.eye(n) - 1).all():
             problems.append(f'({n},1): not a two-step chain')
     return _verdict(problems, f'two-step chains verified, n <= {top}')

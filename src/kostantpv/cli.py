@@ -12,9 +12,13 @@ The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
 a parabolic Kazhdan-Lusztig table (the kl and both engines, and any
 thinness column outside the maximal case) stop at n = 6; classify max:k
-refuses blocks whose cup table would exceed
-cup_diagrams.MAX_TABLE_BYTES, mult --engine cup blocks of more than
+refuses blocks with more than cup_diagrams.MAX_TABLE_FACTORS composition
+factors, mult --engine cup blocks of more than
 cup_diagrams.MAX_BLOCK_WORDS words, and cells n > MAX_CELLS_N.
+
+Each command returns its stdout as a sequence of chunks.  classify
+max:k encodes its rows a chunk at a time, straight from per-factor
+texts, so no whole table of text is ever held.
 """
 
 from __future__ import annotations
@@ -34,11 +38,12 @@ from .permutations import (
 
 # Each command imports the engine it runs, so a request loads (and,
 # when no bytecode is written, compiles) only that engine: classify
-# max:k the cup diagrams alone, socle and cells no numpy.  The requests
-# that take well under a millisecond (classify max:k, mult, socle) reach
-# their engines through the cached loaders below, not an import
-# statement per call: in a warm process whose caches went cold between
-# requests, one import statement took 5-40 us, a cached call 1-5 us.
+# max:k and mult --engine cup the cup diagrams alone, with no numpy,
+# and socle and cells no numpy either.  The requests that take well
+# under a millisecond (classify max:k, mult, socle) reach their engines
+# through the cached loaders below, not an import statement per call:
+# in a warm process whose caches went cold between requests, one import
+# statement took 5-40 us, a cached call 1-5 us.
 
 
 @lru_cache(maxsize=None)
@@ -160,39 +165,85 @@ def _emit_tsv(header, rows) -> str:
     return '\n'.join(lines) + '\n'
 
 
-def _mult_text(pairs) -> str:
-    return ';'.join(f'{y}:{d}' for y, d in pairs)
+def _mult_text(template, sep, texts, columns, rows) -> str:
+    """classify max:k rows: each is template.format of its columns and,
+    last, its multiplicities, the texts of its factors joined by sep (a
+    factor is its own index into texts)."""
+    return ''.join(map(template.format, *columns, (
+        sep.join(map(texts.__getitem__, factors)) for factors in rows)))
+
+
+CLASSIFY_HEADER = ['w', 'word', 'verdict', 'thin', 'a_value',
+                   'multiplicities']
+
+# A classify max:k row in each format: (template, sep, factor).  The
+# template takes the columns of _classify_max (the separator from the
+# row before, w, word, verdict, thin, a_value) and the multiplicities
+# last: the factor texts, joined by sep.  The JSON is what
+# json.dumps(..., sort_keys=True, indent=2) writes; labels and words
+# need no escaping.
+MAX_ROW = {
+    'tsv': ('{1}\t{2}\t{3}\t{4}\t{5}\t{6}\n', ';', '{}:{}'),
+    'json': ('{0}    {{\n      "a_value": {5},\n      "multiplicities": [\n'
+             '{6}\n      ],\n      "thin": {4},\n      "verdict": "{3}",\n'
+             '      "w": "{1}",\n      "word": "{2}"\n    }}',
+             ',\n', '        [\n          "{}",\n          {}\n        ]'),
+}
+
+# classify max:k encodes and writes this many rows at a time
+CHUNK_ROWS = 512
+
+
+def _classify_max(n: int, k: int, parabolic: str, fmt: str):
+    """The chunks of classify max:k, after the table is built (a
+    UsageError past its ceiling comes before any output)."""
+    cup = _cup_diagrams()
+    ctx = cup.MaxParContext(n, k)
+    try:
+        blk, rows, thin = cup.block_table(ctx)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    template, sep, factor = MAX_ROW[fmt]
+    labels = [str(w) for w in blk.reps]
+    texts = [None] * (len(labels) << cup.DEGREE_BITS)
+    for y, label in enumerate(labels):
+        for d in range(blk.ncups[y] + 1):
+            texts[y << cup.DEGREE_BITS | d] = factor.format(label, d)
+    columns = (
+        [''] + [',\n'] * (len(labels) - 1),
+        labels,
+        blk.words,
+        ['Positive' if cup.is_positive_word(ctx, word) else 'Negative'
+         for word in blk.words],
+        ['true' if t else 'false' for t in thin],
+        blk.ncups,
+    )
+    if fmt == 'json':
+        # the context alone, its closing '\n}\n' traded for the rows
+        head = _emit_json({'context': {'n': n, 'parabolic': parabolic}})
+        head, tail = head[:-3] + ',\n  "rows": [\n', '\n  ]\n}\n'
+    else:
+        head, tail = _emit_tsv(CLASSIFY_HEADER, ()), ''
+
+    def chunks():
+        yield head
+        for lo in range(0, len(rows), CHUNK_ROWS):
+            part = slice(lo, lo + CHUNK_ROWS)
+            yield _mult_text(template, sep, texts,
+                             [column[part] for column in columns], rows[part])
+        yield tail
+
+    return chunks()
 
 
 def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     """Full classification table over the shortest coset reps."""
     _guard_n(n, n_max)
     kind, arg = _parse_parabolic(n, parabolic)
-    rows = []
     if kind == 'max':
-        cup = _cup_diagrams()
-        ctx = cup.MaxParContext(n, arg)
-        try:
-            blk, deg, thin = cup.block_table(ctx)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
-        labels = [str(y) for y in blk.reps]
-        for x, word in enumerate(blk.words):
-            rows.append({
-                'w': labels[x],
-                'word': word,
-                'verdict': (
-                    'Positive'
-                    if cup.is_positive_word(ctx, word)
-                    else 'Negative'
-                ),
-                'thin': bool(thin[x]),
-                'a_value': int(blk.ncups[x]),
-                'multiplicities': [
-                    [labels[y], d] for y, d in cup.factors(deg[x])
-                ],
-            })
-    elif kind == 'min':
+        return _classify_max(n, arg, parabolic, fmt), 0
+    rows = []
+    if kind == 'min':
         _require_kl(n, 'the thinness column for a minimal parabolic')
         from .compositions import Composition, thin_all
         from .minimal_parabolic import (
@@ -231,16 +282,8 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
             })
     payload = {'context': {'n': n, 'parabolic': parabolic}, 'rows': rows}
     if fmt == 'json':
-        return _emit_json(payload), 0
-    tsv_rows = [
-        dict(row, multiplicities=(
-            _mult_text(row['multiplicities'])
-            if row['multiplicities'] is not None else None
-        ))
-        for row in rows
-    ]
-    header = ['w', 'word', 'verdict', 'thin', 'a_value', 'multiplicities']
-    return _emit_tsv(header, tsv_rows), 0
+        return [_emit_json(payload)], 0
+    return [_emit_tsv(CLASSIFY_HEADER, rows)], 0
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
@@ -249,8 +292,10 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
         reps = cup.block(ctx).reps
     except ValueError as e:
         raise UsageError(str(e)) from None
-    row, _ = cup.degree_row(ctx, x)
-    return [{'y': str(reps[y]), 'degree': d} for y, d in cup.factors(row)]
+    factors, _ = cup.degree_row(ctx, x)
+    mask = (1 << cup.DEGREE_BITS) - 1
+    return [{'y': str(reps[f >> cup.DEGREE_BITS]), 'degree': f & mask}
+            for f in factors]
 
 
 @lru_cache(maxsize=None)
@@ -312,11 +357,11 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
         payload['agree'] = agree
     code = 1 if agree is False else 0
     if fmt == 'json':
-        return _emit_json(payload), code
+        return [_emit_json(payload)], code
     lines = [_emit_tsv(['y', 'degree'], rows)]
     if agree is not None:
         lines.append(f'# agree\t{_tsv_cell(agree)}\n')
-    return ''.join(lines), code
+    return lines, code
 
 
 def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
@@ -328,8 +373,9 @@ def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
     )
     if fmt == 'json':
         payload = {'context': {'n': n, 'w': str(w)}, 'generators': generators}
-        return _emit_json(payload), 0
-    return _emit_tsv(['generator'], [{'generator': g} for g in generators]), 0
+        return [_emit_json(payload)], 0
+    return [_emit_tsv(['generator'],
+                      [{'generator': g} for g in generators])], 0
 
 
 def cmd_cells(n: int, fmt: str, n_max: int):
@@ -355,8 +401,8 @@ def cmd_cells(n: int, fmt: str, n_max: int):
             'penultimate': shape == penultimate,
         })
     if fmt == 'json':
-        return _emit_json({'context': {'n': n}, 'rows': rows}), 0
-    return _emit_tsv(['w', 'shape', 'small', 'penultimate'], rows), 0
+        return [_emit_json({'context': {'n': n}, 'rows': rows})], 0
+    return [_emit_tsv(['w', 'shape', 'small', 'penultimate'], rows)], 0
 
 
 def cmd_selftest(n_max: int) -> int:
@@ -448,7 +494,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
-    sys.stdout.write(out)
+    sys.stdout.writelines(out)
     return code
 
 

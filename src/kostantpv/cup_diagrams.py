@@ -29,10 +29,10 @@ n-1, or n/2, where only the two flip-2 words survive.
 
 graded_multiplicity, is_thin and the classifier work on bit masks of
 the words in index space (Block), with d(Phi(y)) capped once per y
-from its letters: one row of degrees for a single x, or the dense
-C(n,k) x C(n,k) table.  The word and diagram objects, with d_of, orient
-and the exhaustive enumeration, are the reference the Block is tested
-against.
+from its letters, in plain Python ints and lists: one pair, one row of
+factors for a single x, or the sparse rows of every x.  The word and
+diagram objects, with d_of, orient and the exhaustive enumeration, are
+the reference the Block is tested against.
 
 Text forms: a word is a string like '^^vv'; a diagram is
 'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
@@ -46,12 +46,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-import numpy as np
-
 from .permutations import Permutation, _raw, is_shortest_coset_rep
 
 WEDGE = '^'
 VEE = 'v'
+
+# ^ is a set bit of a mask; the word is read from the right, so that
+# position p is bit p - 1
+_BITS = str.maketrans({WEDGE: '1', VEE: '0'})
 
 
 @dataclass(frozen=True)
@@ -220,10 +222,6 @@ def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
     return WeightWord(''.join(WEDGE if v <= ctx.k else VEE for v in w.window))
 
 
-def _mask(positions) -> int:
-    return sum(1 << (p - 1) for p in positions)
-
-
 def _rep(k: int, letters: str) -> Permutation:
     """The shortest rep whose word has these letters, k of them ^."""
     wedges, vees = itertools.count(1), itertools.count(k + 1)
@@ -254,19 +252,30 @@ def antidominant_rep(ctx: MaxParContext) -> Permutation:
 
 
 def _cap(letters: str) -> tuple:
-    """(cups, strands) of d(word), 1-based: each v caps the nearest
-    free ^ to its right, and what is left uncapped is a strand."""
+    """(cups, strands) of d(word) as bit masks, bit p - 1 for position
+    p: a mask per cup, and one for all the strands.  Each v caps the
+    nearest free ^ to its right, and what is left uncapped is a strand.
+    """
     stack = []
     cups = []
-    strands = []
-    for p, letter in enumerate(letters, 1):
+    strands = 0
+    bit = 1
+    for letter in letters:
         if letter == VEE:
-            stack.append(p)
+            stack.append(bit)
         elif stack:
-            cups.append((stack.pop(), p))
+            cups.append(stack.pop() | bit)
         else:
-            strands.append(p)
-    return cups, strands + stack
+            strands |= bit
+        bit <<= 1
+    return cups, strands | sum(stack)
+
+
+def _positions(mask: int) -> tuple:
+    """The 1-based positions of the set bits of a mask, in order."""
+    return tuple(
+        p for p, bit in enumerate(reversed(bin(mask)[2:]), 1) if bit == '1'
+    )
 
 
 def d_of(word: WeightWord) -> OrientedCupDiagram:
@@ -279,7 +288,9 @@ def d_of(word: WeightWord) -> OrientedCupDiagram:
     """
     cups, strands = _cap(word.letters)
     return OrientedCupDiagram(
-        CupDiagram(frozenset(cups), frozenset(strands), word.n), word
+        CupDiagram(frozenset(map(_positions, cups)),
+                   frozenset(_positions(strands)), word.n),
+        word,
     )
 
 
@@ -366,19 +377,28 @@ def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
 # Multiplicities, thinness, and the classifier
 
 
-# The dense int8 table takes C(n,k)^2 bytes.  The limit is the largest
-# table measured, (17, 8): 564 MiB, built in 1.0-1.6 s on one core
-# (0.55-0.75 s of it setting up the Block) with a 651 MiB peak RSS.  It
-# admits every block with n <= 17 and refuses n = 18 for k = 7..11.
-MAX_TABLE_BYTES = math.comb(17, 8) ** 2
+# The sparse rows hold a list slot per composition factor, sum_y
+# 2^ncups[y] of them (_factor_count), and classify max:k writes a line
+# or a JSON block per factor.  The limit is the largest table measured,
+# _factor_count(18, 9): 8.1 M factors.  A CLI classify --n 18 max:9
+# took 4.1-6.3 s with a 234 MiB peak RSS as TSV (401 MB written), and
+# 4.7-5.8 s and 275 MiB as JSON (764 MB written; one core, a shared
+# host).  It admits every block with n <= 18 and refuses n = 19 for
+# k = 8..11; (19, 9) has 19.3 M factors.
+MAX_TABLE_FACTORS = 8_099_511
 
 # A single row (graded_multiplicity, is_thin, mult) takes
-# O(C(n,k) * min(k, n - k)), but its Block keeps a rep, a mask and the
-# cups of d(word) for every word.  The limit is the largest block
-# measured, (20, 10): 184,756 words, set up in 5.3-5.9 s on one core
-# with a 131 MiB peak RSS.  It admits every block with n <= 20 and
-# refuses n = 21 for k = 8..13.
+# O(C(n,k) * min(k, n - k)), but its Block keeps a rep, a mask, a
+# strand mask and the cups of d(word) for every word.  The limit is the
+# largest block measured, (20, 10): 184,756 words; a CLI mult --engine
+# cup there took 1.6-3.2 s with a 139 MiB peak RSS (one core, a shared
+# host).  It admits every block with n <= 20 and refuses n = 21 for
+# k = 8..13.
 MAX_BLOCK_WORDS = math.comb(20, 10)
+
+# The degree of a factor is at most min(k, n - k), which is at most 10
+# under MAX_BLOCK_WORDS, so a factor packs into one int: y << 4 | degree.
+DEGREE_BITS = 4
 
 
 class Block:
@@ -388,8 +408,9 @@ class Block:
     lexicographic order with ^ before v) and are named by their index;
     masks[x] has bit p - 1 set where word x has ^ at position p.
     d(Phi(y)) is capped once per y straight from its letters (_cap),
-    with no word or diagram objects; ncups[y] is its cup count, the
-    a-value of y.
+    with no word or diagram objects: cups[y] holds a mask per cup,
+    strands[y] one for all its strands, and ncups[y] is its cup count,
+    the a-value of y.
 
     d(Phi(y)) has degree 0, so each of its cups runs from a v to a ^.
     A word x of the block orients it admissibly exactly when x is Phi(y)
@@ -397,6 +418,9 @@ class Block:
     puts one ^ on each cup, which leaves k - ncups[y] wedges for the
     strands, and admissibility puts them on the leftmost strands, where
     Phi(y) has its own (capping leaves no v before an uncapped ^).
+
+    A composition factor L_y of the standard module at x, at degree d,
+    is the one int y << DEGREE_BITS | d.
     """
 
     def __init__(self, ctx: MaxParContext):
@@ -404,22 +428,16 @@ class Block:
         self.words = _words(ctx)
         self.reps = shortest_reps(ctx)
         self._index = {w: i for i, w in enumerate(self.reps)}
-        size = len(self.reps)
-        # Python ints hold the masks past 62 positions.
-        dtype = np.int64 if ctx.n < 63 else object
-        self.masks = np.zeros(size, dtype=dtype)
-        self.ncups = np.zeros(size, dtype=np.int8)
-        # _cups[c, y]: the two end bits of cup c of d(Phi(y)), or 0
-        self._cups = np.zeros((ctx.a, size), dtype=dtype)
-        self._strands = np.zeros(size, dtype=dtype)
-        for y, word in enumerate(self.words):
+        self.masks = [int(word[::-1].translate(_BITS), 2)
+                      for word in self.words]
+        self.cups, self.strands = [], []
+        # one int per distinct cup, at most C(n, 2), shared by every word
+        shared = {}
+        for word in self.words:
             cups, strands = _cap(word)
-            self.masks[y] = _mask(
-                p for p, letter in enumerate(word, 1) if letter == WEDGE)
-            self.ncups[y] = len(cups)
-            for c, cup in enumerate(cups):
-                self._cups[c, y] = _mask(cup)
-            self._strands[y] = _mask(strands)
+            self.cups.append(tuple(map(shared.setdefault, cups, cups)))
+            self.strands.append(strands)
+        self.ncups = [len(cups) for cups in self.cups]
 
     def index(self, w: Permutation) -> int:
         """Index of w; ValueError unless w is a shortest rep of the block."""
@@ -430,43 +448,79 @@ class Block:
                 f'{w} is not a shortest rep for the maximal parabolic'
             ) from None
 
-    def row(self, x: int) -> tuple:
-        """(deg, thin) at x, checked against every y at once.
-
-        deg[y] is the degree at which L_y sits inside the standard module
-        at x, or -1 when it does not appear; thin says that exactly one
-        factor has maximal a-value.
-        """
-        turned = self.masks[x] ^ self.masks
-        ok = (turned & self._strands) == 0
-        deg = np.zeros(len(self.reps), dtype=np.int8)
-        for cup in self._cups:
+    def degree(self, x: int, y: int) -> Optional[int]:
+        """Degree at which L_y sits inside the standard module at x, or
+        None: Phi(x) must be Phi(y) with whole cups turned round and the
+        strands left alone.  O(ncups[y])."""
+        turned = self.masks[x] ^ self.masks[y]
+        if turned & self.strands[y]:
+            return None
+        d = 0
+        for cup in self.cups[y]:
             hit = turned & cup
-            ok &= (hit == 0) | (hit == cup)
-            deg += hit != 0
-        deg[~ok] = -1
-        return deg, np.count_nonzero(ok[self.ncups == self.ctx.a]) == 1
+            if hit:
+                if hit != cup:
+                    return None
+                d += 1
+        return d
+
+    def row(self, x: int) -> tuple:
+        """(factors, thin) at x, checked against every y in turn:
+        factors lists y << DEGREE_BITS | d in increasing y, and thin
+        says that exactly one factor has maximal a-value."""
+        factors = []
+        top = 0
+        for y, ncups in enumerate(self.ncups):
+            d = self.degree(x, y)
+            if d is not None:
+                factors.append(y << DEGREE_BITS | d)
+                top += ncups == self.ctx.a
+        return factors, top == 1
 
     def table(self) -> tuple:
-        """(deg, thin) with a row per x: deg is the dense int8
-        C(n,k) x C(n,k) table, each column y filled from the 2^ncups[y]
-        words that orient d(Phi(y)).
+        """(rows, thin) with a row per x, as Block.row gives it, filled
+        column by column from the 2^ncups[y] words that orient d(Phi(y)).
+
+        The factors of column y are shared by every row they sit in,
+        one int per degree, so a row costs a list slot per factor.
         """
-        size = len(self.reps)
-        deg = np.full((size, size), -1, dtype=np.int8)
-        top_factors = np.zeros(size, dtype=np.intp)
-        order = np.argsort(self.masks)
-        for ncups in range(self.ctx.a + 1):
-            ys = np.flatnonzero(self.ncups == ncups)
-            # turn[t, c] is 1 when subset t of the cups holds cup c
-            turn = (np.arange(1 << ncups)[:, None] >> np.arange(ncups)) & 1
-            turned = self._cups[:ncups, ys].T @ turn.T    # y, t
-            words = self.masks[ys, None] ^ turned
-            xs = order[np.searchsorted(self.masks[order], words)]
-            deg[xs, ys[:, None]] = turn.sum(1)
-            if ncups == self.ctx.a:
-                top_factors += np.bincount(xs.ravel(), minlength=size)
-        return deg, top_factors == 1
+        rows = [[] for _ in self.masks]
+        row_of = dict(zip(self.masks, rows))
+        top = dict.fromkeys(self.masks, 0)
+        a = self.ctx.a
+        # degrees[c][t]: the number of cups in subset t of c cups
+        degrees = [[0]]
+        for _ in range(a):
+            degrees.append(degrees[-1] + [d + 1 for d in degrees[-1]])
+        for y, (mask, cups) in enumerate(zip(self.masks, self.cups)):
+            words = [mask]
+            for cup in cups:
+                words += [word ^ cup for word in words]
+            packed = [y << DEGREE_BITS | d for d in range(len(cups) + 1)]
+            for word, d in zip(words, degrees[len(cups)]):
+                row_of[word].append(packed[d])
+            if len(cups) == a:
+                for word in words:
+                    top[word] += 1
+        return rows, [top[mask] == 1 for mask in self.masks]
+
+
+def _factor_count(n: int, k: int) -> int:
+    """sum_y 2^ncups[y] over the words with k wedges, the size of the
+    sparse table, by a pass over the letters that lists no word: the
+    state is (wedges placed, vees waiting for a cap), and each cap
+    doubles its count."""
+    counts = {(0, 0): 1}
+    for _ in range(n):
+        after = {}
+        for (wedges, waiting), c in counts.items():
+            key = (wedges, waiting + 1)
+            after[key] = after.get(key, 0) + c
+            if wedges < k:
+                key = (wedges + 1, max(waiting - 1, 0))
+                after[key] = after.get(key, 0) + (2 * c if waiting else c)
+        counts = after
+    return sum(c for (wedges, _), c in counts.items() if wedges == k)
 
 
 @lru_cache(maxsize=None)
@@ -486,36 +540,25 @@ def block(ctx: MaxParContext) -> Block:
 
 
 def block_table(ctx: MaxParContext) -> tuple:
-    """(block, deg, thin) with every row of the block: deg is the dense
-    int8 C(n,k) x C(n,k) degree table, built anew on each call.
+    """(block, rows, thin) with every row of the block, as Block.table
+    gives them, built anew on each call.
 
-    ValueError, before anything is built, over MAX_TABLE_BYTES.
+    ValueError, before any word is listed, over MAX_TABLE_FACTORS.
     """
-    size = math.comb(ctx.n, ctx.k) ** 2
-    if size > MAX_TABLE_BYTES:
+    count = _factor_count(ctx.n, ctx.k)
+    if count > MAX_TABLE_FACTORS:
         raise ValueError(
-            f'the cup engine keeps a dense table of C({ctx.n},{ctx.k})^2 = '
-            f'{size} bytes, over its limit of {MAX_TABLE_BYTES}'
+            f'the cup engine lists all {count} composition factors of the '
+            f'({ctx.n},{ctx.k}) block, over its limit of {MAX_TABLE_FACTORS}'
         )
     blk = block(ctx)
     return (blk, *blk.table())
 
 
-@lru_cache(maxsize=1)
 def degree_row(ctx: MaxParContext, x: Permutation) -> tuple:
-    """(deg, thin) of the single row x, read-only.  The last row asked
-    for is kept: callers ask about one x against every y in turn.
-    """
+    """(factors, thin) of the single row x, as Block.row gives it."""
     blk = block(ctx)
-    row, thin = blk.row(blk.index(x))
-    row.flags.writeable = False
-    return row, thin
-
-
-def factors(row) -> list:
-    """(y, degree) pairs of the composition factors in a row of deg."""
-    ys = np.flatnonzero(row >= 0)
-    return list(zip(ys.tolist(), row[ys].tolist()))
+    return blk.row(blk.index(x))
 
 
 def graded_multiplicity(
@@ -526,9 +569,8 @@ def graded_multiplicity(
 
     The diagram of d(Phi(y)) is decorated by Phi(x).
     """
-    row, _ = degree_row(ctx, x)
-    d = int(row[block(ctx).index(y)])
-    return None if d < 0 else d
+    blk = block(ctx)
+    return blk.degree(blk.index(x), blk.index(y))
 
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:

@@ -21,8 +21,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 from .permutations import (
     Permutation,
@@ -176,9 +174,3 @@ def case_analysis(ctx: MinParContext, i: int, j: int) -> CaseAnalysis:
         from_word(n, tuple(range(k, t - 1, -1))) for t in range(k - 1, i - 1, -1)
     ]
     return CaseAnalysis(5, tuple(up + down))
-
-
-def ratio(ctx: MinParContext) -> Fraction:
-    """Positive over negative counts: (n-1) / (C(n,2) - (n-1))."""
-    n = ctx.n
-    return Fraction(n - 1, comb(n, 2) - (n - 1))

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from kostantpv import checks
-from kostantpv.cup_diagrams import MaxParContext
+from kostantpv.cup_diagrams import DEGREE_BITS, MaxParContext
 
 REAL_BLOCK_TABLE = checks.block_table
 REAL_PARABOLIC_SUMS = checks.parabolic_sums
@@ -22,11 +22,12 @@ def test_block_table_fault(monkeypatch, k):
     # x = 2 is neither the identity nor the antidominant rep, so the
     # flipped thin flag also changes the thin non-trivial set
     def block_table(ctx):
-        blk, deg, thin = REAL_BLOCK_TABLE(ctx)
+        blk, rows, thin = REAL_BLOCK_TABLE(ctx)
         if (ctx.n, ctx.k) == (5, k):
-            deg[2, 2] = -1
+            # drop the factor L_2 from the standard module at x = 2
+            rows[2] = [f for f in rows[2] if f >> DEGREE_BITS != 2]
             thin[2] = not thin[2]
-        return blk, deg, thin
+        return blk, rows, thin
 
     monkeypatch.setattr(checks, 'block_table', block_table)
     names = ['cross-oracle', 'thin-y', 'reconciliation']
@@ -55,8 +56,8 @@ def test_parabolic_sums_fault(monkeypatch):
 
 def test_cross_oracle_compares_rep_order(monkeypatch):
     def block_table(ctx):
-        blk, deg, thin = REAL_BLOCK_TABLE(ctx)
-        return SimpleNamespace(reps=blk.reps[::-1]), deg, thin
+        blk, rows, thin = REAL_BLOCK_TABLE(ctx)
+        return SimpleNamespace(reps=blk.reps[::-1]), rows, thin
 
     monkeypatch.setattr(checks, 'block_table', block_table)
     ok, detail = _run('cross-oracle')

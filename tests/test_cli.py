@@ -183,13 +183,14 @@ def test_usage_errors():
 
 
 def test_cup_table_ceiling():
-    # classify max:k needs the whole table and refuses past the ceiling
-    proc = run_cli('classify', '--n', '18', '--parabolic', 'max:9',
-                   '--n-max', '18')
+    # classify max:k needs every factor and refuses past the ceiling
+    proc = run_cli('classify', '--n', '19', '--parabolic', 'max:9',
+                   '--n-max', '19')
     assert proc.returncode == 2
-    assert 'error: the cup engine keeps a dense table' in proc.stderr
+    assert ('error: the cup engine lists all 19319845 composition factors'
+            in proc.stderr)
     assert proc.stdout == ''
-    # mult reads one row, under the lower ceiling on the block alone;
+    # mult reads one row, under the ceiling on the block alone;
     # the digest was recorded from the per-pair engine that preceded
     # the block table
     proc = run_cli('mult', '--n', '18', '--k', '7', '--engine', 'cup',
@@ -232,6 +233,21 @@ def test_n_max_override_warns():
                    '--n-max', '9')
     assert proc.returncode == 0
     assert 'warning' in proc.stderr
+
+
+@pytest.mark.parametrize('fmt, want', [
+    ('tsv',
+     '9e30bd7f02bf415d81adefd8a50d3e409ad6b34835a768b31f0061803d30e34d'),
+    ('json',
+     'f08ac88df5c3fd6ebce4354b6af4f88e0bf0865eebf3f4e00f1a20ed146128f6'),
+])
+def test_classify_max_past_the_goldens(fmt, want):
+    # the goldens stop at n = 10; (12, 6) has 924 rows, more than one
+    # chunk of the streamed output, and its digests were recorded from
+    # the dense-table engine with json.dumps
+    args = ('classify', '--n', '12', '--parabolic', 'max:6', '--format', fmt,
+            '--n-max', '12')
+    assert _stdout_digest(args) == want
 
 
 def test_mult_cup_engine_allows_large_n():
@@ -297,7 +313,7 @@ def test_each_command_loads_only_its_engine(args, engine):
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         f'    assert main({list(args)!r}) == 0')
     assert {m for m in loaded if m.startswith('kostantpv')} == BASE | engine
-    if args[0] in ('socle', 'cells'):
+    if not engine & KL_STACK:
         assert 'numpy' not in loaded
 
 

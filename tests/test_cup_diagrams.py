@@ -4,17 +4,18 @@ import itertools
 import math
 import random
 
-import numpy as np
 import pytest
 
 from kostantpv import cup_diagrams
 from kostantpv.cup_diagrams import (
-    MAX_TABLE_BYTES,
+    DEGREE_BITS,
+    MAX_TABLE_FACTORS,
     Block,
     CupDiagram,
     MaxParContext,
     OrientedCupDiagram,
     WeightWord,
+    _factor_count,
     antidominant_rep,
     block,
     block_table,
@@ -277,19 +278,26 @@ def _oracle_thin(ctx, w):
     return hits == 1
 
 
+def _degrees(factors) -> dict:
+    """y -> degree of the packed factors of one row."""
+    return {f >> DEGREE_BITS: f & ((1 << DEGREE_BITS) - 1) for f in factors}
+
+
 def test_table_matches_object_layer_exhaustive():
     for n in range(2, 7):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk, deg, thin = block_table(ctx)
+            blk, rows, thin = block_table(ctx)
             assert blk.reps == shortest_reps(ctx)
             for x, w in enumerate(blk.reps):
+                assert rows[x] == sorted(set(rows[x]))
+                degrees = _degrees(rows[x])
                 assert blk.ncups[x] == a_value(ctx, w) == \
                     _oracle_a_value(ctx, w)
                 assert thin[x] == is_thin(ctx, w) == _oracle_thin(ctx, w)
                 for y, v in enumerate(blk.reps):
                     want = _oracle_degree(ctx, w, v)
-                    assert deg[x, y] == (-1 if want is None else want)
+                    assert degrees.get(y) == want
                     assert graded_multiplicity(ctx, w, v) == want, \
                         (n, k, w, v)
 
@@ -310,12 +318,12 @@ def test_table_matches_object_layer_random():
         for _ in range(4):
             # a whole column, so that present factors are checked too
             ctx = MaxParContext(n, rng.randint(1, n - 1))
-            blk, deg, _ = block_table(ctx)
+            blk, rows, _ = block_table(ctx)
             y = rng.randrange(len(blk.reps))
             assert blk.ncups[y] == _oracle_a_value(ctx, blk.reps[y])
             for x, w in enumerate(blk.reps):
                 want = _oracle_degree(ctx, w, blk.reps[y])
-                assert deg[x, y] == (-1 if want is None else want), \
+                assert _degrees(rows[x]).get(y) == want, \
                     (n, ctx.k, w, blk.reps[y])
         for _ in range(200):
             ctx = MaxParContext(n, rng.randint(1, n - 1))
@@ -329,22 +337,29 @@ def test_rows_match_the_table():
     # Block.row checks each y against x; Block.table turns cups round.
     for n in range(2, 11):
         for k in range(1, n):
-            blk, deg, thin = block_table(MaxParContext(n, k))
+            blk, rows, thin = block_table(MaxParContext(n, k))
             for x in range(len(blk.reps)):
-                row, row_thin = blk.row(x)
-                assert (row == deg[x]).all() and row_thin == thin[x]
+                assert blk.row(x) == (rows[x], thin[x])
+
+
+def test_factor_count_is_the_table_size():
+    # the ceiling counts the factors without listing a word
+    for n in range(2, 11):
+        for k in range(1, n):
+            blk, rows, _ = block_table(MaxParContext(n, k))
+            assert sum(map(len, rows)) == _factor_count(n, k) == \
+                sum(2 ** c for c in blk.ncups), (n, k)
 
 
 def test_masks_past_62_positions():
-    # the masks become Python ints in object arrays
     ctx = MaxParContext(64, 1)
-    assert block(ctx).masks.dtype == object
-    blk, deg, thin = block_table(ctx)
+    blk, rows, thin = block_table(ctx)
     for x, w in enumerate(blk.reps):
         assert thin[x] == _oracle_thin(ctx, w)
+        degrees = _degrees(rows[x])
         for y, v in enumerate(blk.reps):
             want = _oracle_degree(ctx, w, v)
-            assert deg[x, y] == (-1 if want is None else want)
+            assert degrees.get(y) == want
             assert graded_multiplicity(ctx, w, v) == want
 
 
@@ -373,15 +388,14 @@ def test_table_rejects_non_reps():
 
 
 def test_table_ceiling_refuses_before_allocating(monkeypatch):
-    assert math.comb(17, 8) ** 2 <= MAX_TABLE_BYTES < math.comb(18, 7) ** 2
+    assert _factor_count(18, 9) <= MAX_TABLE_FACTORS < _factor_count(19, 8)
 
-    def no_allocation(*args, **kwargs):
-        raise AssertionError('allocated past the ceiling')
+    def no_listing(ctx):
+        raise AssertionError('listed the words past the ceiling')
 
-    monkeypatch.setattr(np, 'empty', no_allocation)
-    monkeypatch.setattr(np, 'array', no_allocation)
+    monkeypatch.setattr(cup_diagrams, '_words', no_listing)
     with pytest.raises(ValueError, match='over its limit'):
-        block_table(MaxParContext(18, 9))
+        block_table(MaxParContext(19, 9))
 
 
 def test_block_builds_without_word_or_diagram_objects(monkeypatch):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from kostantpv.bigrassmannian import complement_bigrassmannians
+from kostantpv.checks import ratio
 from kostantpv.minimal_parabolic import (
     CaseAnalysis,
     MinParContext,
@@ -13,7 +14,6 @@ from kostantpv.minimal_parabolic import (
     factorize,
     hat_G,
     is_kostant_positive_minimal,
-    ratio,
     tau,
 )
 from kostantpv.permutations import (
