@@ -289,12 +289,12 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
     cup = _cup_diagrams()
     try:
-        reps = cup.block(ctx).reps
+        blk = cup.block(ctx)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    factors, _ = cup.degree_row(ctx, x)
+    factors, _ = blk.row(blk.index(x))
     mask = (1 << cup.DEGREE_BITS) - 1
-    return [{'y': str(reps[f >> cup.DEGREE_BITS]), 'degree': f & mask}
+    return [{'y': str(blk.reps[f >> cup.DEGREE_BITS]), 'degree': f & mask}
             for f in factors]
 
 

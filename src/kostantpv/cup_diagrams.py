@@ -555,12 +555,6 @@ def block_table(ctx: MaxParContext) -> tuple:
     return (blk, *blk.table())
 
 
-def degree_row(ctx: MaxParContext, x: Permutation) -> tuple:
-    """(factors, thin) of the single row x, as Block.row gives it."""
-    blk = block(ctx)
-    return blk.row(blk.index(x))
-
-
 def graded_multiplicity(
     ctx: MaxParContext, x: Permutation, y: Permutation
 ) -> Optional[int]:
@@ -575,7 +569,8 @@ def graded_multiplicity(
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     """Exactly one composition factor of maximal a-value min(k, m)."""
-    return degree_row(ctx, w)[1]
+    blk = block(ctx)
+    return blk.row(blk.index(w))[1]
 
 
 def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:
