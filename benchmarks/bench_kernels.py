@@ -21,10 +21,10 @@ against the right cell of w_0^mu w_0.  Each entry is first checked
 against the per-pair klcells.parabolic_verma_multiplicity.
 
 The cup layer is timed at (14, 7), (16, 8) and (17, 8): setting up
-cup_diagrams.Block (the shortest reps listed anew each run) and filling
-its sparse rows (Block.table), after three seeded columns of the rows
-have matched the object-level orient(d_of(phi(y)).diagram, phi(x)) at
-every x.
+cup_diagrams.Block (the words listed and capped anew each run) and
+filling its sparse rows (Block.table), after three seeded columns of the
+rows have matched the object-level orient(d_of(word y).diagram, word x)
+at every x.
 
 The socle sweep times bigrassmannian.socle_descriptor on every element
 of S_2..S_6, after checking every descriptor with n <= 5 against the
@@ -36,9 +36,10 @@ The cold-start rows give the median wall time of 5 fresh interpreters
 each, and the largest peak RSS among them (getrusage of each child),
 with PYTHONPATH pointing at this checkout's src/ and no bytecode
 written (so each compiles every module it loads): `import kostantpv.cli`,
-a `classify max:5` at n = 10, a `classify min:3` at n = 6, and
-`classify max:8` at n = 16 in both formats, whose stdout must match
-kostantpv.cli.main run in this process.
+a `classify max:5` at n = 10, a `classify min:3` at n = 6,
+`classify max:8` at n = 16 in both formats, and `mult --engine cup` at
+(20, 10), the largest block cup_diagrams.MAX_BLOCK_WORDS admits, whose
+stdout must match kostantpv.cli.main run in this process.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -70,10 +71,9 @@ from kostantpv.cup_diagrams import (
     DEGREE_BITS,
     Block,
     MaxParContext,
+    WeightWord,
     d_of,
     orient,
-    phi,
-    shortest_reps,
 )
 from kostantpv.groupindex import group_index
 from kostantpv.klcells import (
@@ -195,7 +195,7 @@ def bench_cup_block(n, k, repeat):
     ctx = MaxParContext(n, k)
     blk = Block(ctx)
     rows, _ = blk.table()
-    words = [phi(ctx, w) for w in blk.reps]
+    words = [WeightWord(word) for word in blk.words]
     for y in random.Random(n).sample(range(len(words)), 3):
         diagram = d_of(words[y]).diagram
         for x, word in enumerate(words):
@@ -203,15 +203,11 @@ def bench_cup_block(n, k, repeat):
             got = [f - (y << DEGREE_BITS) for f in rows[x]
                    if f >> DEGREE_BITS == y]
             if got != ([] if ocd is None else [ocd.degree]):
-                raise SystemExit(f'Block({n},{k}).table() at {blk.reps[x]} '
-                                 f'{blk.reps[y]} disagrees with orient')
+                raise SystemExit(f'Block({n},{k}).table() at {blk.label(x)} '
+                                 f'{blk.label(y)} disagrees with orient')
     del rows
 
-    def build():
-        shortest_reps.cache_clear()
-        Block(ctx)
-
-    bench_case(f'Block({n},{k})', repeat, build)
+    bench_case(f'Block({n},{k})', repeat, Block, ctx)
     bench_case(f'Block.table ({n},{k})', repeat, blk.table)
 
 
@@ -284,17 +280,22 @@ def cold_run(args, env):
 def bench_cold_start():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE='1')
     cases = [('import kostantpv.cli', ['-c', 'import kostantpv.cli'], None)]
-    for argv in (
-        ['classify', '--n', '10', '--parabolic', 'max:5', '--n-max', '10'],
-        ['classify', '--n', '6', '--parabolic', 'min:3'],
-        *(['classify', '--n', '16', '--parabolic', 'max:8', '--n-max', '16',
-           '--format', fmt] for fmt in ('tsv', 'json')),
+    x = '[' + ','.join(map(str, range(1, 21))) + ']'
+    for name, argv in (
+        ('cold max:5 n=10',
+         ['classify', '--n', '10', '--parabolic', 'max:5', '--n-max', '10']),
+        ('cold min:3 n=6', ['classify', '--n', '6', '--parabolic', 'min:3']),
+        *((f'cold max:8 n=16 {fmt}',
+           ['classify', '--n', '16', '--parabolic', 'max:8', '--n-max', '16',
+            '--format', fmt]) for fmt in ('tsv', 'json')),
+        ('cold mult cup (20,10)',
+         ['mult', '--n', '20', '--k', '10', '--x', x, '--engine', 'cup',
+          '--n-max', '20']),
     ):
         out = io.StringIO()
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             cli.main(argv)
-        name = ' '.join([f'cold {argv[4]} n={argv[2]}', *argv[8:]])
         want = hashlib.sha256(out.getvalue().encode()).hexdigest()
         cases.append((name, ['-m', 'kostantpv.cli', *argv], want))
     for name, args, want in cases:

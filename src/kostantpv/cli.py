@@ -204,7 +204,7 @@ def _classify_max(n: int, k: int, parabolic: str, fmt: str):
     except ValueError as e:
         raise UsageError(str(e)) from None
     template, sep, factor = MAX_ROW[fmt]
-    labels = [str(w) for w in blk.reps]
+    labels = list(map(blk.label, range(len(blk.words))))
     texts = [None] * (len(labels) << cup.DEGREE_BITS)
     for y, label in enumerate(labels):
         for d in range(blk.ncups[y] + 1):
@@ -294,7 +294,7 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
         raise UsageError(str(e)) from None
     factors, _ = blk.row(blk.index(x))
     mask = (1 << cup.DEGREE_BITS) - 1
-    return [{'y': str(blk.reps[f >> cup.DEGREE_BITS]), 'degree': f & mask}
+    return [{'y': blk.label(f >> cup.DEGREE_BITS), 'degree': f & mask}
             for f in factors]
 
 

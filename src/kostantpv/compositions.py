@@ -43,9 +43,6 @@ from .permutations import (
 )
 from .tableaux import inverse_rsk, rsk, standard_tableaux
 
-VERDICTS = ('Positive', 'Negative', 'Unknown')
-
-
 @dataclass(frozen=True)
 class Composition:
     """A sequence of positive parts; blocks are consecutive intervals.
@@ -246,28 +243,12 @@ def thin_all(mu: Composition):
     return [g.perm(i) for i in reps], thin
 
 
-@dataclass(frozen=True)
-class Classification:
-    verdict: str
-
-    def __post_init__(self):
-        if self.verdict not in VERDICTS:
-            raise ValueError(f'unknown verdict {self.verdict!r}')
-
-
 def _verdict(positive: bool, thin: bool) -> str:
     """Positive by the sufficient condition; Negative by non-thinness;
     Unknown in the remaining (genuinely open) thin cases."""
     if positive:
         return 'Positive'
     return 'Unknown' if thin else 'Negative'
-
-
-def classify_general(mu: Composition, w: Permutation) -> Classification:
-    """The verdict for one shortest rep w of mu."""
-    return Classification(
-        _verdict(positive_sufficient(mu, w), is_thin_general(mu, w))
-    )
 
 
 def classify_all(mu: Composition) -> list:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .permutations import Permutation, _raw, is_shortest_coset_rep
+from .permutations import Permutation, _raw, _window_text, is_shortest_coset_rep
 
 WEDGE = '^'
 VEE = 'v'
@@ -378,22 +378,23 @@ def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
 
 
 # The sparse rows hold a list slot per composition factor, sum_y
-# 2^ncups[y] of them (_factor_count), and classify max:k writes a line
-# or a JSON block per factor.  The limit is the largest table measured,
-# _factor_count(18, 9): 8.1 M factors.  A CLI classify --n 18 max:9
-# took 4.1-6.3 s with a 234 MiB peak RSS as TSV (401 MB written), and
-# 4.7-5.8 s and 275 MiB as JSON (764 MB written; one core, a shared
-# host).  It admits every block with n <= 18 and refuses n = 19 for
-# k = 8..11; (19, 9) has 19.3 M factors.
+# 2^ncups[y] of them, and classify max:k writes a line or a JSON block
+# per factor.  The limit is the largest table measured, (18, 9): 8.1 M
+# factors.  A CLI classify --n 18 max:9 took 3.7-5.3 s with a peak RSS
+# of 220-232 MiB as TSV (401 MB written), and 5.3-6.3 s and 261 MiB as
+# JSON (764 MB written; one core, a shared host).  It admits every
+# block with n <= 18 and refuses n = 19 for k = 8..11 ((19, 9) has
+# 19.3 M factors), after building the block to count its cups: 0.5 s
+# and 42 MiB at (19, 8), 0.7 s and 49 MiB at (19, 9).
 MAX_TABLE_FACTORS = 8_099_511
 
 # A single row (graded_multiplicity, is_thin, mult) takes
-# O(C(n,k) * min(k, n - k)), but its Block keeps a rep, a mask, a
-# strand mask and the cups of d(word) for every word.  The limit is the
-# largest block measured, (20, 10): 184,756 words; a CLI mult --engine
-# cup there took 1.6-3.2 s with a 139 MiB peak RSS (one core, a shared
-# host).  It admits every block with n <= 20 and refuses n = 21 for
-# k = 8..13.
+# O(C(n,k) * min(k, n - k)), but its Block keeps a word, a mask, a
+# strand mask and the cups of d(word) for every word, and a dict from
+# mask to index.  The limit is the largest block measured, (20, 10):
+# 184,756 words; a CLI mult --engine cup there took 1.2-1.5 s with an
+# 84 MiB peak RSS (one core, a shared host).  It admits every block
+# with n <= 20 and refuses n = 21 for k = 8..13.
 MAX_BLOCK_WORDS = math.comb(20, 10)
 
 # The degree of a factor is at most min(k, n - k), which is at most 10
@@ -405,8 +406,8 @@ class Block:
     """One block in index space.
 
     Reps are the shortest reps in window order (equally, the words in
-    lexicographic order with ^ before v) and are named by their index;
-    masks[x] has bit p - 1 set where word x has ^ at position p.
+    lexicographic order with ^ before v), named by their index and keyed
+    by mask alone: masks[x] has bit p - 1 set where word x has ^ at p.
     d(Phi(y)) is capped once per y straight from its letters (_cap),
     with no word or diagram objects: cups[y] holds a mask per cup,
     strands[y] one for all its strands, and ncups[y] is its cup count,
@@ -426,10 +427,11 @@ class Block:
     def __init__(self, ctx: MaxParContext):
         self.ctx = ctx
         self.words = _words(ctx)
-        self.reps = shortest_reps(ctx)
-        self._index = {w: i for i, w in enumerate(self.reps)}
         self.masks = [int(word[::-1].translate(_BITS), 2)
                       for word in self.words]
+        self._index = {mask: i for i, mask in enumerate(self.masks)}
+        texts = [str(v) for v in range(1, ctx.n + 1)]
+        self._texts = texts[:ctx.k], texts[ctx.k:]
         self.cups, self.strands = [], []
         # one int per distinct cup, at most C(n, 2), shared by every word
         shared = {}
@@ -440,13 +442,21 @@ class Block:
         self.ncups = [len(cups) for cups in self.cups]
 
     def index(self, w: Permutation) -> int:
-        """Index of w; ValueError unless w is a shortest rep of the block."""
-        try:
-            return self._index[w]
-        except KeyError:
-            raise ValueError(
-                f'{w} is not a shortest rep for the maximal parabolic'
-            ) from None
+        """Index of w, found by its mask: bit p - 1 is set where
+        w(p) <= k.  ValueError unless w is a shortest rep of the block."""
+        n, k = self.ctx.n, self.ctx.k
+        if w.n != n or not is_shortest_coset_rep(w, self.ctx.J):
+            raise ValueError(f'{w} is not a shortest rep of block ({n},{k})')
+        mask = sum(1 << p for p, v in enumerate(w.window) if v <= k)
+        return self._index[mask]
+
+    def label(self, y: int) -> str:
+        """The text of rep y, as str(Permutation) writes it, read off its
+        word: the wedges carry 1..k from the left, the vees k + 1..n."""
+        wedges, vees = self._texts
+        texts = map(next, map({WEDGE: iter(wedges), VEE: iter(vees)}
+                              .__getitem__, self.words[y]))
+        return _window_text(texts, self.ctx.n)
 
     def degree(self, x: int, y: int) -> Optional[int]:
         """Degree at which L_y sits inside the standard module at x, or
@@ -485,8 +495,8 @@ class Block:
         one int per degree, so a row costs a list slot per factor.
         """
         rows = [[] for _ in self.masks]
-        row_of = dict(zip(self.masks, rows))
-        top = dict.fromkeys(self.masks, 0)
+        top = [0] * len(rows)
+        index = self._index
         a = self.ctx.a
         # degrees[c][t]: the number of cups in subset t of c cups
         degrees = [[0]]
@@ -496,31 +506,14 @@ class Block:
             words = [mask]
             for cup in cups:
                 words += [word ^ cup for word in words]
+            at = list(map(index.__getitem__, words))
             packed = [y << DEGREE_BITS | d for d in range(len(cups) + 1)]
-            for word, d in zip(words, degrees[len(cups)]):
-                row_of[word].append(packed[d])
+            for x, d in zip(at, degrees[len(cups)]):
+                rows[x].append(packed[d])
             if len(cups) == a:
-                for word in words:
-                    top[word] += 1
-        return rows, [top[mask] == 1 for mask in self.masks]
-
-
-def _factor_count(n: int, k: int) -> int:
-    """sum_y 2^ncups[y] over the words with k wedges, the size of the
-    sparse table, by a pass over the letters that lists no word: the
-    state is (wedges placed, vees waiting for a cap), and each cap
-    doubles its count."""
-    counts = {(0, 0): 1}
-    for _ in range(n):
-        after = {}
-        for (wedges, waiting), c in counts.items():
-            key = (wedges, waiting + 1)
-            after[key] = after.get(key, 0) + c
-            if wedges < k:
-                key = (wedges + 1, max(waiting - 1, 0))
-                after[key] = after.get(key, 0) + (2 * c if waiting else c)
-        counts = after
-    return sum(c for (wedges, _), c in counts.items() if wedges == k)
+                for x in at:
+                    top[x] += 1
+        return rows, [t == 1 for t in top]
 
 
 @lru_cache(maxsize=None)
@@ -543,15 +536,15 @@ def block_table(ctx: MaxParContext) -> tuple:
     """(block, rows, thin) with every row of the block, as Block.table
     gives them, built anew on each call.
 
-    ValueError, before any word is listed, over MAX_TABLE_FACTORS.
+    ValueError, before any row is filled, over MAX_TABLE_FACTORS.
     """
-    count = _factor_count(ctx.n, ctx.k)
+    blk = block(ctx)
+    count = sum(1 << c for c in blk.ncups)
     if count > MAX_TABLE_FACTORS:
         raise ValueError(
             f'the cup engine lists all {count} composition factors of the '
             f'({ctx.n},{ctx.k}) block, over its limit of {MAX_TABLE_FACTORS}'
         )
-    blk = block(ctx)
     return (blk, *blk.table())
 
 

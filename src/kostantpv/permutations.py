@@ -170,9 +170,12 @@ def format_permutation(w: Permutation) -> str:
     >>> format_permutation(Permutation((2, 3, 1, 4)))
     '2314'
     """
-    if w.n <= 9:
-        return ''.join(str(v) for v in w.window)
-    return '[' + ','.join(str(v) for v in w.window) + ']'
+    return _window_text(map(str, w.window), w.n)
+
+
+def _window_text(texts, n: int) -> str:
+    """The text of a window of n values, given as texts in order."""
+    return ''.join(texts) if n <= 9 else '[' + ','.join(texts) + ']'
 
 
 def identity(n: int) -> Permutation:

@@ -57,7 +57,7 @@ def test_parabolic_sums_fault(monkeypatch):
 def test_cross_oracle_compares_rep_order(monkeypatch):
     def block_table(ctx):
         blk, rows, thin = REAL_BLOCK_TABLE(ctx)
-        return SimpleNamespace(reps=blk.reps[::-1]), rows, thin
+        return SimpleNamespace(words=blk.words[::-1]), rows, thin
 
     monkeypatch.setattr(checks, 'block_table', block_table)
     ok, detail = _run('cross-oracle')

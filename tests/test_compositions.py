@@ -5,12 +5,10 @@ import pytest
 
 from kostantpv import compositions
 from kostantpv.compositions import (
-    Classification,
     Composition,
     G_mu,
     _similar_compositions,
     classify_all,
-    classify_general,
     is_thin_general,
     omega,
     positive_sufficient,
@@ -147,17 +145,10 @@ def test_classifier_matches_minimal_engine():
         for k in range(1, n):
             mu = Composition((1,) * (k - 1) + (2,) + (1,) * (n - k - 1))
             ctx = MinParContext(n, k)
-            for w in enumerate_shortest_reps(n, frozenset({k})):
-                verdict = classify_general(mu, w).verdict
+            for w, verdict, _ in classify_all(mu):
                 assert verdict != 'Unknown'
                 assert (verdict == 'Positive') == \
                     is_kostant_positive_minimal(ctx, w)
-
-
-def test_classification_validation():
-    Classification('Positive')
-    with pytest.raises(ValueError):
-        Classification('positive')
 
 
 # -- the vectorized classifier against per-rep object loops
@@ -232,5 +223,8 @@ def test_classify_all_matches_per_rep_classifier():
         for parts in _compositions_of(n):
             mu = Composition(parts)
             for w, verdict, thin in classify_all(mu):
-                assert verdict == classify_general(mu, w).verdict
                 assert thin == is_thin_general(mu, w)
+                if positive_sufficient(mu, w):
+                    assert verdict == 'Positive'
+                else:
+                    assert verdict == ('Unknown' if thin else 'Negative')

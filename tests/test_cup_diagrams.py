@@ -15,7 +15,6 @@ from kostantpv.cup_diagrams import (
     MaxParContext,
     OrientedCupDiagram,
     WeightWord,
-    _factor_count,
     antidominant_rep,
     block,
     block_table,
@@ -288,14 +287,17 @@ def test_table_matches_object_layer_exhaustive():
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             blk, rows, thin = block_table(ctx)
-            assert blk.reps == shortest_reps(ctx)
-            for x, w in enumerate(blk.reps):
+            reps = shortest_reps(ctx)
+            assert len(reps) == len(blk.words)
+            for x, w in enumerate(reps):
+                assert blk.index(w) == x
+                assert blk.label(x) == str(w)
                 assert rows[x] == sorted(set(rows[x]))
                 degrees = _degrees(rows[x])
                 assert blk.ncups[x] == a_value(ctx, w) == \
                     _oracle_a_value(ctx, w)
                 assert thin[x] == is_thin(ctx, w) == _oracle_thin(ctx, w)
-                for y, v in enumerate(blk.reps):
+                for y, v in enumerate(reps):
                     want = _oracle_degree(ctx, w, v)
                     assert degrees.get(y) == want
                     assert graded_multiplicity(ctx, w, v) == want, \
@@ -319,12 +321,13 @@ def test_table_matches_object_layer_random():
             # a whole column, so that present factors are checked too
             ctx = MaxParContext(n, rng.randint(1, n - 1))
             blk, rows, _ = block_table(ctx)
-            y = rng.randrange(len(blk.reps))
-            assert blk.ncups[y] == _oracle_a_value(ctx, blk.reps[y])
-            for x, w in enumerate(blk.reps):
-                want = _oracle_degree(ctx, w, blk.reps[y])
+            reps = shortest_reps(ctx)
+            y = rng.randrange(len(reps))
+            assert blk.ncups[y] == _oracle_a_value(ctx, reps[y])
+            for x, w in enumerate(reps):
+                want = _oracle_degree(ctx, w, reps[y])
                 assert _degrees(rows[x]).get(y) == want, \
-                    (n, ctx.k, w, blk.reps[y])
+                    (n, ctx.k, w, reps[y])
         for _ in range(200):
             ctx = MaxParContext(n, rng.randint(1, n - 1))
             reps = shortest_reps(ctx)
@@ -338,26 +341,28 @@ def test_rows_match_the_table():
     for n in range(2, 11):
         for k in range(1, n):
             blk, rows, thin = block_table(MaxParContext(n, k))
-            for x in range(len(blk.reps)):
+            for x in range(len(blk.words)):
                 assert blk.row(x) == (rows[x], thin[x])
 
 
 def test_factor_count_is_the_table_size():
-    # the ceiling counts the factors without listing a word
+    # the ceiling counts the factors from the cups, before any row
     for n in range(2, 11):
         for k in range(1, n):
             blk, rows, _ = block_table(MaxParContext(n, k))
-            assert sum(map(len, rows)) == _factor_count(n, k) == \
-                sum(2 ** c for c in blk.ncups), (n, k)
+            assert sum(map(len, rows)) == sum(2 ** c for c in blk.ncups), \
+                (n, k)
 
 
 def test_masks_past_62_positions():
     ctx = MaxParContext(64, 1)
     blk, rows, thin = block_table(ctx)
-    for x, w in enumerate(blk.reps):
+    reps = shortest_reps(ctx)
+    for x, w in enumerate(reps):
+        assert blk.index(w) == x and blk.label(x) == str(w)
         assert thin[x] == _oracle_thin(ctx, w)
         degrees = _degrees(rows[x])
-        for y, v in enumerate(blk.reps):
+        for y, v in enumerate(reps):
             want = _oracle_degree(ctx, w, v)
             assert degrees.get(y) == want
             assert graded_multiplicity(ctx, w, v) == want
@@ -367,8 +372,10 @@ def test_reps_and_verdicts_come_from_the_words():
     for n in range(2, 11):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            for word, w in zip(block(ctx).words, shortest_reps(ctx)):
+            blk = block(ctx)
+            for y, (word, w) in enumerate(zip(blk.words, shortest_reps(ctx))):
                 assert w == phi_inverse(ctx, WeightWord(word))
+                assert blk.label(y) == str(w) and blk.index(w) == y
                 assert is_positive_word(ctx, word) == \
                     is_kostant_positive_maximal(ctx, w), (n, k, word)
 
@@ -388,21 +395,33 @@ def test_table_rejects_non_reps():
 
 
 def test_table_ceiling_refuses_before_allocating(monkeypatch):
-    assert _factor_count(18, 9) <= MAX_TABLE_FACTORS < _factor_count(19, 8)
+    # the ceiling is counted from the block's cups, before any row
+    class Filled(Exception):
+        pass
 
-    def no_listing(ctx):
-        raise AssertionError('listed the words past the ceiling')
+    def fill(self):
+        raise Filled
 
-    monkeypatch.setattr(cup_diagrams, '_words', no_listing)
-    with pytest.raises(ValueError, match='over its limit'):
-        block_table(MaxParContext(19, 9))
+    monkeypatch.setattr(Block, 'table', fill)
+    try:
+        for n, k in ((19, 9), (19, 8)):
+            with pytest.raises(ValueError, match='over its limit'):
+                block_table(MaxParContext(n, k))
+        with pytest.raises(Filled):
+            block_table(MaxParContext(18, 9))
+        ncups = block(MaxParContext(18, 9)).ncups
+        assert sum(1 << c for c in ncups) == MAX_TABLE_FACTORS
+    finally:
+        # the three blocks take over 100 MiB; keep none of them
+        block.cache_clear()
 
 
 def test_block_builds_without_word_or_diagram_objects(monkeypatch):
     def unusable(*args, **kwargs):
         raise AssertionError('the block built an object')
 
-    for name in ('d_of', 'CupDiagram', 'OrientedCupDiagram'):
+    for name in ('d_of', 'CupDiagram', 'OrientedCupDiagram', '_raw',
+                 'shortest_reps'):
         monkeypatch.setattr(cup_diagrams, name, unusable)
     for n in range(2, 11):
         for k in range(1, n):

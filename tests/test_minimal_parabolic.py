@@ -1,11 +1,8 @@
 """Seeds, factorization, and the case analysis for minimal parabolics."""
 
-from fractions import Fraction
-
 import pytest
 
 from kostantpv.bigrassmannian import complement_bigrassmannians
-from kostantpv.checks import ratio
 from kostantpv.minimal_parabolic import (
     CaseAnalysis,
     MinParContext,
@@ -149,10 +146,3 @@ def test_case_chains_match_brute_force():
                     t = tau(ctx, i, j)
                     assert set(analysis.predicted) == \
                         complement_bigrassmannians(s * t, t)
-
-
-def test_ratio():
-    assert ratio(MinParContext(4, 2)) == Fraction(3, 3)
-    assert ratio(MinParContext(5, 1)) == Fraction(4, 6)
-    for k in range(1, 7):
-        assert ratio(MinParContext(7, k)) == Fraction(6, 15)
