@@ -6,9 +6,13 @@ runs.  Each fill is timed only after its table has passed the
 kl-properties identities (checks._kl_table_problems); its row also
 gives the bytes of the int8 table it writes.
 
-The same fill over the shortest reps alone (klcells.parabolic_table)
-is timed at n = 6 for min:3 (J = {3}) and max:3 (J = {1, 2, 4, 5}),
-each after its table has matched klcells.parabolic_sums over the reps.
+The same fill over the shortest reps alone (klcells._fill_args, whose
+reps are permutations.coset_windows) is timed at n = 6 for min:3
+(1,1,2,1,1) and max:3 (3,3), each after its table has matched
+klcells.parabolic_sums over the group indices of the reps.  The whole
+of klcells.parabolic_table, the reps listed and filled anew each run,
+is timed at 4,4 (max:4 at n = 8, where no whole-group table exists),
+after it has matched the cup degree table of that block.
 
 The quotient cell (compositions._quotient_cell, by inverse row
 insertion) is timed over every composition of 6, with its cache
@@ -61,7 +65,7 @@ import numpy as np
 
 from kostantpv import _kernels, cli
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
-from kostantpv.checks import _kl_table_problems
+from kostantpv.checks import _kl_table_problems, dense_degrees
 from kostantpv.compositions import (
     Composition,
     _quotient_cell,
@@ -72,6 +76,7 @@ from kostantpv.cup_diagrams import (
     Block,
     MaxParContext,
     WeightWord,
+    block_table,
     d_of,
     orient,
 )
@@ -79,6 +84,7 @@ from kostantpv.groupindex import group_index
 from kostantpv.klcells import (
     _fill_args,
     parabolic_sums,
+    parabolic_table,
     parabolic_verma_multiplicity,
 )
 from kostantpv.laurent import LaurentPolynomial
@@ -109,7 +115,7 @@ def bench_case(name, repeat, fn, *args, note=''):
 
 
 def bench_kl_fill(n, repeat):
-    _, *args = _fill_args(n, ())
+    _, *args = _fill_args((1,) * n)
     P = _kernels.kl_fill(*args).transpose(1, 0, 2)
     problems = _kl_table_problems(group_index(n), P)
     if problems:
@@ -118,8 +124,11 @@ def bench_kl_fill(n, repeat):
                note=f'  ({P.nbytes:,} bytes, {P.dtype})')
 
 
-def bench_parabolic_fill(n, kind, k, J, repeat):
-    reps, *args = _fill_args(n, J)
+def bench_parabolic_fill(kind, k, parts, repeat):
+    n = sum(parts)
+    J = Composition(parts).simple_reflections()
+    windows, *args = _fill_args(parts)
+    reps = [group_index(n).index[w] for w in windows]
     S = _kernels.kl_fill(*args).transpose(1, 0, 2)
     sums = parabolic_sums(n, J, reps, reps)
     if not (np.array_equal(S, sums[:, :, :S.shape[2]])
@@ -128,6 +137,24 @@ def bench_parabolic_fill(n, kind, k, J, repeat):
                          'parabolic_sums')
     bench_case(f'kl_fill {kind}:{k} n={n}', repeat, _kernels.kl_fill, *args,
                note=f'  ({len(reps)} reps, {S.nbytes:,} bytes)')
+
+
+def bench_parabolic_table(k, m, repeat):
+    """parabolic_table((k, m)) against the cup degrees of max:k: a
+    degree c at (x, y) is S = q^d with 2d = l(y) - l(x) - c, and no
+    factor is a zero S."""
+    windows, S = parabolic_table((k, m))
+    deg = dense_degrees(block_table(MaxParContext(k + m, k))[1])
+    lengths = np.array([Permutation(w).length for w in windows])
+    d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
+    want = np.zeros_like(S)
+    x, y = np.nonzero(deg >= 0)
+    want[x, y, d[x, y]] = 1
+    if odd[x, y].any() or not np.array_equal(S, want):
+        raise SystemExit(f'parabolic_table {k},{m} disagrees with the '
+                         'cup degrees')
+    bench_case(f'parabolic_table {k},{m}', repeat, parabolic_table, (k, m),
+               note=f'  ({len(windows)} reps, {S.nbytes:,} bytes)')
 
 
 def compositions(n):
@@ -148,8 +175,9 @@ def bench_quotient_cell(n, repeat):
     for mu in mus:
         seed = rsk(longest_element_parabolic(n, mu.simple_reflections())
                    * longest_element(n)).insertion
-        want = [i for i in range(g.N) if tableau[i] == seed]
-        if not np.array_equal(_quotient_cell(mu), want):
+        want = tuple(g.perm(i).window for i in range(g.N)
+                     if tableau[i] == seed)
+        if _quotient_cell(mu) != want:
             raise SystemExit(f'_quotient_cell {mu.to_text()} is not the '
                              'right cell of the RSK partition')
 
@@ -324,8 +352,9 @@ def main():
                    group_index(n).dominance)
     for n in (5, 6):
         bench_kl_fill(n, args.repeat)
-    bench_parabolic_fill(6, 'min', 3, {3}, args.repeat)
-    bench_parabolic_fill(6, 'max', 3, {1, 2, 4, 5}, args.repeat)
+    bench_parabolic_fill('min', 3, (1, 1, 2, 1, 1), args.repeat)
+    bench_parabolic_fill('max', 3, (3, 3), args.repeat)
+    bench_parabolic_table(4, 4, args.repeat)
     bench_quotient_cell(6, args.repeat)
     bench_parabolic_sums(6, args.repeat)
     for n, k in ((14, 7), (16, 8), (17, 8)):

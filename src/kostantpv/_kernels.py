@@ -115,7 +115,7 @@ def kl_fill(order, lengths, desc, mul, ncoef):
     up = ml > lengths
     down = (ml >= 0) & (ml < lengths)
     # ups[s]: the x with x s > x a rep; sups[s]: their x s
-    ups = np.full((len(mul), int(up.sum(axis=1).max())), R)
+    ups = np.full((len(mul), int(up.sum(axis=1).max(initial=0))), R)
     sups = ups.copy()
     for s, row in enumerate(up):
         x = np.flatnonzero(row)

@@ -77,9 +77,10 @@ from .minimal_parabolic import (
 )
 from .permutations import (
     Permutation,
+    _raw,
     bruhat_leq,
+    coset_windows,
     enumerate_group,
-    enumerate_shortest_reps,
     identity,
     longest_element,
     longest_element_parabolic,
@@ -124,7 +125,7 @@ def check_factorization(n_max: int):
             taus = set(plus) | set(minus)
             ghat = hat_G(ctx)
             products = {g * t for g in ghat for t in taus}
-            reps = set(enumerate_shortest_reps(n, frozenset({k})))
+            reps = set(map(_raw, coset_windows(ctx.parts)))
             if len(products) != len(ghat) * len(taus):
                 problems.append(f'({n},{k}): collision in G x X')
             if products != reps:
@@ -181,12 +182,9 @@ def check_ratio(n_max: int):
         expected = Fraction(n - 1, n * (n - 1) // 2 - (n - 1))
         for k in range(1, n):
             ctx = MinParContext(n, k)
-            pos = neg = 0
-            for w in enumerate_shortest_reps(n, frozenset({k})):
-                if is_kostant_positive_minimal(ctx, w):
-                    pos += 1
-                else:
-                    neg += 1
+            reps = coset_windows(ctx.parts)
+            pos = sum(is_kostant_positive_minimal(ctx, _raw(w)) for w in reps)
+            neg = len(reps) - pos
             if Fraction(pos, neg) != expected:
                 problems.append(f'({n},{k}): {pos}/{neg} != {expected}')
     return _verdict(problems, f'ratio matches for all k, n <= {top}')
@@ -382,9 +380,8 @@ def check_reconciliation(n_max: int):
     top = min(n_max, 6)
     for n in range(2, top + 1):
         for k in range(1, n):
-            parts = (1,) * (k - 1) + (2,) + (1,) * (n - k - 1)
-            mu = Composition(parts)
             ctx = MinParContext(n, k)
+            mu = Composition(ctx.parts)
             for w, verdict, _ in classify_all(mu):
                 expect = (
                     'Positive'
@@ -396,8 +393,8 @@ def check_reconciliation(n_max: int):
         if n % 2 == 0:
             k = n // 2
             mu = Composition((k, k))
-            reps = enumerate_shortest_reps(n, mu.simple_reflections())
-            pos = {w for w in reps if positive_sufficient(mu, w)}
+            pos = {w for w in map(_raw, coset_windows(mu.parts))
+                   if positive_sufficient(mu, w)}
             want = {
                 identity(n),
                 longest_element_parabolic(n, mu.simple_reflections())

@@ -59,12 +59,6 @@ def _klcells():
 
 
 @lru_cache(maxsize=None)
-def _groupindex():
-    from . import groupindex
-    return groupindex
-
-
-@lru_cache(maxsize=None)
 def _bigrassmannian():
     from . import bigrassmannian
     return bigrassmannian
@@ -242,7 +236,6 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     kind, arg = _parse_parabolic(n, parabolic)
     if kind == 'max':
         return _classify_max(n, arg, parabolic, fmt), 0
-    rows = []
     if kind == 'min':
         _require_kl(n, 'the thinness column for a minimal parabolic')
         from .compositions import Composition, thin_all
@@ -252,34 +245,18 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
         )
 
         ctx = MinParContext(n, arg)
-        mu = Composition((1,) * (arg - 1) + (2,) + (1,) * (n - arg - 1))
-        reps, thin = thin_all(mu)
-        for w, t in zip(reps, thin):
-            rows.append({
-                'w': str(w),
-                'word': None,
-                'verdict': (
-                    'Positive'
-                    if is_kostant_positive_minimal(ctx, w)
-                    else 'Negative'
-                ),
-                'thin': bool(t),
-                'a_value': None,
-                'multiplicities': None,
-            })
+        reps, thin = thin_all(Composition(ctx.parts))
+        classified = [
+            (w, 'Positive' if is_kostant_positive_minimal(ctx, w)
+             else 'Negative', bool(t)) for w, t in zip(reps, thin)]
     else:
         _require_kl(n, 'classification for a general composition')
         from .compositions import classify_all
 
-        for w, verdict, thin in classify_all(arg):
-            rows.append({
-                'w': str(w),
-                'word': None,
-                'verdict': verdict,
-                'thin': thin,
-                'a_value': None,
-                'multiplicities': None,
-            })
+        classified = classify_all(arg)
+    rows = [{'w': str(w), 'word': None, 'verdict': verdict, 'thin': thin,
+             'a_value': None, 'multiplicities': None}
+            for w, verdict, thin in classified]
     payload = {'context': {'n': n, 'parabolic': parabolic}, 'rows': rows}
     if fmt == 'json':
         return [_emit_json(payload)], 0
@@ -305,27 +282,26 @@ def _max_table(ctx: MaxParContext) -> tuple:
     most 2 KB at n <= 6."""
     from .klcells import parabolic_table
 
-    return parabolic_table(ctx.n, ctx.J)
+    return parabolic_table((ctx.k, ctx.m))
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
-    g = _groupindex().group_index(ctx.n)
-    xi = g.idx(x)
     reps, S = _max_table(ctx)
-    sums = S[reps.searchsorted(xi)]
+    sums = S[reps.index(x.window)]
     rows = []
-    for y, coeffs in zip(reps, sums.tolist()):
+    for window, coeffs in zip(reps, sums.tolist()):
         nonzero = [d for d, c in enumerate(coeffs) if c]
         if not nonzero:
             continue
-        shift = int(g.lengths[y] - g.lengths[xi])
+        y = Permutation(window)
+        shift = y.length - x.length
         if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
             degree = shift - 2 * nonzero[0]
         else:
             from .laurent import LaurentPolynomial
 
             degree = str(LaurentPolynomial.from_q_coeffs(coeffs, shift))
-        rows.append({'y': str(g.perm(y)), 'degree': degree})
+        rows.append({'y': str(y), 'degree': degree})
     return rows
 
 

@@ -27,12 +27,10 @@ Composition text form: "2,1,3,2".
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from .groupindex import group_index
 from .klcells import _frozen, parabolic_table
 from .permutations import (
     Permutation,
@@ -179,8 +177,8 @@ def positive_sufficient(mu: Composition, w: Permutation) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _quotient_cell(mu: Composition) -> np.ndarray:
-    """Group indices of the right cell containing w_0^mu w_0, sorted.
+def _quotient_cell(mu: Composition) -> tuple:
+    """Windows of the right cell containing w_0^mu w_0, in window order.
 
     The cell is the elements sharing its insertion tableau P, one for
     each standard tableau Q of the shape of P: each pair (P, Q) is
@@ -189,41 +187,38 @@ def _quotient_cell(mu: Composition) -> np.ndarray:
     n = mu.n
     w0_mu = longest_element_parabolic(n, mu.simple_reflections())
     pair = rsk(w0_mu * longest_element(n))
-    index = group_index(n).index
-    return _frozen(np.array(sorted(
-        index[inverse_rsk(pair.insertion, q)]
-        for q in standard_tableaux(pair.shape)
-    ), dtype=np.int64))
+    return tuple(sorted(
+        inverse_rsk(pair.insertion, q) for q in standard_tableaux(pair.shape)
+    ))
 
 
 @lru_cache(maxsize=None)
 def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
     """The right cell containing w_0^mu w_0."""
-    g = group_index(mu.n)
-    return frozenset(g.perm(i) for i in _quotient_cell(mu))
+    return frozenset(map(_raw, _quotient_cell(mu)))
 
 
 @lru_cache(maxsize=None)
 def _thin(mu: Composition) -> tuple:
-    """(reps, thin): the shortest reps of mu as group indices in window
+    """(reps, thin): the windows of the shortest reps of mu in window
     order, and the thinness of each: exactly one u in the cell of
     w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1.
 
-    Both read-only and kept for the life of the process (48 KB of
-    arrays for all 63 compositions with n <= 6); the table they are
-    read from is not.  min:k and the comp: of the same Levi share one
-    entry."""
-    reps, S = parabolic_table(mu.n, mu.simple_reflections())
-    cell = _quotient_cell(mu)
-    at = np.searchsorted(reps, cell)
-    if not np.array_equal(reps.take(at, mode='clip'), cell):
+    Both read-only and kept for the life of the process (540 KB for all
+    63 compositions with n <= 6, mostly the windows); the table they
+    are read from is not.  min:k and the comp: of the same Levi share
+    one entry."""
+    reps, S = parabolic_table(mu.parts)
+    at = {w: i for i, w in enumerate(reps)}
+    cell = [at.get(w) for w in _quotient_cell(mu)]
+    if None in cell:
         raise ValueError(
             f'the cell of w_0^mu w_0 leaves the shortest reps of '
             f'{mu.to_text()}'
         )
-    m = S[:, at].sum(axis=-1)
+    m = S[:, cell].sum(axis=-1)
     thin = ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
-    return _frozen(reps), _frozen(thin)
+    return reps, _frozen(thin)
 
 
 def is_thin_general(mu: Composition, w: Permutation) -> bool:
@@ -232,15 +227,14 @@ def is_thin_general(mu: Composition, w: Permutation) -> bool:
     if not is_shortest_coset_rep(w, mu.simple_reflections()):
         raise ValueError(f'{w} is not a shortest rep for {mu.to_text()}')
     reps, thin = _thin(mu)
-    return bool(thin[np.searchsorted(reps, group_index(mu.n).idx(w))])
+    return bool(thin[bisect_left(reps, w.window)])
 
 
 def thin_all(mu: Composition):
     """(reps, thin): every shortest rep of mu in window order, and the
     read-only thinness of each, from one fill of the parabolic table."""
     reps, thin = _thin(mu)
-    g = group_index(mu.n)
-    return [g.perm(i) for i in reps], thin
+    return list(map(_raw, reps)), thin
 
 
 def _verdict(positive: bool, thin: bool) -> str:

@@ -222,26 +222,22 @@ def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
     return WeightWord(''.join(WEDGE if v <= ctx.k else VEE for v in w.window))
 
 
-def _rep(k: int, letters: str) -> Permutation:
-    """The shortest rep whose word has these letters, k of them ^."""
-    wedges, vees = itertools.count(1), itertools.count(k + 1)
-    return _raw(tuple(
-        next(wedges) if letter == WEDGE else next(vees)
-        for letter in letters
-    ))
-
-
 def phi_inverse(ctx: MaxParContext, word: WeightWord) -> Permutation:
-    """The unique shortest rep mapping to the word under phi."""
+    """The unique shortest rep mapping to the word under phi: the
+    wedges carry 1..k from the left, the vees k + 1..n."""
     if word.n != ctx.n or word.k != ctx.k:
         raise ValueError(f'{word} does not belong to the (n,k)=({ctx.n},{ctx.k}) block')
-    return _rep(ctx.k, word.letters)
+    wedges, vees = itertools.count(1), itertools.count(ctx.k + 1)
+    return _raw(tuple(
+        next(wedges) if letter == WEDGE else next(vees)
+        for letter in word.letters
+    ))
 
 
 @lru_cache(maxsize=None)
 def shortest_reps(ctx: MaxParContext) -> tuple:
     """All shortest reps of the block, in window order."""
-    return tuple(_rep(ctx.k, word) for word in _words(ctx))
+    return tuple(phi_inverse(ctx, WeightWord(word)) for word in _words(ctx))
 
 
 def antidominant_rep(ctx: MaxParContext) -> Permutation:
@@ -384,8 +380,8 @@ def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
 # of 220-232 MiB as TSV (401 MB written), and 5.3-6.3 s and 261 MiB as
 # JSON (764 MB written; one core, a shared host).  It admits every
 # block with n <= 18 and refuses n = 19 for k = 8..11 ((19, 9) has
-# 19.3 M factors), after building the block to count its cups: 0.5 s
-# and 42 MiB at (19, 8), 0.7 s and 49 MiB at (19, 9).
+# 19.3 M factors), counted from n and k alone: a CLI refusal at (20, 10)
+# takes 0.09 s and 16 MiB.
 MAX_TABLE_FACTORS = 8_099_511
 
 # A single row (graded_multiplicity, is_thin, mult) takes
@@ -536,15 +532,19 @@ def block_table(ctx: MaxParContext) -> tuple:
     """(block, rows, thin) with every row of the block, as Block.table
     gives them, built anew on each call.
 
-    ValueError, before any row is filled, over MAX_TABLE_FACTORS.
+    ValueError over MAX_TABLE_FACTORS before the block is built, so a
+    refusal caches nothing: the words with c cups, one per planar diagram,
+    number C(n, c) - C(n, c - 1) for c <= a, each with 2^c factors.
     """
-    blk = block(ctx)
-    count = sum(1 << c for c in blk.ncups)
+    n, a = ctx.n, ctx.a
+    count = (math.comb(n, a) << a) - sum(math.comb(n, c) << c
+                                         for c in range(a))
     if count > MAX_TABLE_FACTORS:
         raise ValueError(
             f'the cup engine lists all {count} composition factors of the '
             f'({ctx.n},{ctx.k}) block, over its limit of {MAX_TABLE_FACTORS}'
         )
+    blk = block(ctx)
     return (blk, *blk.table())
 
 

@@ -8,11 +8,12 @@ right action of the sign parabolic module (Deodhar's u = -1 family):
 H_s sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x
 if xs < x, and to -v m_x if xs is not a rep.  It returns one read-only
 int8 array in the classical variable q, indexed by positions among the
-reps.  With J empty the reps are the whole group and the array is
+reps, which permutations.coset_windows lists as windows, with no group
+index.  With J empty the reps are the whole group and the array is
 
     kl_table(n)[x, w, d] = [q^d] P_{x,w},
 
-and for any J, parabolic_table(n, J) gives the q-form
+and for any J, parabolic_table gives the q-form
 
     S[x, w, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z x, w},
 
@@ -43,7 +44,9 @@ translate, the penultimate cell, is the shape (2, 1^{n-2}).
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .groupindex import group_index
 from .laurent import LaurentPolynomial
 from .permutations import (
     Permutation,
+    coset_windows,
     enumerate_group,
     is_shortest_coset_rep,
     subgroup_elements,
@@ -71,8 +75,14 @@ __all__ = [
 # and the fill of S_7 (dense int8, 11 coefficients, 279 MB) was measured
 # at 1.1-1.2 s and a 303 MiB peak on a 2-core x86 host.  kl_table stops
 # at MAX_KL_N, and so do the CLI's KL paths (cli._require_kl), although
-# they read only parabolic_table, which GroupIndex.MAX_N alone bounds.
+# they read only parabolic_table, which MAX_FILL_BYTES alone bounds.
 MAX_KL_N = 6
+
+# parabolic_table fills an int8 buffer of R (R + 1) ncoef bytes over R
+# reps (a count of reps alone would admit the 8 GB of 1,2519).  The limit
+# is comp:2,2,2,2 (2,520 reps, 13 coefficients, 83 MB): 0.40 s and a
+# 110 MiB peak RSS in process, on a 2-core x86 host.
+MAX_FILL_BYTES = 2520 * 2521 * 13
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -84,37 +94,48 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fill_args(n: int, J) -> tuple:
-    """(reps, order, lengths, desc, mul, ncoef): the shortest reps of
-    W_J \\ S_n as group indices in window order, and the arguments of
-    _kernels.kl_fill over them, indexed by position among the reps."""
-    g = group_index(n)
-    reps = g.coset_reps(J)
-    pos = np.full(g.N, -1, dtype=np.int64)
-    pos[reps] = np.arange(len(reps))
-    mul = pos[g.rmul[:, reps]]
-    lengths = g.lengths[reps]
-    # first right descent per rep, -1 for the identity
-    desc = np.full(len(reps), -1, dtype=np.int64)
-    for s in range(len(mul) - 1, -1, -1):
-        desc[g.lengths[g.rmul[s, reps]] < lengths] = s
+def _fill_args(parts) -> tuple:
+    """(windows, order, lengths, desc, mul, ncoef): the windows of the
+    shortest reps of the composition parts (coset_windows), and the
+    arguments of _kernels.kl_fill over them, indexed by position among
+    the reps."""
+    windows = coset_windows(parts)
+    W = np.array(windows)
+    R, n = W.shape
+    at = dict(zip(windows, range(R)))
+    lengths = np.triu(W[:, :, None] > W[:, None, :]).sum(axis=(1, 2))
+    # mul[s]: w s_{s+1} swaps the positions s, s + 1, -1 where that is no
+    # rep; desc: the first right descent, -1 for the identity
+    mul = np.empty((n - 1, R), dtype=np.int64)
+    desc = np.full(R, -1)
+    for s in range(n - 2, -1, -1):
+        cols = [*range(s), s + 1, s, *range(s + 2, n)]
+        mul[s] = list(map(at.get, map(tuple, W[:, cols].tolist()), repeat(-1)))
+        desc[W[:, s] > W[:, s + 1]] = s
     order = np.argsort(lengths, kind='stable')
-    return reps, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
+    return windows, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
 
 
-def parabolic_table(n: int, J) -> tuple:
-    """(reps, S): the shortest reps of W_J \\ S_n as group indices in
-    window order, and the read-only int8 array
+def parabolic_table(parts) -> tuple:
+    """(windows, S): the windows of the shortest reps of the composition
+    parts (coset_windows), and the read-only int8 array
 
-        S[i, j, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z reps[i], reps[j]},
+        S[i, j, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z w_i, w_j},
 
-    laid out like parabolic_sums(n, J, reps, reps), with the degrees
-    past the longest rep's l // 2 left out (they are zero).  Filled
-    over the reps alone, anew on each call; n up to GroupIndex.MAX_N.
-    A transposed view of the buffer Pt[j, i, d] of the fill.
+    for J the Levi of parts, with the degrees past the longest rep's
+    l // 2 left out (they are zero).  Filled over the reps alone, anew
+    on each call; a transposed view of the buffer Pt[j, i, d] of the
+    fill.  ValueError over MAX_FILL_BYTES, before any window is listed:
+    there are n! / prod p! reps, the longest of length C(n,2) - sum C(p,2).
     """
-    reps, *args = _fill_args(n, J)
-    return reps, _frozen(_kernels.kl_fill(*args)).transpose(1, 0, 2)
+    n = sum(parts)
+    count = math.factorial(n) // math.prod(map(math.factorial, parts))
+    ncoef = (math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)) // 2 + 1
+    if count * (count + 1) * ncoef > MAX_FILL_BYTES:
+        raise ValueError(f'the KL fill over the {count} reps of {parts} '
+                         f'is over its limit of {MAX_FILL_BYTES} bytes')
+    windows, *args = _fill_args(parts)
+    return windows, _frozen(_kernels.kl_fill(*args)).transpose(1, 0, 2)
 
 
 @lru_cache(maxsize=None)
@@ -122,13 +143,14 @@ def kl_table(n: int) -> np.ndarray:
     """All polynomials P_{x,w} of S_n, stored densely and read-only:
     P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
     x, w of group_index(n).  Zero where x is not Bruhat-below w.
-    The parabolic table with J empty, whose reps are the whole group.
+    The parabolic table of the composition 1^n, whose reps are the
+    whole group in window order, the order of group_index(n).
     """
     if not 1 <= n <= MAX_KL_N:
         raise ValueError(
             f'dense KL table supported for 1 <= n <= {MAX_KL_N}, got {n}'
         )
-    return parabolic_table(n, ())[1]
+    return parabolic_table((1,) * n)[1]
 
 
 def _row(x: Permutation, w: Permutation) -> list:

@@ -40,6 +40,11 @@ class MinParContext:
         if not 1 <= self.k <= self.n - 1:
             raise ValueError(f'k={self.k} out of range 1..{self.n - 1}')
 
+    @property
+    def parts(self) -> tuple:
+        """The composition of the Levi: k and k + 1 in one block of 2."""
+        return (1,) * (self.k - 1) + (2,) + (1,) * (self.n - self.k - 1)
+
 
 @dataclass(frozen=True)
 class MinParFactorization:

@@ -273,6 +273,12 @@ def longest_element(n: int) -> Permutation:
     return _raw(tuple(range(n, 0, -1)))
 
 
+def _blocks(n: int, J: Iterable[int]) -> list:
+    """The maximal runs of values of 1..n that J joins, as ranges."""
+    cuts = [0, *(i for i in range(1, n) if i not in J), n]
+    return [range(a + 1, b + 1) for a, b in zip(cuts, cuts[1:])]
+
+
 def longest_element_parabolic(n: int, J: Iterable[int]) -> Permutation:
     """Longest element of the parabolic subgroup W_J of S_n.
 
@@ -285,36 +291,16 @@ def longest_element_parabolic(n: int, J: Iterable[int]) -> Permutation:
     J = frozenset(J)
     if not all(1 <= j <= n - 1 for j in J):
         raise ValueError(f'J not inside 1..{n - 1}: {sorted(J)}')
-    window = list(range(1, n + 1))
-    start = 1
-    while start <= n:
-        stop = start
-        while stop <= n - 1 and stop in J:
-            stop += 1
-        window[start - 1:stop] = range(stop, start - 1, -1)
-        start = stop + 1
-    return _raw(tuple(window))
+    return _raw(tuple(v for block in _blocks(n, J) for v in reversed(block)))
 
 
 def subgroup_elements(n: int, J: Iterable[int]) -> tuple:
-    """All elements of the parabolic W_J, in lexicographic window order."""
-    J = frozenset(J)
-    blocks = []
-    start = 1
-    while start <= n:
-        stop = start
-        while stop <= n - 1 and stop in J:
-            stop += 1
-        blocks.append(range(start, stop + 1))
-        start = stop + 1
-    perms_per_block = [
-        list(itertools.permutations(block)) for block in blocks
-    ]
-    out = []
-    for choice in itertools.product(*perms_per_block):
-        window = tuple(v for part in choice for v in part)
-        out.append(_raw(window))
-    return tuple(sorted(out, key=lambda p: p.window))
+    """All elements of the parabolic W_J, in lexicographic window order:
+    the blocks' own orders, block after block."""
+    return tuple(
+        _raw(sum(choice, ())) for choice in itertools.product(
+            *(itertools.permutations(b) for b in _blocks(n, frozenset(J))))
+    )
 
 
 def is_shortest_coset_rep(w: Permutation, J: Iterable[int]) -> bool:
@@ -336,6 +322,24 @@ def enumerate_group(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic window order."""
     for window in itertools.permutations(range(1, n + 1)):
         yield _raw(window)
+
+
+def coset_windows(parts) -> tuple:
+    """The windows of the shortest reps of W_J \\ S_n, in window order,
+    for J the Levi of the composition parts of n.  A rep keeps each
+    block's values in increasing order, so each position takes, smallest
+    first, the next value of a block not yet used up.
+
+    >>> coset_windows((2, 1))
+    ((1, 2, 3), (1, 3, 2), (3, 1, 2))
+    """
+    ends = tuple(itertools.accumulate(parts))
+    level = [((), tuple(e - p + 1 for e, p in zip(ends, parts)))]
+    for _ in range(ends[-1]):
+        level = [(window + (v,), nxt[:b] + (v + 1,) + nxt[b + 1:])
+                 for window, nxt in level
+                 for b, v in enumerate(nxt) if v <= ends[b]]
+    return tuple(window for window, _ in level)
 
 
 def enumerate_shortest_reps(n: int, J: Iterable[int]) -> Iterator[Permutation]:

@@ -221,6 +221,19 @@ def test_cup_block_ceiling(monkeypatch, capsys):
     assert 'error: the cup engine lists all C(30,15)' in err
 
 
+def test_a_refused_table_caches_no_block(capsys):
+    # classify max:k counts the factors before it builds the block
+    from kostantpv import cup_diagrams
+
+    cup_diagrams.block.cache_clear()
+    for n, k in ((19, 9), (20, 10)):
+        assert cli.main(['classify', '--n', str(n), '--parabolic',
+                         f'max:{k}', '--n-max', str(n)]) == 2
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('error: the cup engine lists all') == 2
+    assert cup_diagrams.block.cache_info().currsize == 0
+
+
 def test_cells_ceiling():
     proc = run_cli('cells', '--n', '10', '--n-max', '10')
     assert proc.returncode == 2
@@ -326,7 +339,7 @@ def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):
     assert run_main('classify', '--n', '5', '--parabolic', 'comp:1,2,1,1',
                     '--format', 'tsv')[0] == 0
 
-    def refuse(n, J):
+    def refuse(parts):
         raise AssertionError('refilled the table of a cached Levi')
 
     monkeypatch.setattr(klcells, 'parabolic_table', refuse)
@@ -556,6 +569,24 @@ def test_kl_paths_never_build_a_whole_group_table(monkeypatch):
         ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both',
          '--format', 'json'),
     ):
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_kl_paths_never_build_a_group_index(monkeypatch):
+    # classify min:/comp: and mult --engine kl|both index the shortest
+    # reps by their windows; only selftest builds GroupIndex
+    from kostantpv import compositions, groupindex
+
+    def refuse(self, n):
+        raise AssertionError(f'a KL request built GroupIndex({n})')
+
+    monkeypatch.setattr(groupindex.GroupIndex, '__init__', refuse)
+    groupindex.group_index.cache_clear()
+    cli._max_table.cache_clear()
+    compositions._thin.cache_clear()
+    compositions._quotient_cell.cache_clear()
+    want = _goldens()
+    for args in kl_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 

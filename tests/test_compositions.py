@@ -1,6 +1,5 @@
 """Blocks, transports, and the three-valued classifier."""
 
-import numpy as np
 import pytest
 
 from kostantpv import compositions
@@ -18,7 +17,6 @@ from kostantpv.compositions import (
     thin_all,
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
-from kostantpv.groupindex import group_index
 from kostantpv.klcells import (
     parabolic_verma_multiplicity,
     same_right_cell,
@@ -186,7 +184,7 @@ def test_thinness_is_filled_once_per_composition(monkeypatch):
     compositions._thin.cache_clear()
     first_reps, first_thin = thin_all(mu)
 
-    def refuse(n, J):
+    def refuse(parts):
         raise AssertionError('refilled the table of a cached composition')
 
     monkeypatch.setattr(klcells, 'parabolic_table', refuse)
@@ -200,9 +198,9 @@ def test_thinness_is_filled_once_per_composition(monkeypatch):
 def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):
     mu = Composition((2, 2))
     compositions._thin.cache_clear()
-    non_rep = group_index(4).idx(parse_permutation('2134'))
+    non_rep = parse_permutation('2134').window
     monkeypatch.setattr(compositions, '_quotient_cell',
-                        lambda _: np.array([non_rep]))
+                        lambda _: (non_rep,))
     with pytest.raises(ValueError):
         thin_all(mu)
 

@@ -345,13 +345,21 @@ def test_rows_match_the_table():
                 assert blk.row(x) == (rows[x], thin[x])
 
 
-def test_factor_count_is_the_table_size():
-    # the ceiling counts the factors from the cups, before any row
-    for n in range(2, 11):
+def test_factor_count_is_the_table_size(monkeypatch):
+    # the ceiling counts the factors from n and k, before the block is
+    # built: the table's own size is admitted, one less is over the limit
+    for n in range(2, 13):
         for k in range(1, n):
-            blk, rows, _ = block_table(MaxParContext(n, k))
-            assert sum(map(len, rows)) == sum(2 ** c for c in blk.ncups), \
-                (n, k)
+            ctx = MaxParContext(n, k)
+            blk, rows, _ = block_table(ctx)
+            count = sum(map(len, rows))
+            assert count == sum(2 ** c for c in blk.ncups), (n, k)
+            monkeypatch.setattr(cup_diagrams, 'MAX_TABLE_FACTORS', count)
+            block_table(ctx)
+            monkeypatch.setattr(cup_diagrams, 'MAX_TABLE_FACTORS', count - 1)
+            with pytest.raises(ValueError, match=f'all {count} composition'):
+                block_table(ctx)
+            monkeypatch.undo()
 
 
 def test_masks_past_62_positions():
@@ -395,7 +403,7 @@ def test_table_rejects_non_reps():
 
 
 def test_table_ceiling_refuses_before_allocating(monkeypatch):
-    # the ceiling is counted from the block's cups, before any row
+    # the ceiling is counted from n and k, before any row
     class Filled(Exception):
         pass
 

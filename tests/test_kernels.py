@@ -5,12 +5,16 @@ the pairwise bruhat_leq (itself checked against reduced subwords in
 test_permutations), and the dense KL fill with the R-polynomial
 inversion and with the earlier per-column fill kept below, which reads
 the Bruhat matrix and recurses on left descents, where the fill, run
-with no parabolic subgroup, recurses on right ones.  The array oracles of the kl-properties check (the
+with no parabolic subgroup, recurses on right ones.  The fill's
+arguments, built from the windows of the shortest reps, are held to the
+gather from the GroupIndex tables on every composition with n <= 7.
+The array oracles of the kl-properties check (the
 table identities and the mu-graph cells) also run here at n = 6, one
 size past selftest.
 """
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -21,9 +25,14 @@ from kostantpv.checks import (
     _kl_against_r_oracle,
     _kl_table_problems,
 )
+from kostantpv.compositions import Composition
 from kostantpv.groupindex import GroupIndex, group_index
 from kostantpv.klcells import _fill_args, kl_table
-from kostantpv.permutations import bruhat_leq
+from kostantpv.permutations import (
+    bruhat_leq,
+    coset_windows,
+    enumerate_shortest_reps,
+)
 
 # sha256 of kl_table(n).astype(np.int32).tobytes(), as the int32
 # per-column fill produced it
@@ -115,8 +124,8 @@ def test_cells_against_mu_graph_n6():
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
 def test_kl_fill_matches_per_column_fill(n):
     g = group_index(n)
-    reps, *args = _fill_args(n, ())
-    assert np.array_equal(reps, np.arange(g.N))
+    windows, *args = _fill_args((1,) * n)
+    assert windows == tuple(map(tuple, g.windows.tolist()))
     Pt = _kernels.kl_fill(*args)
     P = _kl_fill_by_column(*_left_args(g), g.leq, args[-1])
     assert Pt.dtype == np.int8
@@ -141,6 +150,60 @@ def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
         digest = hashlib.sha256(
             kl_table(n).astype(np.int32).tobytes()).hexdigest()
         assert digest == KL_TABLE_SHA256[n]
+
+
+def _gather_fill_args(n, J):
+    """The arguments of kl_fill over the shortest reps of W_J, gathered
+    from the tables of GroupIndex(n): (reps as group indices, order,
+    lengths, desc, mul, ncoef)."""
+    g = group_index(n)
+    reps = g.coset_reps(J)
+    pos = np.full(g.N, -1, dtype=np.int64)
+    pos[reps] = np.arange(len(reps))
+    mul = pos[g.rmul[:, reps]]
+    lengths = g.lengths[reps]
+    desc = np.full(len(reps), -1, dtype=np.int64)
+    for s in range(len(mul) - 1, -1, -1):
+        desc[g.lengths[g.rmul[s, reps]] < lengths] = s
+    order = np.argsort(lengths, kind='stable')
+    return reps, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
+
+
+def _compositions(n):
+    """Every composition of n, as parts."""
+    for cuts in itertools.product((False, True), repeat=n - 1):
+        parts = [1]
+        for cut in cuts:
+            if cut:
+                parts.append(1)
+            else:
+                parts[-1] += 1
+        yield tuple(parts)
+
+
+def test_coset_windows_and_fill_args_match_the_group_index():
+    # every composition with n <= 7: the windows are the S_n filter's
+    # reps and GroupIndex.coset_reps, and the fill arguments built from
+    # them are the GroupIndex gather (n = 1 has no generator, where the
+    # gather keeps one unused row of mul)
+    count = 0
+    for n in range(1, 8):
+        g = group_index(n)
+        for parts in _compositions(n):
+            J = Composition(parts).simple_reflections()
+            windows = coset_windows(parts)
+            assert windows == tuple(
+                w.window for w in enumerate_shortest_reps(n, J))
+            reps, *want = _gather_fill_args(n, J)
+            assert [g.index[w] for w in windows] == reps.tolist()
+            got_windows, *got = _fill_args(parts)
+            assert got_windows == windows
+            want[3] = want[3][:n - 1]
+            for a, b in zip(got[:-1], want[:-1]):
+                assert a.dtype == b.dtype and np.array_equal(a, b), parts
+            assert got[-1] == want[-1]
+            count += 1
+    assert count == 127
 
 
 def test_narrowing_to_int8_refuses_out_of_range_values():

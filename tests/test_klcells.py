@@ -9,7 +9,7 @@ import pytest
 
 from kostantpv.checks import dense_degrees
 from kostantpv.compositions import Composition, _quotient_cell
-from kostantpv.cup_diagrams import MaxParContext, block_table
+from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
 from kostantpv.klcells import (
     MAX_KL_N,
     _frozen,
@@ -70,6 +70,23 @@ def test_kl_polynomial_wrapper():
 def test_table_ceiling():
     with pytest.raises(ValueError):
         kl_table(MAX_KL_N + 1)
+
+
+def test_parabolic_table_refuses_before_listing_a_window(monkeypatch):
+    from kostantpv import klcells
+
+    def refuse(parts):
+        raise AssertionError(f'listed the reps of {parts}')
+
+    monkeypatch.setattr(klcells, 'coset_windows', refuse)
+    # S_7, 5,3,2 (2,520 reps, 16 coefficients) and 1,2519 (2,520 reps
+    # of length up to 2,519)
+    for parts in ((1,) * 7, (5, 3, 2), (1, 2519)):
+        with pytest.raises(ValueError, match='over its limit'):
+            parabolic_table(parts)
+    # the largest table admitted goes on to list its reps
+    with pytest.raises(AssertionError, match='listed the reps'):
+        parabolic_table((2, 2, 2, 2))
 
 
 def test_table_is_read_only():
@@ -221,6 +238,14 @@ def _subsets(n):
             for J in itertools.combinations(range(1, n), r)]
 
 
+def _parts(n, J):
+    """The composition of n whose Levi is W_J."""
+    cuts = [0, *sorted(set(range(1, n)) - J), n]
+    mu = Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
+    assert mu.simple_reflections() == J
+    return mu.parts
+
+
 def _as_polynomial(g, coeffs, w, y):
     """v^{l(y)-l(w)} S(v^{-2}) for one entry S of parabolic_sums."""
     return LaurentPolynomial.from_q_coeffs(
@@ -275,9 +300,11 @@ def test_parabolic_sums_accumulate_in_int32():
 def test_parabolic_table_matches_parabolic_sums():
     count = 0
     for n in range(1, 7):
+        g = group_index(n)
         for J in _subsets(n):
-            reps, S = parabolic_table(n, J)
-            assert np.array_equal(reps, group_index(n).coset_reps(J))
+            windows, S = parabolic_table(_parts(n, J))
+            reps = g.coset_reps(J)
+            assert windows == tuple(g.perm(i).window for i in reps)
             assert S.dtype == np.int8 and not S.flags.writeable
             sums = parabolic_sums(n, J, reps, reps)
             ncoef = S.shape[2]
@@ -289,8 +316,8 @@ def test_parabolic_table_matches_parabolic_sums():
 
 def test_parabolic_table_without_levi_is_kl_table():
     for n in range(1, 7):
-        reps, S = parabolic_table(n, ())
-        assert np.array_equal(reps, np.arange(group_index(n).N))
+        windows, S = parabolic_table((1,) * n)
+        assert windows == tuple(w.window for w in enumerate_group(n))
         assert np.array_equal(S, kl_table(n)), n
 
 
@@ -302,9 +329,10 @@ def test_parabolic_table_matches_cup_degrees_to_n8():
         g = group_index(n)
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            reps, S = parabolic_table(n, ctx.J)
+            windows, S = parabolic_table((k, n - k))
+            assert windows == tuple(w.window for w in shortest_reps(ctx))
             deg = dense_degrees(block_table(ctx)[1])
-            lengths = g.lengths[reps]
+            lengths = g.lengths[[g.index[w] for w in windows]]
             d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
             cup = deg >= 0
             assert not (cup & ((odd != 0) | (d < 0))).any(), (n, k)
@@ -343,13 +371,13 @@ def test_right_cells_partition_the_group():
 def test_quotient_cell_matches_the_rsk_partition():
     count = 0
     for n in range(1, 9):
+        g = group_index(n)
         for J in _subsets(n):
-            cuts = [0, *sorted(set(range(1, n)) - J), n]
-            mu = Composition(tuple(b - a for a, b in zip(cuts, cuts[1:])))
-            assert mu.simple_reflections() == J
+            mu = Composition(_parts(n, J))
             seed = longest_element_parabolic(n, J) * longest_element(n)
             cell = _quotient_cell(mu)
-            assert np.array_equal(cell, right_cells(n)[right_cell_key(seed)])
-            assert not cell.flags.writeable
+            assert isinstance(cell, tuple)
+            assert cell == tuple(
+                g.perm(i).window for i in right_cells(n)[right_cell_key(seed)])
             count += 1
     assert count == 255
