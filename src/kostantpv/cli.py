@@ -10,11 +10,12 @@ disagreement or a failing selftest), 2 usage error.
 
 The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
-a parabolic Kazhdan-Lusztig table (the kl and both engines, and any
-thinness column outside the maximal case) stop at n = 6; classify max:k
-refuses blocks with more than cup_diagrams.MAX_TABLE_FACTORS composition
-factors, mult --engine cup blocks of more than
-cup_diagrams.MAX_BLOCK_WORDS words, and cells n > MAX_CELLS_N.
+a parabolic Kazhdan-Lusztig table (classify min:k and comp:, and mult
+with the kl and both engines) refuse a fill over klcells.MAX_FILL_BYTES,
+counted from the parts alone; classify max:k refuses blocks with more
+than cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine
+cup blocks of more than cup_diagrams.MAX_BLOCK_WORDS words, and cells
+n > MAX_CELLS_N.
 
 Each command returns its stdout as a sequence of chunks.  classify
 max:k encodes its rows a chunk at a time, straight from per-factor
@@ -53,12 +54,6 @@ def _cup_diagrams():
 
 
 @lru_cache(maxsize=None)
-def _klcells():
-    from . import klcells
-    return klcells
-
-
-@lru_cache(maxsize=None)
 def _bigrassmannian():
     from . import bigrassmannian
     return bigrassmannian
@@ -89,15 +84,6 @@ def _guard_n(n: int, n_max: int) -> None:
             f'warning: n limit raised to {n_max}; runs beyond n=8 can take '
             'very long and use much memory',
             file=sys.stderr,
-        )
-
-
-def _require_kl(n: int, what: str) -> None:
-    limit = _klcells().MAX_KL_N
-    if n > limit:
-        raise UsageError(
-            f'{what} needs a parabolic Kazhdan-Lusztig table, which is '
-            f'kept to n <= {limit}'
         )
 
 
@@ -236,24 +222,16 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     kind, arg = _parse_parabolic(n, parabolic)
     if kind == 'max':
         return _classify_max(n, arg, parabolic, fmt), 0
+    from .compositions import Composition, classify_all
+
     if kind == 'min':
-        _require_kl(n, 'the thinness column for a minimal parabolic')
-        from .compositions import Composition, thin_all
-        from .minimal_parabolic import (
-            MinParContext,
-            is_kostant_positive_minimal,
-        )
+        from .minimal_parabolic import MinParContext
 
-        ctx = MinParContext(n, arg)
-        reps, thin = thin_all(Composition(ctx.parts))
-        classified = [
-            (w, 'Positive' if is_kostant_positive_minimal(ctx, w)
-             else 'Negative', bool(t)) for w, t in zip(reps, thin)]
-    else:
-        _require_kl(n, 'classification for a general composition')
-        from .compositions import classify_all
-
+        arg = Composition(MinParContext(n, arg).parts)
+    try:
         classified = classify_all(arg)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     rows = [{'w': str(w), 'word': None, 'verdict': verdict, 'thin': thin,
              'a_value': None, 'multiplicities': None}
             for w, verdict, thin in classified]
@@ -278,15 +256,19 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
 @lru_cache(maxsize=None)
 def _max_table(ctx: MaxParContext) -> tuple:
     """parabolic_table for max:k, kept for the life of the process like
-    block(ctx): a mult request reads one row of it, and the table is at
-    most 2 KB at n <= 6."""
+    block(ctx): a mult request reads one row of it.  The table is at most
+    2 KB at n <= 6; the largest that MAX_FILL_BYTES admits, at (22, 3) and
+    (22, 19), takes 69 MB."""
     from .klcells import parabolic_table
 
     return parabolic_table((ctx.k, ctx.m))
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
-    reps, S = _max_table(ctx)
+    try:
+        reps, S = _max_table(ctx)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     sums = S[reps.index(x.window)]
     rows = []
     for window, coeffs in zip(reps, sums.tolist()):
@@ -315,8 +297,6 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     x = _parse_perm(n, x_text)
     if not is_shortest_coset_rep(x, ctx.J):
         raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}')
-    if engine in ('kl', 'both'):
-        _require_kl(n, f'engine {engine}')
     agree = None
     if engine == 'cup':
         rows = _cup_mult_rows(ctx, x)

@@ -202,17 +202,21 @@ def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
 def _thin(mu: Composition) -> tuple:
     """(reps, thin): the windows of the shortest reps of mu in window
     order, and the thinness of each: exactly one u in the cell of
-    w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1.
+    w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1.  The
+    "and that one 1" has never decided a rep: over every composition
+    that MAX_FILL_BYTES admits at n = 7 and 8 (63 of the 64 of 7, 69 of
+    the 128 of 8; 97,528 reps) no cell has a single nonzero factor of
+    multiplicity other than 1.
 
-    Both read-only and kept for the life of the process (540 KB for all
-    63 compositions with n <= 6, mostly the windows); the table they
-    are read from is not.  min:k and the comp: of the same Levi share
-    one entry."""
+    Both read-only and kept for the life of the process (520 KB for all
+    63 compositions with n <= 6, 5.0 MB for the 126 with n <= 7, mostly
+    the windows); the table they are read from is not.  min:k and the
+    comp: of the same Levi share one entry."""
     reps, S = parabolic_table(mu.parts)
     at = {w: i for i, w in enumerate(reps)}
     cell = [at.get(w) for w in _quotient_cell(mu)]
     if None in cell:
-        raise ValueError(
+        raise AssertionError(
             f'the cell of w_0^mu w_0 leaves the shortest reps of '
             f'{mu.to_text()}'
         )
@@ -230,13 +234,6 @@ def is_thin_general(mu: Composition, w: Permutation) -> bool:
     return bool(thin[bisect_left(reps, w.window)])
 
 
-def thin_all(mu: Composition):
-    """(reps, thin): every shortest rep of mu in window order, and the
-    read-only thinness of each, from one fill of the parabolic table."""
-    reps, thin = _thin(mu)
-    return list(map(_raw, reps)), thin
-
-
 def _verdict(positive: bool, thin: bool) -> str:
     """Positive by the sufficient condition; Negative by non-thinness;
     Unknown in the remaining (genuinely open) thin cases."""
@@ -248,9 +245,9 @@ def _verdict(positive: bool, thin: bool) -> str:
 def classify_all(mu: Composition) -> list:
     """(w, verdict, thin) for every shortest rep w of mu, in window
     order; thinness is computed once, for all reps together."""
-    reps, thin = thin_all(mu)
+    reps, thin = _thin(mu)
     positive = _positive_windows(mu)
     return [
-        (w, _verdict(w.window in positive, bool(t)), bool(t))
+        (_raw(w), _verdict(w in positive, bool(t)), bool(t))
         for w, t in zip(reps, thin)
     ]

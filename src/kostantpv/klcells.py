@@ -71,17 +71,13 @@ __all__ = [
     'is_involution',
 ]
 
-# The whole-group table is quadratic in n!: S_6 takes 4.1 MB as int8,
-# and the fill of S_7 (dense int8, 11 coefficients, 279 MB) was measured
-# at 1.1-1.2 s and a 303 MiB peak on a 2-core x86 host.  kl_table stops
-# at MAX_KL_N, and so do the CLI's KL paths (cli._require_kl), although
-# they read only parabolic_table, which MAX_FILL_BYTES alone bounds.
-MAX_KL_N = 6
-
 # parabolic_table fills an int8 buffer of R (R + 1) ncoef bytes over R
-# reps (a count of reps alone would admit the 8 GB of 1,2519).  The limit
-# is comp:2,2,2,2 (2,520 reps, 13 coefficients, 83 MB): 0.40 s and a
-# 110 MiB peak RSS in process, on a 2-core x86 host.
+# reps (a count of reps alone would admit the 8 GB of 1,2519).  It is the
+# one bound of every KL path, the CLI's included.  The limit is
+# comp:2,2,2,2 (2,520 reps, 13 coefficients, 83 MB): 0.40 s and a
+# 110 MiB peak RSS in process, on a 2-core x86 host.  The whole-group
+# table is quadratic in n!: S_6 takes 4.1 MB, and S_7 (5,040 reps, 11
+# coefficients, 279 MB) is refused.
 MAX_FILL_BYTES = 2520 * 2521 * 13
 
 
@@ -144,12 +140,11 @@ def kl_table(n: int) -> np.ndarray:
     P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
     x, w of group_index(n).  Zero where x is not Bruhat-below w.
     The parabolic table of the composition 1^n, whose reps are the
-    whole group in window order, the order of group_index(n).
+    whole group in window order, the order of group_index(n); past
+    n = 6 it is over MAX_FILL_BYTES, and refused with a ValueError.
     """
-    if not 1 <= n <= MAX_KL_N:
-        raise ValueError(
-            f'dense KL table supported for 1 <= n <= {MAX_KL_N}, got {n}'
-        )
+    if n < 1:
+        raise ValueError(f'n must be positive, got {n}')
     return parabolic_table((1,) * n)[1]
 
 

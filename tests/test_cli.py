@@ -161,16 +161,18 @@ def test_cells():
     assert shapes['123'] == '3' and shapes['321'] == '1,1,1'
 
 
+IDENTITY_14 = '[' + ','.join(map(str, range(1, 15))) + ']'
+
+
 def test_usage_errors():
     cases = [
         ('classify', '--n', '9', '--parabolic', 'max:2'),
         ('classify', '--n', '4', '--parabolic', 'max:4'),
         ('classify', '--n', '4', '--parabolic', 'bogus'),
         ('classify', '--n', '4', '--parabolic', 'comp:2,3'),
-        ('classify', '--n', '7', '--parabolic', 'min:3'),
-        ('classify', '--n', '7', '--parabolic', 'comp:3,4'),
-        ('mult', '--n', '7', '--k', '2', '--x', '1234567',
-         '--engine', 'kl'),
+        # past the KL fill's bound: 20,160 and 5,040 reps
+        ('classify', '--n', '8', '--parabolic', 'min:3'),
+        ('classify', '--n', '7', '--parabolic', 'comp:1,1,1,1,1,1,1'),
         ('mult', '--n', '4', '--k', '2', '--x', '2134'),
         ('mult', '--n', '4', '--k', '2', '--x', '213'),
         ('selftest', '--n-max', '9'),
@@ -180,6 +182,13 @@ def test_usage_errors():
         assert proc.returncode == 2, args
         assert proc.stderr.startswith('error:'), args
         assert proc.stdout == ''
+    # the 3,432 reps of max:7 at n = 14; the raised --n-max warns first
+    proc = run_cli('mult', '--n', '14', '--k', '7', '--x', IDENTITY_14,
+                   '--engine', 'kl', '--n-max', '14')
+    assert proc.returncode == 2
+    warning, error = proc.stderr.splitlines()
+    assert warning.startswith('warning:') and error.startswith('error:')
+    assert proc.stdout == ''
 
 
 def test_cup_table_ceiling():
@@ -232,6 +241,26 @@ def test_a_refused_table_caches_no_block(capsys):
     out, err = capsys.readouterr()
     assert out == '' and err.count('error: the cup engine lists all') == 2
     assert cup_diagrams.block.cache_info().currsize == 0
+
+
+def test_a_refused_kl_fill_caches_no_thinness(capsys):
+    # the fill's bound is checked from the parts, before any entry of
+    # _thin (or of the max:k table) is made
+    from kostantpv import compositions
+
+    before = compositions._thin.cache_info().currsize
+    tables = cli._max_table.cache_info().currsize
+    for args in (
+        ['classify', '--n', '8', '--parabolic', 'min:3'],
+        ['classify', '--n', '7', '--parabolic', 'comp:1,1,1,1,1,1,1'],
+        ['mult', '--n', '14', '--k', '7', '--x', IDENTITY_14,
+         '--engine', 'both', '--n-max', '14'],
+    ):
+        assert cli.main(args) == 2, args
+    out, err = capsys.readouterr()
+    assert out == '' and err.count('error: the KL fill over the') == 3
+    assert compositions._thin.cache_info().currsize == before
+    assert cli._max_table.cache_info().currsize == tables
 
 
 def test_cells_ceiling():
@@ -472,6 +501,32 @@ def kl_golden_invocations():
     return out
 
 
+WIDE_MULT = ((7, 3), (8, 4), (10, 5), (12, 6))
+
+
+def wide_kl_golden_invocations():
+    """Past n = 6, where the KL paths used to stop: every classify min:k
+    at n = 7 and classify comp:2,2,3, comp:3,4 (n = 7) and comp:4,4
+    (n = 8), in both formats, and two-engine multiplicities of the middle
+    rep of max:k at WIDE_MULT.  The min:k digests were recorded from the
+    minimal theorem's verdicts (is_kostant_positive_minimal)."""
+    out = []
+    for fmt in ('json', 'tsv'):
+        for k in range(1, 7):
+            out.append(('classify', '--n', '7', '--parabolic', f'min:{k}',
+                        '--format', fmt))
+        for n, mu in ((7, '2,2,3'), (7, '3,4'), (8, '4,4')):
+            out.append(('classify', '--n', str(n), '--parabolic',
+                        f'comp:{mu}', '--format', fmt))
+    for n, k in WIDE_MULT:
+        reps = _three_reps(n, k)
+        out.append(('mult', '--n', str(n), '--k', str(k),
+                    '--x', str(reps[len(reps) // 2]), '--engine', 'both',
+                    '--format', 'tsv')
+                   + (('--n-max', str(n)) if n > 8 else ()))
+    return out
+
+
 def socle_cells_golden_invocations():
     """cells at n = 2..7, and socle of every w at n <= 4, of ten seeded
     w per n at n = 5..8, and of w_0 and two seeded w at n = 9 (digit
@@ -508,7 +563,7 @@ def selftest_golden_invocations():
 
 def golden_invocations():
     return (max_golden_invocations() + kl_golden_invocations()
-            + socle_cells_golden_invocations()
+            + wide_kl_golden_invocations() + socle_cells_golden_invocations()
             + selftest_golden_invocations())
 
 
@@ -537,6 +592,12 @@ def test_max_parabolic_goldens():
 def test_kl_path_goldens():
     want = _goldens()
     for args in kl_golden_invocations():
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_wide_kl_goldens():
+    want = _goldens()
+    for args in wide_kl_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 

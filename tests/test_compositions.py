@@ -14,7 +14,6 @@ from kostantpv.compositions import (
     right_cell_of_longest_quotient,
     similar,
     sorted_partition,
-    thin_all,
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
 from kostantpv.klcells import (
@@ -166,15 +165,15 @@ def _thin_by_loop(mu, w):
     return hits == 1
 
 
-def test_thin_all_matches_object_loop():
+def test_classify_all_thinness_matches_object_loop():
     for n in range(1, 7):
         for parts in _compositions_of(n):
             mu = Composition(parts)
-            reps, thin = thin_all(mu)
-            assert reps == sorted(
+            rows = classify_all(mu)
+            assert [w for w, _, _ in rows] == sorted(
                 enumerate_shortest_reps(n, mu.simple_reflections()))
-            for w, t in zip(reps, thin):
-                assert bool(t) == _thin_by_loop(mu, w), (parts, w)
+            for w, _, t in rows:
+                assert t == _thin_by_loop(mu, w), (parts, w)
 
 
 def test_thinness_is_filled_once_per_composition(monkeypatch):
@@ -182,17 +181,17 @@ def test_thinness_is_filled_once_per_composition(monkeypatch):
 
     mu = Composition((2, 1, 2))
     compositions._thin.cache_clear()
-    first_reps, first_thin = thin_all(mu)
+    first_reps, first_thin = compositions._thin(mu)
 
     def refuse(parts):
         raise AssertionError('refilled the table of a cached composition')
 
     monkeypatch.setattr(klcells, 'parabolic_table', refuse)
     monkeypatch.setattr(compositions, 'parabolic_table', refuse)
-    reps, thin = thin_all(mu)
+    reps, thin = compositions._thin(mu)
     assert reps == first_reps and thin is first_thin
     assert not thin.flags.writeable
-    assert is_thin_general(mu, reps[0]) == bool(thin[0])
+    assert is_thin_general(mu, Permutation(reps[0])) == bool(thin[0])
 
 
 def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):
@@ -201,8 +200,8 @@ def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):
     non_rep = parse_permutation('2134').window
     monkeypatch.setattr(compositions, '_quotient_cell',
                         lambda _: (non_rep,))
-    with pytest.raises(ValueError):
-        thin_all(mu)
+    with pytest.raises(AssertionError, match='leaves the shortest reps'):
+        compositions._thin(mu)
 
 
 def test_positive_set_matches_transport_loop():

@@ -11,7 +11,6 @@ from kostantpv.checks import dense_degrees
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
 from kostantpv.klcells import (
-    MAX_KL_N,
     _frozen,
     is_involution,
     is_small_cell_member,
@@ -68,8 +67,11 @@ def test_kl_polynomial_wrapper():
 
 
 def test_table_ceiling():
-    with pytest.raises(ValueError):
-        kl_table(MAX_KL_N + 1)
+    # S_7 is over the fill's own bound, MAX_FILL_BYTES
+    with pytest.raises(ValueError, match='over its limit'):
+        kl_table(7)
+    with pytest.raises(ValueError, match='n must be positive'):
+        kl_table(0)
 
 
 def test_parabolic_table_refuses_before_listing_a_window(monkeypatch):

@@ -1,0 +1,54 @@
+"""Requests run under perfbench's tracer print their golden bytes.
+
+The tracer binds fixed names of the program (its SPANS, KERNELS, COUNTS
+and CACHES, checks.ALL_CHECKS, GroupIndex.__init__ and the
+LaurentPolynomial methods) and reads the size of the array kl_fill
+returns.  A renamed or reshaped one makes a traced request fail while
+the untraced one still passes, so each engine is run here through the
+tracer as perfbench loads it.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import pathlib
+
+import pytest
+
+from kostantpv import cli, compositions
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location(
+        'perfbench_tracer', ROOT / 'perfbench' / 'tracer.py')
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize('args, fills', [
+    (('classify', '--n', '6', '--parabolic', 'min:3', '--format', 'json'),
+     True),
+    (('classify', '--n', '6', '--parabolic', 'comp:1,2,1,2',
+      '--format', 'tsv'), True),
+    (('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both',
+      '--format', 'json'), True),
+    (('classify', '--n', '8', '--parabolic', 'max:4', '--format', 'tsv'),
+     False),
+], ids=['min', 'comp', 'mult-both', 'max'])
+def test_traced_request_prints_its_golden(args, fills):
+    compositions._thin.cache_clear()
+    cli._max_table.cache_clear()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code, report = _tracer().run_traced(cli.main, list(args))
+    assert code == 0
+    goldens = json.loads((ROOT / 'tests' / 'cli_goldens.json').read_text())
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
+        goldens[' '.join(args)]
+    assert (report['counts'].get('kernels.kl_fill.bytes', 0) > 0) == fills
