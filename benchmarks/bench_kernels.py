@@ -1,4 +1,4 @@
-"""Time the numpy kernels and the parabolic alternating sum alone.
+"""Time the numpy kernels, the KL fills and the cup layer alone.
 
 Runs the Bruhat comparability matrix on S_6 and S_7 and the dense
 Kazhdan-Lusztig fill on S_5 and S_6, and reports the best of --repeat
@@ -9,7 +9,9 @@ gives the bytes of the int8 table it writes.
 The same fill over the shortest reps alone (klcells._fill_args, whose
 reps are permutations.coset_windows) is timed at n = 6 for min:3
 (1,1,2,1,1) and max:3 (3,3), each after its table has matched
-klcells.parabolic_sums over the group indices of the reps.  The whole
+parabolic_sums, the alternating sum over the whole-group table that the
+tests keep in tests/oracles.py, over the group indices of the reps.
+The whole
 of klcells.parabolic_table, the reps listed and filled anew each run,
 is timed at 4,4 (max:4 at n = 8, where no whole-group table exists),
 after it has matched the cup degree table of that block.
@@ -19,16 +21,11 @@ insertion) is timed over every composition of 6, with its cache
 cleared each run, after each cell has matched the RSK partition of S_6
 (the elements whose insertion tableau is that of w_0^mu w_0).
 
-The parabolic alternating sum (klcells.parabolic_sums) is timed as the
-classifier calls it: for every composition of 6, every shortest rep
-against the right cell of w_0^mu w_0.  Each entry is first checked
-against the per-pair klcells.parabolic_verma_multiplicity.
-
 The cup layer is timed at (14, 7), (16, 8) and (17, 8): setting up
 cup_diagrams.Block (the words listed and capped anew each run) and
 filling its sparse rows (Block.table), after three seeded columns of the
 rows have matched the object-level orient(d_of(word y).diagram, word x)
-at every x.
+at every x (orient is the reference kept in tests/oracles.py).
 
 The socle sweep times bigrassmannian.socle_descriptor on every element
 of S_2..S_6, after checking every descriptor with n <= 5 against the
@@ -66,11 +63,7 @@ import numpy as np
 from kostantpv import _kernels, cli
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.checks import _kl_table_problems, dense_degrees
-from kostantpv.compositions import (
-    Composition,
-    _quotient_cell,
-    right_cell_of_longest_quotient,
-)
+from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import (
     DEGREE_BITS,
     Block,
@@ -78,16 +71,9 @@ from kostantpv.cup_diagrams import (
     WeightWord,
     block_table,
     d_of,
-    orient,
 )
 from kostantpv.groupindex import group_index
-from kostantpv.klcells import (
-    _fill_args,
-    parabolic_sums,
-    parabolic_table,
-    parabolic_verma_multiplicity,
-)
-from kostantpv.laurent import LaurentPolynomial
+from kostantpv.klcells import _fill_args, parabolic_table
 from kostantpv.permutations import (
     Permutation,
     bruhat_leq,
@@ -97,7 +83,10 @@ from kostantpv.permutations import (
 )
 from kostantpv.tableaux import rsk
 
-SRC = Path(__file__).resolve().parent.parent / 'src'
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / 'src'
+sys.path.insert(0, str(ROOT / 'tests'))
+from oracles import orient, parabolic_sums  # noqa: E402
 COLD_RUNS = 5
 
 
@@ -188,35 +177,6 @@ def bench_quotient_cell(n, repeat):
 
     bench_case(f'quotient_cell S_{n}', repeat, run_all,
                note=f'  ({len(mus)} compositions, inverse RSK)')
-
-
-def bench_parabolic_sums(n, repeat):
-    g = group_index(n)
-    cases = []
-    for mu in compositions(n):
-        J = mu.simple_reflections()
-        reps = g.coset_reps(J)
-        cell = sorted(g.idx(u) for u in right_cell_of_longest_quotient(mu))
-        sums = parabolic_sums(n, J, reps, cell)
-        for a, w in enumerate(reps):
-            for b, y in enumerate(cell):
-                got = LaurentPolynomial.from_q_coeffs(
-                    sums[a, b].tolist(), int(g.lengths[y] - g.lengths[w]))
-                if got != parabolic_verma_multiplicity(
-                        J, g.perm(w), g.perm(y)):
-                    raise SystemExit(
-                        f'parabolic_sums {mu.to_text()}: {g.perm(w)} '
-                        f'{g.perm(y)} disagrees with the per-pair sum')
-        cases.append((J, reps, cell))
-
-    def run_all():
-        for J, reps, cell in cases:
-            parabolic_sums(n, J, reps, cell)
-
-    t = best_of(repeat, run_all)
-    name = f'parabolic_sums S_{n}'
-    print(f'{name:24s} {t * 1e3:10.2f} ms'
-          f'  ({len(cases)} compositions, reps x cell)')
 
 
 def bench_cup_block(n, k, repeat):
@@ -356,7 +316,6 @@ def main():
     bench_parabolic_fill('max', 3, (3, 3), args.repeat)
     bench_parabolic_table(4, 4, args.repeat)
     bench_quotient_cell(6, args.repeat)
-    bench_parabolic_sums(6, args.repeat)
     for n, k in ((14, 7), (16, 8), (17, 8)):
         bench_cup_block(n, k, args.repeat)
     bench_socle(args.repeat)

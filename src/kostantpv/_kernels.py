@@ -76,8 +76,8 @@ def leq_matrix(dom: np.ndarray) -> np.ndarray:
 #
 #   S_{x,w} = sum over z in W_J of (-1)^{l(z)} P_{zx,w},
 #
-# the alternating sum klcells.parabolic_sums takes from the whole-group
-# table.
+# the alternating sum that parabolic_sums, the reference kept in
+# tests/oracles.py, takes from the whole-group table.
 
 
 def _narrow(vals: np.ndarray) -> np.ndarray:

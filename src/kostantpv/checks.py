@@ -11,9 +11,13 @@ their full bounds.
 
 cross-oracle, thin-y, linear-quiver and the maximal part of
 reconciliation read the tables the CLI serves: the sparse rows and thin
-column of cup_diagrams.block_table, and, for cross-oracle, one
-klcells.parabolic_sums block per (n, k) compared with the rows as a
-whole, laid out as a dense array (dense_degrees).
+column of cup_diagrams.block_table, and, for cross-oracle, the
+klcells.parabolic_table that mult --engine kl reads, one per (n, k),
+compared with the rows as a whole, laid out as a dense array
+(dense_degrees).  positivity-ratio decides the minimal-parabolic
+verdict on the windows of permutations.coset_windows, by the rule of
+is_kostant_positive_minimal, which reconciliation holds classify min:k
+to rep by rep.
 
 Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
@@ -59,10 +63,11 @@ from .cup_diagrams import (
 )
 from .groupindex import group_index
 from .klcells import (
+    inversions,
     kl_polynomial,
     kl_table,
     left_cell_key,
-    parabolic_sums,
+    parabolic_table,
     right_cell_key,
 )
 from .laurent import LaurentPolynomial
@@ -174,6 +179,12 @@ def check_case_chains(n_max: int):
     return _verdict(problems, f'{count} chains verified, n <= {top}')
 
 
+def positive_window(window: tuple, k: int) -> bool:
+    """The verdict of is_kostant_positive_minimal at (n, k) on the rep
+    with this window: k + 1 sits right after k."""
+    return window.index(k + 1) == window.index(k) + 1
+
+
 def check_ratio(n_max: int):
     """Positive-to-negative count is (n-1) : (C(n,2)-(n-1)), any k."""
     problems = []
@@ -181,9 +192,8 @@ def check_ratio(n_max: int):
     for n in range(3, top + 1):
         expected = Fraction(n - 1, n * (n - 1) // 2 - (n - 1))
         for k in range(1, n):
-            ctx = MinParContext(n, k)
-            reps = coset_windows(ctx.parts)
-            pos = sum(is_kostant_positive_minimal(ctx, _raw(w)) for w in reps)
+            reps = coset_windows(MinParContext(n, k).parts)
+            pos = sum(positive_window(w, k) for w in reps)
             neg = len(reps) - pos
             if Fraction(pos, neg) != expected:
                 problems.append(f'({n},{k}): {pos}/{neg} != {expected}')
@@ -242,18 +252,17 @@ def check_cross_oracle(n_max: int):
     top = min(n_max, 6)
     pairs = 0
     for n in range(2, top + 1):
-        g = group_index(n)
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             blk, rows, _ = block_table(ctx)
             deg = dense_degrees(rows)
-            reps = g.coset_reps(ctx.J)
+            windows, sums = parabolic_table((k, n - k))
+            W = np.array(windows)
             wedges = np.array([list(word) for word in blk.words]) == WEDGE
-            if not np.array_equal(g.windows[reps] <= k, wedges):
+            if not np.array_equal(W <= k, wedges):
                 problems.append(f'({n},{k}): coset reps != block reps')
                 continue
-            sums = parabolic_sums(n, ctx.J, reps, reps)
-            lengths = g.lengths[reps]
+            lengths = inversions(W)
             d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
             cup = deg >= 0
             fits = cup & (odd == 0) & (d >= 0) & (d < sums.shape[2])

@@ -1,13 +1,15 @@
 r"""
-Parabolic types for arbitrary compositions: blocks, the block-permuting
-groups G_mu, the transport elements omega, and the three-valued
-classifier.
+Parabolic types for arbitrary compositions: blocks, the sufficient
+positivity test, and the three-valued classifier.
 
 A composition mu of n cuts {1, ..., n} into consecutive blocks.  G_mu
 permutes equal-size blocks while preserving the order inside each
 block; omega_{mu,nu} is the canonical such transport between two
 similar compositions (same multiset of parts), the one whose induced
 map on block indices is order-preserving among blocks of equal size.
+Both are read off in closed form here (_positive_windows); G_mu and
+omega as permutation objects are the references the tests keep in
+tests/oracles.py.
 
 Sufficient positivity: w lies in G_mu omega_{nu,mu} for some nu
 similar to mu.  Necessary negativity: the standard module at w is not
@@ -86,78 +88,6 @@ class Composition:
         """Generators of the Levi: all indices except block boundaries."""
         bounds = set(itertools.accumulate(self.parts[:-1]))
         return frozenset(range(1, self.n)) - bounds
-
-
-def sorted_partition(mu: Composition) -> tuple:
-    """Parts in weakly decreasing order."""
-    return tuple(sorted(mu.parts, reverse=True))
-
-
-def similar(mu: Composition, nu: Composition) -> bool:
-    return sorted_partition(mu) == sorted_partition(nu)
-
-
-def _block_transport(mu: Composition, nu: Composition, assignment) -> Permutation:
-    """Permutation sending block i of mu onto block assignment[i] of nu,
-    order-preserving inside each block."""
-    nu_blocks = nu.blocks()
-    window = [0] * mu.n
-    for i, block in enumerate(mu.blocks()):
-        target = nu_blocks[assignment[i]]
-        for src, dst in zip(block, target):
-            window[src - 1] = dst
-    return _raw(tuple(window))
-
-
-def G_mu(mu: Composition) -> frozenset:
-    """All order-preserving permutations of equal-size blocks.
-
-    >>> len(G_mu(Composition((2, 2, 1, 2))))
-    6
-    """
-    by_size: dict = {}
-    for i, p in enumerate(mu.parts):
-        by_size.setdefault(p, []).append(i)
-    out = []
-    groups = list(by_size.values())
-    for images in itertools.product(
-        *(itertools.permutations(g) for g in groups)
-    ):
-        assignment = {}
-        for g, image in zip(groups, images):
-            assignment.update(zip(g, image))
-        out.append(_block_transport(mu, mu, assignment))
-    return frozenset(out)
-
-
-def omega(mu: Composition, nu: Composition) -> Permutation:
-    """The canonical transport from the blocks of mu onto the blocks
-    of nu: order-preserving inside blocks, and order-preserving on the
-    indices of equal-size blocks.
-
-    >>> str(omega(Composition((2, 1, 3, 2)), Composition((3, 2, 2, 1))))
-    '45812367'
-    """
-    if not similar(mu, nu):
-        raise ValueError(
-            f'compositions {mu.to_text()} and {nu.to_text()} are not similar'
-        )
-    targets_by_size: dict = {}
-    for j, p in enumerate(nu.parts):
-        targets_by_size.setdefault(p, []).append(j)
-    assignment = {}
-    cursor = {size: 0 for size in targets_by_size}
-    for i, p in enumerate(mu.parts):
-        assignment[i] = targets_by_size[p][cursor[p]]
-        cursor[p] += 1
-    return _block_transport(mu, nu, assignment)
-
-
-def _similar_compositions(mu: Composition) -> tuple:
-    return tuple(
-        Composition(parts)
-        for parts in sorted(set(itertools.permutations(mu.parts)))
-    )
 
 
 @lru_cache(maxsize=None)

@@ -31,8 +31,9 @@ graded_multiplicity, is_thin and the classifier work on bit masks of
 the words in index space (Block), with d(Phi(y)) capped once per y
 from its letters, in plain Python ints and lists: one pair, one row of
 factors for a single x, or the sparse rows of every x.  The word and
-diagram objects, with d_of, orient and the exhaustive enumeration, are
-the reference the Block is tested against.
+diagram objects, with d_of and the exhaustive enumeration, are the
+reference the Block is tested against, with orient (one diagram
+decorated by one word), which the tests keep in tests/oracles.py.
 
 Text forms: a word is a string like '^^vv'; a diagram is
 'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
@@ -132,7 +133,8 @@ class OrientedCupDiagram:
     """A cup diagram decorated by a word; cups join opposite letters.
 
     Need not be admissible: admissibility is about strands and is
-    checked by orient / enumerate_admissible.
+    checked by is_admissible (enumerate_admissible, and orient in
+    tests/oracles.py).
     """
 
     diagram: CupDiagram
@@ -350,23 +352,6 @@ def enumerate_admissible(word: WeightWord) -> frozenset:
     return frozenset(
         ocd for ocd in enumerate_oriented(word) if ocd.is_admissible()
     )
-
-
-def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
-    """Decorate c by the word if valid and admissible, else None.
-
-    >>> c = d_of(WeightWord('^v^v')).diagram
-    >>> orient(c, WeightWord('^^vv')).degree
-    1
-    >>> orient(c, WeightWord('vv^^')) is None
-    True
-    """
-    if c.n != word.n:
-        raise ValueError('diagram and word sizes differ')
-    if any(word[a] == word[b] for a, b in c.cups):
-        return None
-    ocd = OrientedCupDiagram(c, word)
-    return ocd if ocd.is_admissible() else None
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,9 @@ MAX_N = 8
 
 
 class GroupIndex:
-    """Indexed enumeration of S_n with multiplication and order tables."""
+    """Indexed enumeration of S_n with inverse, length, generator and
+    order tables (products of indices and coset reps are references the
+    tests keep in tests/oracles.py)."""
 
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
@@ -78,20 +80,6 @@ class GroupIndex:
         w = np.asarray(windows)
         code = np.triu(w[..., :, None] > w[..., None, :], 1).sum(axis=-1)
         return code @ self._weights
-
-    def mul(self, a, b) -> np.ndarray:
-        """Indices of the products a * b, for broadcastable index arrays."""
-        a, b = np.broadcast_arrays(a, b)
-        wb = self.windows[b].astype(np.int64) - 1
-        return self.rank(np.take_along_axis(self.windows[a], wb, axis=-1))
-
-    def coset_reps(self, J) -> np.ndarray:
-        """Indices of the shortest reps of W_J \\ S_n, in window order:
-        the w with l(s_j w) > l(w) for every j in J."""
-        mask = np.ones(self.N, dtype=bool)
-        for j in J:
-            mask &= self.lengths[self.lmul[j - 1]] > self.lengths
-        return np.flatnonzero(mask)
 
     # -- order tables
 

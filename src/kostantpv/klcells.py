@@ -17,10 +17,11 @@ and for any J, parabolic_table gives the q-form
 
     S[x, w, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z x, w},
 
-equal entry by entry to parabolic_sums(n, J, reps, reps), which takes
-the same alternating sum from the whole-group table and stays as its
-oracle.  The translation to the graded world -- q = v^{-2} plus an
-overall power of v -- happens only at the multiplicity boundary:
+equal entry by entry to the same alternating sum taken from the
+whole-group table (parabolic_sums, the oracle the tests keep in
+tests/oracles.py).  The translation to the graded world -- q = v^{-2}
+plus an overall power of v -- happens only at the multiplicity
+boundary:
 
     verma_multiplicity(x, y)  =  v^{l(y)-l(x)} P_{x,y}(v^{-2}),
 
@@ -39,7 +40,9 @@ That assignment of sides is checked against the mu-coefficient-graph
 oracle (checks, run by selftest and the test suite), not assumed from
 any one book.  The small cell of unique-reduced-word elements is the
 shape (n-1, 1); multiplying by w_0 transposes the shape, so its
-translate, the penultimate cell, is the shape (2, 1^{n-2}).
+translate, the penultimate cell, is the shape (2, 1^{n-2}).  The cells
+as sets, and cell membership by pairs, are references the tests keep
+in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -56,7 +59,6 @@ from .laurent import LaurentPolynomial
 from .permutations import (
     Permutation,
     coset_windows,
-    enumerate_group,
     is_shortest_coset_rep,
     subgroup_elements,
 )
@@ -64,11 +66,9 @@ from .tableaux import TableauPair, rsk
 
 __all__ = [
     'kl_table', 'parabolic_table', 'kl_polynomial',
-    'verma_multiplicity', 'parabolic_verma_multiplicity', 'parabolic_sums',
+    'verma_multiplicity', 'parabolic_verma_multiplicity',
     'rsk', 'TableauPair',
-    'same_right_cell', 'same_left_cell', 'same_two_sided_cell',
-    'is_small_cell_member', 'small_cell', 'penultimate_cell',
-    'is_involution',
+    'is_small_cell_member',
 ]
 
 # parabolic_table fills an int8 buffer of R (R + 1) ncoef bytes over R
@@ -90,6 +90,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def inversions(W: np.ndarray) -> np.ndarray:
+    """The length of each window, a row of W: its inversion count."""
+    return np.triu(W[:, :, None] > W[:, None, :]).sum(axis=(1, 2))
+
+
 def _fill_args(parts) -> tuple:
     """(windows, order, lengths, desc, mul, ncoef): the windows of the
     shortest reps of the composition parts (coset_windows), and the
@@ -99,7 +104,7 @@ def _fill_args(parts) -> tuple:
     W = np.array(windows)
     R, n = W.shape
     at = dict(zip(windows, range(R)))
-    lengths = np.triu(W[:, :, None] > W[:, None, :]).sum(axis=(1, 2))
+    lengths = inversions(W)
     # mul[s]: w s_{s+1} swaps the positions s, s + 1, -1 where that is no
     # rep; desc: the first right descent, -1 for the identity
     mul = np.empty((n - 1, R), dtype=np.int64)
@@ -195,34 +200,6 @@ def parabolic_verma_multiplicity(
     return total
 
 
-@lru_cache(maxsize=None)
-def _parabolic_subgroup(n: int, J: frozenset) -> tuple:
-    """Indices of W_J in S_n and their signs (-1)^{l(z)}."""
-    g = group_index(n)
-    z = np.array([g.idx(u) for u in subgroup_elements(n, J)], dtype=np.int64)
-    sign = (1 - 2 * (g.lengths[z] % 2)).astype(np.int32)
-    return _frozen(z), _frozen(sign)
-
-
-def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
-    """S[i, j, d] = Sum_{z in W_J} (-1)^{l(z)} P_{z reps[i], targets[j]}[q^d].
-
-    reps and targets are group indices; reps must be shortest coset
-    representatives (not checked here).  Then l(z w) = l(z) + l(w), so
-    with the shift by l(z) every z-term carries the same power of v and
-
-        parabolic_verma_multiplicity(w, y) = v^{l(y)-l(w)} S[w, y](v^{-2}).
-
-    Only the |W_J| x len(reps) x len(targets) entries needed are read
-    from the table.  The sum is taken in int32, not in the table's int8:
-    up to S_6 it has at most 720 terms, each coefficient at most 4.
-    """
-    z, sign = _parabolic_subgroup(n, frozenset(J))
-    zw = group_index(n).mul(z[:, None], np.asarray(reps)[None, :])
-    terms = kl_table(n)[zw[:, :, None], np.asarray(targets)[None, None, :]]
-    return np.tensordot(sign, terms, axes=1)
-
-
 # ---------------------------------------------------------------------------
 # Cells
 
@@ -239,48 +216,12 @@ def two_sided_cell_key(w: Permutation) -> tuple:
     return rsk(w).shape
 
 
-def same_right_cell(x: Permutation, y: Permutation) -> bool:
-    return right_cell_key(x) == right_cell_key(y)
-
-
-def same_left_cell(x: Permutation, y: Permutation) -> bool:
-    return left_cell_key(x) == left_cell_key(y)
-
-
-def same_two_sided_cell(x: Permutation, y: Permutation) -> bool:
-    return two_sided_cell_key(x) == two_sided_cell_key(y)
-
-
-def is_involution(w: Permutation) -> bool:
-    return (w * w).is_identity
-
-
 def is_small_cell_member(w: Permutation) -> bool:
     """Membership in the two-sided cell of unique-reduced-word elements.
 
     The identity is excluded: it forms its own two-sided cell.  Decided
-    by the shape (n-1, 1) (checked against descent peeling and against
-    |reduced_words(w)| = 1 in tests).
+    by the shape (n-1, 1) (checked in the tests against descent peeling
+    and against a unique reduced word, whose lister lives in
+    tests/oracles.py).
     """
     return two_sided_cell_key(w) == (w.n - 1, 1)
-
-
-@lru_cache(maxsize=None)
-def small_cell(n: int) -> frozenset:
-    return frozenset(w for w in enumerate_group(n) if is_small_cell_member(w))
-
-
-@lru_cache(maxsize=None)
-def penultimate_cell(n: int) -> frozenset:
-    """The small cell translated by w_0.
-
-    Both products u*w0 and w0*u are formed; they give the same set
-    (the small cell is closed under inversion), and that is asserted
-    rather than assumed.
-    """
-    w0 = Permutation(range(n, 0, -1))
-    right = frozenset(u * w0 for u in small_cell(n))
-    left = frozenset(w0 * u for u in small_cell(n))
-    if right != left:
-        raise AssertionError('penultimate cell differs between sides')
-    return right

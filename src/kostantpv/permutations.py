@@ -13,7 +13,8 @@ Conventions, fixed once and relied on everywhere else in the package:
 - ``length(w)`` is the number of inversions, i.e. the Coxeter length.
 - Bruhat order is implemented through the dominance criterion: with
   ``D_w(i, j) = #{a <= i : w(a) >= j}``, one has x <= y iff D_x <= D_y
-  entrywise.  (Tests check this against reduced-subword containment.)
+  entrywise.  (Tests check this against reduced-subword containment,
+  with the reduced words of tests/oracles.py.)
 - For a parabolic subgroup W_J the left cosets W_J w carry a unique
   representative of minimal length, characterized by l(s_j w) > l(w)
   for every j in J, i.e. ``w^{-1}(j) < w^{-1}(j+1)``.
@@ -25,7 +26,6 @@ n <= 9 and as ``'[2,3,1,4]'`` in general; both are accepted on input.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from typing import Iterable, Iterator, Union
 
 SimpleReflectionSet = frozenset  # indices in 1..n-1
@@ -235,39 +235,6 @@ def bruhat_leq(x: Permutation, y: Permutation) -> bool:
     )
 
 
-@lru_cache(maxsize=None)
-def _reduced_words_cached(window: tuple) -> tuple:
-    w = _raw(window)
-    if w.is_identity:
-        return ((),)
-    out = []
-    for i in sorted(w.right_descents()):
-        shorter = w * simple_reflection(w.n, i)
-        for word in _reduced_words_cached(shorter.window):
-            out.append(word + (i,))
-    return tuple(sorted(out))
-
-
-def reduced_words(w: Permutation) -> tuple:
-    """All reduced words of w, sorted, as tuples of reflection indices.
-
-    >>> reduced_words(Permutation('321'))
-    ((1, 2, 1), (2, 1, 2))
-    """
-    return _reduced_words_cached(w.window)
-
-
-def canonical_reduced_word(w: Permutation) -> tuple:
-    """One fixed reduced word (peel the smallest left descent first)."""
-    word = []
-    w = _raw(w.window)
-    while not w.is_identity:
-        j = min(w.left_descents())
-        word.append(j)
-        w = simple_reflection(w.n, j) * w
-    return tuple(word)
-
-
 def longest_element(n: int) -> Permutation:
     """w_0 = (n, n-1, ..., 1), of length n(n-1)/2."""
     return _raw(tuple(range(n, 0, -1)))
@@ -340,11 +307,3 @@ def coset_windows(parts) -> tuple:
                  for window, nxt in level
                  for b, v in enumerate(nxt) if v <= ends[b]]
     return tuple(window for window, _ in level)
-
-
-def enumerate_shortest_reps(n: int, J: Iterable[int]) -> Iterator[Permutation]:
-    """Shortest representatives of W_J \\ S_n, lexicographic window order."""
-    J = frozenset(J)
-    for w in enumerate_group(n):
-        if is_shortest_coset_rep(w, J):
-            yield w

@@ -1,0 +1,286 @@
+r"""
+References the tests hold the program to, and that no command reaches.
+
+Each is a second way to compute something the package computes one way
+(or a definition the package reads off a closed form), kept here so the
+package keeps one path per computation:
+
+- the shortest coset reps of W_J as a filter over S_n
+  (enumerate_shortest_reps) and as group indices (coset_reps), against
+  permutations.coset_windows;
+- products of group indices (mul);
+- the parabolic alternating sum taken from the whole-group KL table
+  (parabolic_sums), against klcells.parabolic_table;
+- reduced words, against Bruhat order (the subword property) and the
+  small cell (unique reduced word);
+- cell membership by pairs, the small and penultimate cells as sets,
+  and involutions;
+- the block-permuting group G_mu and the transports omega_{mu,nu},
+  against the positive set of compositions._positive_windows;
+- one cup diagram oriented by one word (orient), against the rows of
+  cup_diagrams.Block.
+
+The group-index functions take a GroupIndex g as their first argument.
+"""
+
+from __future__ import annotations
+
+import itertools
+from functools import lru_cache
+from typing import Iterable, Iterator, Optional
+
+import numpy as np
+
+from kostantpv.compositions import Composition
+from kostantpv.cup_diagrams import CupDiagram, OrientedCupDiagram, WeightWord
+from kostantpv.groupindex import GroupIndex, group_index
+from kostantpv.klcells import (
+    _frozen,
+    is_small_cell_member,
+    kl_table,
+    left_cell_key,
+    right_cell_key,
+    two_sided_cell_key,
+)
+from kostantpv.permutations import (
+    Permutation,
+    _raw,
+    enumerate_group,
+    is_shortest_coset_rep,
+    simple_reflection,
+    subgroup_elements,
+)
+
+# ---------------------------------------------------------------------------
+# Coset reps and products over a GroupIndex
+
+
+def enumerate_shortest_reps(n: int, J: Iterable[int]) -> Iterator[Permutation]:
+    """Shortest representatives of W_J \\ S_n, lexicographic window order."""
+    J = frozenset(J)
+    for w in enumerate_group(n):
+        if is_shortest_coset_rep(w, J):
+            yield w
+
+
+def mul(g: GroupIndex, a, b) -> np.ndarray:
+    """Indices of the products a * b, for broadcastable index arrays."""
+    a, b = np.broadcast_arrays(a, b)
+    wb = g.windows[b].astype(np.int64) - 1
+    return g.rank(np.take_along_axis(g.windows[a], wb, axis=-1))
+
+
+def coset_reps(g: GroupIndex, J) -> np.ndarray:
+    """Indices of the shortest reps of W_J \\ S_n, in window order:
+    the w with l(s_j w) > l(w) for every j in J."""
+    mask = np.ones(g.N, dtype=bool)
+    for j in J:
+        mask &= g.lengths[g.lmul[j - 1]] > g.lengths
+    return np.flatnonzero(mask)
+
+
+# ---------------------------------------------------------------------------
+# The parabolic alternating sum from the whole-group table
+
+
+@lru_cache(maxsize=None)
+def _parabolic_subgroup(n: int, J: frozenset) -> tuple:
+    """Indices of W_J in S_n and their signs (-1)^{l(z)}."""
+    g = group_index(n)
+    z = np.array([g.idx(u) for u in subgroup_elements(n, J)], dtype=np.int64)
+    sign = (1 - 2 * (g.lengths[z] % 2)).astype(np.int32)
+    return _frozen(z), _frozen(sign)
+
+
+def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
+    """S[i, j, d] = Sum_{z in W_J} (-1)^{l(z)} P_{z reps[i], targets[j]}[q^d].
+
+    reps and targets are group indices; reps must be shortest coset
+    representatives (not checked here).  Then l(z w) = l(z) + l(w), so
+    with the shift by l(z) every z-term carries the same power of v and
+
+        parabolic_verma_multiplicity(w, y) = v^{l(y)-l(w)} S[w, y](v^{-2}).
+
+    Only the |W_J| x len(reps) x len(targets) entries needed are read
+    from the table.  The sum is taken in int32, not in the table's int8:
+    up to S_6 it has at most 720 terms, each coefficient at most 4.
+    """
+    z, sign = _parabolic_subgroup(n, frozenset(J))
+    zw = mul(group_index(n), z[:, None], np.asarray(reps)[None, :])
+    terms = kl_table(n)[zw[:, :, None], np.asarray(targets)[None, None, :]]
+    return np.tensordot(sign, terms, axes=1)
+
+
+# ---------------------------------------------------------------------------
+# Reduced words
+
+
+def iter_reduced_words(w: Permutation) -> Iterator[tuple]:
+    """The reduced words of w, one at a time, as tuples of reflection
+    indices.  Nothing is cached: the longest element of S_6 alone has
+    292,864 of them, so ask for two to learn whether a word is unique."""
+    if w.is_identity:
+        yield ()
+        return
+    for i in sorted(w.right_descents()):
+        for word in iter_reduced_words(w * simple_reflection(w.n, i)):
+            yield word + (i,)
+
+
+def reduced_words(w: Permutation) -> tuple:
+    """All reduced words of w, sorted, as tuples of reflection indices.
+
+    >>> reduced_words(Permutation('321'))
+    ((1, 2, 1), (2, 1, 2))
+    """
+    return tuple(sorted(iter_reduced_words(w)))
+
+
+def canonical_reduced_word(w: Permutation) -> tuple:
+    """One fixed reduced word (peel the smallest left descent first)."""
+    word = []
+    w = _raw(w.window)
+    while not w.is_identity:
+        j = min(w.left_descents())
+        word.append(j)
+        w = simple_reflection(w.n, j) * w
+    return tuple(word)
+
+
+# ---------------------------------------------------------------------------
+# Cells by pairs and as sets
+
+
+def same_right_cell(x: Permutation, y: Permutation) -> bool:
+    return right_cell_key(x) == right_cell_key(y)
+
+
+def same_left_cell(x: Permutation, y: Permutation) -> bool:
+    return left_cell_key(x) == left_cell_key(y)
+
+
+def same_two_sided_cell(x: Permutation, y: Permutation) -> bool:
+    return two_sided_cell_key(x) == two_sided_cell_key(y)
+
+
+def is_involution(w: Permutation) -> bool:
+    return (w * w).is_identity
+
+
+@lru_cache(maxsize=None)
+def small_cell(n: int) -> frozenset:
+    return frozenset(w for w in enumerate_group(n) if is_small_cell_member(w))
+
+
+@lru_cache(maxsize=None)
+def penultimate_cell(n: int) -> frozenset:
+    """The small cell translated by w_0.
+
+    Both products u*w0 and w0*u are formed; they give the same set
+    (the small cell is closed under inversion), and that is asserted
+    rather than assumed.
+    """
+    w0 = Permutation(range(n, 0, -1))
+    right = frozenset(u * w0 for u in small_cell(n))
+    left = frozenset(w0 * u for u in small_cell(n))
+    if right != left:
+        raise AssertionError('penultimate cell differs between sides')
+    return right
+
+
+# ---------------------------------------------------------------------------
+# The block-permuting group G_mu and the transports omega
+
+
+def sorted_partition(mu: Composition) -> tuple:
+    """Parts in weakly decreasing order."""
+    return tuple(sorted(mu.parts, reverse=True))
+
+
+def similar(mu: Composition, nu: Composition) -> bool:
+    return sorted_partition(mu) == sorted_partition(nu)
+
+
+def _block_transport(mu: Composition, nu: Composition, assignment) -> Permutation:
+    """Permutation sending block i of mu onto block assignment[i] of nu,
+    order-preserving inside each block."""
+    nu_blocks = nu.blocks()
+    window = [0] * mu.n
+    for i, block in enumerate(mu.blocks()):
+        target = nu_blocks[assignment[i]]
+        for src, dst in zip(block, target):
+            window[src - 1] = dst
+    return _raw(tuple(window))
+
+
+def G_mu(mu: Composition) -> frozenset:
+    """All order-preserving permutations of equal-size blocks.
+
+    >>> len(G_mu(Composition((2, 2, 1, 2))))
+    6
+    """
+    by_size: dict = {}
+    for i, p in enumerate(mu.parts):
+        by_size.setdefault(p, []).append(i)
+    out = []
+    groups = list(by_size.values())
+    for images in itertools.product(
+        *(itertools.permutations(g) for g in groups)
+    ):
+        assignment = {}
+        for g, image in zip(groups, images):
+            assignment.update(zip(g, image))
+        out.append(_block_transport(mu, mu, assignment))
+    return frozenset(out)
+
+
+def omega(mu: Composition, nu: Composition) -> Permutation:
+    """The canonical transport from the blocks of mu onto the blocks
+    of nu: order-preserving inside blocks, and order-preserving on the
+    indices of equal-size blocks.
+
+    >>> str(omega(Composition((2, 1, 3, 2)), Composition((3, 2, 2, 1))))
+    '45812367'
+    """
+    if not similar(mu, nu):
+        raise ValueError(
+            f'compositions {mu.to_text()} and {nu.to_text()} are not similar'
+        )
+    targets_by_size: dict = {}
+    for j, p in enumerate(nu.parts):
+        targets_by_size.setdefault(p, []).append(j)
+    assignment = {}
+    cursor = {size: 0 for size in targets_by_size}
+    for i, p in enumerate(mu.parts):
+        assignment[i] = targets_by_size[p][cursor[p]]
+        cursor[p] += 1
+    return _block_transport(mu, nu, assignment)
+
+
+def _similar_compositions(mu: Composition) -> tuple:
+    return tuple(
+        Composition(parts)
+        for parts in sorted(set(itertools.permutations(mu.parts)))
+    )
+
+
+# ---------------------------------------------------------------------------
+# One cup diagram oriented by one word
+
+
+def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
+    """Decorate c by the word if valid and admissible, else None.
+
+    >>> from kostantpv.cup_diagrams import d_of
+    >>> c = d_of(WeightWord('^v^v')).diagram
+    >>> orient(c, WeightWord('^^vv')).degree
+    1
+    >>> orient(c, WeightWord('vv^^')) is None
+    True
+    """
+    if c.n != word.n:
+        raise ValueError('diagram and word sizes differ')
+    if any(word[a] == word[b] for a, b in c.cups):
+        return None
+    ocd = OrientedCupDiagram(c, word)
+    return ocd if ocd.is_admissible() else None

@@ -5,11 +5,16 @@ from types import SimpleNamespace
 
 import pytest
 
-from kostantpv import checks
-from kostantpv.cup_diagrams import DEGREE_BITS, MaxParContext
+from kostantpv import checks, groupindex, klcells
+from kostantpv.cup_diagrams import DEGREE_BITS
+from kostantpv.minimal_parabolic import (
+    MinParContext,
+    is_kostant_positive_minimal,
+)
+from kostantpv.permutations import _raw, coset_windows
 
 REAL_BLOCK_TABLE = checks.block_table
-REAL_PARABOLIC_SUMS = checks.parabolic_sums
+REAL_PARABOLIC_TABLE = checks.parabolic_table
 CHECKS = dict(checks.ALL_CHECKS)
 
 
@@ -39,19 +44,47 @@ def test_block_table_fault(monkeypatch, k):
         assert f'(5,{k})' in detail, (name, detail)
 
 
-def test_parabolic_sums_fault(monkeypatch):
-    J = MaxParContext(5, 2).J
+def test_parabolic_table_fault(monkeypatch):
+    def parabolic_table(parts):
+        windows, S = REAL_PARABOLIC_TABLE(parts)
+        if parts == (2, 3):
+            S = S.copy()
+            S[3, 4, 0] += 1
+        return windows, S
 
-    def parabolic_sums(n, J_, reps, targets):
-        sums = REAL_PARABOLIC_SUMS(n, J_, reps, targets)
-        if n == 5 and frozenset(J_) == J:
-            sums[3, 4, 0] += 1
-        return sums
-
-    monkeypatch.setattr(checks, 'parabolic_sums', parabolic_sums)
+    monkeypatch.setattr(checks, 'parabolic_table', parabolic_table)
     ok, detail = _run('cross-oracle')
     assert not ok
     assert '(5,2)' in detail, detail
+
+
+def test_cross_oracle_builds_no_group_index_and_no_kl_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError('cross-oracle built a whole-group table')
+
+    monkeypatch.setattr(groupindex.GroupIndex, '__init__', refuse)
+    monkeypatch.setattr(klcells, 'kl_table', refuse)
+    for module in (checks, klcells):
+        monkeypatch.setattr(module, 'group_index', refuse)
+    monkeypatch.setattr(checks, 'kl_table', refuse)
+    ok, detail = checks.check_cross_oracle(6)
+    assert ok, detail
+    assert detail == '1262 pairs agree, n <= 6'
+
+
+def test_positive_window_is_the_minimal_theorem():
+    # the rule positivity-ratio counts by, on every rep of every min:k
+    # with n <= 7
+    count = 0
+    for n in range(2, 8):
+        for k in range(1, n):
+            ctx = MinParContext(n, k)
+            for w in coset_windows(ctx.parts):
+                assert checks.positive_window(w, k) == \
+                    is_kostant_positive_minimal(ctx, _raw(w)), (n, k, w)
+                count += 1
+    # (n - 1) values of k, n! / 2 reps each
+    assert count == 17203
 
 
 def test_cross_oracle_compares_rep_order(monkeypatch):

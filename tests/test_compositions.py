@@ -5,30 +5,30 @@ import pytest
 from kostantpv import compositions
 from kostantpv.compositions import (
     Composition,
-    G_mu,
-    _similar_compositions,
     classify_all,
     is_thin_general,
-    omega,
     positive_sufficient,
     right_cell_of_longest_quotient,
-    similar,
-    sorted_partition,
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
-from kostantpv.klcells import (
-    parabolic_verma_multiplicity,
-    same_right_cell,
-)
+from kostantpv.klcells import parabolic_verma_multiplicity
 from kostantpv.minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from kostantpv.permutations import (
     Permutation,
-    enumerate_shortest_reps,
     identity,
     is_shortest_coset_rep,
     longest_element,
     longest_element_parabolic,
     parse_permutation,
+)
+from oracles import (
+    G_mu,
+    _similar_compositions,
+    enumerate_shortest_reps,
+    omega,
+    same_right_cell,
+    similar,
+    sorted_partition,
 )
 
 

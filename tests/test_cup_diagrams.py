@@ -27,13 +27,13 @@ from kostantpv.cup_diagrams import (
     is_kostant_positive_maximal,
     is_positive_word,
     is_thin,
-    orient,
     phi,
     phi_inverse,
     planar_diagrams,
     shortest_reps,
 )
 from kostantpv.permutations import Permutation, identity, parse_permutation
+from oracles import orient
 
 
 def a_value(ctx: MaxParContext, w: Permutation) -> int:

@@ -1,4 +1,5 @@
-"""Run the usage examples embedded in the library docstrings."""
+"""Run the usage examples embedded in the library docstrings and in
+the references of tests/oracles.py."""
 
 import doctest
 
@@ -15,6 +16,8 @@ from kostantpv import (
     tableaux,
 )
 
+import oracles
+
 MODULES = [
     permutations,
     laurent,
@@ -24,6 +27,7 @@ MODULES = [
     cup_diagrams,
     compositions,
     checks,
+    oracles,
 ]
 
 

@@ -28,11 +28,8 @@ from kostantpv.checks import (
 from kostantpv.compositions import Composition
 from kostantpv.groupindex import GroupIndex, group_index
 from kostantpv.klcells import _fill_args, kl_table
-from kostantpv.permutations import (
-    bruhat_leq,
-    coset_windows,
-    enumerate_shortest_reps,
-)
+from kostantpv.permutations import bruhat_leq, coset_windows
+from oracles import coset_reps, enumerate_shortest_reps
 
 # sha256 of kl_table(n).astype(np.int32).tobytes(), as the int32
 # per-column fill produced it
@@ -157,7 +154,7 @@ def _gather_fill_args(n, J):
     from the tables of GroupIndex(n): (reps as group indices, order,
     lengths, desc, mul, ncoef)."""
     g = group_index(n)
-    reps = g.coset_reps(J)
+    reps = coset_reps(g, J)
     pos = np.full(g.N, -1, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
     mul = pos[g.rmul[:, reps]]
@@ -183,7 +180,7 @@ def _compositions(n):
 
 def test_coset_windows_and_fill_args_match_the_group_index():
     # every composition with n <= 7: the windows are the S_n filter's
-    # reps and GroupIndex.coset_reps, and the fill arguments built from
+    # reps and the GroupIndex coset reps, and the fill arguments built from
     # them are the GroupIndex gather (n = 1 has no generator, where the
     # gather keeps one unused row of mul)
     count = 0

@@ -14,11 +14,11 @@ from kostantpv.minimal_parabolic import (
     tau,
 )
 from kostantpv.permutations import (
-    enumerate_shortest_reps,
     identity,
     parse_permutation,
     simple_reflection,
 )
+from oracles import enumerate_shortest_reps
 
 
 def test_context_validation():

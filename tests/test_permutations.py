@@ -12,10 +12,8 @@ import pytest
 from kostantpv.permutations import (
     Permutation,
     bruhat_leq,
-    canonical_reduced_word,
     dominance_matrix,
     enumerate_group,
-    enumerate_shortest_reps,
     format_permutation,
     from_word,
     identity,
@@ -23,9 +21,13 @@ from kostantpv.permutations import (
     longest_element,
     longest_element_parabolic,
     parse_permutation,
-    reduced_words,
     simple_reflection,
     subgroup_elements,
+)
+from oracles import (
+    canonical_reduced_word,
+    enumerate_shortest_reps,
+    reduced_words,
 )
 
 

@@ -5,7 +5,9 @@ and CACHES, checks.ALL_CHECKS, GroupIndex.__init__ and the
 LaurentPolynomial methods) and reads the size of the array kl_fill
 returns.  A renamed or reshaped one makes a traced request fail while
 the untraced one still passes, so each engine is run here through the
-tracer as perfbench loads it.
+tracer as perfbench loads it.  selftest runs the checks through the
+ALL_CHECKS tuple the tracer replaces, and fills the parabolic tables
+that cross-oracle compares with the cup engine.
 """
 
 import contextlib
@@ -39,7 +41,8 @@ def _tracer():
       '--format', 'json'), True),
     (('classify', '--n', '8', '--parabolic', 'max:4', '--format', 'tsv'),
      False),
-], ids=['min', 'comp', 'mult-both', 'max'])
+    (('selftest', '--n-max', '8'), True),
+], ids=['min', 'comp', 'mult-both', 'max', 'selftest'])
 def test_traced_request_prints_its_golden(args, fills):
     compositions._thin.cache_clear()
     cli._max_table.cache_clear()
