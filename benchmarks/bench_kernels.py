@@ -6,8 +6,15 @@ runs.  Each fill is timed only after its table has passed the
 kl-properties identities (checks._kl_table_problems); its row also
 gives the bytes of the int8 table it writes.
 
-The same fill over the shortest reps alone (klcells._fill_args, whose
-reps are permutations.coset_windows) is timed at n = 6 for min:3
+The index the fills run over is timed alone: GroupIndex(7) and
+GroupIndex(8), each after its windows have matched their Lehmer-code
+ranks (the reference rank in tests/oracles.py) and its inverses have
+matched, and groupindex.coset_index((2, 2, 2, 2)), after its windows
+have matched the S_8 filter enumerate_shortest_reps and its lengths the
+Permutation lengths.
+
+The same fill over the shortest reps alone (klcells._fill_args, over
+groupindex.coset_index) is timed at n = 6 for min:3
 (1,1,2,1,1) and max:3 (3,3), each after its table has matched
 parabolic_sums, the alternating sum over the whole-group table that the
 tests keep in tests/oracles.py, over the group indices of the reps.
@@ -72,7 +79,7 @@ from kostantpv.cup_diagrams import (
     block_table,
     d_of,
 )
-from kostantpv.groupindex import group_index
+from kostantpv.groupindex import GroupIndex, coset_index, group_index
 from kostantpv.klcells import _fill_args, parabolic_table
 from kostantpv.permutations import (
     Permutation,
@@ -86,7 +93,13 @@ from kostantpv.tableaux import rsk
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / 'src'
 sys.path.insert(0, str(ROOT / 'tests'))
-from oracles import orient, parabolic_sums  # noqa: E402
+from oracles import (  # noqa: E402
+    enumerate_shortest_reps,
+    mul,
+    orient,
+    parabolic_sums,
+    rank,
+)
 COLD_RUNS = 5
 
 
@@ -101,6 +114,29 @@ def best_of(repeat, fn, *args):
 
 def bench_case(name, repeat, fn, *args, note=''):
     print(f'{name:24s} {best_of(repeat, fn, *args) * 1e3:10.2f} ms{note}')
+
+
+def bench_group_index(n, repeat):
+    g = GroupIndex(n)
+    every = np.arange(g.N)
+    if not (np.array_equal(rank(g.windows), every)
+            and not mul(g, every, g.inverse).any()):
+        raise SystemExit(f'GroupIndex({n}) disagrees with the Lehmer ranks')
+    bench_case(f'GroupIndex({n})', repeat, GroupIndex, n,
+               note=f'  ({g.N:,} elements)')
+
+
+def bench_coset_index(parts, repeat):
+    n = sum(parts)
+    windows, _, lengths, _ = coset_index(parts)
+    J = Composition(parts).simple_reflections()
+    if (windows != tuple(w.window for w in enumerate_shortest_reps(n, J))
+            or lengths.tolist() != [Permutation(w).length
+                                    for w in windows]):
+        raise SystemExit(f'coset_index {parts} disagrees with the S_{n} '
+                         'filter')
+    bench_case(f'coset_index {",".join(map(str, parts))}', repeat,
+               coset_index, parts, note=f'  ({len(windows):,} reps)')
 
 
 def bench_kl_fill(n, repeat):
@@ -307,6 +343,9 @@ def main():
     )
     args = parser.parse_args()
 
+    for n in (7, 8):
+        bench_group_index(n, args.repeat)
+    bench_coset_index((2, 2, 2, 2), args.repeat)
     for n in (6, 7):
         bench_case(f'leq_matrix S_{n}', args.repeat, _kernels.leq_matrix,
                    group_index(n).dominance)

@@ -61,9 +61,8 @@ from .cup_diagrams import (
     phi,
     shortest_reps,
 )
-from .groupindex import group_index
+from .groupindex import coset_index, group_index
 from .klcells import (
-    inversions,
     kl_polynomial,
     kl_table,
     left_cell_key,
@@ -262,7 +261,7 @@ def check_cross_oracle(n_max: int):
             if not np.array_equal(W <= k, wedges):
                 problems.append(f'({n},{k}): coset reps != block reps')
                 continue
-            lengths = inversions(W)
+            lengths = coset_index((k, n - k))[2]
             d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
             cup = deg >= 0
             fits = cup & (odd == 0) & (d >= 0) & (d < sums.shape[2])
@@ -363,7 +362,8 @@ def _kl_table_problems(g, P) -> list:
     inv = g.inverse
     if not (P[inv[:, None], inv[None, :]] == P).all():
         problems.append(f'n={n}: inverse symmetry')
-    c = g.rank(n + 1 - g.windows[:, ::-1])
+    c = np.array([g.index[w] for w in map(
+        tuple, (n + 1 - g.windows[:, ::-1]).tolist())])
     if not (P[c[:, None], c[None, :]] == P).all():
         problems.append(f'n={n}: w0-conjugation symmetry')
     return problems

@@ -253,15 +253,28 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
             for f in factors]
 
 
-@lru_cache(maxsize=None)
-def _max_table(ctx: MaxParContext) -> tuple:
-    """parabolic_table for max:k, kept for the life of the process like
-    block(ctx): a mult request reads one row of it.  The table is at most
-    2 KB at n <= 6; the largest that MAX_FILL_BYTES admits, at (22, 3) and
-    (22, 19), takes 69 MB."""
-    from .klcells import parabolic_table
+# The max:k tables _max_table holds, least recently used first.
+_MAX_TABLES: dict = {}
 
-    return parabolic_table((ctx.k, ctx.m))
+
+def _max_table(ctx: MaxParContext) -> tuple:
+    """parabolic_table for max:k, kept like block(ctx): a mult request
+    reads one row of it.  The table is at most 2 KB at n <= 6; the
+    largest that MAX_FILL_BYTES admits, at (22, 3) and (22, 19), takes
+    69 MB.  The least recently used tables are dropped while the fill
+    buffers held add up to more than MAX_FILL_BYTES, the bound of one
+    fill, so a warm process holds at most that many bytes of them."""
+    table = _MAX_TABLES.pop(ctx, None)
+    if table is None:
+        from .klcells import MAX_FILL_BYTES, parabolic_table
+
+        table = parabolic_table((ctx.k, ctx.m))
+        while _MAX_TABLES and table[1].base.nbytes + sum(
+                S.base.nbytes for _, S in _MAX_TABLES.values()) \
+                > MAX_FILL_BYTES:
+            del _MAX_TABLES[next(iter(_MAX_TABLES))]
+    _MAX_TABLES[ctx] = table
+    return table
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):

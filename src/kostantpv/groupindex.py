@@ -1,11 +1,16 @@
 """
-Array-level view of a whole symmetric group.
+The index of the shortest coset reps W^J, and of the whole of S_n.
 
-Everything that iterates over all of S_n (Kazhdan-Lusztig tables, cell
-graphs, brute-force classifier sweeps) works on integer element indices
-into a fixed enumeration rather than on Permutation objects.  The
-enumeration is lexicographic on windows, so indices are deterministic
-across runs and processes.
+Everything that iterates over many permutations (Kazhdan-Lusztig
+tables, cell graphs, brute-force classifier sweeps) works on integer
+positions among the reps W^J of a parabolic subgroup W_J rather than on
+Permutation objects.  coset_index(parts) is the one builder of that
+index: the windows of the reps in window order (coset_windows), their
+positions, their lengths and the right action of the simple
+reflections.  GroupIndex(n) is its case J empty, parts 1^n, whose reps
+are the whole group in lexicographic window order, so indices are
+deterministic across runs and processes; it adds what only the whole
+group has: inverses, the left action and the Bruhat order.
 
 Ranks up to n = 8 are supported; the full pairwise Bruhat matrix is
 only materialized for n <= 7 (it is quadratic in n!).
@@ -13,16 +18,33 @@ only materialized for n <= 7 (it is quadratic in n!).
 
 from __future__ import annotations
 
-import itertools
-import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import repeat
 
 import numpy as np
 
 from . import _kernels
-from .permutations import Permutation, _raw
+from .permutations import Permutation, _raw, coset_windows
 
 MAX_N = 8
+
+
+def coset_index(parts) -> tuple:
+    """(windows, at, lengths, mul) over the shortest reps of the
+    composition parts: their windows (coset_windows), at[window], the
+    position of a window, lengths[i], the inversion count of rep i, and
+    mul[s, i], the position of rep i times s_{s+1} on the right (its
+    positions s, s + 1 swapped), or -1 where that is no rep."""
+    windows = coset_windows(parts)
+    W = np.array(windows)
+    R, n = W.shape
+    at = dict(zip(windows, range(R)))
+    lengths = np.triu(W[:, :, None] > W[:, None, :]).sum(axis=(1, 2))
+    mul = np.empty((n - 1, R), dtype=np.int64)
+    for s in range(n - 1):
+        cols = [*range(s), s + 1, s, *range(s + 2, n)]
+        mul[s] = list(map(at.get, map(tuple, W[:, cols].tolist()), repeat(-1)))
+    return windows, at, lengths, mul
 
 
 class GroupIndex:
@@ -34,37 +56,14 @@ class GroupIndex:
         if not 1 <= n <= MAX_N:
             raise ValueError(f'rank out of supported range 1..{MAX_N}: {n}')
         self.n = n
-        windows = list(itertools.permutations(range(1, n + 1)))
+        # rmul[s-1, i]: w_i s_s, which swaps positions s, s + 1
+        windows, self.index, self.lengths, self.rmul = coset_index((1,) * n)
         self.N = len(windows)
         self.windows = np.array(windows, dtype=np.int8)
-        self.index = {w: i for i, w in enumerate(windows)}
-        # (n-1-i)! per position: the Lehmer-code weights of rank()
-        self._weights = np.array(
-            [math.factorial(n - 1 - i) for i in range(n)], dtype=np.int64
-        )
-
-        self.inverse = self.rank(self.windows.argsort(axis=1) + 1)
-        iu = np.triu_indices(n, 1)
-        self.lengths = (
-            (self.windows[:, :, None] > self.windows[:, None, :])
-            [:, iu[0], iu[1]].sum(axis=1).astype(np.int64)
-        )
-
-        # lmul[s-1, i]: swap values s, s+1; rmul[s-1, i]: swap positions
-        gens = max(1, n - 1)
-        self.lmul = np.zeros((gens, self.N), dtype=np.int64)
-        self.rmul = np.zeros((gens, self.N), dtype=np.int64)
-        w = self.windows
-        for s in range(1, n):
-            self.lmul[s - 1] = self.rank(
-                np.where(w == s, s + 1, np.where(w == s + 1, s, w))
-            )
-            t = w.copy()
-            t[:, [s - 1, s]] = w[:, [s, s - 1]]
-            self.rmul[s - 1] = self.rank(t)
-
-        self._dominance = None
-        self._leq = None
+        self.inverse = np.array(list(map(self.index.__getitem__, map(
+            tuple, (self.windows.argsort(axis=1) + 1).tolist()))))
+        # lmul[s-1, i]: s_s w_i = (w_i^-1 s_s)^-1, which swaps values s, s + 1
+        self.lmul = self.inverse[self.rmul[:, self.inverse]]
 
     # -- conversions
 
@@ -74,36 +73,24 @@ class GroupIndex:
     def idx(self, w: Permutation) -> int:
         return self.index[w.window]
 
-    def rank(self, windows: np.ndarray) -> np.ndarray:
-        """Index of each window along the last axis (its Lehmer-code
-        rank, which is its place in the lexicographic enumeration)."""
-        w = np.asarray(windows)
-        code = np.triu(w[..., :, None] > w[..., None, :], 1).sum(axis=-1)
-        return code @ self._weights
-
     # -- order tables
 
-    @property
+    @cached_property
     def dominance(self) -> np.ndarray:
         """Flattened dominance tables, shape (N, n*n), uint8: x <= y
         exactly when row x is entrywise <= row y."""
-        if self._dominance is None:
-            n = self.n
-            ge = self.windows[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
-            self._dominance = np.cumsum(
-                ge, axis=1, dtype=np.uint8).reshape(self.N, n * n)
-        return self._dominance
+        n = self.n
+        ge = self.windows[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
+        return np.cumsum(ge, axis=1, dtype=np.uint8).reshape(self.N, n * n)
 
-    @property
+    @cached_property
     def leq(self) -> np.ndarray:
         """Full Bruhat matrix leq[x, y] = (x <= y); n <= 7 only."""
-        if self._leq is None:
-            if self.n > 7:
-                raise MemoryError(
-                    f'pairwise Bruhat matrix for S_{self.n} not materialized'
-                )
-            self._leq = _kernels.leq_matrix(self.dominance)
-        return self._leq
+        if self.n > 7:
+            raise MemoryError(
+                f'pairwise Bruhat matrix for S_{self.n} not materialized'
+            )
+        return _kernels.leq_matrix(self.dominance)
 
 
 @lru_cache(maxsize=None)

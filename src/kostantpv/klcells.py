@@ -7,9 +7,10 @@ level of columns at a time and without the Bruhat matrix, with the
 right action of the sign parabolic module (Deodhar's u = -1 family):
 H_s sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x
 if xs < x, and to -v m_x if xs is not a rep.  It returns one read-only
-int8 array in the classical variable q, indexed by positions among the
-reps, which permutations.coset_windows lists as windows, with no group
-index.  With J empty the reps are the whole group and the array is
+int8 array in the classical variable q, indexed by position among the
+reps in groupindex.coset_index, the one index of W^J.  With J empty
+the reps are the whole group, in the order of group_index(n), and the
+array is
 
     kl_table(n)[x, w, d] = [q^d] P_{x,w},
 
@@ -49,16 +50,14 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
 from . import _kernels
-from .groupindex import group_index
+from .groupindex import coset_index, group_index
 from .laurent import LaurentPolynomial
 from .permutations import (
     Permutation,
-    coset_windows,
     is_shortest_coset_rep,
     subgroup_elements,
 )
@@ -90,36 +89,23 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def inversions(W: np.ndarray) -> np.ndarray:
-    """The length of each window, a row of W: its inversion count."""
-    return np.triu(W[:, :, None] > W[:, None, :]).sum(axis=(1, 2))
-
-
 def _fill_args(parts) -> tuple:
     """(windows, order, lengths, desc, mul, ncoef): the windows of the
-    shortest reps of the composition parts (coset_windows), and the
-    arguments of _kernels.kl_fill over them, indexed by position among
-    the reps."""
-    windows = coset_windows(parts)
-    W = np.array(windows)
-    R, n = W.shape
-    at = dict(zip(windows, range(R)))
-    lengths = inversions(W)
-    # mul[s]: w s_{s+1} swaps the positions s, s + 1, -1 where that is no
-    # rep; desc: the first right descent, -1 for the identity
-    mul = np.empty((n - 1, R), dtype=np.int64)
-    desc = np.full(R, -1)
-    for s in range(n - 2, -1, -1):
-        cols = [*range(s), s + 1, s, *range(s + 2, n)]
-        mul[s] = list(map(at.get, map(tuple, W[:, cols].tolist()), repeat(-1)))
-        desc[W[:, s] > W[:, s + 1]] = s
+    shortest reps of the composition parts, and the arguments of
+    _kernels.kl_fill over them, indexed by position among the reps
+    (coset_index)."""
+    windows, _, lengths, mul = coset_index(parts)
+    # desc: the first right descent, -1 for the identity
+    desc = np.full(len(windows), -1)
+    for s in range(len(mul) - 1, -1, -1):
+        desc[(mul[s] >= 0) & (lengths[mul[s]] < lengths)] = s
     order = np.argsort(lengths, kind='stable')
     return windows, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
 
 
 def parabolic_table(parts) -> tuple:
     """(windows, S): the windows of the shortest reps of the composition
-    parts (coset_windows), and the read-only int8 array
+    parts (in the order of coset_index), and the read-only int8 array
 
         S[i, j, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z w_i, w_j},
 
@@ -144,9 +130,10 @@ def kl_table(n: int) -> np.ndarray:
     """All polynomials P_{x,w} of S_n, stored densely and read-only:
     P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
     x, w of group_index(n).  Zero where x is not Bruhat-below w.
-    The parabolic table of the composition 1^n, whose reps are the
-    whole group in window order, the order of group_index(n); past
-    n = 6 it is over MAX_FILL_BYTES, and refused with a ValueError.
+    The parabolic table of the composition 1^n, filled over
+    coset_index((1,) * n), the index GroupIndex(n) is built on, so its
+    order is group_index(n)'s by construction; past n = 6 it is over
+    MAX_FILL_BYTES, and refused with a ValueError.
     """
     if n < 1:
         raise ValueError(f'n must be positive, got {n}')

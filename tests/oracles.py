@@ -8,7 +8,8 @@ package keeps one path per computation:
 - the shortest coset reps of W_J as a filter over S_n
   (enumerate_shortest_reps) and as group indices (coset_reps), against
   permutations.coset_windows;
-- products of group indices (mul);
+- the Lehmer-code rank of a window (rank), against the positions of
+  groupindex.coset_index, and products of group indices (mul);
 - the parabolic alternating sum taken from the whole-group KL table
   (parabolic_sums), against klcells.parabolic_table;
 - reduced words, against Bruhat order (the subword property) and the
@@ -26,6 +27,7 @@ The group-index functions take a GroupIndex g as their first argument.
 from __future__ import annotations
 
 import itertools
+import math
 from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
@@ -63,11 +65,20 @@ def enumerate_shortest_reps(n: int, J: Iterable[int]) -> Iterator[Permutation]:
             yield w
 
 
+def rank(windows) -> np.ndarray:
+    """Index in S_n of each window along the last axis: its Lehmer-code
+    rank, which is its place in the lexicographic enumeration."""
+    w = np.asarray(windows)
+    n = w.shape[-1]
+    code = np.triu(w[..., :, None] > w[..., None, :], 1).sum(axis=-1)
+    return code @ np.array([math.factorial(n - 1 - i) for i in range(n)])
+
+
 def mul(g: GroupIndex, a, b) -> np.ndarray:
     """Indices of the products a * b, for broadcastable index arrays."""
     a, b = np.broadcast_arrays(a, b)
     wb = g.windows[b].astype(np.int64) - 1
-    return g.rank(np.take_along_axis(g.windows[a], wb, axis=-1))
+    return rank(np.take_along_axis(g.windows[a], wb, axis=-1))
 
 
 def coset_reps(g: GroupIndex, J) -> np.ndarray:

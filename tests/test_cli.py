@@ -249,7 +249,7 @@ def test_a_refused_kl_fill_caches_no_thinness(capsys):
     from kostantpv import compositions
 
     before = compositions._thin.cache_info().currsize
-    tables = cli._max_table.cache_info().currsize
+    tables = len(cli._MAX_TABLES)
     for args in (
         ['classify', '--n', '8', '--parabolic', 'min:3'],
         ['classify', '--n', '7', '--parabolic', 'comp:1,1,1,1,1,1,1'],
@@ -260,7 +260,20 @@ def test_a_refused_kl_fill_caches_no_thinness(capsys):
     out, err = capsys.readouterr()
     assert out == '' and err.count('error: the KL fill over the') == 3
     assert compositions._thin.cache_info().currsize == before
-    assert cli._max_table.cache_info().currsize == tables
+    assert len(cli._MAX_TABLES) == tables
+
+
+def test_kl_tables_held_stay_within_one_fill(capsys):
+    # the tables at (13, 6) and (13, 7) take 64.8 MB each, so together
+    # they are over MAX_FILL_BYTES and the first is dropped
+    cli._MAX_TABLES.clear()
+    x = '[' + ','.join(map(str, range(1, 14))) + ']'
+    for k in (6, 7):
+        assert cli.main(['mult', '--n', '13', '--k', str(k), '--x', x,
+                         '--engine', 'kl', '--n-max', '13']) == 0
+    capsys.readouterr()
+    assert [(ctx.n, ctx.k) for ctx in cli._MAX_TABLES] == [(13, 7)]
+    cli._MAX_TABLES.clear()
 
 
 def test_cells_ceiling():
@@ -620,7 +633,7 @@ def test_kl_paths_never_build_a_whole_group_table(monkeypatch):
         raise AssertionError('a KL request built kl_table')
 
     monkeypatch.setattr(klcells, 'kl_table', refuse)
-    cli._max_table.cache_clear()
+    cli._MAX_TABLES.clear()
     compositions._thin.cache_clear()
     want = _goldens()
     for args in (
@@ -643,7 +656,7 @@ def test_kl_paths_never_build_a_group_index(monkeypatch):
 
     monkeypatch.setattr(groupindex.GroupIndex, '__init__', refuse)
     groupindex.group_index.cache_clear()
-    cli._max_table.cache_clear()
+    cli._MAX_TABLES.clear()
     compositions._thin.cache_clear()
     compositions._quotient_cell.cache_clear()
     want = _goldens()

@@ -40,6 +40,7 @@ from oracles import (
     mul,
     parabolic_sums,
     penultimate_cell,
+    rank,
     same_left_cell,
     same_right_cell,
     same_two_sided_cell,
@@ -79,12 +80,12 @@ def test_table_ceiling():
 
 
 def test_parabolic_table_refuses_before_listing_a_window(monkeypatch):
-    from kostantpv import klcells
+    from kostantpv import groupindex
 
     def refuse(parts):
         raise AssertionError(f'listed the reps of {parts}')
 
-    monkeypatch.setattr(klcells, 'coset_windows', refuse)
+    monkeypatch.setattr(groupindex, 'coset_windows', refuse)
     # S_7, 5,3,2 (2,520 reps, 16 coefficients) and 1,2519 (2,520 reps
     # of length up to 2,519)
     for parts in ((1,) * 7, (5, 3, 2), (1, 2519)):
@@ -230,10 +231,27 @@ def test_penultimate_cell():
 # -- the index-space parabolic alternating sum against the per-pair oracle
 
 
+def test_group_index_matches_objects():
+    # every w with n <= 6: inverse, length, w s (rmul) and s w (lmul),
+    # and S_1 has no generator rows
+    for n in range(1, 7):
+        g = group_index(n)
+        perms = list(enumerate_group(n))
+        assert [g.perm(i) for i in range(g.N)] == perms
+        assert g.inverse.tolist() == [g.idx(w.inverse) for w in perms]
+        assert g.lengths.tolist() == [w.length for w in perms]
+        gens = [simple_reflection(n, s) for s in range(1, n)]
+        assert g.rmul.shape == g.lmul.shape == (n - 1, g.N)
+        assert g.rmul.tolist() == [[g.idx(w * s) for w in perms]
+                                   for s in gens]
+        assert g.lmul.tolist() == [[g.idx(s * w) for w in perms]
+                                   for s in gens]
+
+
 def test_rank_and_mul_match_objects():
     for n in range(1, 7):
         g = group_index(n)
-        assert np.array_equal(g.rank(g.windows), np.arange(g.N))
+        assert np.array_equal(rank(g.windows), np.arange(g.N))
         perms = list(enumerate_group(n))
         got = mul(g, np.arange(g.N)[:, None], np.arange(g.N)[None, :])
         want = [[g.index[(a * b).window] for b in perms] for a in perms]

@@ -7,7 +7,8 @@ returns.  A renamed or reshaped one makes a traced request fail while
 the untraced one still passes, so each engine is run here through the
 tracer as perfbench loads it.  selftest runs the checks through the
 ALL_CHECKS tuple the tracer replaces, and fills the parabolic tables
-that cross-oracle compares with the cup engine.
+that cross-oracle compares with the cup engine.  The traced
+GroupIndex.__init__ counts the elements of each group index built.
 """
 
 import contextlib
@@ -19,7 +20,7 @@ import pathlib
 
 import pytest
 
-from kostantpv import cli, compositions
+from kostantpv import cli, compositions, groupindex
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -32,20 +33,22 @@ def _tracer():
     return module
 
 
-@pytest.mark.parametrize('args, fills', [
+@pytest.mark.parametrize('args, fills, group_size', [
     (('classify', '--n', '6', '--parabolic', 'min:3', '--format', 'json'),
-     True),
+     True, 0),
     (('classify', '--n', '6', '--parabolic', 'comp:1,2,1,2',
-      '--format', 'tsv'), True),
+      '--format', 'tsv'), True, 0),
     (('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both',
-      '--format', 'json'), True),
+      '--format', 'json'), True, 0),
     (('classify', '--n', '8', '--parabolic', 'max:4', '--format', 'tsv'),
-     False),
-    (('selftest', '--n-max', '8'), True),
+     False, 0),
+    # kl-properties builds GroupIndex(n) for n = 2..5: 2 + 6 + 24 + 120
+    (('selftest', '--n-max', '8'), True, 152),
 ], ids=['min', 'comp', 'mult-both', 'max', 'selftest'])
-def test_traced_request_prints_its_golden(args, fills):
+def test_traced_request_prints_its_golden(args, fills, group_size):
     compositions._thin.cache_clear()
-    cli._max_table.cache_clear()
+    cli._MAX_TABLES.clear()
+    groupindex.group_index.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -55,3 +58,4 @@ def test_traced_request_prints_its_golden(args, fills):
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == \
         goldens[' '.join(args)]
     assert (report['counts'].get('kernels.kl_fill.bytes', 0) > 0) == fills
+    assert report['counts'].get('groupindex.N', 0) == group_size
