@@ -28,6 +28,10 @@ insertion) is timed over every composition of 6, with its cache
 cleared each run, after each cell has matched the RSK partition of S_6
 (the elements whose insertion tableau is that of w_0^mu w_0).
 
+The walk behind `cells` (tableaux.window_shapes) is timed at n = 8,
+after its shapes have matched rsk of every element of S_8, in window
+order.
+
 The cup layer is timed at (14, 7), (16, 8) and (17, 8): setting up
 cup_diagrams.Block (the words listed and capped anew each run) and
 filling its sparse rows (Block.table), after three seeded columns of the
@@ -88,7 +92,7 @@ from kostantpv.permutations import (
     longest_element,
     longest_element_parabolic,
 )
-from kostantpv.tableaux import rsk
+from kostantpv.tableaux import rsk, window_shapes
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / 'src'
@@ -213,6 +217,14 @@ def bench_quotient_cell(n, repeat):
 
     bench_case(f'quotient_cell S_{n}', repeat, run_all,
                note=f'  ({len(mus)} compositions, inverse RSK)')
+
+
+def bench_window_shapes(n, repeat):
+    shapes, ids = window_shapes(n)
+    if [shapes[i] for i in ids] != [rsk(w).shape for w in enumerate_group(n)]:
+        raise SystemExit(f'window_shapes({n}) disagrees with rsk')
+    bench_case(f'window_shapes S_{n}', repeat, window_shapes, n,
+               note=f'  ({len(ids):,} elements, {len(shapes)} shapes)')
 
 
 def bench_cup_block(n, k, repeat):
@@ -355,6 +367,7 @@ def main():
     bench_parabolic_fill('max', 3, (3, 3), args.repeat)
     bench_parabolic_table(4, 4, args.repeat)
     bench_quotient_cell(6, args.repeat)
+    bench_window_shapes(8, args.repeat)
     for n, k in ((14, 7), (16, 8), (17, 8)):
         bench_cup_block(n, k, args.repeat)
     bench_socle(args.repeat)

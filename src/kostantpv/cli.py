@@ -18,8 +18,10 @@ cup blocks of more than cup_diagrams.MAX_BLOCK_WORDS words, and cells
 n > MAX_CELLS_N.
 
 Each command returns its stdout as a sequence of chunks.  classify
-max:k encodes its rows a chunk at a time, straight from per-factor
-texts, so no whole table of text is ever held.
+(max:k, min:k and comp:) and cells encode their rows a chunk at a time
+through a per-format row template, straight from windows and
+precomputed texts (per factor, per verdict, per shape), so no row
+object and no whole table of text is ever held.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ import json
 import sys
 import time
 from functools import lru_cache
+from itertools import chain, islice, permutations, repeat, starmap
 
 from .permutations import (
     Permutation,
-    enumerate_group,
+    _window_text,
     is_shortest_coset_rep,
     parse_permutation,
 )
@@ -61,9 +64,10 @@ def _bigrassmannian():
 
 DEFAULT_N_MAX = 8
 
-# cells keeps a row for every element of S_n.  At n = 9 it took 6.3 s
-# and a 196 MiB peak as TSV, 11.6 s and 439 MiB as JSON (one core);
-# n = 10 has ten times the rows.
+# cells writes a row for every element of S_n.  At n = 9 (362,880 rows)
+# a fresh process took 0.49-0.61 s and a 25-28 MiB peak as TSV,
+# 0.56-0.76 s and 25-56 MiB as JSON (2-core x86, 3-4 runs each); n = 10
+# has ten times the rows.
 MAX_CELLS_N = 9
 
 
@@ -145,12 +149,37 @@ def _emit_tsv(header, rows) -> str:
     return '\n'.join(lines) + '\n'
 
 
-def _mult_text(template, sep, texts, columns, rows) -> str:
-    """classify max:k rows: each is template.format of its columns and,
-    last, its multiplicities, the texts of its factors joined by sep (a
-    factor is its own index into texts)."""
-    return ''.join(map(template.format, *columns, (
-        sep.join(map(texts.__getitem__, factors)) for factors in rows)))
+def _mult_text(template, rows) -> str:
+    """The text of rows, each the tuple of its template's arguments.  It
+    encodes every row table, and keeps the name of the multiplicity
+    rows it first wrote: perfbench's tracer times it as cli.encode."""
+    return ''.join(starmap(template.format, rows))
+
+
+# encoded and written this many rows at a time
+CHUNK_ROWS = 512
+
+
+def _row_chunks(head, template, columns, tail):
+    """head, the rows of template over the columns (iterables) a chunk
+    at a time, then tail.  The template takes first the separator from
+    the row before: none for the first row, ',\n' after (which TSV
+    templates leave out)."""
+    rows = zip(chain(('',), repeat(',\n')), *columns)
+    yield head
+    while text := _mult_text(template, islice(rows, CHUNK_ROWS)):
+        yield text
+    yield tail
+
+
+def _row_frame(fmt: str, context: dict, header) -> tuple:
+    """(head, tail) around the rows: the TSV header, or the JSON of the
+    context as _emit_json writes it, its closing '\n}\n' traded for
+    the rows."""
+    if fmt == 'tsv':
+        return _emit_tsv(header, ()), ''
+    head = _emit_json({'context': context})
+    return head[:-3] + ',\n  "rows": [\n', '\n  ]\n}\n'
 
 
 CLASSIFY_HEADER = ['w', 'word', 'verdict', 'thin', 'a_value',
@@ -159,9 +188,9 @@ CLASSIFY_HEADER = ['w', 'word', 'verdict', 'thin', 'a_value',
 # A classify max:k row in each format: (template, sep, factor).  The
 # template takes the columns of _classify_max (the separator from the
 # row before, w, word, verdict, thin, a_value) and the multiplicities
-# last: the factor texts, joined by sep.  The JSON is what
-# json.dumps(..., sort_keys=True, indent=2) writes; labels and words
-# need no escaping.
+# last: the factor texts, joined by sep.  The JSON of every row
+# template is what json.dumps(..., sort_keys=True, indent=2) writes;
+# windows, labels, words, verdicts and shapes need no escaping.
 MAX_ROW = {
     'tsv': ('{1}\t{2}\t{3}\t{4}\t{5}\t{6}\n', ';', '{}:{}'),
     'json': ('{0}    {{\n      "a_value": {5},\n      "multiplicities": [\n'
@@ -170,8 +199,26 @@ MAX_ROW = {
              ',\n', '        [\n          "{}",\n          {}\n        ]'),
 }
 
-# classify max:k encodes and writes this many rows at a time
-CHUNK_ROWS = 512
+# A classify min:k or comp: row in each format; the template takes the
+# separator, w, verdict and thin.
+CLASSIFY_ROW = {
+    'tsv': '{1}\t-\t{2}\t{3}\t-\t-\n',
+    'json': ('{0}    {{\n      "a_value": null,\n      "multiplicities": '
+             'null,\n      "thin": {3},\n      "verdict": "{2}",\n'
+             '      "w": "{1}",\n      "word": null\n    }}'),
+}
+
+CELLS_HEADER = ['w', 'shape', 'small', 'penultimate']
+
+# A cells row in each format: (template, shape).  The template takes
+# the separator, w and the text of its shape, which is shape.format of
+# the shape, small and penultimate.
+CELLS_ROW = {
+    'tsv': ('{1}\t{2}\n', '{}\t{}\t{}'),
+    'json': ('{0}    {{\n{2}      "w": "{1}"\n    }}',
+             '      "penultimate": {2},\n      "shape": "{0}",\n'
+             '      "small": {1},\n'),
+}
 
 
 def _classify_max(n: int, k: int, parabolic: str, fmt: str):
@@ -190,30 +237,17 @@ def _classify_max(n: int, k: int, parabolic: str, fmt: str):
         for d in range(blk.ncups[y] + 1):
             texts[y << cup.DEGREE_BITS | d] = factor.format(label, d)
     columns = (
-        [''] + [',\n'] * (len(labels) - 1),
         labels,
         blk.words,
         ['Positive' if cup.is_positive_word(ctx, word) else 'Negative'
          for word in blk.words],
-        ['true' if t else 'false' for t in thin],
+        map(_tsv_cell, thin),
         blk.ncups,
+        (sep.join(map(texts.__getitem__, factors)) for factors in rows),
     )
-    if fmt == 'json':
-        # the context alone, its closing '\n}\n' traded for the rows
-        head = _emit_json({'context': {'n': n, 'parabolic': parabolic}})
-        head, tail = head[:-3] + ',\n  "rows": [\n', '\n  ]\n}\n'
-    else:
-        head, tail = _emit_tsv(CLASSIFY_HEADER, ()), ''
-
-    def chunks():
-        yield head
-        for lo in range(0, len(rows), CHUNK_ROWS):
-            part = slice(lo, lo + CHUNK_ROWS)
-            yield _mult_text(template, sep, texts,
-                             [column[part] for column in columns], rows[part])
-        yield tail
-
-    return chunks()
+    head, tail = _row_frame(fmt, {'n': n, 'parabolic': parabolic},
+                            CLASSIFY_HEADER)
+    return _row_chunks(head, template, columns, tail)
 
 
 def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
@@ -232,13 +266,11 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
         classified = classify_all(arg)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    rows = [{'w': str(w), 'word': None, 'verdict': verdict, 'thin': thin,
-             'a_value': None, 'multiplicities': None}
-            for w, verdict, thin in classified]
-    payload = {'context': {'n': n, 'parabolic': parabolic}, 'rows': rows}
-    if fmt == 'json':
-        return [_emit_json(payload)], 0
-    return [_emit_tsv(CLASSIFY_HEADER, rows)], 0
+    ws, verdicts, thin = zip(*classified)
+    head, tail = _row_frame(fmt, {'n': n, 'parabolic': parabolic},
+                            CLASSIFY_HEADER)
+    return _row_chunks(head, CLASSIFY_ROW[fmt], (
+        map(str, ws), verdicts, map(_tsv_cell, thin)), tail), 0
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
@@ -355,23 +387,20 @@ def cmd_cells(n: int, fmt: str, n_max: int):
             'cells keeps a row for each of the n! elements of S_n, and is '
             f'kept to n <= {MAX_CELLS_N}'
         )
-    from .tableaux import rsk
+    from .tableaux import window_shapes
 
     # small: the shape (n-1, 1); penultimate: w w_0 small, and w -> w w_0
     # reverses the window, which transposes the shape
     small, penultimate = (n - 1, 1), (2,) + (1,) * (n - 2)
-    rows = []
-    for w in enumerate_group(n):
-        shape = rsk(w).shape
-        rows.append({
-            'w': str(w),
-            'shape': ','.join(str(p) for p in shape),
-            'small': shape == small,
-            'penultimate': shape == penultimate,
-        })
-    if fmt == 'json':
-        return [_emit_json({'context': {'n': n}, 'rows': rows})], 0
-    return [_emit_tsv(['w', 'shape', 'small', 'penultimate'], rows)], 0
+    template, shape_text = CELLS_ROW[fmt]
+    shapes, ids = window_shapes(n)
+    texts = [shape_text.format(','.join(map(str, shape)), _tsv_cell(
+        shape == small), _tsv_cell(shape == penultimate)) for shape in shapes]
+    windows = map(_window_text, permutations(map(str, range(1, n + 1))),
+                  repeat(n))
+    head, tail = _row_frame(fmt, {'n': n}, CELLS_HEADER)
+    return _row_chunks(head, template, (
+        windows, map(texts.__getitem__, ids)), tail), 0
 
 
 def cmd_selftest(n_max: int) -> int:

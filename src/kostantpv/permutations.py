@@ -295,15 +295,30 @@ def coset_windows(parts) -> tuple:
     """The windows of the shortest reps of W_J \\ S_n, in window order,
     for J the Levi of the composition parts of n.  A rep keeps each
     block's values in increasing order, so each position takes, smallest
-    first, the next value of a block not yet used up.
+    first, the next value of a block not yet used up: the windows are
+    the leaves of that tree, listed depth-first on one window buffer.
 
     >>> coset_windows((2, 1))
     ((1, 2, 3), (1, 3, 2), (3, 1, 2))
     """
     ends = tuple(itertools.accumulate(parts))
-    level = [((), tuple(e - p + 1 for e, p in zip(ends, parts)))]
-    for _ in range(ends[-1]):
-        level = [(window + (v,), nxt[:b] + (v + 1,) + nxt[b + 1:])
-                 for window, nxt in level
-                 for b, v in enumerate(nxt) if v <= ends[b]]
-    return tuple(window for window, _ in level)
+    nxt = [e - p + 1 for e, p in zip(ends, parts)]
+    n = ends[-1]
+    window = [0] * n
+    out = []
+    blocks = range(len(parts))
+
+    def place(i):
+        if i == n:
+            out.append(tuple(window))
+            return
+        for b in blocks:
+            v = nxt[b]
+            if v <= ends[b]:
+                window[i] = v
+                nxt[b] = v + 1
+                place(i + 1)
+                nxt[b] = v
+
+    place(0)
+    return tuple(out)

@@ -1,5 +1,5 @@
-"""Robinson-Schensted correspondence by row insertion, its inverse, and
-the standard tableaux of a shape."""
+"""Robinson-Schensted correspondence by row insertion, its inverse, the
+standard tableaux of a shape, and the shapes of all of S_n at once."""
 
 from __future__ import annotations
 
@@ -44,6 +44,53 @@ def rsk(w: Permutation) -> TableauPair:
         recording=tuple(tuple(r) for r in q_rows),
         shape=tuple(len(r) for r in p_rows),
     )
+
+
+def window_shapes(n: int) -> tuple:
+    """(shapes, ids): the shapes of rsk(w) over S_n, and for each w in
+    window order the index of its shape in shapes, one byte each.
+
+    The prefix tree of S_n is walked in window order.  Row insertion of
+    a value depends only on the insertion tableau of the prefix, and
+    that tableau holds exactly the values used, so the shape ids of all
+    completions of a prefix are a function of its tableau: each one is
+    worked out once (7,193 tableaux at n = 8, against 8! leaves).
+
+    >>> shapes, ids = window_shapes(3)
+    >>> [shapes[i] for i in ids]
+    [(3,), (2, 1), (2, 1), (2, 1), (2, 1), (1, 1, 1)]
+    """
+    shapes: dict = {}
+    memo: dict = {}
+
+    def completions(rows: tuple, rest: tuple) -> bytes:
+        got = memo.get(rows)
+        if got is None:
+            if rest:
+                got = b''.join([
+                    completions(_insert(rows, v), rest[:i] + rest[i + 1:])
+                    for i, v in enumerate(rest)])
+            else:
+                shape = tuple(map(len, rows))
+                got = bytes((shapes.setdefault(shape, len(shapes)),))
+            memo[rows] = got
+        return got
+
+    ids = completions((), tuple(range(1, n + 1)))
+    return tuple(shapes), ids
+
+
+def _insert(rows: tuple, value: int) -> tuple:
+    """The insertion tableau rows (a tuple of tuples) after row
+    inserting value, which it does not hold."""
+    for r, row in enumerate(rows):
+        spot = bisect_right(row, value)
+        if spot == len(row):
+            return rows[:r] + (row + (value,),) + rows[r + 1:]
+        rows = rows[:r] + (row[:spot] + (value,) + row[spot + 1:],) \
+            + rows[r + 1:]
+        value = row[spot]
+    return rows + ((value,),)
 
 
 def inverse_rsk(insertion: tuple, recording: tuple) -> tuple:

@@ -437,7 +437,9 @@ def test_selftest_small():
 # table, the KL ones before the parabolic alternating sum moved to index
 # space, the socle and cells ones before the second kernel path and
 # the grading and cell-side switches were removed, the selftest ones before
-# four checks moved onto the production tables.  Regenerate (only for a
+# four checks moved onto the production tables, and cells at n = 8,
+# comp:9,1 at n = 10 and comp:1, 2 before cells and classify min:/comp:
+# were encoded from texts.  Regenerate (only for a
 # deliberate output change) with
 #   PYTHONPATH=src python tests/test_cli.py
 
@@ -519,10 +521,12 @@ WIDE_MULT = ((7, 3), (8, 4), (10, 5), (12, 6))
 
 def wide_kl_golden_invocations():
     """Past n = 6, where the KL paths used to stop: every classify min:k
-    at n = 7 and classify comp:2,2,3, comp:3,4 (n = 7) and comp:4,4
-    (n = 8), in both formats, and two-engine multiplicities of the middle
-    rep of max:k at WIDE_MULT.  The min:k digests were recorded from the
-    minimal theorem's verdicts (is_kostant_positive_minimal)."""
+    at n = 7 and classify comp:2,2,3, comp:3,4 (n = 7), comp:4,4 (n = 8)
+    and comp:9,1 (n = 10, bracket windows), in both formats, comp:1, 2
+    as typed (the context echoes the text unchanged), and two-engine
+    multiplicities of the middle rep of max:k at WIDE_MULT.  The min:k
+    digests were recorded from the minimal theorem's verdicts
+    (is_kostant_positive_minimal)."""
     out = []
     for fmt in ('json', 'tsv'):
         for k in range(1, 7):
@@ -531,6 +535,10 @@ def wide_kl_golden_invocations():
         for n, mu in ((7, '2,2,3'), (7, '3,4'), (8, '4,4')):
             out.append(('classify', '--n', str(n), '--parabolic',
                         f'comp:{mu}', '--format', fmt))
+        out.append(('classify', '--n', '10', '--parabolic', 'comp:9,1',
+                    '--format', fmt, '--n-max', '10'))
+    out.append(('classify', '--n', '3', '--parabolic', 'comp:1, 2',
+                '--format', 'json'))
     for n, k in WIDE_MULT:
         reps = _three_reps(n, k)
         out.append(('mult', '--n', str(n), '--k', str(k),
@@ -541,12 +549,12 @@ def wide_kl_golden_invocations():
 
 
 def socle_cells_golden_invocations():
-    """cells at n = 2..7, and socle of every w at n <= 4, of ten seeded
+    """cells at n = 2..8, and socle of every w at n <= 4, of ten seeded
     w per n at n = 5..8, and of w_0 and two seeded w at n = 9 (digit
     windows) and n = 10 (bracket windows), in both formats."""
     out = []
     for fmt in ('json', 'tsv'):
-        for n in range(2, 8):
+        for n in range(2, 9):
             out.append(('cells', '--n', str(n), '--format', fmt))
         for n in range(1, 9):
             if n <= 4:

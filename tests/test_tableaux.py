@@ -4,7 +4,12 @@ import itertools
 import math
 
 from kostantpv.permutations import enumerate_group, longest_element, identity
-from kostantpv.tableaux import inverse_rsk, rsk, standard_tableaux
+from kostantpv.tableaux import (
+    inverse_rsk,
+    rsk,
+    standard_tableaux,
+    window_shapes,
+)
 
 
 def _is_partition(shape, n):
@@ -106,3 +111,12 @@ def test_inverse_rsk_inverts_rsk():
         for w in enumerate_group(n):
             pair = rsk(w)
             assert inverse_rsk(pair.insertion, pair.recording) == w.window
+
+
+def test_window_shapes_are_the_rsk_shapes_in_window_order():
+    # rsk stays the oracle of the prefix-tree walk on all of S_n, n <= 8
+    for n in range(1, 9):
+        shapes, ids = window_shapes(n)
+        assert len(set(shapes)) == len(shapes)
+        assert [shapes[i] for i in ids] == \
+            [rsk(w).shape for w in enumerate_group(n)], n
