@@ -13,13 +13,13 @@ matched, and groupindex.coset_index((2, 2, 2, 2)), after its windows
 have matched the S_8 filter enumerate_shortest_reps and its lengths the
 Permutation lengths.
 
-The same fill over the shortest reps alone (klcells._fill_args, over
-groupindex.coset_index) is timed at n = 6 for min:3
+The fill takes the lengths and right action of groupindex.coset_index
+and the number of q-degrees kept: _kernels.kl_fill(lengths, mul, ncoef).
+The same fill over the shortest reps alone is timed at n = 6 for min:3
 (1,1,2,1,1) and max:3 (3,3), each after its table has matched
 parabolic_sums, the alternating sum over the whole-group table that the
 tests keep in tests/oracles.py, over the group indices of the reps.
-The whole
-of klcells.parabolic_table, the reps listed and filled anew each run,
+The whole of klcells.parabolic_table, the reps listed and filled anew each run,
 is timed at 4,4 (max:4 at n = 8, where no whole-group table exists),
 after it has matched the cup degree table of that block.
 
@@ -84,7 +84,7 @@ from kostantpv.cup_diagrams import (
     d_of,
 )
 from kostantpv.groupindex import GroupIndex, coset_index, group_index
-from kostantpv.klcells import _fill_args, parabolic_table
+from kostantpv.klcells import parabolic_table
 from kostantpv.permutations import (
     Permutation,
     bruhat_leq,
@@ -143,8 +143,15 @@ def bench_coset_index(parts, repeat):
                coset_index, parts, note=f'  ({len(windows):,} reps)')
 
 
+def fill_args(parts):
+    """(windows, (lengths, mul, ncoef)): the reps' windows and the
+    arguments of _kernels.kl_fill over them, from coset_index."""
+    windows, _, lengths, mul = coset_index(parts)
+    return windows, (lengths, mul, int(lengths.max()) // 2 + 1)
+
+
 def bench_kl_fill(n, repeat):
-    _, *args = _fill_args((1,) * n)
+    _, args = fill_args((1,) * n)
     P = _kernels.kl_fill(*args).transpose(1, 0, 2)
     problems = _kl_table_problems(group_index(n), P)
     if problems:
@@ -156,7 +163,7 @@ def bench_kl_fill(n, repeat):
 def bench_parabolic_fill(kind, k, parts, repeat):
     n = sum(parts)
     J = Composition(parts).simple_reflections()
-    windows, *args = _fill_args(parts)
+    windows, args = fill_args(parts)
     reps = [group_index(n).index[w] for w in windows]
     S = _kernels.kl_fill(*args).transpose(1, 0, 2)
     sums = parabolic_sums(n, J, reps, reps)
@@ -172,9 +179,11 @@ def bench_parabolic_table(k, m, repeat):
     """parabolic_table((k, m)) against the cup degrees of max:k: a
     degree c at (x, y) is S = q^d with 2d = l(y) - l(x) - c, and no
     factor is a zero S."""
-    windows, S = parabolic_table((k, m))
+    windows, lengths, S = parabolic_table((k, m))
+    if lengths.tolist() != [Permutation(w).length for w in windows]:
+        raise SystemExit(f'parabolic_table {k},{m} lengths disagree with '
+                         'the Permutation lengths')
     deg = dense_degrees(block_table(MaxParContext(k + m, k))[1])
-    lengths = np.array([Permutation(w).length for w in windows])
     d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
     want = np.zeros_like(S)
     x, y = np.nonzero(deg >= 0)

@@ -9,7 +9,8 @@ Two computations dominate everything else at n = 6, 7:
   representatives of a parabolic subgroup W_J (the whole group when J
   is empty).  It fills the columns of one length at a time, computes
   half of each column and copies it to the other half (S_{xs,w} =
-  S_{x,w} for a right descent s of w), and needs no Bruhat matrix.
+  S_{x,w} for a right descent s of w), and needs no Bruhat matrix nor
+  any index but the lengths and right action of groupindex.coset_index.
   Columns are computed in int32 and stored as int8, after a range
   check.
 
@@ -89,20 +90,21 @@ def _narrow(vals: np.ndarray) -> np.ndarray:
     return vals.astype(np.int8)
 
 
-def kl_fill(order, lengths, desc, mul, ncoef):
+def kl_fill(lengths, mul, ncoef):
     """KL table over the shortest reps, vectorized over the columns of
     one length.
 
-    order: rep indices sorted by increasing length (identity first).
-    lengths[i]: Coxeter length; desc[i]: one right descent (0-based
-    generator index, -1 for the identity); mul[s, i]: index of rep i
-    composed with s_{s+1} on the right, or -1 where that is not a rep.
+    lengths[i]: Coxeter length of rep i; mul[s, i]: index of rep i
+    composed with s_{s+1} on the right, or -1 where that is not a rep
+    (groupindex.coset_index); ncoef: the q-degrees kept.  Each column
+    is filled from its first right descent, in order of length.
     Returns an int8 array Pt of shape (R, R, ncoef), column-major, with
     Pt[w, x, d] = coefficient of q^d in S_{x,w}: a view of an
     (R, R + 1, ncoef) buffer.  A coefficient outside the int8 range
     raises OverflowError.
     """
     R = len(lengths)
+    order = np.argsort(lengths, kind='stable')
     # column w holds R + 1 rows: row R stays zero, and pads the row
     # lists below, which differ in length from one s to the next
     R1 = R + 1
@@ -135,7 +137,7 @@ def kl_fill(order, lengths, desc, mul, ncoef):
         level = order[cuts[lw]:cuts[lw + 1]]
         for lo in range(0, len(level), chunk):
             w = level[lo:lo + chunk]
-            s = desc[w]
+            s = down[:, w].argmax(axis=0)  # the first right descent
             v = mul[s, w][:, None]
             xs, sxs = ups[s], sups[s]
             col = rows.take(v * R1 + xs, axis=0).astype(np.int32)

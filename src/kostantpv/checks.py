@@ -61,7 +61,7 @@ from .cup_diagrams import (
     phi,
     shortest_reps,
 )
-from .groupindex import coset_index, group_index
+from .groupindex import group_index
 from .klcells import (
     kl_polynomial,
     kl_table,
@@ -255,13 +255,12 @@ def check_cross_oracle(n_max: int):
             ctx = MaxParContext(n, k)
             blk, rows, _ = block_table(ctx)
             deg = dense_degrees(rows)
-            windows, sums = parabolic_table((k, n - k))
+            windows, lengths, sums = parabolic_table((k, n - k))
             W = np.array(windows)
             wedges = np.array([list(word) for word in blk.words]) == WEDGE
             if not np.array_equal(W <= k, wedges):
                 problems.append(f'({n},{k}): coset reps != block reps')
                 continue
-            lengths = coset_index((k, n - k))[2]
             d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
             cup = deg >= 0
             fits = cup & (odd == 0) & (d >= 0) & (d < sums.shape[2])
@@ -391,7 +390,8 @@ def check_reconciliation(n_max: int):
         for k in range(1, n):
             ctx = MinParContext(n, k)
             mu = Composition(ctx.parts)
-            for w, verdict, _ in classify_all(mu):
+            for window, verdict, _ in classify_all(mu):
+                w = _raw(window)
                 expect = (
                     'Positive'
                     if is_kostant_positive_minimal(ctx, w)
@@ -417,7 +417,8 @@ def check_reconciliation(n_max: int):
             mu = Composition((k, n - k))
             unknowns = set()
             suff = set()
-            for w, verdict, thin in classify_all(mu):
+            for window, verdict, thin in classify_all(mu):
+                w = _raw(window)
                 if verdict == 'Positive':
                     suff.add(w)
                     if not thin:

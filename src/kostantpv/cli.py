@@ -133,8 +133,6 @@ def _emit_json(payload) -> str:
 
 
 def _tsv_cell(value) -> str:
-    if value is None:
-        return '-'
     if value is True:
         return 'true'
     if value is False:
@@ -145,7 +143,7 @@ def _tsv_cell(value) -> str:
 def _emit_tsv(header, rows) -> str:
     lines = ['# ' + '\t'.join(header)]
     for row in rows:
-        lines.append('\t'.join(_tsv_cell(row.get(col)) for col in header))
+        lines.append('\t'.join(_tsv_cell(row[col]) for col in header))
     return '\n'.join(lines) + '\n'
 
 
@@ -270,7 +268,8 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
     head, tail = _row_frame(fmt, {'n': n, 'parabolic': parabolic},
                             CLASSIFY_HEADER)
     return _row_chunks(head, CLASSIFY_ROW[fmt], (
-        map(str, ws), verdicts, map(_tsv_cell, thin)), tail), 0
+        (_window_text(map(str, w), n) for w in ws), verdicts,
+        map(_tsv_cell, thin)), tail), 0
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
@@ -301,8 +300,8 @@ def _max_table(ctx: MaxParContext) -> tuple:
         from .klcells import MAX_FILL_BYTES, parabolic_table
 
         table = parabolic_table((ctx.k, ctx.m))
-        while _MAX_TABLES and table[1].base.nbytes + sum(
-                S.base.nbytes for _, S in _MAX_TABLES.values()) \
+        while _MAX_TABLES and table[2].base.nbytes + sum(
+                S.base.nbytes for *_, S in _MAX_TABLES.values()) \
                 > MAX_FILL_BYTES:
             del _MAX_TABLES[next(iter(_MAX_TABLES))]
     _MAX_TABLES[ctx] = table
@@ -311,24 +310,24 @@ def _max_table(ctx: MaxParContext) -> tuple:
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
     try:
-        reps, S = _max_table(ctx)
+        reps, lengths, S = _max_table(ctx)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    sums = S[reps.index(x.window)]
+    i = reps.index(x.window)
     rows = []
-    for window, coeffs in zip(reps, sums.tolist()):
+    for window, shift, coeffs in zip(reps, (lengths - lengths[i]).tolist(),
+                                     S[i].tolist()):
         nonzero = [d for d, c in enumerate(coeffs) if c]
         if not nonzero:
             continue
-        y = Permutation(window)
-        shift = y.length - x.length
         if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
             degree = shift - 2 * nonzero[0]
         else:
             from .laurent import LaurentPolynomial
 
             degree = str(LaurentPolynomial.from_q_coeffs(coeffs, shift))
-        rows.append({'y': str(y), 'degree': degree})
+        rows.append({'y': _window_text(map(str, window), ctx.n),
+                     'degree': degree})
     return rows
 
 

@@ -21,7 +21,7 @@ Unknown -- deliberately: they are open in general.
 Both conditions are decided for every shortest rep of mu at once: the
 positive set is built once per mu, and thinness is read from one fill
 of the parabolic KL table over the reps (klcells.parabolic_table), at
-the columns of the cell.
+the columns of the cell.  classify_all gives each rep as its window.
 
 Composition text form: "2,1,3,2".
 """
@@ -142,10 +142,10 @@ def _thin(mu: Composition) -> tuple:
     63 compositions with n <= 6, 5.0 MB for the 126 with n <= 7, mostly
     the windows); the table they are read from is not.  min:k and the
     comp: of the same Levi share one entry."""
-    reps, S = parabolic_table(mu.parts)
-    at = {w: i for i, w in enumerate(reps)}
-    cell = [at.get(w) for w in _quotient_cell(mu)]
-    if None in cell:
+    reps, _, S = parabolic_table(mu.parts)
+    quotient = _quotient_cell(mu)
+    cell = [bisect_left(reps, w) for w in quotient]
+    if tuple(reps[i] for i in cell if i < len(reps)) != quotient:
         raise AssertionError(
             f'the cell of w_0^mu w_0 leaves the shortest reps of '
             f'{mu.to_text()}'
@@ -173,11 +173,11 @@ def _verdict(positive: bool, thin: bool) -> str:
 
 
 def classify_all(mu: Composition) -> list:
-    """(w, verdict, thin) for every shortest rep w of mu, in window
+    """(window, verdict, thin) for every shortest rep of mu, in window
     order; thinness is computed once, for all reps together."""
     reps, thin = _thin(mu)
     positive = _positive_windows(mu)
     return [
-        (_raw(w), _verdict(w in positive, bool(t)), bool(t))
+        (w, _verdict(w in positive, bool(t)), bool(t))
         for w, t in zip(reps, thin)
     ]

@@ -8,7 +8,8 @@ right action of the sign parabolic module (Deodhar's u = -1 family):
 H_s sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x
 if xs < x, and to -v m_x if xs is not a rep.  It returns one read-only
 int8 array in the classical variable q, indexed by position among the
-reps in groupindex.coset_index, the one index of W^J.  With J empty
+reps in groupindex.coset_index, the one index of W^J, built once per
+fill; its windows and lengths come with the table.  With J empty
 the reps are the whole group, in the order of group_index(n), and the
 array is
 
@@ -61,12 +62,12 @@ from .permutations import (
     is_shortest_coset_rep,
     subgroup_elements,
 )
-from .tableaux import TableauPair, rsk
+from .tableaux import rsk
 
 __all__ = [
     'kl_table', 'parabolic_table', 'kl_polynomial',
     'verma_multiplicity', 'parabolic_verma_multiplicity',
-    'rsk', 'TableauPair',
+    'rsk',
     'is_small_cell_member',
 ]
 
@@ -89,23 +90,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _fill_args(parts) -> tuple:
-    """(windows, order, lengths, desc, mul, ncoef): the windows of the
-    shortest reps of the composition parts, and the arguments of
-    _kernels.kl_fill over them, indexed by position among the reps
-    (coset_index)."""
-    windows, _, lengths, mul = coset_index(parts)
-    # desc: the first right descent, -1 for the identity
-    desc = np.full(len(windows), -1)
-    for s in range(len(mul) - 1, -1, -1):
-        desc[(mul[s] >= 0) & (lengths[mul[s]] < lengths)] = s
-    order = np.argsort(lengths, kind='stable')
-    return windows, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
-
-
 def parabolic_table(parts) -> tuple:
-    """(windows, S): the windows of the shortest reps of the composition
-    parts (in the order of coset_index), and the read-only int8 array
+    """(windows, lengths, S): the windows of the shortest reps of the
+    composition parts and their lengths, from the one coset_index the
+    fill runs over, and the read-only int8 array
 
         S[i, j, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z w_i, w_j},
 
@@ -121,8 +109,9 @@ def parabolic_table(parts) -> tuple:
     if count * (count + 1) * ncoef > MAX_FILL_BYTES:
         raise ValueError(f'the KL fill over the {count} reps of {parts} '
                          f'is over its limit of {MAX_FILL_BYTES} bytes')
-    windows, *args = _fill_args(parts)
-    return windows, _frozen(_kernels.kl_fill(*args)).transpose(1, 0, 2)
+    windows, _, lengths, mul = coset_index(parts)
+    S = _frozen(_kernels.kl_fill(lengths, mul, ncoef)).transpose(1, 0, 2)
+    return windows, _frozen(lengths), S
 
 
 @lru_cache(maxsize=None)
@@ -137,7 +126,7 @@ def kl_table(n: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f'n must be positive, got {n}')
-    return parabolic_table((1,) * n)[1]
+    return parabolic_table((1,) * n)[2]
 
 
 def _row(x: Permutation, w: Permutation) -> list:

@@ -151,27 +151,21 @@ def case_analysis(ctx: MinParContext, i: int, j: int) -> CaseAnalysis:
             from_word(n, tuple(range(k, t + 1))) for t in range(k, j)
         ]
         return CaseAnalysis(1, tuple(chain))
-    if j == k + 1:
-        mirror = case_analysis(
-            MinParContext(n, n - k), n + 1 - j, n + 1 - i
-        )
-        w0 = longest_element(n)
-        return CaseAnalysis(
-            2, tuple(w0 * b * w0 for b in mirror.predicted)
-        )
     if i > k:
         # chain s_k ... s_i, s_k ... s_{i+1}, ..., s_k ... s_{j-1}
         chain = [
             from_word(n, tuple(range(k, t + 1))) for t in range(i, j)
         ]
         return CaseAnalysis(3, tuple(chain))
-    if j <= k:
+    if j <= k + 1:
+        # i < k here: case 2 (j = k + 1) mirrors case 1, case 4 case 3
         mirror = case_analysis(
             MinParContext(n, n - k), n + 1 - j, n + 1 - i
         )
         w0 = longest_element(n)
         return CaseAnalysis(
-            4, tuple(w0 * b * w0 for b in mirror.predicted)
+            2 if j == k + 1 else 4,
+            tuple(w0 * b * w0 for b in mirror.predicted),
         )
     # i < k < k+1 < j: an up-chain and a down-chain from s_k
     up = [from_word(n, tuple(range(k, t + 1))) for t in range(k, j)]

@@ -303,22 +303,29 @@ def coset_windows(parts) -> tuple:
     """
     ends = tuple(itertools.accumulate(parts))
     nxt = [e - p + 1 for e, p in zip(ends, parts)]
-    n = ends[-1]
+    n, k = ends[-1], len(parts)
     window = [0] * n
     out = []
-    blocks = range(len(parts))
-
-    def place(i):
-        if i == n:
+    # placed[i]: the block whose value sits at position i, -1 for none;
+    # the walk keeps no call stack, so n is not bounded by recursion
+    placed = [-1] * n
+    i = 0
+    while i >= 0:
+        b = placed[i]
+        if b >= 0:
+            nxt[b] = window[i]
+        b += 1
+        while b < k and nxt[b] > ends[b]:
+            b += 1
+        if b == k:
+            placed[i] = -1
+            i -= 1
+            continue
+        placed[i] = b
+        window[i] = nxt[b]
+        nxt[b] += 1
+        if i + 1 < n:
+            i += 1
+        else:
             out.append(tuple(window))
-            return
-        for b in blocks:
-            v = nxt[b]
-            if v <= ends[b]:
-                window[i] = v
-                nxt[b] = v + 1
-                place(i + 1)
-                nxt[b] = v
-
-    place(0)
     return tuple(out)

@@ -116,18 +116,22 @@ def inverse_rsk(insertion: tuple, recording: tuple) -> tuple:
 
 def standard_tableaux(shape: tuple) -> list:
     """Every standard tableau of the given shape, as rows: the largest
-    entry goes into each outer corner in turn.
+    entry goes into each outer corner in turn, depth-first on a stack,
+    not by recursion, so n is not bounded by the recursion limit.
 
     >>> standard_tableaux((2, 1))
     [((1, 3), (2,)), ((1, 2), (3,))]
     """
-    n = sum(shape)
-    if n == 0:
-        return [tuple(() for _ in shape)]
     out = []
-    for r, length in enumerate(shape):
-        if length and (r + 1 == len(shape) or shape[r + 1] < length):
-            smaller = shape[:r] + (length - 1,) + shape[r + 1:]
-            out.extend(t[:r] + (t[r] + (n,),) + t[r + 1:]
-                       for t in standard_tableaux(smaller))
+    # (shape left, rows so far); corners pushed last first keep the order
+    stack = [(tuple(shape), tuple(() for _ in shape))]
+    while stack:
+        left, rows = stack.pop()
+        if not any(left):
+            out.append(rows)
+        m = sum(left)
+        for r in reversed(range(len(left))):
+            if left[r] and (r + 1 == len(left) or left[r + 1] < left[r]):
+                stack.append((left[:r] + (left[r] - 1,) + left[r + 1:],
+                              rows[:r] + ((m,) + rows[r],) + rows[r + 1:]))
     return out

@@ -46,11 +46,11 @@ def test_block_table_fault(monkeypatch, k):
 
 def test_parabolic_table_fault(monkeypatch):
     def parabolic_table(parts):
-        windows, S = REAL_PARABOLIC_TABLE(parts)
+        windows, lengths, S = REAL_PARABOLIC_TABLE(parts)
         if parts == (2, 3):
             S = S.copy()
             S[3, 4, 0] += 1
-        return windows, S
+        return windows, lengths, S
 
     monkeypatch.setattr(checks, 'parabolic_table', parabolic_table)
     ok, detail = _run('cross-oracle')
@@ -70,6 +70,30 @@ def test_cross_oracle_builds_no_group_index_and_no_kl_table(monkeypatch):
     ok, detail = checks.check_cross_oracle(6)
     assert ok, detail
     assert detail == '1262 pairs agree, n <= 6'
+
+
+def test_cross_oracle_builds_one_coset_index_per_fill(monkeypatch):
+    # the lengths come with the table: every coset_index call lists its
+    # windows through groupindex.coset_windows
+    from kostantpv import _kernels
+
+    real_windows, real_fill = groupindex.coset_windows, _kernels.kl_fill
+    index, fills = [], []
+
+    def listing(parts):
+        index.append(parts)
+        return real_windows(parts)
+
+    def fill(*args):
+        fills.append(len(args[0]))
+        return real_fill(*args)
+
+    monkeypatch.setattr(groupindex, 'coset_windows', listing)
+    monkeypatch.setattr(_kernels, 'kl_fill', fill)
+    ok, detail = checks.check_cross_oracle(6)
+    assert ok, detail
+    # one fill for each (n, k) with 1 <= k < n <= 6
+    assert len(index) == len(fills) == 15
 
 
 def test_positive_window_is_the_minimal_theorem():

@@ -682,6 +682,69 @@ def test_one_parser_serves_a_bad_request_then_a_good_one():
     assert cli._build_parser() is cli._build_parser()
 
 
+def test_kl_requests_build_one_coset_index_per_fill(monkeypatch):
+    # classify min:/comp: and mult --engine kl read the windows and
+    # lengths of the table's own index: every coset_index call lists its
+    # windows through groupindex.coset_windows
+    from kostantpv import _kernels, compositions, groupindex
+
+    real_windows, real_fill = groupindex.coset_windows, _kernels.kl_fill
+    index, fills = [], []
+
+    def listing(parts):
+        index.append(parts)
+        return real_windows(parts)
+
+    def fill(*args):
+        fills.append(len(args[0]))
+        return real_fill(*args)
+
+    monkeypatch.setattr(groupindex, 'coset_windows', listing)
+    monkeypatch.setattr(_kernels, 'kl_fill', fill)
+    cli._MAX_TABLES.clear()
+    compositions._thin.cache_clear()
+    want = _goldens()
+    requests = [args for args in kl_golden_invocations()
+                if args[0] == 'classify' or 'kl' in args]
+    for args in requests:
+        assert _stdout_digest(args) == want[' '.join(args)], args
+    assert len(index) == len(fills) > 0
+
+
+def test_kl_mult_builds_no_permutation_from_a_rep(monkeypatch):
+    # the rows of mult --engine kl|both are labelled from the rep
+    # windows and get their degrees from the lengths of the table
+    def refuse(*args):
+        raise AssertionError('mult built a Permutation from a rep window')
+
+    monkeypatch.setattr(cli, 'Permutation', refuse)
+    cli._MAX_TABLES.clear()
+    want = _goldens()
+    requests = [args for args in kl_golden_invocations()
+                + wide_kl_golden_invocations() if args[0] == 'mult']
+    assert {args[args.index('--engine') + 1] for args in requests} == \
+        {'kl', 'both'}
+    for args in requests:
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_classify_comp_past_the_recursion_limit():
+    # comp:1200 has one rep, the identity; listing it and the standard
+    # tableaux of its cell is 1,200 levels deep, past the default
+    # recursion limit of 1,000
+    n = 1200
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, out = run_main('classify', '--n', str(n), '--parabolic',
+                             f'comp:{n}', '--n-max', str(n), '--format',
+                             'tsv')
+    assert code == 0
+    identity = '[' + ','.join(map(str, range(1, n + 1))) + ']'
+    assert out.splitlines() == [
+        '# w\tword\tverdict\tthin\ta_value\tmultiplicities',
+        f'{identity}\t-\tPositive\ttrue\t-\t-',
+    ]
+
+
 if __name__ == '__main__':
     GOLDENS.write_text(json.dumps(
         {' '.join(a): _stdout_digest(a)

@@ -15,6 +15,7 @@ from kostantpv.klcells import parabolic_verma_multiplicity
 from kostantpv.minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from kostantpv.permutations import (
     Permutation,
+    coset_windows,
     identity,
     is_shortest_coset_rep,
     longest_element,
@@ -145,7 +146,7 @@ def test_classifier_matches_minimal_engine():
             for w, verdict, _ in classify_all(mu):
                 assert verdict != 'Unknown'
                 assert (verdict == 'Positive') == \
-                    is_kostant_positive_minimal(ctx, w)
+                    is_kostant_positive_minimal(ctx, Permutation(w))
 
 
 # -- the vectorized classifier against per-rep object loops
@@ -170,10 +171,10 @@ def test_classify_all_thinness_matches_object_loop():
         for parts in _compositions_of(n):
             mu = Composition(parts)
             rows = classify_all(mu)
-            assert [w for w, _, _ in rows] == sorted(
-                enumerate_shortest_reps(n, mu.simple_reflections()))
+            assert [w for w, _, _ in rows] == [w.window for w in sorted(
+                enumerate_shortest_reps(n, mu.simple_reflections()))]
             for w, _, t in rows:
-                assert t == _thin_by_loop(mu, w), (parts, w)
+                assert t == _thin_by_loop(mu, Permutation(w)), (parts, w)
 
 
 def test_thinness_is_filled_once_per_composition(monkeypatch):
@@ -219,9 +220,20 @@ def test_classify_all_matches_per_rep_classifier():
     for n in range(1, 6):
         for parts in _compositions_of(n):
             mu = Composition(parts)
-            for w, verdict, thin in classify_all(mu):
+            for window, verdict, thin in classify_all(mu):
+                w = Permutation(window)
                 assert thin == is_thin_general(mu, w)
                 if positive_sufficient(mu, w):
                     assert verdict == 'Positive'
                 else:
                     assert verdict == ('Unknown' if thin else 'Negative')
+
+
+def test_classify_all_yields_windows():
+    # the rows carry the rep windows themselves, in window order, with
+    # no Permutation built for them
+    for n in range(1, 7):
+        for parts in _compositions_of(n):
+            rows = classify_all(Composition(parts))
+            assert all(type(w) is tuple for w, _, _ in rows), parts
+            assert tuple(w for w, _, _ in rows) == coset_windows(parts)

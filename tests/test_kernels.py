@@ -5,9 +5,10 @@ the pairwise bruhat_leq (itself checked against reduced subwords in
 test_permutations), and the dense KL fill with the R-polynomial
 inversion and with the earlier per-column fill kept below, which reads
 the Bruhat matrix and recurses on left descents, where the fill, run
-with no parabolic subgroup, recurses on right ones.  The fill's
-arguments, built from the windows of the shortest reps, are held to the
-gather from the GroupIndex tables on every composition with n <= 7.
+with no parabolic subgroup, recurses on right ones.  The coset index
+the fill runs over, built from the windows of the shortest reps, is
+held to the gather from the GroupIndex tables on every composition with
+n <= 7.
 The array oracles of the kl-properties check (the
 table identities and the mu-graph cells) also run here at n = 6, one
 size past selftest.
@@ -26,8 +27,8 @@ from kostantpv.checks import (
     _kl_table_problems,
 )
 from kostantpv.compositions import Composition
-from kostantpv.groupindex import GroupIndex, group_index
-from kostantpv.klcells import _fill_args, kl_table
+from kostantpv.groupindex import GroupIndex, coset_index, group_index
+from kostantpv.klcells import kl_table
 from kostantpv.permutations import bruhat_leq, coset_windows
 from oracles import coset_reps, enumerate_shortest_reps
 
@@ -121,10 +122,11 @@ def test_cells_against_mu_graph_n6():
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
 def test_kl_fill_matches_per_column_fill(n):
     g = group_index(n)
-    windows, *args = _fill_args((1,) * n)
+    windows, _, lengths, mul = coset_index((1,) * n)
     assert windows == tuple(map(tuple, g.windows.tolist()))
-    Pt = _kernels.kl_fill(*args)
-    P = _kl_fill_by_column(*_left_args(g), g.leq, args[-1])
+    ncoef = n * (n - 1) // 4 + 1
+    Pt = _kernels.kl_fill(lengths, mul, ncoef)
+    P = _kl_fill_by_column(*_left_args(g), g.leq, ncoef)
     assert Pt.dtype == np.int8
     assert Pt.transpose(1, 0, 2).astype(np.int32).tobytes() == P.tobytes()
 
@@ -149,21 +151,14 @@ def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
         assert digest == KL_TABLE_SHA256[n]
 
 
-def _gather_fill_args(n, J):
-    """The arguments of kl_fill over the shortest reps of W_J, gathered
-    from the tables of GroupIndex(n): (reps as group indices, order,
-    lengths, desc, mul, ncoef)."""
+def _gather_index(n, J):
+    """The coset index of the shortest reps of W_J, gathered from the
+    tables of GroupIndex(n): (reps as group indices, lengths, mul)."""
     g = group_index(n)
     reps = coset_reps(g, J)
     pos = np.full(g.N, -1, dtype=np.int64)
     pos[reps] = np.arange(len(reps))
-    mul = pos[g.rmul[:, reps]]
-    lengths = g.lengths[reps]
-    desc = np.full(len(reps), -1, dtype=np.int64)
-    for s in range(len(mul) - 1, -1, -1):
-        desc[g.lengths[g.rmul[s, reps]] < lengths] = s
-    order = np.argsort(lengths, kind='stable')
-    return reps, order, lengths, desc, mul, int(lengths.max()) // 2 + 1
+    return reps, g.lengths[reps], pos[g.rmul[:, reps]]
 
 
 def _compositions(n):
@@ -178,25 +173,24 @@ def _compositions(n):
         yield tuple(parts)
 
 
-def test_coset_windows_and_fill_args_match_the_group_index():
+def test_coset_index_matches_the_group_index():
     # every composition with n <= 7: the windows are the S_n filter's
-    # reps and the GroupIndex coset reps, and the fill arguments built from
-    # them are the GroupIndex gather
+    # reps and the GroupIndex coset reps, their positions are their
+    # places in the list, and the lengths and right action the fill
+    # reads are the GroupIndex gather
     count = 0
     for n in range(1, 8):
         g = group_index(n)
         for parts in _compositions(n):
             J = Composition(parts).simple_reflections()
-            windows = coset_windows(parts)
-            assert windows == tuple(
+            windows, at, *got = coset_index(parts)
+            assert windows == coset_windows(parts) == tuple(
                 w.window for w in enumerate_shortest_reps(n, J))
-            reps, *want = _gather_fill_args(n, J)
+            assert at == {w: i for i, w in enumerate(windows)}
+            reps, *want = _gather_index(n, J)
             assert [g.index[w] for w in windows] == reps.tolist()
-            got_windows, *got = _fill_args(parts)
-            assert got_windows == windows
-            for a, b in zip(got[:-1], want[:-1]):
+            for a, b in zip(got, want):
                 assert a.dtype == b.dtype and np.array_equal(a, b), parts
-            assert got[-1] == want[-1]
             count += 1
     assert count == 127
 

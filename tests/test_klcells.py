@@ -96,6 +96,29 @@ def test_parabolic_table_refuses_before_listing_a_window(monkeypatch):
         parabolic_table((2, 2, 2, 2))
 
 
+def test_parabolic_table_builds_one_coset_index(monkeypatch):
+    # every coset_index call lists its windows through
+    # groupindex.coset_windows, whatever module imported coset_index
+    from kostantpv import groupindex
+
+    real = groupindex.coset_windows
+    calls = []
+
+    def listing(parts):
+        calls.append(parts)
+        return real(parts)
+
+    for parts in ((1,), (2, 1), (1, 2, 1, 2), (3, 3), (1,) * 5):
+        want = groupindex.coset_index(parts)
+        monkeypatch.setattr(groupindex, 'coset_windows', listing)
+        windows, lengths, _ = parabolic_table(parts)
+        monkeypatch.setattr(groupindex, 'coset_windows', real)
+        assert calls == [parts]
+        assert windows == want[0] and np.array_equal(lengths, want[2])
+        assert not lengths.flags.writeable
+        calls.clear()
+
+
 def test_table_is_read_only():
     P = kl_table(4)
     with pytest.raises(ValueError):
@@ -328,9 +351,10 @@ def test_parabolic_table_matches_parabolic_sums():
     for n in range(1, 7):
         g = group_index(n)
         for J in _subsets(n):
-            windows, S = parabolic_table(_parts(n, J))
+            windows, lengths, S = parabolic_table(_parts(n, J))
             reps = coset_reps(g, J)
             assert windows == tuple(g.perm(i).window for i in reps)
+            assert np.array_equal(lengths, g.lengths[reps])
             assert S.dtype == np.int8 and not S.flags.writeable
             sums = parabolic_sums(n, J, reps, reps)
             ncoef = S.shape[2]
@@ -342,7 +366,7 @@ def test_parabolic_table_matches_parabolic_sums():
 
 def test_parabolic_table_without_levi_is_kl_table():
     for n in range(1, 7):
-        windows, S = parabolic_table((1,) * n)
+        windows, _, S = parabolic_table((1,) * n)
         assert windows == tuple(w.window for w in enumerate_group(n))
         assert np.array_equal(S, kl_table(n)), n
 
@@ -355,10 +379,11 @@ def test_parabolic_table_matches_cup_degrees_to_n8():
         g = group_index(n)
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            windows, S = parabolic_table((k, n - k))
+            windows, got_lengths, S = parabolic_table((k, n - k))
             assert windows == tuple(w.window for w in shortest_reps(ctx))
             deg = dense_degrees(block_table(ctx)[1])
             lengths = g.lengths[[g.index[w] for w in windows]]
+            assert np.array_equal(got_lengths, lengths), (n, k)
             d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
             cup = deg >= 0
             assert not (cup & ((odd != 0) | (d < 0))).any(), (n, k)
