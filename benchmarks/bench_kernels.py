@@ -1,10 +1,12 @@
-"""Time the numpy kernels, the KL fills and the cup layer alone.
+"""Time the kernels, the KL fills and the cup layer alone.
 
-Runs the Bruhat comparability matrix on S_6 and S_7 and the dense
+Runs the Bruhat comparability matrix on S_6 and S_7 and the sparse
 Kazhdan-Lusztig fill on S_5 and S_6, and reports the best of --repeat
-runs.  Each fill is timed only after its table has passed the
-kl-properties identities (checks._kl_table_problems); its row also
-gives the bytes of the int8 table it writes.
+runs.  Each fill is timed only after its table, laid out densely
+(checks.dense_table), has passed the kl-properties identities
+(checks._kl_table_problems) and matched the per-column fill on the
+Bruhat matrix (kl_fill_by_column, kept in tests/oracles.py); its row
+also gives the entries it stores and their packed width.
 
 The index the fills run over is timed alone: GroupIndex(7) and
 GroupIndex(8), each after its windows have matched their Lehmer-code
@@ -16,7 +18,7 @@ Permutation lengths.
 The fill takes the lengths and right action of groupindex.coset_index
 and the number of q-degrees kept: _kernels.kl_fill(lengths, mul, ncoef).
 The same fill over the shortest reps alone is timed at n = 6 for min:3
-(1,1,2,1,1) and max:3 (3,3), each after its table has matched
+(1,1,2,1,1) and max:3 (3,3), each after its dense layout has matched
 parabolic_sums, the alternating sum over the whole-group table that the
 tests keep in tests/oracles.py, over the group indices of the reps.
 The whole of klcells.parabolic_table, the reps listed and filled anew each run,
@@ -73,7 +75,7 @@ import numpy as np
 
 from kostantpv import _kernels, cli
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
-from kostantpv.checks import _kl_table_problems, dense_degrees
+from kostantpv.checks import _kl_table_problems, dense_degrees, dense_table
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import (
     DEGREE_BITS,
@@ -99,6 +101,7 @@ SRC = ROOT / 'src'
 sys.path.insert(0, str(ROOT / 'tests'))
 from oracles import (  # noqa: E402
     enumerate_shortest_reps,
+    kl_fill_by_column,
     mul,
     orient,
     parabolic_sums,
@@ -135,8 +138,7 @@ def bench_coset_index(parts, repeat):
     windows, _, lengths, _ = coset_index(parts)
     J = Composition(parts).simple_reflections()
     if (windows != tuple(w.window for w in enumerate_shortest_reps(n, J))
-            or lengths.tolist() != [Permutation(w).length
-                                    for w in windows]):
+            or lengths != [Permutation(w).length for w in windows]):
         raise SystemExit(f'coset_index {parts} disagrees with the S_{n} '
                          'filter')
     bench_case(f'coset_index {",".join(map(str, parts))}', repeat,
@@ -147,17 +149,26 @@ def fill_args(parts):
     """(windows, (lengths, mul, ncoef)): the reps' windows and the
     arguments of _kernels.kl_fill over them, from coset_index."""
     windows, _, lengths, mul = coset_index(parts)
-    return windows, (lengths, mul, int(lengths.max()) // 2 + 1)
+    return windows, (lengths, mul, max(lengths) // 2 + 1)
+
+
+def entries(S):
+    """The note of a fill's row: the entries it stores, and their width."""
+    return f'{S.size:,} entries of {S.itemsize} bytes'
 
 
 def bench_kl_fill(n, repeat):
     _, args = fill_args((1,) * n)
-    P = _kernels.kl_fill(*args).transpose(1, 0, 2)
-    problems = _kl_table_problems(group_index(n), P)
+    S = _kernels.kl_fill(*args)
+    g = group_index(n)
+    P = dense_table(S)
+    problems = _kl_table_problems(g, P)
     if problems:
         raise SystemExit(f'kl_fill S_{n}: {problems}')
+    if not np.array_equal(P, kl_fill_by_column(g, args[2])):
+        raise SystemExit(f'kl_fill S_{n} disagrees with the per-column fill')
     bench_case(f'kl_fill S_{n}', repeat, _kernels.kl_fill, *args,
-               note=f'  ({P.nbytes:,} bytes, {P.dtype})')
+               note=f'  ({entries(S)})')
 
 
 def bench_parabolic_fill(kind, k, parts, repeat):
@@ -165,14 +176,14 @@ def bench_parabolic_fill(kind, k, parts, repeat):
     J = Composition(parts).simple_reflections()
     windows, args = fill_args(parts)
     reps = [group_index(n).index[w] for w in windows]
-    S = _kernels.kl_fill(*args).transpose(1, 0, 2)
+    S = _kernels.kl_fill(*args)
     sums = parabolic_sums(n, J, reps, reps)
-    if not (np.array_equal(S, sums[:, :, :S.shape[2]])
-            and not sums[:, :, S.shape[2]:].any()):
+    if not (np.array_equal(dense_table(S), sums[:, :, :S.ncoef])
+            and not sums[:, :, S.ncoef:].any()):
         raise SystemExit(f'kl_fill {kind}:{k} at n = {n} disagrees with '
                          'parabolic_sums')
     bench_case(f'kl_fill {kind}:{k} n={n}', repeat, _kernels.kl_fill, *args,
-               note=f'  ({len(reps)} reps, {S.nbytes:,} bytes)')
+               note=f'  ({len(reps)} reps, {entries(S)})')
 
 
 def bench_parabolic_table(k, m, repeat):
@@ -180,19 +191,21 @@ def bench_parabolic_table(k, m, repeat):
     degree c at (x, y) is S = q^d with 2d = l(y) - l(x) - c, and no
     factor is a zero S."""
     windows, lengths, S = parabolic_table((k, m))
-    if lengths.tolist() != [Permutation(w).length for w in windows]:
+    if list(lengths) != [Permutation(w).length for w in windows]:
         raise SystemExit(f'parabolic_table {k},{m} lengths disagree with '
                          'the Permutation lengths')
     deg = dense_degrees(block_table(MaxParContext(k + m, k))[1])
+    lengths = np.array(lengths)
     d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
-    want = np.zeros_like(S)
+    dense = dense_table(S)
+    want = np.zeros_like(dense)
     x, y = np.nonzero(deg >= 0)
     want[x, y, d[x, y]] = 1
-    if odd[x, y].any() or not np.array_equal(S, want):
+    if odd[x, y].any() or not np.array_equal(dense, want):
         raise SystemExit(f'parabolic_table {k},{m} disagrees with the '
                          'cup degrees')
     bench_case(f'parabolic_table {k},{m}', repeat, parabolic_table, (k, m),
-               note=f'  ({len(windows)} reps, {S.nbytes:,} bytes)')
+               note=f'  ({len(windows)} reps, {entries(S)})')
 
 
 def compositions(n):

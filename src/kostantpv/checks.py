@@ -13,11 +13,11 @@ cross-oracle, thin-y, linear-quiver and the maximal part of
 reconciliation read the tables the CLI serves: the sparse rows and thin
 column of cup_diagrams.block_table, and, for cross-oracle, the
 klcells.parabolic_table that mult --engine kl reads, one per (n, k),
-compared with the rows as a whole, laid out as a dense array
-(dense_degrees).  positivity-ratio decides the minimal-parabolic
-verdict on the windows of permutations.coset_windows, by the rule of
-is_kostant_positive_minimal, which reconciliation holds classify min:k
-to rep by rep.
+compared with the rows as a whole, both laid out as dense arrays
+(dense_table, dense_degrees).  positivity-ratio decides the
+minimal-parabolic verdict on the windows of permutations.coset_windows,
+by the rule of is_kostant_positive_minimal, which reconciliation holds
+classify min:k to rep by rep.
 
 Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
@@ -25,7 +25,8 @@ Kazhdan-Lusztig polynomials, computed on LaurentPolynomial in q, and
 a mu-graph strongly-connected-component pass for cells, computed on
 boolean arrays.  The table properties (normalization, vanishing,
 degree bound, both symmetries) are identities on the whole
-klcells.kl_table array.
+klcells.kl_table, laid out as one dense array.  This module, which only
+selftest and the tests load, is where the KL paths meet numpy.
 """
 
 from __future__ import annotations
@@ -232,6 +233,17 @@ def check_worked_tables(n_max: int):
     return _verdict(problems, 'section tables at (4,2) reproduced')
 
 
+def dense_table(S) -> np.ndarray:
+    """The table of a KL fill as one int32 array: D[x, w, d] is the
+    coefficient of q^d in S_{x,w}, over its ncoef degrees."""
+    D = np.zeros((len(S), len(S), S.ncoef), dtype=np.int32)
+    for w, col in enumerate(S):
+        for x, P in col.items():
+            coeffs = S.coefficients(P)
+            D[x, w, :len(coeffs)] = coeffs
+    return D
+
+
 def dense_degrees(rows) -> np.ndarray:
     """The rows of block_table as one int8 array: deg[x, y] is the
     degree of L_y in the standard module at x, -1 where it is no factor.
@@ -255,8 +267,9 @@ def check_cross_oracle(n_max: int):
             ctx = MaxParContext(n, k)
             blk, rows, _ = block_table(ctx)
             deg = dense_degrees(rows)
-            windows, lengths, sums = parabolic_table((k, n - k))
-            W = np.array(windows)
+            windows, lengths, S = parabolic_table((k, n - k))
+            W, lengths = np.array(windows), np.array(lengths)
+            sums = dense_table(S)
             wedges = np.array([list(word) for word in blk.words]) == WEDGE
             if not np.array_equal(W <= k, wedges):
                 problems.append(f'({n},{k}): coset reps != block reps')
@@ -374,7 +387,8 @@ def check_kl_properties(n_max: int):
     problems = []
     top = min(n_max, 5)
     for n in range(2, top + 1):
-        problems.extend(_kl_table_problems(group_index(n), kl_table(n)))
+        problems.extend(_kl_table_problems(group_index(n),
+                                           dense_table(kl_table(n))))
     if n_max >= 4:
         problems.extend(_kl_against_r_oracle(4))
     for n in range(2, top + 1):
@@ -522,7 +536,7 @@ def _mu_graph_cells(n: int, side: str) -> set:
     transitive closure of the graph (Warshall).
     """
     g = group_index(n)
-    P = kl_table(n)
+    P = dense_table(kl_table(n))
     mult = g.lmul if side == 'left' else g.rmul
     up = g.lengths[mult] > g.lengths
     diff = g.lengths[None, :] - g.lengths[:, None]

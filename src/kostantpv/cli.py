@@ -290,18 +290,18 @@ _MAX_TABLES: dict = {}
 
 def _max_table(ctx: MaxParContext) -> tuple:
     """parabolic_table for max:k, kept like block(ctx): a mult request
-    reads one row of it.  The table is at most 2 KB at n <= 6; the
-    largest that MAX_FILL_BYTES admits, at (22, 3) and (22, 19), takes
-    69 MB.  The least recently used tables are dropped while the fill
-    buffers held add up to more than MAX_FILL_BYTES, the bound of one
-    fill, so a warm process holds at most that many bytes of them."""
+    reads one row of it.  The least recently used tables are dropped
+    while the R (R + 1) ncoef that MAX_FILL_BYTES counts for each table
+    held, over its R reps and ncoef q-degrees, add up to more than
+    MAX_FILL_BYTES, the bound of one fill."""
     table = _MAX_TABLES.pop(ctx, None)
     if table is None:
         from .klcells import MAX_FILL_BYTES, parabolic_table
 
         table = parabolic_table((ctx.k, ctx.m))
-        while _MAX_TABLES and table[2].base.nbytes + sum(
-                S.base.nbytes for *_, S in _MAX_TABLES.values()) \
+        while _MAX_TABLES and sum(
+                len(S) * (len(S) + 1) * S.ncoef
+                for *_, S in (table, *_MAX_TABLES.values())) \
                 > MAX_FILL_BYTES:
             del _MAX_TABLES[next(iter(_MAX_TABLES))]
     _MAX_TABLES[ctx] = table
@@ -315,13 +315,13 @@ def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
         raise UsageError(str(e)) from None
     i = reps.index(x.window)
     rows = []
-    for window, shift, coeffs in zip(reps, (lengths - lengths[i]).tolist(),
-                                     S[i].tolist()):
-        nonzero = [d for d, c in enumerate(coeffs) if c]
-        if not nonzero:
+    for window, length, col in zip(reps, lengths, S):
+        P = col.get(i)
+        if P is None:
             continue
-        if len(nonzero) == 1 and coeffs[nonzero[0]] == 1:
-            degree = shift - 2 * nonzero[0]
+        shift, coeffs = length - lengths[i], S.coefficients(P)
+        if sum(coeffs) == 1:  # q^d: the fill's coefficients are >= 0
+            degree = shift - 2 * (len(coeffs) - 1)
         else:
             from .laurent import LaurentPolynomial
 

@@ -20,8 +20,9 @@ Unknown -- deliberately: they are open in general.
 
 Both conditions are decided for every shortest rep of mu at once: the
 positive set is built once per mu, and thinness is read from one fill
-of the parabolic KL table over the reps (klcells.parabolic_table), at
-the columns of the cell.  classify_all gives each rep as its window.
+of the parabolic KL table over the reps (klcells.parabolic_table),
+summed at q = 1 over the columns of the cell.  classify_all gives each
+rep as its window.
 
 Composition text form: "2,1,3,2".
 """
@@ -30,10 +31,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
-from .klcells import _frozen, parabolic_table
+from .klcells import parabolic_table
 from .permutations import (
     Permutation,
     _raw,
@@ -43,8 +44,7 @@ from .permutations import (
 )
 from .tableaux import inverse_rsk, rsk, standard_tableaux
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(namedtuple('Composition', 'parts')):
     """A sequence of positive parts; blocks are consecutive intervals.
 
     >>> Composition((2, 1, 3, 2)).blocks()
@@ -53,14 +53,13 @@ class Composition:
     [1, 4, 5, 7]
     """
 
-    parts: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, 'parts', tuple(self.parts))
-        if not self.parts or any(
-            not isinstance(p, int) or p < 1 for p in self.parts
-        ):
-            raise ValueError(f'parts must be positive integers: {self.parts}')
+    def __new__(cls, parts):
+        parts = tuple(parts)
+        if not parts or any(not isinstance(p, int) or p < 1 for p in parts):
+            raise ValueError(f'parts must be positive integers: {parts}')
+        return super().__new__(cls, parts)
 
     @classmethod
     def from_text(cls, text: str) -> 'Composition':
@@ -133,15 +132,16 @@ def _thin(mu: Composition) -> tuple:
     """(reps, thin): the windows of the shortest reps of mu in window
     order, and the thinness of each: exactly one u in the cell of
     w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1.  The
-    "and that one 1" has never decided a rep: over every composition
-    that MAX_FILL_BYTES admits at n = 7 and 8 (63 of the 64 of 7, 69 of
-    the 128 of 8; 97,528 reps) no cell has a single nonzero factor of
-    multiplicity other than 1.
+    fill checks every coefficient to be nonnegative, so that is a sum
+    of 1 over the cell's columns at q = 1.  The "and that one 1" has
+    never decided a rep: over every composition that MAX_FILL_BYTES
+    admits at n = 7 and 8 (63 of the 64 of 7, 69 of the 128 of 8;
+    97,528 reps) no cell has a single nonzero factor of multiplicity
+    other than 1.
 
-    Both read-only and kept for the life of the process (520 KB for all
-    63 compositions with n <= 6, 5.0 MB for the 126 with n <= 7, mostly
-    the windows); the table they are read from is not.  min:k and the
-    comp: of the same Levi share one entry."""
+    Both tuples, kept for the life of the process (mostly the windows);
+    the table they are read from is not.  min:k and the comp: of the
+    same Levi share one entry."""
     reps, _, S = parabolic_table(mu.parts)
     quotient = _quotient_cell(mu)
     cell = [bisect_left(reps, w) for w in quotient]
@@ -150,9 +150,11 @@ def _thin(mu: Composition) -> tuple:
             f'the cell of w_0^mu w_0 leaves the shortest reps of '
             f'{mu.to_text()}'
         )
-    m = S[:, cell].sum(axis=-1)
-    thin = ((m != 0).sum(axis=1) == 1) & (m.sum(axis=1) == 1)
-    return reps, _frozen(thin)
+    total = [0] * len(reps)
+    for u in cell:
+        for x, P in S[u].items():
+            total[x] += sum(S.coefficients(P))
+    return reps, tuple(t == 1 for t in total)
 
 
 def is_thin_general(mu: Composition, w: Permutation) -> bool:
@@ -161,7 +163,7 @@ def is_thin_general(mu: Composition, w: Permutation) -> bool:
     if not is_shortest_coset_rep(w, mu.simple_reflections()):
         raise ValueError(f'{w} is not a shortest rep for {mu.to_text()}')
     reps, thin = _thin(mu)
-    return bool(thin[bisect_left(reps, w.window)])
+    return thin[bisect_left(reps, w.window)]
 
 
 def _verdict(positive: bool, thin: bool) -> str:
@@ -177,7 +179,4 @@ def classify_all(mu: Composition) -> list:
     order; thinness is computed once, for all reps together."""
     reps, thin = _thin(mu)
     positive = _positive_windows(mu)
-    return [
-        (w, _verdict(w in positive, bool(t)), bool(t))
-        for w, t in zip(reps, thin)
-    ]
+    return [(w, _verdict(w in positive, t), t) for w, t in zip(reps, thin)]

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Optional
 
@@ -57,8 +57,7 @@ VEE = 'v'
 _BITS = str.maketrans({WEDGE: '1', VEE: '0'})
 
 
-@dataclass(frozen=True)
-class WeightWord:
+class WeightWord(namedtuple('WeightWord', 'letters')):
     """A word in {^, v} with at least one letter of each kind.
 
     >>> WeightWord('^v^v').k
@@ -67,14 +66,15 @@ class WeightWord:
     '^v^v'
     """
 
-    letters: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not set(self.letters) <= {WEDGE, VEE}:
-            raise ValueError(f'word must use only ^ and v: {self.letters!r}')
-        k = self.letters.count(WEDGE)
-        if not 1 <= k <= len(self.letters) - 1:
-            raise ValueError(f'need 1 <= #wedges <= n-1 in {self.letters!r}')
+    def __new__(cls, letters: str):
+        if not set(letters) <= {WEDGE, VEE}:
+            raise ValueError(f'word must use only ^ and v: {letters!r}')
+        k = letters.count(WEDGE)
+        if not 1 <= k <= len(letters) - 1:
+            raise ValueError(f'need 1 <= #wedges <= n-1 in {letters!r}')
+        return super().__new__(cls, letters)
 
     @property
     def n(self) -> int:
@@ -92,33 +92,31 @@ class WeightWord:
         return self.letters
 
 
-@dataclass(frozen=True)
-class CupDiagram:
-    """Non-crossing cups plus vertical strands on n positions.
+class CupDiagram(namedtuple('CupDiagram', 'cups strands n')):
+    """Non-crossing cups plus vertical strands on n positions: cups, a
+    frozenset of pairs (a, b) with a < b, and strands, a frozenset of
+    positions.
 
     Planarity: cups are pairwise non-crossing and no strand position
     lies strictly inside any cup interval.
     """
 
-    cups: frozenset      # pairs (a, b) with a < b
-    strands: frozenset   # positions
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        used = sorted(
-            itertools.chain(self.strands, *(c for c in self.cups))
-        )
-        if used != list(range(1, self.n + 1)):
+    def __new__(cls, cups: frozenset, strands: frozenset, n: int):
+        used = sorted(itertools.chain(strands, *cups))
+        if used != list(range(1, n + 1)):
             raise ValueError('cups and strands must partition 1..n')
-        for a, b in self.cups:
+        for a, b in cups:
             if not a < b:
                 raise ValueError(f'cup ({a}, {b}) must have a < b')
-            for p in self.strands:
+            for p in strands:
                 if a < p < b:
                     raise ValueError(f'strand {p} inside cup ({a}, {b})')
-            for c, d in self.cups:
+            for c, d in cups:
                 if a < c < b < d:
                     raise ValueError(f'cups ({a},{b}) and ({c},{d}) cross')
+        return super().__new__(cls, cups, strands, n)
 
     def to_text(self) -> str:
         cups = ','.join(
@@ -128,8 +126,7 @@ class CupDiagram:
         return f'cups={cups};strands={strands}'
 
 
-@dataclass(frozen=True)
-class OrientedCupDiagram:
+class OrientedCupDiagram(namedtuple('OrientedCupDiagram', 'diagram word')):
     """A cup diagram decorated by a word; cups join opposite letters.
 
     Need not be admissible: admissibility is about strands and is
@@ -137,17 +134,17 @@ class OrientedCupDiagram:
     tests/oracles.py).
     """
 
-    diagram: CupDiagram
-    word: WeightWord
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.diagram.n != self.word.n:
+    def __new__(cls, diagram: CupDiagram, word: WeightWord):
+        if diagram.n != word.n:
             raise ValueError('diagram and word sizes differ')
-        for a, b in self.diagram.cups:
-            if self.word[a] == self.word[b]:
+        for a, b in diagram.cups:
+            if word[a] == word[b]:
                 raise ValueError(
-                    f'cup ({a}, {b}) joins equal letters in {self.word}'
+                    f'cup ({a}, {b}) joins equal letters in {word}'
                 )
+        return super().__new__(cls, diagram, word)
 
     @property
     def degree(self) -> int:
@@ -168,14 +165,13 @@ class OrientedCupDiagram:
         return True
 
 
-@dataclass(frozen=True)
-class MaxParContext:
-    n: int
-    k: int
+class MaxParContext(namedtuple('MaxParContext', 'n k')):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n - 1:
-            raise ValueError(f'k={self.k} out of range 1..{self.n - 1}')
+    def __new__(cls, n: int, k: int):
+        if not 1 <= k <= n - 1:
+            raise ValueError(f'k={k} out of range 1..{n - 1}')
+        return super().__new__(cls, n, k)
 
     @property
     def m(self) -> int:

@@ -10,7 +10,8 @@ positions, their lengths and the right action of the simple
 reflections.  GroupIndex(n) is its case J empty, parts 1^n, whose reps
 are the whole group in lexicographic window order, so indices are
 deterministic across runs and processes; it adds what only the whole
-group has: inverses, the left action and the Bruhat order.
+group has: inverses, the left action and the Bruhat order, as numpy
+arrays (only selftest and the tests build it, and load numpy).
 
 Ranks up to n = 8 are supported; the full pairwise Bruhat matrix is
 only materialized for n <= 7 (it is quadratic in n!).
@@ -19,9 +20,7 @@ only materialized for n <= 7 (it is quadratic in n!).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import repeat
-
-import numpy as np
+from operator import gt
 
 from . import _kernels
 from .permutations import Permutation, _raw, coset_windows
@@ -31,19 +30,18 @@ MAX_N = 8
 
 def coset_index(parts) -> tuple:
     """(windows, at, lengths, mul) over the shortest reps of the
-    composition parts: their windows (coset_windows), at[window], the
-    position of a window, lengths[i], the inversion count of rep i, and
-    mul[s, i], the position of rep i times s_{s+1} on the right (its
-    positions s, s + 1 swapped), or -1 where that is no rep."""
+    composition parts, as lists: their windows (coset_windows),
+    at[window], the position of a window, lengths[i], the inversion
+    count of rep i, and mul[s][i], the position of rep i times s_{s+1}
+    on the right (its positions s, s + 1 swapped), or -1 where that is
+    no rep."""
     windows = coset_windows(parts)
-    W = np.array(windows)
-    R, n = W.shape
-    at = dict(zip(windows, range(R)))
-    lengths = np.triu(W[:, :, None] > W[:, None, :]).sum(axis=(1, 2))
-    mul = np.empty((n - 1, R), dtype=np.int64)
-    for s in range(n - 1):
-        cols = [*range(s), s + 1, s, *range(s + 2, n)]
-        mul[s] = list(map(at.get, map(tuple, W[:, cols].tolist()), repeat(-1)))
+    n = len(windows[0])
+    at = dict(zip(windows, range(len(windows))))
+    lengths = [sum(sum(map(gt, w, w[i:])) for i in range(1, n))
+               for w in windows]
+    mul = [[at.get(w[:s] + (w[s + 1], w[s]) + w[s + 2:], -1)
+            for w in windows] for s in range(n - 1)]
     return windows, at, lengths, mul
 
 
@@ -55,10 +53,14 @@ class GroupIndex:
     def __init__(self, n: int):
         if not 1 <= n <= MAX_N:
             raise ValueError(f'rank out of supported range 1..{MAX_N}: {n}')
+        import numpy as np
+
         self.n = n
         # rmul[s-1, i]: w_i s_s, which swaps positions s, s + 1
-        windows, self.index, self.lengths, self.rmul = coset_index((1,) * n)
+        windows, self.index, lengths, rmul = coset_index((1,) * n)
         self.N = len(windows)
+        self.lengths = np.array(lengths, dtype=np.int64)
+        self.rmul = np.array(rmul, dtype=np.int64).reshape(n - 1, self.N)
         self.windows = np.array(windows, dtype=np.int8)
         self.inverse = np.array(list(map(self.index.__getitem__, map(
             tuple, (self.windows.argsort(axis=1) + 1).tolist()))))
@@ -79,6 +81,8 @@ class GroupIndex:
     def dominance(self) -> np.ndarray:
         """Flattened dominance tables, shape (N, n*n), uint8: x <= y
         exactly when row x is entrywise <= row y."""
+        import numpy as np
+
         n = self.n
         ge = self.windows[:, :, None] >= np.arange(1, n + 1, dtype=np.int8)
         return np.cumsum(ge, axis=1, dtype=np.uint8).reshape(self.N, n * n)

@@ -2,22 +2,23 @@ r"""
 Kazhdan-Lusztig polynomials, graded Verma multiplicities, and cells.
 
 One fill (see _kernels) serves every table: it runs over the shortest
-coset representatives W^J of a parabolic subgroup W_J, one length
-level of columns at a time and without the Bruhat matrix, with the
-right action of the sign parabolic module (Deodhar's u = -1 family):
-H_s sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x
-if xs < x, and to -v m_x if xs is not a rep.  It returns one read-only
-int8 array in the classical variable q, indexed by position among the
-reps in groupindex.coset_index, the one index of W^J, built once per
-fill; its windows and lengths come with the table.  With J empty
-the reps are the whole group, in the order of group_index(n), and the
-array is
+coset representatives W^J of a parabolic subgroup W_J, a column at a
+time in order of length and without the Bruhat matrix, with the right
+action of the sign parabolic module (Deodhar's u = -1 family): H_s
+sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x if
+xs < x, and to -v m_x if xs is not a rep.  It returns the nonzero
+entries alone, column by column, each a polynomial in the classical
+variable q packed into one int (Table.coefficients unpacks it),
+indexed by position among the reps in groupindex.coset_index, the one
+index of W^J, built once per fill; its windows and lengths come with
+the table.  With J empty the reps are the whole group, in the order of
+group_index(n), and
 
-    kl_table(n)[x, w, d] = [q^d] P_{x,w},
+    kl_table(n)[w][x] = P_{x,w},
 
 and for any J, parabolic_table gives the q-form
 
-    S[x, w, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z x, w},
+    S[w][x] = Sum_{z in W_J} (-1)^{l(z)} P_{z x, w},
 
 equal entry by entry to the same alternating sum taken from the
 whole-group table (parabolic_sums, the oracle the tests keep in
@@ -33,7 +34,7 @@ the graded lift of that sum carries a degree shift <l(z)> on the z-th
 term, which the literature leaves implicit; it is taken here because
 without it S_3 already gives a negative coefficient, impossible for a
 composition-series count.  With that shift the parabolic multiplicity
-of L_y in the parabolic Verma at w is v^{l(y)-l(w)} S[w, y](v^{-2}).
+of L_y in the parabolic Verma at w is v^{l(y)-l(w)} S[y][w](v^{-2}).
 
 Cells are decided through RSK: two elements share a right cell iff
 they share the insertion tableau, and a left cell iff they share the
@@ -52,8 +53,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from . import _kernels
 from .groupindex import coset_index, group_index
 from .laurent import LaurentPolynomial
@@ -71,37 +70,28 @@ __all__ = [
     'is_small_cell_member',
 ]
 
-# parabolic_table fills an int8 buffer of R (R + 1) ncoef bytes over R
-# reps (a count of reps alone would admit the 8 GB of 1,2519).  It is the
-# one bound of every KL path, the CLI's included.  The limit is
-# comp:2,2,2,2 (2,520 reps, 13 coefficients, 83 MB): 0.40 s and a
-# 110 MiB peak RSS in process, on a 2-core x86 host.  The whole-group
-# table is quadratic in n!: S_6 takes 4.1 MB, and S_7 (5,040 reps, 11
+# parabolic_table refuses R (R + 1) ncoef over MAX_FILL_BYTES, for R
+# reps and ncoef q-degrees: the bytes of the dense int8 buffer an
+# earlier fill took, kept as the unit of every KL path, the CLI's
+# included, until a bound is measured for the sparse fill (a count of
+# reps alone would admit the 8 GB of 1,2519).  The limit is
+# comp:2,2,2,2 (2,520 reps, 13 coefficients); S_7 (5,040 reps, 11
 # coefficients, 279 MB) is refused.
 MAX_FILL_BYTES = 2520 * 2521 * 13
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    """a, made read-only with the array it views: cached arrays are
-    shared by every caller."""
-    if a.base is not None:
-        a.base.flags.writeable = False
-    a.flags.writeable = False
-    return a
 
 
 def parabolic_table(parts) -> tuple:
     """(windows, lengths, S): the windows of the shortest reps of the
     composition parts and their lengths, from the one coset_index the
-    fill runs over, and the read-only int8 array
+    fill runs over, and the read-only table (a _kernels.Table)
 
-        S[i, j, d] = [q^d] Sum_{z in W_J} (-1)^{l(z)} P_{z w_i, w_j},
+        S[j][i] = Sum_{z in W_J} (-1)^{l(z)} P_{z w_i, w_j},
 
-    for J the Levi of parts, with the degrees past the longest rep's
-    l // 2 left out (they are zero).  Filled over the reps alone, anew
-    on each call; a transposed view of the buffer Pt[j, i, d] of the
-    fill.  ValueError over MAX_FILL_BYTES, before any window is listed:
-    there are n! / prod p! reps, the longest of length C(n,2) - sum C(p,2).
+    packed, for J the Levi of parts, with the degrees past the longest
+    rep's l // 2 left out (they are zero); an i is absent where the sum
+    is zero.  Filled over the reps alone, anew on each call.
+    ValueError over MAX_FILL_BYTES, before any window is listed: there
+    are n! / prod p! reps, the longest of length C(n,2) - sum C(p,2).
     """
     n = sum(parts)
     count = math.factorial(n) // math.prod(map(math.factorial, parts))
@@ -110,15 +100,14 @@ def parabolic_table(parts) -> tuple:
         raise ValueError(f'the KL fill over the {count} reps of {parts} '
                          f'is over its limit of {MAX_FILL_BYTES} bytes')
     windows, _, lengths, mul = coset_index(parts)
-    S = _frozen(_kernels.kl_fill(lengths, mul, ncoef)).transpose(1, 0, 2)
-    return windows, _frozen(lengths), S
+    return windows, tuple(lengths), _kernels.kl_fill(lengths, mul, ncoef)
 
 
 @lru_cache(maxsize=None)
-def kl_table(n: int) -> np.ndarray:
-    """All polynomials P_{x,w} of S_n, stored densely and read-only:
-    P[x, w, d] is the coefficient of q^d in P_{x,w}, for group indices
-    x, w of group_index(n).  Zero where x is not Bruhat-below w.
+def kl_table(n: int) -> _kernels.Table:
+    """All nonzero polynomials P_{x,w} of S_n, read-only: P[w][x] is
+    P_{x,w} packed, for group indices x, w of group_index(n); x is
+    absent where it is not Bruhat-below w.
     The parabolic table of the composition 1^n, filled over
     coset_index((1,) * n), the index GroupIndex(n) is built on, so its
     order is group_index(n)'s by construction; past n = 6 it is over
@@ -130,9 +119,9 @@ def kl_table(n: int) -> np.ndarray:
 
 
 def _row(x: Permutation, w: Permutation) -> list:
-    """The row P[x, w] of the table, as q-coefficients."""
-    g = group_index(x.n)
-    return kl_table(x.n)[g.idx(x), g.idx(w)].tolist()
+    """The q-coefficients of P_{x,w}, from the table."""
+    g, table = group_index(x.n), kl_table(x.n)
+    return table.coefficients(table[g.idx(w)].get(g.idx(x), 0))
 
 
 def kl_polynomial(x: Permutation, w: Permutation) -> LaurentPolynomial:

@@ -20,7 +20,7 @@ two mirrored cases are produced by conjugation with w_0).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .permutations import (
     Permutation,
@@ -31,14 +31,13 @@ from .permutations import (
 )
 
 
-@dataclass(frozen=True)
-class MinParContext:
-    n: int
-    k: int
+class MinParContext(namedtuple('MinParContext', 'n k')):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.k <= self.n - 1:
-            raise ValueError(f'k={self.k} out of range 1..{self.n - 1}')
+    def __new__(cls, n: int, k: int):
+        if not 1 <= k <= n - 1:
+            raise ValueError(f'k={k} out of range 1..{n - 1}')
+        return super().__new__(cls, n, k)
 
     @property
     def parts(self) -> tuple:
@@ -46,17 +45,11 @@ class MinParContext:
         return (1,) * (self.k - 1) + (2,) + (1,) * (self.n - self.k - 1)
 
 
-@dataclass(frozen=True)
-class MinParFactorization:
-    sigma: Permutation   # fixes k and k+1
-    tau: Permutation     # some tau_{i,j}
-    positive: bool       # tau in X+
+# sigma fixes k and k+1, tau is some tau_{i,j}, positive: tau in X+
+MinParFactorization = namedtuple('MinParFactorization', 'sigma tau positive')
 
-
-@dataclass(frozen=True)
-class CaseAnalysis:
-    case_id: int               # 1..5
-    predicted: tuple           # ordered chain of bigrassmannians
+# case_id in 1..5; predicted: the ordered chain of bigrassmannians
+CaseAnalysis = namedtuple('CaseAnalysis', 'case_id predicted')
 
 
 def tau(ctx: MinParContext, i: int, j: int) -> Permutation:

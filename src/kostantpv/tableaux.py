@@ -4,18 +4,14 @@ standard tableaux of a shape, and the shapes of all of S_n at once."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .permutations import Permutation
 
 
-@dataclass(frozen=True)
-class TableauPair:
-    """Insertion tableau, recording tableau, and their common shape."""
-
-    insertion: tuple  # rows of the P tableau
-    recording: tuple  # rows of the Q tableau
-    shape: tuple      # row lengths, weakly decreasing
+# The rows of the insertion tableau P and of the recording tableau Q,
+# and their common shape: row lengths, weakly decreasing.
+TableauPair = namedtuple('TableauPair', 'insertion recording shape')
 
 
 def rsk(w: Permutation) -> TableauPair:

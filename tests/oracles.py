@@ -10,8 +10,10 @@ package keeps one path per computation:
   permutations.coset_windows;
 - the Lehmer-code rank of a window (rank), against the positions of
   groupindex.coset_index, and products of group indices (mul);
-- the parabolic alternating sum taken from the whole-group KL table
-  (parabolic_sums), against klcells.parabolic_table;
+- the per-column KL fill of S_n on the Bruhat matrix, by left descents
+  (kl_fill_by_column), and the parabolic alternating sum taken from the
+  whole-group KL table (parabolic_sums), against the fill of
+  klcells.parabolic_table, laid out densely (checks.dense_table);
 - reduced words, against Bruhat order (the subword property) and the
   small cell (unique reduced word);
 - cell membership by pairs, the small and penultimate cells as sets,
@@ -36,8 +38,8 @@ import numpy as np
 from kostantpv.compositions import Composition
 from kostantpv.cup_diagrams import CupDiagram, OrientedCupDiagram, WeightWord
 from kostantpv.groupindex import GroupIndex, group_index
+from kostantpv.checks import dense_table
 from kostantpv.klcells import (
-    _frozen,
     is_small_cell_member,
     kl_table,
     left_cell_key,
@@ -52,6 +54,15 @@ from kostantpv.permutations import (
     simple_reflection,
     subgroup_elements,
 )
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only with the array it views: cached arrays are
+    shared by every caller."""
+    if a.base is not None:
+        a.base.flags.writeable = False
+    a.flags.writeable = False
+    return a
+
 
 # ---------------------------------------------------------------------------
 # Coset reps and products over a GroupIndex
@@ -91,7 +102,66 @@ def coset_reps(g: GroupIndex, J) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# The per-column KL fill over the whole group
+
+
+def kl_fill_by_column(g: GroupIndex, ncoef: int) -> np.ndarray:
+    """The earlier per-column fill of S_n: P[x, w, d] over x <= w read
+    off the Bruhat matrix g.leq, in order of length, with the uniform
+    recursion on the first left descent s of w and c = [s x < x]
+
+        P_{x,w} = q^{1-c} P_{sx,v} + q^c P_{x,v}
+                  - sum over z < v with sz < z of
+                      mu(z, v) q^{(l(w)-l(z))/2} P_{x,z}   (x <= z),
+
+    where v = s w; the identity has no descent.
+    """
+    lengths, lmul, leq = g.lengths, g.lmul, g.leq
+    ldesc = np.full(g.N, -1, dtype=np.int64)
+    for s in range(len(lmul) - 1, -1, -1):
+        ldesc[lengths[lmul[s]] < lengths] = s
+    P = np.zeros((g.N, g.N, ncoef), dtype=np.int32)
+    for w in np.argsort(lengths, kind='stable'):
+        s = ldesc[w]
+        if s < 0:
+            P[w, w, 0] = 1
+            continue
+        v = lmul[s, w]
+        xs = np.nonzero(leq[:, w])[0]
+        sx = lmul[s, xs]
+        col = np.zeros((len(xs), ncoef), dtype=np.int32)
+        up = lengths[sx] > lengths[xs]
+        col[up, 1:] += P[sx[up], v, :-1]
+        col[~up, :] += P[sx[~up], v, :]
+        col[up, :] += P[xs[up], v, :]
+        col[~up, 1:] += P[xs[~up], v, :-1]
+        lw = lengths[w]
+        diff = lw - 1 - lengths
+        cand = np.nonzero(
+            leq[:, v]
+            & (diff % 2 == 1)
+            & (diff > 0)
+            & (lengths[lmul[s]] < lengths)
+        )[0]
+        for z in cand:
+            mu = int(P[z, v, (lw - 2 - lengths[z]) // 2])
+            if mu == 0:
+                continue
+            shift = (lw - lengths[z]) // 2
+            rows = leq[xs, z]
+            col[rows, shift:] -= mu * P[xs[rows], z, :ncoef - shift]
+        P[xs, w, :] = col
+    return P
+
+
+# ---------------------------------------------------------------------------
 # The parabolic alternating sum from the whole-group table
+
+
+@lru_cache(maxsize=None)
+def _dense_kl_table(n: int) -> np.ndarray:
+    """kl_table(n) as one read-only int32 array P[x, w, d]."""
+    return _frozen(dense_table(kl_table(n)))
 
 
 @lru_cache(maxsize=None)
@@ -112,13 +182,14 @@ def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
 
         parabolic_verma_multiplicity(w, y) = v^{l(y)-l(w)} S[w, y](v^{-2}).
 
-    Only the |W_J| x len(reps) x len(targets) entries needed are read
-    from the table.  The sum is taken in int32, not in the table's int8:
-    up to S_6 it has at most 720 terms, each coefficient at most 4.
+    The sum is taken in int32 over the whole-group table laid out
+    densely (_dense_kl_table): up to S_6 it has at most 720 terms, each
+    coefficient at most 4.
     """
     z, sign = _parabolic_subgroup(n, frozenset(J))
     zw = mul(group_index(n), z[:, None], np.asarray(reps)[None, :])
-    terms = kl_table(n)[zw[:, :, None], np.asarray(targets)[None, None, :]]
+    terms = _dense_kl_table(n)[zw[:, :, None],
+                               np.asarray(targets)[None, None, :]]
     return np.tensordot(sign, terms, axes=1)
 
 

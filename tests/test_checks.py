@@ -48,8 +48,10 @@ def test_parabolic_table_fault(monkeypatch):
     def parabolic_table(parts):
         windows, lengths, S = REAL_PARABOLIC_TABLE(parts)
         if parts == (2, 3):
-            S = S.copy()
-            S[3, 4, 0] += 1
+            # one more q^0 in S_{x,w} at x = 3, w = 4
+            cols = [dict(col) for col in S]
+            cols[4][3] = cols[4].get(3, 0) + 1
+            S = type(S)(cols, S.ncoef)
         return windows, lengths, S
 
     monkeypatch.setattr(checks, 'parabolic_table', parabolic_table)

@@ -326,11 +326,12 @@ def _modules_after(code):
 
 
 def test_cold_kl_request_leaves_out_numpy_ma():
+    # and numpy itself: the KL fill is plain Python
     loaded = _modules_after(
         'from kostantpv.cli import main\n'
         "assert main(['classify', '--n', '6', '--parabolic', 'min:3']) == 0")
     assert 'kostantpv.klcells' in loaded
-    assert 'numpy.ma' not in loaded
+    assert 'numpy' not in loaded
 
 
 # The kostantpv modules every command loads: the package itself loads
@@ -356,11 +357,14 @@ def test_cli_import_leaves_out_checks_and_numpy_ma():
      KL_STACK | {'kostantpv.compositions'}),
     (('mult', '--n', '4', '--k', '2', '--x', '1234'),
      KL_STACK | {'kostantpv.cup_diagrams'}),
+    (('mult', '--n', '4', '--k', '2', '--x', '1234', '--engine', 'kl'),
+     KL_STACK | {'kostantpv.cup_diagrams'}),
     (('mult', '--n', '4', '--k', '2', '--x', '1234', '--engine', 'cup'),
      {'kostantpv.cup_diagrams'}),
     (('socle', '--n', '5', '--w', '35142'), {'kostantpv.bigrassmannian'}),
     (('cells', '--n', '4'), {'kostantpv.tableaux'}),
-], ids=['max', 'min', 'comp', 'mult', 'mult-cup', 'socle', 'cells'])
+], ids=['max', 'min', 'comp', 'mult', 'mult-kl', 'mult-cup', 'socle',
+        'cells'])
 def test_each_command_loads_only_its_engine(args, engine):
     loaded = _modules_after(
         'import contextlib, io\n'
@@ -368,8 +372,7 @@ def test_each_command_loads_only_its_engine(args, engine):
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         f'    assert main({list(args)!r}) == 0')
     assert {m for m in loaded if m.startswith('kostantpv')} == BASE | engine
-    if args[0] in ('socle', 'cells') or engine == {'kostantpv.cup_diagrams'}:
-        assert 'numpy' not in loaded
+    assert 'numpy' not in loaded
 
 
 def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):

@@ -1,17 +1,18 @@
-"""The numpy kernels against independent oracles.
+"""The kernels against independent oracles.
 
 Each kernel is one path of two that must agree: the Bruhat matrix with
 the pairwise bruhat_leq (itself checked against reduced subwords in
-test_permutations), and the dense KL fill with the R-polynomial
-inversion and with the earlier per-column fill kept below, which reads
-the Bruhat matrix and recurses on left descents, where the fill, run
-with no parabolic subgroup, recurses on right ones.  The coset index
-the fill runs over, built from the windows of the shortest reps, is
-held to the gather from the GroupIndex tables on every composition with
-n <= 7.
-The array oracles of the kl-properties check (the
-table identities and the mu-graph cells) also run here at n = 6, one
-size past selftest.
+test_permutations), and the sparse KL fill, laid out densely, with the
+R-polynomial inversion and with the earlier per-column fill kept in
+tests/oracles.py, which reads the Bruhat matrix and recurses on left
+descents, where the fill, run with no parabolic subgroup, recurses on
+right ones.  Past n = 6, where no whole-group table is filled, the fill
+is held to digests of the tables the dense int8 fill it replaced gave.
+The coset index the fill runs over, built from the windows of the
+shortest reps, is held to the gather from the GroupIndex tables on
+every composition with n <= 7.  The array oracles of the kl-properties
+check (the table identities and the mu-graph cells) also run here at
+n = 6, one size past selftest.
 """
 
 import hashlib
@@ -25,15 +26,16 @@ from kostantpv.checks import (
     _cells_against_mu_graph,
     _kl_against_r_oracle,
     _kl_table_problems,
+    dense_table,
 )
 from kostantpv.compositions import Composition
 from kostantpv.groupindex import GroupIndex, coset_index, group_index
-from kostantpv.klcells import kl_table
+from kostantpv.klcells import kl_table, parabolic_table
 from kostantpv.permutations import bruhat_leq, coset_windows
-from oracles import coset_reps, enumerate_shortest_reps
+from oracles import coset_reps, enumerate_shortest_reps, kl_fill_by_column
 
-# sha256 of kl_table(n).astype(np.int32).tobytes(), as the int32
-# per-column fill produced it
+# sha256 of dense_table(kl_table(n)).tobytes(), as the int32 per-column
+# fill produced it
 KL_TABLE_SHA256 = {
     1: '67abdd721024f0ff4e0b3f4c2fc13bc5bad42d0b7851d456d88d203d15aaa450',
     2: '69ca48872b2a26917a764222a6a41b2371ebf9eaad4e239cd7984d46635bfe7b',
@@ -42,58 +44,6 @@ KL_TABLE_SHA256 = {
     5: '765eee00eefea19829fdf7b6a460b859b78043dc514119653c76843a3773ce47',
     6: '3101a60652b7c646ff4fefd7f52321be3457d933437dc84835ff2729782ebef1',
 }
-
-
-def _kl_fill_by_column(order, lengths, ldesc, lmul, leq, ncoef):
-    """The per-column fill: P[x, w, d] over x <= w read off the Bruhat
-    matrix leq, with the uniform recursion on c = [s x < x]
-
-        P_{x,w} = q^{1-c} P_{sx,v} + q^c P_{x,v}
-                  - sum over z < v with sz < z of
-                      mu(z, v) q^{(l(w)-l(z))/2} P_{x,z}   (x <= z).
-    """
-    N = len(lengths)
-    P = np.zeros((N, N, ncoef), dtype=np.int32)
-    for w in order:
-        s = ldesc[w]
-        if s < 0:
-            P[w, w, 0] = 1
-            continue
-        v = lmul[s, w]
-        xs = np.nonzero(leq[:, w])[0]
-        sx = lmul[s, xs]
-        col = np.zeros((len(xs), ncoef), dtype=np.int32)
-        up = lengths[sx] > lengths[xs]
-        col[up, 1:] += P[sx[up], v, :-1]
-        col[~up, :] += P[sx[~up], v, :]
-        col[up, :] += P[xs[up], v, :]
-        col[~up, 1:] += P[xs[~up], v, :-1]
-        lw = lengths[w]
-        diff = lw - 1 - lengths
-        cand = np.nonzero(
-            leq[:, v]
-            & (diff % 2 == 1)
-            & (diff > 0)
-            & (lengths[lmul[s]] < lengths)
-        )[0]
-        for z in cand:
-            mu = int(P[z, v, (lw - 2 - lengths[z]) // 2])
-            if mu == 0:
-                continue
-            shift = (lw - lengths[z]) // 2
-            rows = leq[xs, z]
-            col[rows, shift:] -= mu * P[xs[rows], z, :ncoef - shift]
-        P[xs, w, :] = col
-    return P
-
-
-def _left_args(g):
-    """(order, lengths, first left descent, lmul) of the left recursion
-    the per-column fill runs; the identity has descent -1."""
-    ldesc = np.full(g.N, -1, dtype=np.int64)
-    for s in range(len(g.lmul) - 1, -1, -1):
-        ldesc[g.lengths[g.lmul[s]] < g.lengths] = s
-    return np.argsort(g.lengths, kind='stable'), g.lengths, ldesc, g.lmul
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5])
@@ -112,7 +62,7 @@ def test_kl_fill_paths_agree(n):
 
 
 def test_kl_table_identities_n6():
-    assert _kl_table_problems(group_index(6), kl_table(6)) == []
+    assert _kl_table_problems(group_index(6), dense_table(kl_table(6))) == []
 
 
 def test_cells_against_mu_graph_n6():
@@ -125,17 +75,59 @@ def test_kl_fill_matches_per_column_fill(n):
     windows, _, lengths, mul = coset_index((1,) * n)
     assert windows == tuple(map(tuple, g.windows.tolist()))
     ncoef = n * (n - 1) // 4 + 1
-    Pt = _kernels.kl_fill(lengths, mul, ncoef)
-    P = _kl_fill_by_column(*_left_args(g), g.leq, ncoef)
-    assert Pt.dtype == np.int8
-    assert Pt.transpose(1, 0, 2).astype(np.int32).tobytes() == P.tobytes()
+    S = _kernels.kl_fill(lengths, mul, ncoef)
+    P = kl_fill_by_column(g, ncoef)
+    assert dense_table(S).tobytes() == P.tobytes()
+    assert S.size == np.count_nonzero(P.any(axis=2))
+
+
+def _digest(S):
+    return hashlib.sha256(dense_table(S).tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])
 def test_kl_table_digest(n):
-    assert kl_table(n).dtype == np.int8
-    digest = hashlib.sha256(kl_table(n).astype(np.int32).tobytes()).hexdigest()
-    assert digest == KL_TABLE_SHA256[n]
+    assert _digest(kl_table(n)) == KL_TABLE_SHA256[n]
+
+
+# sha256 of the repr of each column's sorted (x, coefficients) list, in
+# turn, as the dense int8 fill gave them
+ENTRIES_SHA256 = {
+    (2, 2, 3):
+        'a83d756f2257464b6553d11654655ca6c41815bd3ca890c73813cb216d28871a',
+    (3, 4):
+        '2cb8eb254623fd9b298d52c27d5be5c33a2fdbde3a2b6a9446e2e775674e6375',
+    (3, 3, 2):
+        '72310516dbd6676fe26ef3d9935afeec97b7f6bda7f943f3c6b13b8430283564',
+    (2, 2, 2, 2):
+        '929ae0d64a43cb4bae38aab35c551d7e68ca92ef63101e89019861fa9e966a8c',
+}
+
+
+@pytest.mark.parametrize('parts', list(ENTRIES_SHA256))
+def test_kl_fill_matches_the_dense_fill_past_n6(parts):
+    S = parabolic_table(parts)[2]
+    h = hashlib.sha256()
+    for col in S:
+        h.update(repr(sorted(
+            (x, S.coefficients(P)) for x, P in col.items())).encode())
+    assert h.hexdigest() == ENTRIES_SHA256[parts]
+
+
+def test_packing_refuses_out_of_range_coefficients(monkeypatch):
+    # with 3 bits a digit holds 0..3, its top bit kept clear: S_5, whose
+    # coefficients stay within 0..2, fills as with 8, and S_6, which has
+    # a 4, refuses; so does S_4 with its 1 + q cut to degree 0
+    monkeypatch.setattr(_kernels, 'BITS', 3)
+    _, _, lengths, mul = coset_index((1,) * 5)
+    assert _digest(_kernels.kl_fill(lengths, mul, 6)) == KL_TABLE_SHA256[5]
+    _, _, lengths, mul = coset_index((1,) * 6)
+    with pytest.raises(OverflowError, match='outside 0..3'):
+        _kernels.kl_fill(lengths, mul, 8)
+    monkeypatch.undo()
+    _, _, lengths, mul = coset_index((1,) * 4)
+    with pytest.raises(OverflowError, match='past degree 0'):
+        _kernels.kl_fill(lengths, mul, 1)
 
 
 def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
@@ -146,9 +138,7 @@ def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
     group_index.cache_clear()
     monkeypatch.setattr(GroupIndex, 'leq', property(refuse))
     for n in range(1, 7):
-        digest = hashlib.sha256(
-            kl_table(n).astype(np.int32).tobytes()).hexdigest()
-        assert digest == KL_TABLE_SHA256[n]
+        assert _digest(kl_table(n)) == KL_TABLE_SHA256[n]
 
 
 def _gather_index(n, J):
@@ -190,18 +180,6 @@ def test_coset_index_matches_the_group_index():
             reps, *want = _gather_index(n, J)
             assert [g.index[w] for w in windows] == reps.tolist()
             for a, b in zip(got, want):
-                assert a.dtype == b.dtype and np.array_equal(a, b), parts
+                assert a == b.tolist(), parts
             count += 1
     assert count == 127
-
-
-def test_narrowing_to_int8_refuses_out_of_range_values():
-    edge = np.array([[127, -128], [0, 4]], dtype=np.int32)
-    narrowed = _kernels._narrow(edge)
-    assert narrowed.dtype == np.int8
-    assert np.array_equal(narrowed, edge)
-    for bad in (128, -129):
-        block = edge.copy()
-        block[1, 0] = bad
-        with pytest.raises(OverflowError):
-            _kernels._narrow(block)

@@ -7,11 +7,10 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from kostantpv.checks import dense_degrees
+from kostantpv.checks import dense_degrees, dense_table
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
 from kostantpv.klcells import (
-    _frozen,
     is_small_cell_member,
     kl_polynomial,
     kl_table,
@@ -33,6 +32,7 @@ from kostantpv.permutations import (
 )
 from kostantpv.tableaux import rsk
 from oracles import (
+    _frozen,
     coset_reps,
     enumerate_shortest_reps,
     is_involution,
@@ -114,21 +114,17 @@ def test_parabolic_table_builds_one_coset_index(monkeypatch):
         windows, lengths, _ = parabolic_table(parts)
         monkeypatch.setattr(groupindex, 'coset_windows', real)
         assert calls == [parts]
-        assert windows == want[0] and np.array_equal(lengths, want[2])
-        assert not lengths.flags.writeable
+        assert windows == want[0] and lengths == tuple(want[2])
         calls.clear()
 
 
 def test_table_is_read_only():
     P = kl_table(4)
-    with pytest.raises(ValueError):
-        P[0, 0, 0] = 2
-    if P.base is not None:
-        with pytest.raises(ValueError):
-            P.base[0, 0, 0] = 2
-        with pytest.raises(ValueError):
-            P.flags.writeable = True
-    assert P[0, 0, 0] == 1
+    with pytest.raises(TypeError):
+        P[0] = {}
+    with pytest.raises(TypeError):
+        P[0][0] = 2
+    assert P[0] == {0: 1}
 
 
 def test_verma_multiplicity():
@@ -334,11 +330,9 @@ def test_parabolic_sums_match_oracle_seeded_n6():
 
 
 def test_parabolic_sums_accumulate_in_int32():
-    # the table is int8; the sum over W_J must not be taken in it
     g = group_index(6)
     J = frozenset(range(1, 6))
     sums = parabolic_sums(6, J, coset_reps(g, J), np.arange(g.N))
-    assert kl_table(6).dtype == np.int8
     assert sums.dtype == np.int32
 
 
@@ -354,11 +348,11 @@ def test_parabolic_table_matches_parabolic_sums():
             windows, lengths, S = parabolic_table(_parts(n, J))
             reps = coset_reps(g, J)
             assert windows == tuple(g.perm(i).window for i in reps)
-            assert np.array_equal(lengths, g.lengths[reps])
-            assert S.dtype == np.int8 and not S.flags.writeable
+            assert lengths == tuple(g.lengths[reps].tolist())
             sums = parabolic_sums(n, J, reps, reps)
-            ncoef = S.shape[2]
-            assert np.array_equal(S, sums[:, :, :ncoef]), (n, sorted(J))
+            ncoef = S.ncoef
+            assert np.array_equal(dense_table(S), sums[:, :, :ncoef]), \
+                (n, sorted(J))
             assert not sums[:, :, ncoef:].any(), (n, sorted(J))
             count += 1
     assert count == 63
@@ -368,7 +362,7 @@ def test_parabolic_table_without_levi_is_kl_table():
     for n in range(1, 7):
         windows, _, S = parabolic_table((1,) * n)
         assert windows == tuple(w.window for w in enumerate_group(n))
-        assert np.array_equal(S, kl_table(n)), n
+        assert S == kl_table(n), n
 
 
 def test_parabolic_table_matches_cup_degrees_to_n8():
@@ -383,7 +377,8 @@ def test_parabolic_table_matches_cup_degrees_to_n8():
             assert windows == tuple(w.window for w in shortest_reps(ctx))
             deg = dense_degrees(block_table(ctx)[1])
             lengths = g.lengths[[g.index[w] for w in windows]]
-            assert np.array_equal(got_lengths, lengths), (n, k)
+            assert got_lengths == tuple(lengths.tolist()), (n, k)
+            S = dense_table(S)
             d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
             cup = deg >= 0
             assert not (cup & ((odd != 0) | (d < 0))).any(), (n, k)
