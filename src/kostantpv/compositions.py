@@ -139,9 +139,10 @@ def _thin(mu: Composition) -> tuple:
     97,528 reps) no cell has a single nonzero factor of multiplicity
     other than 1.
 
-    Both tuples, kept for the life of the process (mostly the windows);
-    the table they are read from is not.  min:k and the comp: of the
-    same Levi share one entry."""
+    Both tuples, kept for the life of the process (600 KB for all 63
+    compositions with n <= 6, 5.4 MB for the 126 with n <= 7, mostly
+    the windows); the table they are read from is not.  min:k and the
+    comp: of the same Levi share one entry."""
     reps, _, S = parabolic_table(mu.parts)
     quotient = _quotient_cell(mu)
     cell = [bisect_left(reps, w) for w in quotient]
