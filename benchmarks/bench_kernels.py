@@ -2,10 +2,10 @@
 
 Runs the Bruhat comparability matrix on S_6 and S_7 and the sparse
 Kazhdan-Lusztig fill on S_5 and S_6, and reports the best of --repeat
-runs.  Each fill is timed only after its table, laid out densely
-(checks.dense_table), has passed the kl-properties identities
-(checks._kl_table_problems) and matched the per-column fill on the
-Bruhat matrix (kl_fill_by_column, kept in tests/oracles.py); its row
+runs.  Each fill is timed only after its table has passed the
+kl-properties identities (checks._kl_table_problems) and, laid out
+densely (dense_table), matched the per-column fill on the Bruhat
+matrix (kl_fill_by_column; both kept in tests/oracles.py); its row
 also gives the entries it stores and their packed width.
 
 The index the fills run over is timed alone: GroupIndex(7) and
@@ -75,7 +75,7 @@ import numpy as np
 
 from kostantpv import _kernels, cli
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
-from kostantpv.checks import _kl_table_problems, dense_degrees, dense_table
+from kostantpv.checks import _kl_table_problems
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import (
     DEGREE_BITS,
@@ -100,6 +100,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / 'src'
 sys.path.insert(0, str(ROOT / 'tests'))
 from oracles import (  # noqa: E402
+    dense_degrees,
+    dense_table,
     enumerate_shortest_reps,
     kl_fill_by_column,
     mul,
@@ -160,12 +162,11 @@ def entries(S):
 def bench_kl_fill(n, repeat):
     _, args = fill_args((1,) * n)
     S = _kernels.kl_fill(*args)
-    g = group_index(n)
-    P = dense_table(S)
-    problems = _kl_table_problems(g, P)
+    problems = _kl_table_problems(n, S)
     if problems:
         raise SystemExit(f'kl_fill S_{n}: {problems}')
-    if not np.array_equal(P, kl_fill_by_column(g, args[2])):
+    if not np.array_equal(dense_table(S),
+                          kl_fill_by_column(group_index(n), args[2])):
         raise SystemExit(f'kl_fill S_{n} disagrees with the per-column fill')
     bench_case(f'kl_fill S_{n}', repeat, _kernels.kl_fill, *args,
                note=f'  ({entries(S)})')

@@ -2,7 +2,7 @@
 The two kernels: the Kazhdan-Lusztig fill, in plain Python, over the
 shortest coset representatives of a parabolic subgroup W_J (the whole
 group when J is empty), and the pairwise Bruhat comparability matrix,
-which only selftest and the tests read, and which alone loads numpy.
+which no command reads (only the tests), and which alone loads numpy.
 
 The fill is in the classical variable q and carries no grading; the
 graded lift, and the degree shift on the z-th term of the parabolic

@@ -13,8 +13,7 @@ cross-oracle, thin-y, linear-quiver and the maximal part of
 reconciliation read the tables the CLI serves: the sparse rows and thin
 column of cup_diagrams.block_table, and, for cross-oracle, the
 klcells.parabolic_table that mult --engine kl reads, one per (n, k),
-compared with the rows as a whole, both laid out as dense arrays
-(dense_table, dense_degrees).  positivity-ratio decides the
+compared entry by entry.  positivity-ratio decides the
 minimal-parabolic verdict on the windows of permutations.coset_windows,
 by the rule of is_kostant_positive_minimal, which reconciliation holds
 classify min:k to rep by rep.
@@ -23,18 +22,17 @@ Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
 Kazhdan-Lusztig polynomials, computed on LaurentPolynomial in q, and
 a mu-graph strongly-connected-component pass for cells, computed on
-boolean arrays.  The table properties (normalization, vanishing,
-degree bound, both symmetries) are identities on the whole
-klcells.kl_table, laid out as one dense array.  This module, which only
-selftest and the tests load, is where the KL paths meet numpy.
+int bitsets.  The table properties (normalization, vanishing,
+degree bound, both symmetries) are checked on the columns of
+klcells.kl_table entry by entry, with the Bruhat order read from
+dominance rows.  Like every command, selftest loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import numpy as np
+from operator import le
 
 from .bigrassmannian import (
     complement_bigrassmannians,
@@ -62,13 +60,13 @@ from .cup_diagrams import (
     phi,
     shortest_reps,
 )
-from .groupindex import group_index
 from .klcells import (
     kl_polynomial,
     kl_table,
     left_cell_key,
     parabolic_table,
     right_cell_key,
+    whole_group,
 )
 from .laurent import LaurentPolynomial
 from .minimal_parabolic import (
@@ -85,6 +83,7 @@ from .permutations import (
     _raw,
     bruhat_leq,
     coset_windows,
+    dominance_matrix,
     enumerate_group,
     identity,
     longest_element,
@@ -233,26 +232,9 @@ def check_worked_tables(n_max: int):
     return _verdict(problems, 'section tables at (4,2) reproduced')
 
 
-def dense_table(S) -> np.ndarray:
-    """The table of a KL fill as one int32 array: D[x, w, d] is the
-    coefficient of q^d in S_{x,w}, over its ncoef degrees."""
-    D = np.zeros((len(S), len(S), S.ncoef), dtype=np.int32)
-    for w, col in enumerate(S):
-        for x, P in col.items():
-            coeffs = S.coefficients(P)
-            D[x, w, :len(coeffs)] = coeffs
-    return D
-
-
-def dense_degrees(rows) -> np.ndarray:
-    """The rows of block_table as one int8 array: deg[x, y] is the
-    degree of L_y in the standard module at x, -1 where it is no factor.
-    """
-    deg = np.full((len(rows), len(rows)), -1, dtype=np.int8)
-    for x, factors in enumerate(rows):
-        f = np.array(factors)
-        deg[x, f >> DEGREE_BITS] = f & ((1 << DEGREE_BITS) - 1)
-    return deg
+def _degrees(factors) -> dict:
+    """A row of block_table as {y: the degree of L_y}."""
+    return {f >> DEGREE_BITS: f & ((1 << DEGREE_BITS) - 1) for f in factors}
 
 
 def check_cross_oracle(n_max: int):
@@ -264,28 +246,29 @@ def check_cross_oracle(n_max: int):
     pairs = 0
     for n in range(2, top + 1):
         for k in range(1, n):
-            ctx = MaxParContext(n, k)
-            blk, rows, _ = block_table(ctx)
-            deg = dense_degrees(rows)
+            blk, rows, _ = block_table(MaxParContext(n, k))
             windows, lengths, S = parabolic_table((k, n - k))
-            W, lengths = np.array(windows), np.array(lengths)
-            sums = dense_table(S)
-            wedges = np.array([list(word) for word in blk.words]) == WEDGE
-            if not np.array_equal(W <= k, wedges):
+            if [[v <= k for v in w] for w in windows] != \
+                    [[c == WEDGE for c in word] for word in blk.words]:
                 problems.append(f'({n},{k}): coset reps != block reps')
                 continue
-            d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
-            cup = deg >= 0
-            fits = cup & (odd == 0) & (d >= 0) & (d < sums.shape[2])
-            want = np.zeros_like(sums)
-            x, y = np.nonzero(fits)
-            want[x, y, d[x, y]] = 1
-            bad = (sums != want).any(axis=2) | (cup & ~fits)
-            pairs += bad.size
-            if bad.any():
-                x, y = np.argwhere(bad)[0]
+            # the q-coefficients of each nonzero sum, and the q^d each
+            # cup asks for (None where no single q^d can match it)
+            got = {(x, y): S.coefficients(P)
+                   for y, col in enumerate(S) for x, P in col.items()}
+            want = {}
+            for x, row in enumerate(rows):
+                for y, c in _degrees(row).items():
+                    d, odd = divmod(lengths[y] - lengths[x] - c, 2)
+                    fits = odd == 0 and 0 <= d < S.ncoef
+                    want[x, y] = [0] * d + [1] if fits else None
+            bad = [p for p in got.keys() | want.keys()
+                   if got.get(p) != want.get(p)]
+            pairs += len(rows) ** 2
+            if bad:
+                x, y = min(bad)
                 problems.append(
-                    f'({n},{k}): {np.count_nonzero(bad)} pairs differ, '
+                    f'({n},{k}): {len(bad)} pairs differ, '
                     f'first x={blk.label(x)} y={blk.label(y)}'
                 )
     return _verdict(problems, f'{pairs} pairs agree, n <= {top}')
@@ -316,15 +299,10 @@ def check_branch_consistency(n_max: int):
     for n in range(2, top + 1):
         for k in {1, n - 1}:
             ctx = MaxParContext(n, k)
-            closed = {
-                w for w in shortest_reps(ctx)
-                if is_kostant_positive_maximal(ctx, w)
-            }
-            via_y = {
-                w for w in shortest_reps(ctx) if in_Y(ctx, phi(ctx, w))
-            }
-            want = {identity(n), antidominant_rep(ctx)}
-            if closed != via_y or closed != want or len(closed) != len(want):
+            reps = shortest_reps(ctx)
+            closed = {w for w in reps if is_kostant_positive_maximal(ctx, w)}
+            via_y = {w for w in reps if in_Y(ctx, phi(ctx, w))}
+            if not closed == via_y == {identity(n), antidominant_rep(ctx)}:
                 problems.append(f'({n},{k}): {sorted(str(w) for w in closed)}')
     return _verdict(problems, f'branches agree for k in {{1, n-1}}, n <= {top}')
 
@@ -336,8 +314,9 @@ def check_linear_quiver(n_max: int):
     problems = []
     top = min(n_max, 7)
     for n in range(2, top + 1):
-        deg = dense_degrees(block_table(MaxParContext(n, 1))[1])
-        if not (deg == np.eye(n, k=1) * 2 + np.eye(n) - 1).all():
+        rows = block_table(MaxParContext(n, 1))[1]
+        chain = [{x: 0, x + 1: 1} for x in range(n - 1)] + [{n - 1: 0}]
+        if list(map(_degrees, rows)) != chain:
             problems.append(f'({n},1): not a two-step chain')
     return _verdict(problems, f'two-step chains verified, n <= {top}')
 
@@ -353,31 +332,41 @@ def check_socle_shadow(n_max: int):
     return _verdict(problems, f'shadow equivalence exhaustive, n <= {top}')
 
 
-def _kl_table_problems(g, P) -> list:
-    """The properties of a KL table P over the group index g, stated as
-    identities on the whole array: normalization P_ww = 1, vanishing
-    off the Bruhat order, the degree bound 2d <= l(w) - l(x) - 1 for
-    x != w, and the symmetries P_{x,w} = P_{x^-1,w^-1} and
+def _dominance(windows) -> list:
+    """The dominance rows of each window, flattened: x <= y in Bruhat
+    order exactly when each entry of x's is <= that of y's."""
+    return [sum(dominance_matrix(_raw(w)), ()) for w in windows]
+
+
+def _inverses(windows, at) -> list:
+    """The position of the inverse of each window."""
+    return [at[_raw(w).inverse.window] for w in windows]
+
+
+def _kl_table_problems(n: int, P) -> list:
+    """The properties of the KL table P of S_n (kl_table(n)), checked on
+    its columns entry by entry: normalization P_ww = 1, vanishing off
+    the Bruhat order, the degree bound 2d <= l(w) - l(x) - 1 for x != w,
+    and the symmetries P_{x,w} = P_{x^-1,w^-1} and
     P_{x,w} = P_{w0 x w0, w0 w w0}."""
     problems = []
-    n = g.n
-    diag = np.arange(g.N)
-    if not (P[diag, diag, 0] == 1).all() or P[diag, diag, 1:].any():
+    windows, at, lengths, _ = whole_group(n)
+    dom = _dominance(windows)
+    entries = [(x, w, P.coefficients(p))
+               for w, col in enumerate(P) for x, p in col.items()]
+    if any(P.coefficients(col.get(w, 0)) != [1] for w, col in enumerate(P)):
         problems.append(f'n={n}: P_ww != 1')
-    if P[~g.leq].any():
+    if not all(all(map(le, dom[x], dom[w])) for x, w, _ in entries):
         problems.append(f'n={n}: nonzero below Bruhat')
-    room = g.lengths[None, :] - g.lengths[:, None] - 1
-    high = 2 * np.arange(P.shape[2]) > room[:, :, None]
-    high[diag, diag] = False
-    if (high & (P != 0)).any():
+    if any(x != w and 2 * len(c) - 2 > lengths[w] - lengths[x] - 1
+           for x, w, c in entries):
         problems.append(f'n={n}: degree bound violated')
-    inv = g.inverse
-    if not (P[inv[:, None], inv[None, :]] == P).all():
-        problems.append(f'n={n}: inverse symmetry')
-    c = np.array([g.index[w] for w in map(
-        tuple, (n + 1 - g.windows[:, ::-1]).tolist())])
-    if not (P[c[:, None], c[None, :]] == P).all():
-        problems.append(f'n={n}: w0-conjugation symmetry')
+    conjugate = [at[tuple(n + 1 - v for v in reversed(w))] for w in windows]
+    for name, image in (('inverse', _inverses(windows, at)),
+                        ('w0-conjugation', conjugate)):
+        if any({image[x]: p for x, p in col.items()} != P[image[w]]
+               for w, col in enumerate(P)):
+            problems.append(f'n={n}: {name} symmetry')
     return problems
 
 
@@ -387,12 +376,11 @@ def check_kl_properties(n_max: int):
     problems = []
     top = min(n_max, 5)
     for n in range(2, top + 1):
-        problems.extend(_kl_table_problems(group_index(n),
-                                           dense_table(kl_table(n))))
+        problems.extend(_kl_table_problems(n, kl_table(n)))
     if n_max >= 4:
         problems.extend(_kl_against_r_oracle(4))
     for n in range(2, top + 1):
-        problems.extend(_cells_against_mu_graph(n))
+        problems.extend(_cells_against_mu_graph(n, kl_table(n)))
     return _verdict(problems, f'tables, oracles, and cells agree, n <= {top}')
 
 
@@ -406,31 +394,22 @@ def check_reconciliation(n_max: int):
             mu = Composition(ctx.parts)
             for window, verdict, _ in classify_all(mu):
                 w = _raw(window)
-                expect = (
-                    'Positive'
-                    if is_kostant_positive_minimal(ctx, w)
-                    else 'Negative'
-                )
-                if verdict != expect:
+                positive = is_kostant_positive_minimal(ctx, w)
+                if verdict != ('Positive' if positive else 'Negative'):
                     problems.append(f'minimal ({n},{k}) w={w}: {verdict}')
         if n % 2 == 0:
             k = n // 2
             mu = Composition((k, k))
             pos = {w for w in map(_raw, coset_windows(mu.parts))
                    if positive_sufficient(mu, w)}
-            want = {
-                identity(n),
-                longest_element_parabolic(n, mu.simple_reflections())
-                * longest_element(n),
-            }
-            if pos != want:
+            w0J = longest_element_parabolic(n, mu.simple_reflections())
+            if pos != {identity(n), w0J * longest_element(n)}:
                 problems.append(f'(k,k) with k={k}: {len(pos)} positives')
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             _, _, cup_thin = block_table(ctx)
             mu = Composition((k, n - k))
-            unknowns = set()
-            suff = set()
+            unknowns, suff = set(), set()
             for window, verdict, thin in classify_all(mu):
                 w = _raw(window)
                 if verdict == 'Positive':
@@ -448,10 +427,7 @@ def check_reconciliation(n_max: int):
                 problems.append(
                     f'maximal ({n},{k}): unknowns != thin non-trivial set'
                 )
-            if not suff <= {
-                w for w in shortest_reps(ctx)
-                if is_kostant_positive_maximal(ctx, w)
-            }:
+            if not all(is_kostant_positive_maximal(ctx, w) for w in suff):
                 problems.append(f'maximal ({n},{k}): spurious positive')
     return _verdict(problems, f'classifier reconciled, n <= {top}')
 
@@ -526,45 +502,60 @@ def _kl_against_r_oracle(n: int) -> list:
     return problems
 
 
-def _mu_graph_cells(n: int, side: str) -> set:
-    """Cells as strongly connected components of the mu-graph.
+def _mu_graph_cells(n: int, side: str, P) -> set:
+    """Cells as strongly connected components of the mu-graph of the KL
+    table P of S_n.
 
     y -> s y for every s with s y > y, and y -> z for every z < y with
     mu(z, y) != 0 and some s that is a descent of z but not of y (s
-    acting on the given side).  Two elements share a cell when each
-    reaches the other: the classes of R & R.T, where R is the reflexive
-    transitive closure of the graph (Warshall).
+    acting on the given side).  reach[y], an int bitset, is the
+    reflexive transitive closure of the graph (Warshall); two elements
+    share a cell when each reaches the other, that is when they reach
+    the same set.
     """
-    g = group_index(n)
-    P = dense_table(kl_table(n))
-    mult = g.lmul if side == 'left' else g.rmul
-    up = g.lengths[mult] > g.lengths
-    diff = g.lengths[None, :] - g.lengths[:, None]
-    d = np.clip((diff - 1) // 2, 0, P.shape[2] - 1)
-    mu = (np.take_along_axis(P, d[:, :, None], axis=2)[:, :, 0] != 0) \
-        & (diff % 2 == 1) & (diff > 0) & g.leq
-    split = (~up).T.astype(np.int64) @ up.astype(np.int64) > 0
-    R = (mu & split).T | np.eye(g.N, dtype=bool)
-    R[np.nonzero(up)[1], mult[up]] = True
-    for k in range(g.N):
-        R[R[:, k]] |= R[k]
-    return {frozenset(np.flatnonzero(row).tolist()) for row in R & R.T}
+    windows, at, lengths, mul = whole_group(n)
+    if side == 'left':
+        # s w = (w^-1 s)^-1
+        inverse = _inverses(windows, at)
+        mul = [[inverse[row[i]] for i in inverse] for row in mul]
+    dom = _dominance(windows)
+    descents = [sum(1 << s for s, row in enumerate(mul)
+                    if lengths[row[y]] < lengths[y])
+                for y in range(len(windows))]
+    reach = []
+    for y, col in enumerate(P):
+        # s y for the s with s y > y are distinct: the sum is their union
+        r = 1 << y | sum(1 << row[y] for row in mul
+                         if lengths[row[y]] > lengths[y])
+        for z, p in col.items():
+            diff = lengths[y] - lengths[z]
+            if diff > 0 and diff & 1 and descents[z] & ~descents[y]:
+                mu = P.coefficients(p)[diff >> 1:]
+                if mu and mu[0] and all(map(le, dom[z], dom[y])):
+                    r |= 1 << z
+        reach.append(r)
+    for k in range(len(reach)):
+        bit, rk = 1 << k, reach[k]
+        for i, ri in enumerate(reach):
+            if ri & bit:
+                reach[i] = ri | rk
+    return {frozenset(y for y, ry in enumerate(reach) if ry == r)
+            for r in set(reach)}
 
 
-def _cells_against_mu_graph(n: int) -> list:
-    """Tableau cells against mu-graph cells on both sides, and one
-    involution per cell."""
+def _cells_against_mu_graph(n: int, P) -> list:
+    """Tableau cells against the mu-graph cells of the KL table P of S_n
+    on both sides, and one involution per cell."""
     problems = []
-    g = group_index(n)
-    involution = g.inverse == np.arange(g.N)
+    windows, at, _, _ = whole_group(n)
+    involution = [i == j for i, j in enumerate(_inverses(windows, at))]
     for side, key_fn in (('left', left_cell_key), ('right', right_cell_key)):
-        tableau_cells: dict = {}
-        for i in range(g.N):
-            tableau_cells.setdefault(key_fn(g.perm(i)), set()).add(i)
-        cells = {frozenset(c) for c in tableau_cells.values()}
-        if _mu_graph_cells(n, side) != cells:
+        keys = [key_fn(_raw(w)) for w in windows]
+        cells = {frozenset(i for i, key in enumerate(keys) if key == cell)
+                 for cell in set(keys)}
+        if _mu_graph_cells(n, side, P) != cells:
             problems.append(f'S_{n} {side} cells: graph != tableau')
-        if any(involution[list(c)].sum() != 1 for c in cells):
+        if any(sum(involution[i] for i in c) != 1 for c in cells):
             problems.append(f'n={n}: cell without unique involution')
     return problems
 

@@ -41,13 +41,13 @@ from .permutations import (
 )
 
 # Each command imports the engine it runs, so a request loads (and,
-# when no bytecode is written, compiles) only that engine: classify
-# max:k and mult --engine cup the cup diagrams alone, with no numpy,
-# and socle and cells no numpy either.  The requests that take well
-# under a millisecond (classify max:k, mult, socle) reach their engines
-# through the cached loaders below, not an import statement per call:
-# in a warm process whose caches went cold between requests, one import
-# statement took 5-40 us, a cached call 1-5 us.
+# when no bytecode is written, compiles) only that engine, and none
+# loads numpy: classify max:k and mult --engine cup the cup diagrams
+# alone.  The requests that take well under a millisecond (classify
+# max:k, mult, socle) reach their engines through the cached loaders
+# below, not an import statement per call: in a warm process whose
+# caches went cold between requests, one import statement took 5-40 us,
+# a cached call 1-5 us.
 
 
 @lru_cache(maxsize=None)

@@ -11,7 +11,7 @@ reflections.  GroupIndex(n) is its case J empty, parts 1^n, whose reps
 are the whole group in lexicographic window order, so indices are
 deterministic across runs and processes; it adds what only the whole
 group has: inverses, the left action and the Bruhat order, as numpy
-arrays (only selftest and the tests build it, and load numpy).
+arrays.  No command builds it; the tests do, and load numpy.
 
 Ranks up to n = 8 are supported; the full pairwise Bruhat matrix is
 only materialized for n <= 7 (it is quadratic in n!).

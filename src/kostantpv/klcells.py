@@ -11,8 +11,8 @@ entries alone, column by column, each a polynomial in the classical
 variable q packed into one int (Table.coefficients unpacks it),
 indexed by position among the reps in groupindex.coset_index, the one
 index of W^J, built once per fill; its windows and lengths come with
-the table.  With J empty the reps are the whole group, in the order of
-group_index(n), and
+the table.  With J empty the reps are the whole group, in lexicographic
+window order (whole_group(n), the index GroupIndex(n) is built on), and
 
     kl_table(n)[w][x] = P_{x,w},
 
@@ -35,6 +35,8 @@ term, which the literature leaves implicit; it is taken here because
 without it S_3 already gives a negative coefficient, impossible for a
 composition-series count.  With that shift the parabolic multiplicity
 of L_y in the parabolic Verma at w is v^{l(y)-l(w)} S[y][w](v^{-2}).
+These are LaurentPolynomials, and laurent is imported only when one
+is asked for: no command's table path needs it.
 
 Cells are decided through RSK: two elements share a right cell iff
 they share the insertion tableau, and a left cell iff they share the
@@ -54,8 +56,7 @@ import math
 from functools import lru_cache
 
 from . import _kernels
-from .groupindex import coset_index, group_index
-from .laurent import LaurentPolynomial
+from .groupindex import coset_index
 from .permutations import (
     Permutation,
     is_shortest_coset_rep,
@@ -106,11 +107,11 @@ def parabolic_table(parts) -> tuple:
 @lru_cache(maxsize=None)
 def kl_table(n: int) -> _kernels.Table:
     """All nonzero polynomials P_{x,w} of S_n, read-only: P[w][x] is
-    P_{x,w} packed, for group indices x, w of group_index(n); x is
-    absent where it is not Bruhat-below w.
+    P_{x,w} packed, for positions x, w in whole_group(n); x is absent
+    where it is not Bruhat-below w.
     The parabolic table of the composition 1^n, filled over
-    coset_index((1,) * n), the index GroupIndex(n) is built on, so its
-    order is group_index(n)'s by construction; past n = 6 it is over
+    coset_index((1,) * n), so its order is whole_group(n)'s and
+    group_index(n)'s by construction; past n = 6 it is over
     MAX_FILL_BYTES, and refused with a ValueError.
     """
     if n < 1:
@@ -118,41 +119,49 @@ def kl_table(n: int) -> _kernels.Table:
     return parabolic_table((1,) * n)[2]
 
 
+@lru_cache(maxsize=None)
+def whole_group(n: int) -> tuple:
+    """coset_index((1,) * n), kept and shared, so read-only: the windows
+    of S_n, their positions, lengths and right action, in the order of
+    kl_table(n)."""
+    return coset_index((1,) * n)
+
+
 def _row(x: Permutation, w: Permutation) -> list:
     """The q-coefficients of P_{x,w}, from the table."""
-    g, table = group_index(x.n), kl_table(x.n)
-    return table.coefficients(table[g.idx(w)].get(g.idx(x), 0))
+    table, at = kl_table(x.n), whole_group(x.n)[1]
+    return table.coefficients(table[at[w.window]].get(at[x.window], 0))
 
 
-def kl_polynomial(x: Permutation, w: Permutation) -> LaurentPolynomial:
-    """P_{x,w} as a polynomial in q (exponents are q-degrees).
+def kl_polynomial(x: Permutation, w: Permutation):
+    """P_{x,w} as a LaurentPolynomial in q (exponents are q-degrees).
 
     Zero when x is not Bruhat-below w; no exception.
     """
+    from .laurent import LaurentPolynomial
     return LaurentPolynomial(enumerate(_row(x, w)))
 
 
-def verma_multiplicity(x: Permutation, y: Permutation) -> LaurentPolynomial:
-    """Sum_i [Delta_x : L_y<i>] v^i = v^{l(y)-l(x)} P_{x,y}(v^{-2}).
+def verma_multiplicity(x: Permutation, y: Permutation):
+    """Sum_i [Delta_x : L_y<i>] v^i = v^{l(y)-l(x)} P_{x,y}(v^{-2}), a
+    LaurentPolynomial in v.
 
     Zero unless x <= y; equals 1 at x = y.
     """
+    from .laurent import LaurentPolynomial
     return LaurentPolynomial.from_q_coeffs(
         _row(x, y), vshift=y.length - x.length)
 
 
-def parabolic_verma_multiplicity(
-    J,
-    w: Permutation,
-    y: Permutation,
-) -> LaurentPolynomial:
+def parabolic_verma_multiplicity(J, w: Permutation, y: Permutation):
     """Graded multiplicity of L_y in the parabolic Verma at w, for the
-    parabolic subgroup W_J.
+    parabolic subgroup W_J, a LaurentPolynomial in v.
 
     Expands the parabolic Verma as sum over z in W_J of
     (-1)^{l(z)} Delta_{z w}, with the z-th term degree-shifted by l(z)
     (see module docstring).
     """
+    from .laurent import LaurentPolynomial
     J = frozenset(J)
     for rep in (w, y):
         if not is_shortest_coset_rep(rep, J):

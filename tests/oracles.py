@@ -13,7 +13,8 @@ package keeps one path per computation:
 - the per-column KL fill of S_n on the Bruhat matrix, by left descents
   (kl_fill_by_column), and the parabolic alternating sum taken from the
   whole-group KL table (parabolic_sums), against the fill of
-  klcells.parabolic_table, laid out densely (checks.dense_table);
+  klcells.parabolic_table, laid out densely (dense_table; the cup rows
+  of block_table lay out as dense_degrees);
 - reduced words, against Bruhat order (the subword property) and the
   small cell (unique reduced word);
 - cell membership by pairs, the small and penultimate cells as sets,
@@ -36,9 +37,13 @@ from typing import Iterable, Iterator, Optional
 import numpy as np
 
 from kostantpv.compositions import Composition
-from kostantpv.cup_diagrams import CupDiagram, OrientedCupDiagram, WeightWord
+from kostantpv.cup_diagrams import (
+    DEGREE_BITS,
+    CupDiagram,
+    OrientedCupDiagram,
+    WeightWord,
+)
 from kostantpv.groupindex import GroupIndex, group_index
-from kostantpv.checks import dense_table
 from kostantpv.klcells import (
     is_small_cell_member,
     kl_table,
@@ -62,6 +67,28 @@ def _frozen(a: np.ndarray) -> np.ndarray:
         a.base.flags.writeable = False
     a.flags.writeable = False
     return a
+
+
+def dense_table(S) -> np.ndarray:
+    """The table of a KL fill as one int32 array: D[x, w, d] is the
+    coefficient of q^d in S_{x,w}, over its ncoef degrees."""
+    D = np.zeros((len(S), len(S), S.ncoef), dtype=np.int32)
+    for w, col in enumerate(S):
+        for x, P in col.items():
+            coeffs = S.coefficients(P)
+            D[x, w, :len(coeffs)] = coeffs
+    return D
+
+
+def dense_degrees(rows) -> np.ndarray:
+    """The rows of block_table as one int8 array: deg[x, y] is the
+    degree of L_y in the standard module at x, -1 where it is no factor.
+    """
+    deg = np.full((len(rows), len(rows)), -1, dtype=np.int8)
+    for x, factors in enumerate(rows):
+        f = np.array(factors)
+        deg[x, f >> DEGREE_BITS] = f & ((1 << DEGREE_BITS) - 1)
+    return deg
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Planted faults: the checks that read the production tables must
-fail, naming the block, when one entry of a table is wrong."""
+fail, naming the block, when one entry of a table is wrong, and the
+kl-properties oracles must name the property a planted entry of a
+copied kl_table(4) breaks."""
 
 from types import SimpleNamespace
 
 import pytest
 
-from kostantpv import checks, groupindex, klcells
+from kostantpv import _kernels, checks, groupindex, klcells
 from kostantpv.cup_diagrams import DEGREE_BITS
 from kostantpv.minimal_parabolic import (
     MinParContext,
@@ -65,9 +67,8 @@ def test_cross_oracle_builds_no_group_index_and_no_kl_table(monkeypatch):
         raise AssertionError('cross-oracle built a whole-group table')
 
     monkeypatch.setattr(groupindex.GroupIndex, '__init__', refuse)
+    monkeypatch.setattr(groupindex, 'group_index', refuse)
     monkeypatch.setattr(klcells, 'kl_table', refuse)
-    for module in (checks, klcells):
-        monkeypatch.setattr(module, 'group_index', refuse)
     monkeypatch.setattr(checks, 'kl_table', refuse)
     ok, detail = checks.check_cross_oracle(6)
     assert ok, detail
@@ -122,3 +123,38 @@ def test_cross_oracle_compares_rep_order(monkeypatch):
     ok, detail = _run('cross-oracle')
     assert not ok
     assert '(2,1): coset reps != block reps' in detail, detail
+
+
+def _planted_kl4(x, w, coeffs):
+    """A copy of kl_table(4) with P_{x,w} (windows as text) set to the
+    q-coefficients coeffs, or taken out where they are all zero."""
+    P = klcells.kl_table(4)
+    at = klcells.whole_group(4)[1]
+    cols = [dict(col) for col in P]
+    xi, wi = (at[tuple(map(int, t))] for t in (x, w))
+    cols[wi][xi] = sum(c << _kernels.BITS * d for d, c in enumerate(coeffs))
+    if not cols[wi][xi]:
+        del cols[wi][xi]
+    return type(P)(cols, P.ncoef)
+
+
+@pytest.mark.parametrize('x, w, coeffs, message', [
+    # P_{1234,2314} = 1 becomes 2: its inverse 3124 keeps 1
+    ('1234', '2314', [2], 'n=4: inverse symmetry'),
+    # s_1 is not below s_2 s_3
+    ('2134', '1342', [1], 'n=4: nonzero below Bruhat'),
+    # a cover allows degree 0 alone
+    ('1234', '2134', [1, 1], 'n=4: degree bound violated'),
+], ids=['inverse', 'bruhat', 'degree'])
+def test_kl_table_identities_name_a_planted_fault(x, w, coeffs, message):
+    assert checks._kl_table_problems(4, klcells.kl_table(4)) == []
+    assert message in checks._kl_table_problems(4, _planted_kl4(x, w, coeffs))
+
+
+def test_mu_graph_cells_name_a_zeroed_mu():
+    # without mu(1243, 1342) = 1, nothing leads from 1342 or 2341 back
+    # to 1243, and their left cell splits in two
+    assert checks._cells_against_mu_graph(4, klcells.kl_table(4)) == []
+    planted = _planted_kl4('1243', '1342', [])
+    assert checks._cells_against_mu_graph(4, planted) == \
+        ['S_4 left cells: graph != tableau']

@@ -338,7 +338,7 @@ def test_cold_kl_request_leaves_out_numpy_ma():
 # permutations.
 BASE = {'kostantpv', 'kostantpv.cli', 'kostantpv.permutations'}
 KL_STACK = {'kostantpv.klcells', 'kostantpv.groupindex', 'kostantpv._kernels',
-            'kostantpv.tableaux', 'kostantpv.laurent'}
+            'kostantpv.tableaux'}
 
 
 def test_cli_import_leaves_out_checks_and_numpy_ma():
@@ -363,8 +363,12 @@ def test_cli_import_leaves_out_checks_and_numpy_ma():
      {'kostantpv.cup_diagrams'}),
     (('socle', '--n', '5', '--w', '35142'), {'kostantpv.bigrassmannian'}),
     (('cells', '--n', '4'), {'kostantpv.tableaux'}),
+    (('selftest', '--n-max', '8'),
+     KL_STACK | {'kostantpv.checks', 'kostantpv.bigrassmannian',
+                 'kostantpv.compositions', 'kostantpv.cup_diagrams',
+                 'kostantpv.laurent', 'kostantpv.minimal_parabolic'}),
 ], ids=['max', 'min', 'comp', 'mult', 'mult-kl', 'mult-cup', 'socle',
-        'cells'])
+        'cells', 'selftest'])
 def test_each_command_loads_only_its_engine(args, engine):
     loaded = _modules_after(
         'import contextlib, io\n'
@@ -673,6 +677,19 @@ def test_kl_paths_never_build_a_group_index(monkeypatch):
     want = _goldens()
     for args in kl_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_selftest_never_builds_a_group_index(monkeypatch):
+    # the checks index S_n by klcells.whole_group, as the KL table is
+    from kostantpv import groupindex
+
+    def refuse(self, n):
+        raise AssertionError(f'selftest built GroupIndex({n})')
+
+    monkeypatch.setattr(groupindex.GroupIndex, '__init__', refuse)
+    groupindex.group_index.cache_clear()
+    args = ('selftest', '--n-max', '8')
+    assert _stdout_digest(args) == _goldens()[' '.join(args)]
 
 
 def test_one_parser_serves_a_bad_request_then_a_good_one():

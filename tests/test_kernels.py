@@ -10,9 +10,9 @@ right ones.  Past n = 6, where no whole-group table is filled, the fill
 is held to digests of the tables the dense int8 fill it replaced gave.
 The coset index the fill runs over, built from the windows of the
 shortest reps, is held to the gather from the GroupIndex tables on
-every composition with n <= 7.  The array oracles of the kl-properties
-check (the table identities and the mu-graph cells) also run here at
-n = 6, one size past selftest.
+every composition with n <= 7.  The oracles of the kl-properties check
+(the table identities and the mu-graph cells) also run here at n = 6,
+one size past selftest.
 """
 
 import hashlib
@@ -26,13 +26,17 @@ from kostantpv.checks import (
     _cells_against_mu_graph,
     _kl_against_r_oracle,
     _kl_table_problems,
-    dense_table,
 )
 from kostantpv.compositions import Composition
 from kostantpv.groupindex import GroupIndex, coset_index, group_index
 from kostantpv.klcells import kl_table, parabolic_table
 from kostantpv.permutations import bruhat_leq, coset_windows
-from oracles import coset_reps, enumerate_shortest_reps, kl_fill_by_column
+from oracles import (
+    coset_reps,
+    dense_table,
+    enumerate_shortest_reps,
+    kl_fill_by_column,
+)
 
 # sha256 of dense_table(kl_table(n)).tobytes(), as the int32 per-column
 # fill produced it
@@ -62,11 +66,11 @@ def test_kl_fill_paths_agree(n):
 
 
 def test_kl_table_identities_n6():
-    assert _kl_table_problems(group_index(6), dense_table(kl_table(6))) == []
+    assert _kl_table_problems(6, kl_table(6)) == []
 
 
 def test_cells_against_mu_graph_n6():
-    assert _cells_against_mu_graph(6) == []
+    assert _cells_against_mu_graph(6, kl_table(6)) == []
 
 
 @pytest.mark.parametrize('n', [1, 2, 3, 4, 5, 6])

@@ -7,7 +7,6 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from kostantpv.checks import dense_degrees, dense_table
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
 from kostantpv.klcells import (
@@ -34,6 +33,8 @@ from kostantpv.tableaux import rsk
 from oracles import (
     _frozen,
     coset_reps,
+    dense_degrees,
+    dense_table,
     enumerate_shortest_reps,
     is_involution,
     iter_reduced_words,
