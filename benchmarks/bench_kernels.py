@@ -26,9 +26,9 @@ is timed at 4,4 (max:4 at n = 8, where no whole-group table exists),
 after it has matched the cup degree table of that block.
 
 The quotient cell (compositions._quotient_cell, by inverse row
-insertion) is timed over every composition of 6, with its cache
-cleared each run, after each cell has matched the RSK partition of S_6
-(the elements whose insertion tableau is that of w_0^mu w_0).
+insertion, uncached) is timed over every composition of 6, after each
+cell has matched the RSK partition of S_6 (the elements whose insertion
+tableau is that of w_0^mu w_0).
 
 The walk behind `cells` (tableaux.window_shapes) is timed at n = 8,
 after its shapes have matched rsk of every element of S_8, in window
@@ -234,7 +234,6 @@ def bench_quotient_cell(n, repeat):
                              'right cell of the RSK partition')
 
     def run_all():
-        _quotient_cell.cache_clear()
         for mu in mus:
             _quotient_cell(mu)
 

@@ -14,9 +14,9 @@ reconciliation read the tables the CLI serves: the sparse rows and thin
 column of cup_diagrams.block_table, and, for cross-oracle, the
 klcells.parabolic_table that mult --engine kl reads, one per (n, k),
 compared entry by entry.  positivity-ratio decides the
-minimal-parabolic verdict on the windows of permutations.coset_windows,
-by the rule of is_kostant_positive_minimal, which reconciliation holds
-classify min:k to rep by rep.
+minimal-parabolic verdict on the windows of permutations.coset_windows
+by positive_window, the rule is_kostant_positive_minimal reads, to
+which reconciliation holds classify min:k rep by rep.
 
 Two independent oracles live here because both the CLI selftest and
 the test suite need them: an R-polynomial inversion oracle for
@@ -76,6 +76,7 @@ from .minimal_parabolic import (
     factorize,
     hat_G,
     is_kostant_positive_minimal,
+    positive_window,
     tau,
 )
 from .permutations import (
@@ -176,12 +177,6 @@ def check_case_chains(n_max: int):
                             f'({n},{k}) tau({i},{j}): repeated descent'
                         )
     return _verdict(problems, f'{count} chains verified, n <= {top}')
-
-
-def positive_window(window: tuple, k: int) -> bool:
-    """The verdict of is_kostant_positive_minimal at (n, k) on the rep
-    with this window: k + 1 sits right after k."""
-    return window.index(k + 1) == window.index(k) + 1
 
 
 def check_ratio(n_max: int):
@@ -468,19 +463,20 @@ def kl_from_r_oracle(n: int) -> dict:
     """Every nonzero P_{x,w} for S_n by inverting the R-polynomial
     identity, as polynomials in q.
 
-    Independent of the production recursion: only R-polynomials and
-    the defining degree truncation are used.
+    Independent of the production recursion: only R-polynomials, the
+    defining degree truncation and each element's dominance rows are used.
     """
     elements = sorted(enumerate_group(n), key=lambda w: (w.length, w.window))
+    dom = dict(zip(elements, _dominance(w.window for w in elements)))
     memo: dict = {}
     P: dict = {}
     for wi, w in enumerate(elements):
         P[(w, w)] = LaurentPolynomial.one()
-        below = [x for x in elements[:wi] if bruhat_leq(x, w)]
+        below = [x for x in elements[:wi] if all(map(le, dom[x], dom[w]))]
         for x in sorted(below, key=lambda u: -u.length):
             total = LaurentPolynomial.zero()
             for y in below + [w]:
-                if y.length <= x.length or not bruhat_leq(x, y):
+                if y.length <= x.length or not all(map(le, dom[x], dom[y])):
                     continue
                 total = total + r_polynomial(x, y, memo) * P[(y, w)]
             bound = (w.length - x.length - 1) // 2

@@ -12,10 +12,12 @@ The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
 a parabolic Kazhdan-Lusztig table (classify min:k and comp:, and mult
 with the kl and both engines) refuse a fill over klcells.MAX_FILL_BYTES,
-counted from the parts alone; classify max:k refuses blocks with more
-than cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine
-cup blocks of more than cup_diagrams.MAX_BLOCK_WORDS words, and cells
-n > MAX_CELLS_N.
+counted from the parts alone; mult reads its table from
+klcells.held_table, which keeps tables within that bound in all, so the
+CLI holds none.  classify max:k refuses blocks with more than
+cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine cup
+blocks of more than cup_diagrams.MAX_BLOCK_WORDS words, and cells n >
+MAX_CELLS_N.
 
 Each command returns its stdout as a sequence of chunks.  classify
 (max:k, min:k and comp:) and cells encode their rows a chunk at a time
@@ -31,6 +33,7 @@ import json
 import sys
 import time
 from functools import lru_cache
+from importlib import import_module
 from itertools import chain, islice, permutations, repeat, starmap
 
 from .permutations import (
@@ -44,22 +47,16 @@ from .permutations import (
 # when no bytecode is written, compiles) only that engine, and none
 # loads numpy: classify max:k and mult --engine cup the cup diagrams
 # alone.  The requests that take well under a millisecond (classify
-# max:k, mult, socle) reach their engines through the cached loaders
+# max:k, mult, socle) reach their engines through the cached loader
 # below, not an import statement per call: in a warm process whose
 # caches went cold between requests, one import statement took 5-40 us,
 # a cached call 1-5 us.
 
 
 @lru_cache(maxsize=None)
-def _cup_diagrams():
-    from . import cup_diagrams
-    return cup_diagrams
-
-
-@lru_cache(maxsize=None)
-def _bigrassmannian():
-    from . import bigrassmannian
-    return bigrassmannian
+def _engine(name: str):
+    """The module kostantpv.<name>, imported on first use."""
+    return import_module(f'{__package__}.{name}')
 
 
 DEFAULT_N_MAX = 8
@@ -222,7 +219,7 @@ CELLS_ROW = {
 def _classify_max(n: int, k: int, parabolic: str, fmt: str):
     """The chunks of classify max:k, after the table is built (a
     UsageError past its ceiling comes before any output)."""
-    cup = _cup_diagrams()
+    cup = _engine('cup_diagrams')
     ctx = cup.MaxParContext(n, k)
     try:
         blk, rows, thin = cup.block_table(ctx)
@@ -273,7 +270,7 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
 
 
 def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
-    cup = _cup_diagrams()
+    cup = _engine('cup_diagrams')
     try:
         blk = cup.block(ctx)
     except ValueError as e:
@@ -284,33 +281,9 @@ def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
             for f in factors]
 
 
-# The max:k tables _max_table holds, least recently used first.
-_MAX_TABLES: dict = {}
-
-
-def _max_table(ctx: MaxParContext) -> tuple:
-    """parabolic_table for max:k, kept like block(ctx): a mult request
-    reads one row of it.  The least recently used tables are dropped
-    while the R (R + 1) ncoef that MAX_FILL_BYTES counts for each table
-    held, over its R reps and ncoef q-degrees, add up to more than
-    MAX_FILL_BYTES, the bound of one fill."""
-    table = _MAX_TABLES.pop(ctx, None)
-    if table is None:
-        from .klcells import MAX_FILL_BYTES, parabolic_table
-
-        table = parabolic_table((ctx.k, ctx.m))
-        while _MAX_TABLES and sum(
-                len(S) * (len(S) + 1) * S.ncoef
-                for *_, S in (table, *_MAX_TABLES.values())) \
-                > MAX_FILL_BYTES:
-            del _MAX_TABLES[next(iter(_MAX_TABLES))]
-    _MAX_TABLES[ctx] = table
-    return table
-
-
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
     try:
-        reps, lengths, S = _max_table(ctx)
+        reps, lengths, S = _engine('klcells').held_table((ctx.k, ctx.m))
     except ValueError as e:
         raise UsageError(str(e)) from None
     i = reps.index(x.window)
@@ -337,7 +310,7 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     _guard_n(n, n_max)
     if not 1 <= k <= n - 1:
         raise UsageError(f'k={k} out of range 1..{n - 1}')
-    ctx = _cup_diagrams().MaxParContext(n, k)
+    ctx = _engine('cup_diagrams').MaxParContext(n, k)
     x = _parse_perm(n, x_text)
     if not is_shortest_coset_rep(x, ctx.J):
         raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}')
@@ -369,7 +342,7 @@ def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
     _guard_n(n, n_max)
     w = _parse_perm(n, w_text)
     generators = sorted(
-        str(b) for b in _bigrassmannian().socle_descriptor(w)
+        str(b) for b in _engine('bigrassmannian').socle_descriptor(w)
     )
     if fmt == 'json':
         payload = {'context': {'n': n, 'w': str(w)}, 'generators': generators}

@@ -105,7 +105,6 @@ def positive_sufficient(mu: Composition, w: Permutation) -> bool:
     return w.window in _positive_windows(mu)
 
 
-@lru_cache(maxsize=None)
 def _quotient_cell(mu: Composition) -> tuple:
     """Windows of the right cell containing w_0^mu w_0, in window order.
 

@@ -65,7 +65,7 @@ from .permutations import (
 from .tableaux import rsk
 
 __all__ = [
-    'kl_table', 'parabolic_table', 'kl_polynomial',
+    'kl_table', 'parabolic_table', 'held_table', 'kl_polynomial',
     'verma_multiplicity', 'parabolic_verma_multiplicity',
     'rsk',
     'is_small_cell_member',
@@ -73,12 +73,21 @@ __all__ = [
 
 # parabolic_table refuses R (R + 1) ncoef over MAX_FILL_BYTES, for R
 # reps and ncoef q-degrees: the bytes of the dense int8 buffer an
-# earlier fill took, kept as the unit of every KL path, the CLI's
-# included, until a bound is measured for the sparse fill (a count of
-# reps alone would admit the 8 GB of 1,2519).  The limit is
-# comp:2,2,2,2 (2,520 reps, 13 coefficients); S_7 (5,040 reps, 11
-# coefficients, 279 MB) is refused.
+# earlier fill took, kept as the unit of every KL path, the tables
+# held_table keeps included, until a bound is measured for the sparse
+# fill (a count of reps alone would admit the 8 GB of 1,2519).  The
+# limit is comp:2,2,2,2 (2,520 reps, 13 coefficients); S_7 (5,040 reps,
+# 11 coefficients, 279 MB) is refused.
 MAX_FILL_BYTES = 2520 * 2521 * 13
+
+
+def _fill_cost(parts) -> tuple:
+    """(R, ncoef, R (R + 1) ncoef) for the composition parts: there are
+    R = n! / prod p! reps, the longest of length C(n,2) - sum C(p,2)."""
+    n = sum(parts)
+    count = math.factorial(n) // math.prod(map(math.factorial, parts))
+    ncoef = (math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)) // 2 + 1
+    return count, ncoef, count * (count + 1) * ncoef
 
 
 def parabolic_table(parts) -> tuple:
@@ -90,18 +99,34 @@ def parabolic_table(parts) -> tuple:
 
     packed, for J the Levi of parts, with the degrees past the longest
     rep's l // 2 left out (they are zero); an i is absent where the sum
-    is zero.  Filled over the reps alone, anew on each call.
-    ValueError over MAX_FILL_BYTES, before any window is listed: there
-    are n! / prod p! reps, the longest of length C(n,2) - sum C(p,2).
+    is zero.  Filled over the reps alone, anew on each call (held_table
+    keeps the tables mult reads).  ValueError over MAX_FILL_BYTES,
+    before any window is listed.
     """
-    n = sum(parts)
-    count = math.factorial(n) // math.prod(map(math.factorial, parts))
-    ncoef = (math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)) // 2 + 1
-    if count * (count + 1) * ncoef > MAX_FILL_BYTES:
+    count, ncoef, cost = _fill_cost(parts)
+    if cost > MAX_FILL_BYTES:
         raise ValueError(f'the KL fill over the {count} reps of {parts} '
                          f'is over its limit of {MAX_FILL_BYTES} bytes')
     windows, _, lengths, mul = coset_index(parts)
     return windows, tuple(lengths), _kernels.kl_fill(lengths, mul, ncoef)
+
+
+# held_table's tables by composition, least recently used first.
+_HELD_TABLES: dict = {}
+
+
+def held_table(parts) -> tuple:
+    """parabolic_table(parts), kept for mult, which reads one row: the
+    least recently used are dropped while the costs of the tables held
+    add up to more than MAX_FILL_BYTES, the bound of one fill."""
+    table = _HELD_TABLES.pop(parts, None)
+    if table is None:
+        table = parabolic_table(parts)
+        while _HELD_TABLES and sum(_fill_cost(held)[2] for held in (
+                parts, *_HELD_TABLES)) > MAX_FILL_BYTES:
+            del _HELD_TABLES[next(iter(_HELD_TABLES))]
+    _HELD_TABLES[parts] = table
+    return table
 
 
 @lru_cache(maxsize=None)

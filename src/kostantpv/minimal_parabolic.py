@@ -115,14 +115,18 @@ def factorize(ctx: MinParContext, w: Permutation) -> MinParFactorization:
     return MinParFactorization(w * t.inverse, t, j == i + 1)
 
 
+def positive_window(window: tuple, k: int) -> bool:
+    """The verdict at (n, k) on the rep with this window: tau is in X+,
+    w^-1(k+1) = w^-1(k) + 1, exactly when k + 1 sits right after k."""
+    return window.index(k + 1) == window.index(k) + 1
+
+
 def is_kostant_positive_minimal(ctx: MinParContext, w: Permutation) -> bool:
-    """Positive answers are exactly those with tau part in X+, that is
-    w^-1(k+1) = w^-1(k) + 1; read off the inverse window, without
-    building sigma or tau (factorize does, and agrees)."""
+    """Positive exactly when the tau part is in X+ (positive_window), with
+    no sigma or tau built (factorize builds them, and agrees)."""
     if not is_shortest_coset_rep(w, {ctx.k}):
         raise ValueError(f'{w} is not a shortest rep for J = {{{ctx.k}}}')
-    inv = w.inverse.window
-    return inv[ctx.k] == inv[ctx.k - 1] + 1
+    return positive_window(w.window, ctx.k)
 
 
 def case_analysis(ctx: MinParContext, i: int, j: int) -> CaseAnalysis:

@@ -11,7 +11,8 @@ from kostantpv import _kernels, checks, groupindex, klcells
 from kostantpv.cup_diagrams import DEGREE_BITS
 from kostantpv.minimal_parabolic import (
     MinParContext,
-    is_kostant_positive_minimal,
+    factorize,
+    positive_window,
 )
 from kostantpv.permutations import _raw, coset_windows
 
@@ -107,8 +108,8 @@ def test_positive_window_is_the_minimal_theorem():
         for k in range(1, n):
             ctx = MinParContext(n, k)
             for w in coset_windows(ctx.parts):
-                assert checks.positive_window(w, k) == \
-                    is_kostant_positive_minimal(ctx, _raw(w)), (n, k, w)
+                assert positive_window(w, k) == \
+                    factorize(ctx, _raw(w)).positive, (n, k, w)
                 count += 1
     # (n - 1) values of k, n! / 2 reps each
     assert count == 17203

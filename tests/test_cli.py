@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from kostantpv import checks, cli
+from kostantpv import checks, cli, klcells
 from kostantpv.permutations import (
     Permutation,
     enumerate_group,
@@ -249,7 +249,7 @@ def test_a_refused_kl_fill_caches_no_thinness(capsys):
     from kostantpv import compositions
 
     before = compositions._thin.cache_info().currsize
-    tables = len(cli._MAX_TABLES)
+    tables = len(klcells._HELD_TABLES)
     for args in (
         ['classify', '--n', '8', '--parabolic', 'min:3'],
         ['classify', '--n', '7', '--parabolic', 'comp:1,1,1,1,1,1,1'],
@@ -260,20 +260,20 @@ def test_a_refused_kl_fill_caches_no_thinness(capsys):
     out, err = capsys.readouterr()
     assert out == '' and err.count('error: the KL fill over the') == 3
     assert compositions._thin.cache_info().currsize == before
-    assert len(cli._MAX_TABLES) == tables
+    assert len(klcells._HELD_TABLES) == tables
 
 
 def test_kl_tables_held_stay_within_one_fill(capsys):
     # the tables at (13, 6) and (13, 7) take 64.8 MB each, so together
     # they are over MAX_FILL_BYTES and the first is dropped
-    cli._MAX_TABLES.clear()
+    klcells._HELD_TABLES.clear()
     x = '[' + ','.join(map(str, range(1, 14))) + ']'
     for k in (6, 7):
         assert cli.main(['mult', '--n', '13', '--k', str(k), '--x', x,
                          '--engine', 'kl', '--n-max', '13']) == 0
     capsys.readouterr()
-    assert [(ctx.n, ctx.k) for ctx in cli._MAX_TABLES] == [(13, 7)]
-    cli._MAX_TABLES.clear()
+    assert list(klcells._HELD_TABLES) == [(7, 6)]  # max:7 at n = 13
+    klcells._HELD_TABLES.clear()
 
 
 def test_cells_ceiling():
@@ -648,7 +648,7 @@ def test_kl_paths_never_build_a_whole_group_table(monkeypatch):
         raise AssertionError('a KL request built kl_table')
 
     monkeypatch.setattr(klcells, 'kl_table', refuse)
-    cli._MAX_TABLES.clear()
+    klcells._HELD_TABLES.clear()
     compositions._thin.cache_clear()
     want = _goldens()
     for args in (
@@ -671,9 +671,8 @@ def test_kl_paths_never_build_a_group_index(monkeypatch):
 
     monkeypatch.setattr(groupindex.GroupIndex, '__init__', refuse)
     groupindex.group_index.cache_clear()
-    cli._MAX_TABLES.clear()
+    klcells._HELD_TABLES.clear()
     compositions._thin.cache_clear()
-    compositions._quotient_cell.cache_clear()
     want = _goldens()
     for args in kl_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
@@ -721,7 +720,7 @@ def test_kl_requests_build_one_coset_index_per_fill(monkeypatch):
 
     monkeypatch.setattr(groupindex, 'coset_windows', listing)
     monkeypatch.setattr(_kernels, 'kl_fill', fill)
-    cli._MAX_TABLES.clear()
+    klcells._HELD_TABLES.clear()
     compositions._thin.cache_clear()
     want = _goldens()
     requests = [args for args in kl_golden_invocations()
@@ -738,7 +737,7 @@ def test_kl_mult_builds_no_permutation_from_a_rep(monkeypatch):
         raise AssertionError('mult built a Permutation from a rep window')
 
     monkeypatch.setattr(cli, 'Permutation', refuse)
-    cli._MAX_TABLES.clear()
+    klcells._HELD_TABLES.clear()
     want = _goldens()
     requests = [args for args in kl_golden_invocations()
                 + wide_kl_golden_invocations() if args[0] == 'mult']

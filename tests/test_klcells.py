@@ -9,7 +9,9 @@ import pytest
 
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
+from kostantpv import klcells
 from kostantpv.klcells import (
+    held_table,
     is_small_cell_member,
     kl_polynomial,
     kl_table,
@@ -70,6 +72,26 @@ def test_kl_polynomial_wrapper():
     assert p == LaurentPolynomial(((0, 1), (1, 1)))
     assert p.at_one() == 2
     assert kl_polynomial(parse_permutation('3412'), identity(4)).is_zero()
+
+
+def test_held_tables_stay_within_the_fill_bound(monkeypatch):
+    # 2,2 counts 6 * 7 * 3 = 126 bytes, 3,1 and 1,3 4 * 5 * 2 = 40 each:
+    # two fit under 166, three do not, and the least recently used goes
+    monkeypatch.setattr(klcells, 'MAX_FILL_BYTES', 166)
+    monkeypatch.setattr(klcells, '_HELD_TABLES', {})
+    first = held_table((2, 2))
+    held_table((3, 1))
+    assert held_table((2, 2)) is first
+    assert list(klcells._HELD_TABLES) == [(3, 1), (2, 2)]
+    held_table((1, 3))
+    assert list(klcells._HELD_TABLES) == [(2, 2), (1, 3)]
+    # the bound that drops a held table refuses a fill over it, and a
+    # refused fill is not held
+    monkeypatch.setattr(klcells, 'MAX_FILL_BYTES', 125)
+    klcells._HELD_TABLES.clear()
+    with pytest.raises(ValueError, match='over its limit of 125 bytes'):
+        held_table((2, 2))
+    assert klcells._HELD_TABLES == {}
 
 
 def test_table_ceiling():

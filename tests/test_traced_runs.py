@@ -21,7 +21,7 @@ import pathlib
 
 import pytest
 
-from kostantpv import cli, compositions, groupindex
+from kostantpv import cli, compositions, groupindex, klcells
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -47,7 +47,7 @@ def _tracer():
 ], ids=['min', 'comp', 'mult-both', 'max', 'selftest'])
 def test_traced_request_prints_its_golden(args, fills, group_size):
     compositions._thin.cache_clear()
-    cli._MAX_TABLES.clear()
+    klcells._HELD_TABLES.clear()
     groupindex.group_index.cache_clear()
     out = io.StringIO()
     with contextlib.redirect_stdout(out), \
