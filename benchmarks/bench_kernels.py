@@ -38,7 +38,11 @@ The cup layer is timed at (14, 7), (16, 8) and (17, 8): setting up
 cup_diagrams.Block (the words listed and capped anew each run) and
 filling its sparse rows (Block.table), after three seeded columns of the
 rows have matched the object-level orient(d_of(word y).diagram, word x)
-at every x (orient is the reference kept in tests/oracles.py).
+at every x (orient is the reference kept in tests/oracles.py).  The walk
+that lists one row from its word (cup_diagrams.row) is timed on the
+alternating word of each of these blocks, after 20 seeded rows have
+matched Block.table, and on the largest row MAX_ROW_FACTORS admits,
+(^v)^10 at (20, 10), after its factor count has matched Catalan(11).
 
 The socle sweep times bigrassmannian.socle_descriptor on every element
 of S_2..S_6, after checking every descriptor with n <= 5 against the
@@ -52,8 +56,9 @@ with PYTHONPATH pointing at this checkout's src/ and no bytecode
 written (so each compiles every module it loads): `import kostantpv.cli`,
 a `classify max:5` at n = 10, a `classify min:3` at n = 6,
 `classify max:8` at n = 16 in both formats, and `mult --engine cup` at
-(20, 10), the largest block cup_diagrams.MAX_BLOCK_WORDS admits, whose
-stdout must match kostantpv.cli.main run in this process.
+(20, 10) for the x of word (^v)^10, the largest row
+cup_diagrams.MAX_ROW_FACTORS admits, whose stdout must match
+kostantpv.cli.main run in this process.
 
     PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -63,6 +68,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import math
 import os
 import random
 import statistics
@@ -79,11 +85,14 @@ from kostantpv.checks import _kl_table_problems
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import (
     DEGREE_BITS,
+    MAX_ROW_FACTORS,
     Block,
     MaxParContext,
     WeightWord,
     block_table,
     d_of,
+    labeller,
+    row,
 )
 from kostantpv.groupindex import GroupIndex, coset_index, group_index
 from kostantpv.klcells import parabolic_table
@@ -252,21 +261,45 @@ def bench_window_shapes(n, repeat):
 def bench_cup_block(n, k, repeat):
     ctx = MaxParContext(n, k)
     blk = Block(ctx)
-    rows, _ = blk.table()
+    rows, thin = blk.table()
     words = [WeightWord(word) for word in blk.words]
-    for y in random.Random(n).sample(range(len(words)), 3):
+    label = labeller(ctx)
+    rng = random.Random(n)
+    for y in rng.sample(range(len(words)), 3):
         diagram = d_of(words[y]).diagram
         for x, word in enumerate(words):
             ocd = orient(diagram, word)
             got = [f - (y << DEGREE_BITS) for f in rows[x]
                    if f >> DEGREE_BITS == y]
             if got != ([] if ocd is None else [ocd.degree]):
-                raise SystemExit(f'Block({n},{k}).table() at {blk.label(x)} '
-                                 f'{blk.label(y)} disagrees with orient')
+                raise SystemExit(f'Block({n},{k}).table() at '
+                                 f'{label(blk.words[x])} {label(blk.words[y])}'
+                                 ' disagrees with orient')
+    for x in rng.sample(range(len(words)), 20):
+        want = [(blk.words[f >> DEGREE_BITS], f & ((1 << DEGREE_BITS) - 1))
+                for f in rows[x]]
+        if row(ctx, blk.words[x]) != (want, thin[x]):
+            raise SystemExit(f'row at {label(blk.words[x])} disagrees with '
+                             f'Block({n},{k}).table()')
     del rows
 
     bench_case(f'Block({n},{k})', repeat, Block, ctx)
     bench_case(f'Block.table ({n},{k})', repeat, blk.table)
+    word = '^v' * k + 'v' * (n - 2 * k)
+    bench_case(f'row ({n},{k}) ^v..', repeat, row, ctx, word,
+               note=f'  ({len(row(ctx, word)[0]):,} factors)')
+
+
+def bench_cup_row_ceiling(repeat):
+    """The largest row MAX_ROW_FACTORS admits: (^v)^10 at (20, 10) has
+    Catalan(11) factors."""
+    ctx, word = MaxParContext(20, 10), '^v' * 10
+    count = len(row(ctx, word)[0])
+    if count != MAX_ROW_FACTORS or count != math.comb(22, 11) // 12:
+        raise SystemExit(f'row at {word} lists {count} factors, not '
+                         'Catalan(11)')
+    bench_case('row (20,10) ^v..', repeat, row, ctx, word,
+               note=f'  ({count:,} factors)')
 
 
 def check_socle(n, ws):
@@ -338,7 +371,8 @@ def cold_run(args, env):
 def bench_cold_start():
     env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE='1')
     cases = [('import kostantpv.cli', ['-c', 'import kostantpv.cli'], None)]
-    x = '[' + ','.join(map(str, range(1, 21))) + ']'
+    # the x of word (^v)^10: the wedges carry 1..10, the vees 11..20
+    x = '[' + ','.join(f'{p},{p + 10}' for p in range(1, 11)) + ']'
     for name, argv in (
         ('cold max:5 n=10',
          ['classify', '--n', '10', '--parabolic', 'max:5', '--n-max', '10']),
@@ -392,6 +426,7 @@ def main():
     bench_window_shapes(8, args.repeat)
     for n, k in ((14, 7), (16, 8), (17, 8)):
         bench_cup_block(n, k, args.repeat)
+    bench_cup_row_ceiling(args.repeat)
     bench_socle(args.repeat)
     bench_cold_start()
 

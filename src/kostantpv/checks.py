@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import compress
 from operator import le
 
 from .bigrassmannian import (
@@ -57,6 +58,7 @@ from .cup_diagrams import (
     graded_multiplicity,
     in_Y,
     is_kostant_positive_maximal,
+    labeller,
     phi,
     shortest_reps,
 )
@@ -264,7 +266,7 @@ def check_cross_oracle(n_max: int):
                 x, y = min(bad)
                 problems.append(
                     f'({n},{k}): {len(bad)} pairs differ, '
-                    f'first x={blk.label(x)} y={blk.label(y)}'
+                    f'first x={blk.words[x]} y={blk.words[y]}'
                 )
     return _verdict(problems, f'{pairs} pairs agree, n <= {top}')
 
@@ -277,11 +279,11 @@ def check_thinness(n_max: int):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             blk, _, thin = block_table(ctx)
-            for x, (word, t) in enumerate(zip(blk.words, thin)):
+            for word, t in zip(blk.words, thin):
                 if t != in_Y(ctx, WeightWord(word)):
-                    problems.append(f'({n},{k}) w={blk.label(x)}')
+                    problems.append(f'({n},{k}) w={word}')
             if (n, k) == (4, 2):
-                listed = {blk.label(x) for x, t in enumerate(thin) if t}
+                listed = set(map(labeller(ctx), compress(blk.words, thin)))
                 if listed != {'1234', '1342', '3124', '3412'}:
                     problems.append(f'thin list at (4,2): {sorted(listed)}')
     return _verdict(problems, f'thin iff Y membership, n <= {top}')

@@ -16,8 +16,7 @@ counted from the parts alone; mult reads its table from
 klcells.held_table, which keeps tables within that bound in all, so the
 CLI holds none.  classify max:k refuses blocks with more than
 cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine cup
-blocks of more than cup_diagrams.MAX_BLOCK_WORDS words, and cells n >
-MAX_CELLS_N.
+rows of more than cup_diagrams.MAX_ROW_FACTORS, and cells n > MAX_CELLS_N.
 
 Each command returns its stdout as a sequence of chunks.  classify
 (max:k, min:k and comp:) and cells encode their rows a chunk at a time
@@ -39,7 +38,6 @@ from itertools import chain, islice, permutations, repeat, starmap
 from .permutations import (
     Permutation,
     _window_text,
-    is_shortest_coset_rep,
     parse_permutation,
 )
 
@@ -226,7 +224,7 @@ def _classify_max(n: int, k: int, parabolic: str, fmt: str):
     except ValueError as e:
         raise UsageError(str(e)) from None
     template, sep, factor = MAX_ROW[fmt]
-    labels = list(map(blk.label, range(len(blk.words))))
+    labels = list(map(cup.labeller(ctx), blk.words))
     texts = [None] * (len(labels) << cup.DEGREE_BITS)
     for y, label in enumerate(labels):
         for d in range(blk.ncups[y] + 1):
@@ -269,16 +267,14 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
         map(_tsv_cell, thin)), tail), 0
 
 
-def _cup_mult_rows(ctx: MaxParContext, x: Permutation):
+def _cup_mult_rows(ctx: MaxParContext, word: str):
     cup = _engine('cup_diagrams')
     try:
-        blk = cup.block(ctx)
+        factors, _ = cup.row(ctx, word)
     except ValueError as e:
         raise UsageError(str(e)) from None
-    factors, _ = blk.row(blk.index(x))
-    mask = (1 << cup.DEGREE_BITS) - 1
-    return [{'y': blk.label(f >> cup.DEGREE_BITS), 'degree': f & mask}
-            for f in factors]
+    label = cup.labeller(ctx)
+    return [{'y': label(y), 'degree': d} for y, d in factors]
 
 
 def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
@@ -310,17 +306,21 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     _guard_n(n, n_max)
     if not 1 <= k <= n - 1:
         raise UsageError(f'k={k} out of range 1..{n - 1}')
-    ctx = _engine('cup_diagrams').MaxParContext(n, k)
+    cup = _engine('cup_diagrams')
+    ctx = cup.MaxParContext(n, k)
     x = _parse_perm(n, x_text)
-    if not is_shortest_coset_rep(x, ctx.J):
-        raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}')
+    try:
+        word = cup.phi(ctx, x).letters
+    except ValueError:
+        raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}'
+                         ) from None
     agree = None
     if engine == 'cup':
-        rows = _cup_mult_rows(ctx, x)
+        rows = _cup_mult_rows(ctx, word)
     elif engine == 'kl':
         rows = _kl_mult_rows(ctx, x)
     else:
-        rows = _cup_mult_rows(ctx, x)
+        rows = _cup_mult_rows(ctx, word)
         agree = rows == _kl_mult_rows(ctx, x)
     payload = {
         'context': {'n': n, 'k': k, 'x': str(x), 'engine': engine},

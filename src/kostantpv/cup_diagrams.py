@@ -27,13 +27,13 @@ governed by the contiguity sets Y below.  The answer to Kostant's
 problem is positive for w iff Phi(w) lies in Y -- except at k = 1,
 n-1, or n/2, where only the two flip-2 words survive.
 
-graded_multiplicity, is_thin and the classifier work on bit masks of
-the words in index space (Block), with d(Phi(y)) capped once per y
-from its letters, in plain Python ints and lists: one pair, one row of
-factors for a single x, or the sparse rows of every x.  The word and
-diagram objects, with d_of and the exhaustive enumeration, are the
-reference the Block is tested against, with orient (one diagram
-decorated by one word), which the tests keep in tests/oracles.py.
+The fast paths work on the letters and bit masks of words, in plain
+Python ints and lists: graded_multiplicity caps Phi(y) against Phi(x),
+row walks the factors of one x from its word, and the classifier fills
+the rows of every x in index space (Block).  The word and diagram
+objects, with d_of and the exhaustive enumeration, are the reference
+these are tested against, with orient (one diagram decorated by one
+word), which the tests keep in tests/oracles.py.
 
 Text forms: a word is a string like '^^vv'; a diagram is
 'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
@@ -55,6 +55,7 @@ VEE = 'v'
 # ^ is a set bit of a mask; the word is read from the right, so that
 # position p is bit p - 1
 _BITS = str.maketrans({WEDGE: '1', VEE: '0'})
+_LETTERS = str.maketrans({'1': WEDGE, '0': VEE})
 
 
 class WeightWord(namedtuple('WeightWord', 'letters')):
@@ -365,30 +366,44 @@ def enumerate_admissible(word: WeightWord) -> frozenset:
 # takes 0.09 s and 16 MiB.
 MAX_TABLE_FACTORS = 8_099_511
 
-# A single row (graded_multiplicity, is_thin, mult) takes
-# O(C(n,k) * min(k, n - k)), but its Block keeps a word, a mask, a
-# strand mask and the cups of d(word) for every word, and a dict from
-# mask to index.  The limit is the largest block measured, (20, 10):
-# 184,756 words; a CLI mult --engine cup there took 1.2-1.5 s with an
-# 84 MiB peak RSS (one core, a shared host).  It admits every block
-# with n <= 20 and refuses n = 21 for k = 8..13.
-MAX_BLOCK_WORDS = math.comb(20, 10)
+# A row (mult --engine cup, is_thin) keeps a word and a degree per
+# factor.  The limit is the largest row of any block with n <= 20,
+# (^v)^10 at (20, 10), with Catalan(11) factors: a CLI mult there took
+# 0.83-1.30 s and 72 MiB as JSON, 0.52-0.84 s and 46 MiB as TSV (2-core
+# x86).  The walk counts as it lists, so a refusal costs at most a row
+# of its n: 0.25-0.44 s and 24 MiB for (^v)^11 at (22, 11).  Cost grows
+# with n too: (^v)^10 v^20 at n = 40 took 1.3 s and 83 MiB.
+MAX_ROW_FACTORS = 58_786
 
-# The degree of a factor is at most min(k, n - k), which is at most 10
-# under MAX_BLOCK_WORDS, so a factor packs into one int: y << 4 | degree.
+# A factor's degree is at most a = min(k, n - k).  A block has at least
+# Catalan(a) words with a cups, each with 2^a factors (17.2 M at a = 10),
+# so every block that block_table, the one packer, admits has a <= 9,
+# and a factor packs into one int: y << 4 | degree.
 DEGREE_BITS = 4
 
 
+def _mask(letters: str) -> int:
+    """The word as a mask: bit p - 1 is set where it has ^ at p."""
+    return int(letters[::-1].translate(_BITS), 2)
+
+
+def labeller(ctx: MaxParContext):
+    """The text of a rep as a function of its word, as str(Permutation)
+    writes it: the wedges carry 1..k from the left, the vees k + 1..n."""
+    texts = list(map(str, range(1, ctx.n + 1)))
+    wedges, vees = texts[:ctx.k], texts[ctx.k:]
+    return lambda letters: _window_text(map(next, map(
+        {WEDGE: iter(wedges), VEE: iter(vees)}.__getitem__, letters)), ctx.n)
+
+
 class Block:
-    """One block in index space.
+    """Every row of one block in index space, for classify max:k.
 
     Reps are the shortest reps in window order (equally, the words in
-    lexicographic order with ^ before v), named by their index and keyed
-    by mask alone: masks[x] has bit p - 1 set where word x has ^ at p.
-    d(Phi(y)) is capped once per y straight from its letters (_cap),
-    with no word or diagram objects: cups[y] holds a mask per cup,
-    strands[y] one for all its strands, and ncups[y] is its cup count,
-    the a-value of y.
+    lexicographic order with ^ before v), named by their index:
+    masks[x] has bit p - 1 set where word x has ^ at p.  d(Phi(y)) is
+    capped once per y from its letters (_cap): cups[y] holds a mask per
+    cup, and ncups[y] is its cup count, the a-value of y.
 
     d(Phi(y)) has degree 0, so each of its cups runs from a v to a ^.
     A word x of the block orients it admissibly exactly when x is Phi(y)
@@ -404,76 +419,25 @@ class Block:
     def __init__(self, ctx: MaxParContext):
         self.ctx = ctx
         self.words = _words(ctx)
-        self.masks = [int(word[::-1].translate(_BITS), 2)
-                      for word in self.words]
-        self._index = {mask: i for i, mask in enumerate(self.masks)}
-        texts = [str(v) for v in range(1, ctx.n + 1)]
-        self._texts = texts[:ctx.k], texts[ctx.k:]
-        self.cups, self.strands = [], []
+        self.masks = list(map(_mask, self.words))
         # one int per distinct cup, at most C(n, 2), shared by every word
         shared = {}
-        for word in self.words:
-            cups, strands = _cap(word)
-            self.cups.append(tuple(map(shared.setdefault, cups, cups)))
-            self.strands.append(strands)
+        self.cups = [tuple(map(shared.setdefault, cups, cups))
+                     for cups, _ in map(_cap, self.words)]
         self.ncups = [len(cups) for cups in self.cups]
 
-    def index(self, w: Permutation) -> int:
-        """Index of w, found by its mask: bit p - 1 is set where
-        w(p) <= k.  ValueError unless w is a shortest rep of the block."""
-        n, k = self.ctx.n, self.ctx.k
-        if w.n != n or not is_shortest_coset_rep(w, self.ctx.J):
-            raise ValueError(f'{w} is not a shortest rep of block ({n},{k})')
-        mask = sum(1 << p for p, v in enumerate(w.window) if v <= k)
-        return self._index[mask]
-
-    def label(self, y: int) -> str:
-        """The text of rep y, as str(Permutation) writes it, read off its
-        word: the wedges carry 1..k from the left, the vees k + 1..n."""
-        wedges, vees = self._texts
-        texts = map(next, map({WEDGE: iter(wedges), VEE: iter(vees)}
-                              .__getitem__, self.words[y]))
-        return _window_text(texts, self.ctx.n)
-
-    def degree(self, x: int, y: int) -> Optional[int]:
-        """Degree at which L_y sits inside the standard module at x, or
-        None: Phi(x) must be Phi(y) with whole cups turned round and the
-        strands left alone.  O(ncups[y])."""
-        turned = self.masks[x] ^ self.masks[y]
-        if turned & self.strands[y]:
-            return None
-        d = 0
-        for cup in self.cups[y]:
-            hit = turned & cup
-            if hit:
-                if hit != cup:
-                    return None
-                d += 1
-        return d
-
-    def row(self, x: int) -> tuple:
-        """(factors, thin) at x, checked against every y in turn:
-        factors lists y << DEGREE_BITS | d in increasing y, and thin
-        says that exactly one factor has maximal a-value."""
-        factors = []
-        top = 0
-        for y, ncups in enumerate(self.ncups):
-            d = self.degree(x, y)
-            if d is not None:
-                factors.append(y << DEGREE_BITS | d)
-                top += ncups == self.ctx.a
-        return factors, top == 1
-
     def table(self) -> tuple:
-        """(rows, thin) with a row per x, as Block.row gives it, filled
-        column by column from the 2^ncups[y] words that orient d(Phi(y)).
+        """(rows, thin) with a row per x, filled column by column from
+        the 2^ncups[y] words that orient d(Phi(y)): rows[x] lists
+        y << DEGREE_BITS | d in increasing y, and thin[x] says that
+        exactly one factor has maximal a-value.
 
         The factors of column y are shared by every row they sit in,
         one int per degree, so a row costs a list slot per factor.
         """
         rows = [[] for _ in self.masks]
         top = [0] * len(rows)
-        index = self._index
+        index = {mask: i for i, mask in enumerate(self.masks)}
         a = self.ctx.a
         # degrees[c][t]: the number of cups in subset t of c cups
         degrees = [[0]]
@@ -493,29 +457,13 @@ class Block:
         return rows, [t == 1 for t in top]
 
 
-@lru_cache(maxsize=None)
-def block(ctx: MaxParContext) -> Block:
-    """The index-space block of ctx, linear in C(n,k) in size; kept
-    for the life of the process, like shortest_reps.
-
-    ValueError, before any word is listed, over MAX_BLOCK_WORDS.
-    """
-    size = math.comb(ctx.n, ctx.k)
-    if size > MAX_BLOCK_WORDS:
-        raise ValueError(
-            f'the cup engine lists all C({ctx.n},{ctx.k}) = {size} words '
-            f'of the block, over its limit of {MAX_BLOCK_WORDS}'
-        )
-    return Block(ctx)
-
-
 def block_table(ctx: MaxParContext) -> tuple:
     """(block, rows, thin) with every row of the block, as Block.table
     gives them, built anew on each call.
 
-    ValueError over MAX_TABLE_FACTORS before the block is built, so a
-    refusal caches nothing: the words with c cups, one per planar diagram,
-    number C(n, c) - C(n, c - 1) for c <= a, each with 2^c factors.
+    ValueError over MAX_TABLE_FACTORS before the block is built: the
+    words with c cups, one per planar diagram, number C(n, c) - C(n, c - 1)
+    for c <= a, each with 2^c factors.
     """
     n, a = ctx.n, ctx.a
     count = (math.comb(n, a) << a) - sum(math.comb(n, c) << c
@@ -525,8 +473,56 @@ def block_table(ctx: MaxParContext) -> tuple:
             f'the cup engine lists all {count} composition factors of the '
             f'({ctx.n},{ctx.k}) block, over its limit of {MAX_TABLE_FACTORS}'
         )
-    blk = block(ctx)
+    blk = Block(ctx)
     return (blk, *blk.table())
+
+
+def row(ctx: MaxParContext, letters: str) -> tuple:
+    """(factors, thin) of the standard module at the word letters:
+    factors lists (the word of y, the degree of L_y) in window order,
+    and thin says that exactly one factor has maximal a-value.
+
+    By the rule in Block, the factors are the non-crossing matchings of
+    the word with cups from ^ to v or v to ^, no strand under a cup and
+    no ^-strand right of a v-strand: y rewrites each cup v...^, the
+    degree counts the cups with ^ at the left, and the cups are the
+    a-value of y.  A depth-first walk lists them; it opens no more cups
+    of a letter than the letters of the other left, and raises
+    ValueError on finding factor MAX_ROW_FACTORS + 1.
+    """
+    n, mask, a = len(letters), _mask(letters), ctx.a
+    factors, top = [], 0
+    # A state is the next position, the open cups (innermost first: bit,
+    # letter, open ^ and v cups, the cups around), the bits of clockwise
+    # cups, the cup count, and whether a v-strand is placed.
+    stack = [(0, (0, None, 0, 0, None), 0, 0, False)]
+    pop, push = stack.pop, stack.append
+    while stack:
+        i, opened, turned, c, vee_strand = pop()
+        if i == n:
+            if len(factors) == MAX_ROW_FACTORS:
+                raise ValueError(
+                    f'the cup engine lists over its limit of '
+                    f'{MAX_ROW_FACTORS} composition factors at {letters}')
+            factors.append((format(mask ^ turned, f'0{n}b')[::-1]
+                            .translate(_LETTERS), turned.bit_count() >> 1))
+            top += c == a
+            continue
+        left, left_letter, open_wedges, open_vees, outer = opened
+        letter, j = letters[i], i + 1
+        if left_letter is None:
+            if letter == VEE or not vee_strand:  # a strand, outside cups
+                push((j, opened, turned, c, vee_strand or letter == VEE))
+        elif left_letter != letter:  # the innermost cup closes
+            clockwise = left | 1 << i if letter == VEE else 0
+            push((j, outer, turned | clockwise, c + 1, vee_strand))
+        open_wedges += letter == WEDGE
+        open_vees += letter == VEE
+        wedges = (mask >> j).bit_count()  # the ^ in letters[j:]
+        if open_vees <= wedges and open_wedges <= n - j - wedges:
+            push((j, (1 << i, letter, open_wedges, open_vees, opened),
+                  turned, c, vee_strand))
+    return sorted(factors), top == 1
 
 
 def graded_multiplicity(
@@ -535,16 +531,17 @@ def graded_multiplicity(
     """Degree at which L_y sits inside the standard module at x, or
     None when it does not appear; the multiplicity is always 0 or 1.
 
-    The diagram of d(Phi(y)) is decorated by Phi(x).
+    The diagram of d(Phi(y)) is decorated by Phi(x), in O(n) (Block).
     """
-    blk = block(ctx)
-    return blk.degree(blk.index(x), blk.index(y))
+    word = phi(ctx, y).letters
+    turned = _mask(phi(ctx, x).letters) ^ _mask(word)
+    cups = [cup for cup in _cap(word)[0] if cup & turned]
+    return len(cups) if sum(cups) == turned else None
 
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     """Exactly one composition factor of maximal a-value min(k, m)."""
-    blk = block(ctx)
-    return blk.row(blk.index(w))[1]
+    return row(ctx, phi(ctx, w).letters)[1]
 
 
 def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:

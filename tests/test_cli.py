@@ -5,7 +5,6 @@ import hashlib
 import io
 import itertools
 import json
-import math
 import pathlib
 import random
 import re
@@ -199,9 +198,9 @@ def test_cup_table_ceiling():
     assert ('error: the cup engine lists all 19319845 composition factors'
             in proc.stderr)
     assert proc.stdout == ''
-    # mult reads one row, under the ceiling on the block alone;
-    # the digest was recorded from the per-pair engine that preceded
-    # the block table
+    # mult lists one row, under the ceiling on the row alone; the
+    # digest was recorded from the per-pair engine that preceded the
+    # block table
     proc = run_cli('mult', '--n', '18', '--k', '7', '--engine', 'cup',
                    '--x', '[' + ','.join(map(str, range(1, 19))) + ']',
                    '--format', 'tsv', '--n-max', '18')
@@ -210,37 +209,90 @@ def test_cup_table_ceiling():
         'dea6bb0b69c87f2549ddd0c869b9a800f9c2b0331dd11497b4638279c290f709')
 
 
+def _bracket(window):
+    return '[' + ','.join(map(str, window)) + ']'
+
+
+# x at max:k of n whose word is (^v)^k followed by v^(n - 2k): the
+# wedges carry 1..k, the vees k + 1..n
+def _alternating(n, k):
+    return _bracket([v for p in range(k) for v in (p + 1, k + p + 1)]
+                    + list(range(2 * k + 1, n + 1)))
+
+
 def test_cup_block_ceiling(monkeypatch, capsys):
-    # mult refuses a block with too many words before listing one
+    # mult lists its one row from the word of x, and no block: past
+    # every block the word ceiling used to admit, a row of few factors
+    # is answered, and the alternating row is refused before any output
     from kostantpv import cup_diagrams
 
-    assert math.comb(20, 10) <= cup_diagrams.MAX_BLOCK_WORDS \
-        < math.comb(21, 8)
-
     def no_listing(ctx):
-        raise AssertionError('listed the words past the ceiling')
+        raise AssertionError('listed the words of the block')
 
     monkeypatch.setattr(cup_diagrams, '_words', no_listing)
-    code = cli.main(['mult', '--n', '30', '--k', '15', '--engine', 'cup',
-                     '--x', '[' + ','.join(map(str, range(1, 31))) + ']',
-                     '--n-max', '30'])
-    assert code == 2
+    args = ['mult', '--n', '30', '--k', '15', '--engine', 'cup',
+            '--n-max', '30', '--x']
+    assert cli.main(args + [_bracket(range(1, 31))]) == 0
+    out, _ = capsys.readouterr()
+    assert json.loads(out)['rows'][0] == {'degree': 0,
+                                          'y': _bracket(range(1, 31))}
+    assert cli.main(args + [_alternating(30, 15)]) == 2
     out, err = capsys.readouterr()
     assert out == ''
-    assert 'error: the cup engine lists all C(30,15)' in err
+    assert ('error: the cup engine lists over its limit of '
+            f'{cup_diagrams.MAX_ROW_FACTORS} composition factors at '
+            + '^v' * 15) in err
 
 
-def test_a_refused_table_caches_no_block(capsys):
+def test_cup_row_ceiling_golden():
+    # the largest row the ceiling admits, (^v)^10 at (20, 10), with
+    # MAX_ROW_FACTORS factors; the digest was recorded from the engine
+    # that listed the whole block for one row
+    args = ('mult', '--n', '20', '--k', '10', '--x', _alternating(20, 10),
+            '--engine', 'cup', '--n-max', '20')
+    assert _stdout_digest(args) == (
+        '7bee8c17914e54499bf0705b55f5908108d3b7eeda224c6ecaad99ac2b614123')
+
+
+def test_cup_rows_keep_no_block(capsys):
+    # a warm process keeps no block after rows of the largest blocks
+    import gc
+
+    from kostantpv import cup_diagrams
+
+    for n, k in ((20, 10), (20, 9), (19, 9), (20, 11)):
+        assert cli.main(['mult', '--n', str(n), '--k', str(k), '--x',
+                         _bracket(range(1, n + 1)), '--engine', 'cup',
+                         '--n-max', str(n)]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert not [o for o in gc.get_objects()
+                if isinstance(o, cup_diagrams.Block)]
+
+
+@pytest.mark.parametrize('x', [_alternating(13, 6),
+                               _bracket([*range(7, 14), *range(1, 7)])],
+                         ids=['alternating', 'antidominant'])
+def test_cup_rows_agree_with_kl_at_the_largest_fill(x):
+    # the KL oracle at the largest size mult --engine both serves
+    code, out = run_main('mult', '--n', '13', '--k', '6', '--x', x,
+                         '--engine', 'both', '--n-max', '13')
+    assert code == 0 and json.loads(out)['agree'] is True
+
+
+def test_a_refused_table_caches_no_block(monkeypatch, capsys):
     # classify max:k counts the factors before it builds the block
     from kostantpv import cup_diagrams
 
-    cup_diagrams.block.cache_clear()
+    def unbuildable(ctx):
+        raise AssertionError('built a block past the ceiling')
+
+    monkeypatch.setattr(cup_diagrams, 'Block', unbuildable)
     for n, k in ((19, 9), (20, 10)):
         assert cli.main(['classify', '--n', str(n), '--parabolic',
                          f'max:{k}', '--n-max', str(n)]) == 2
     out, err = capsys.readouterr()
     assert out == '' and err.count('error: the cup engine lists all') == 2
-    assert cup_diagrams.block.cache_info().currsize == 0
 
 
 def test_a_refused_kl_fill_caches_no_thinness(capsys):

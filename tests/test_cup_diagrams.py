@@ -9,6 +9,7 @@ import pytest
 from kostantpv import cup_diagrams
 from kostantpv.cup_diagrams import (
     DEGREE_BITS,
+    MAX_ROW_FACTORS,
     MAX_TABLE_FACTORS,
     Block,
     CupDiagram,
@@ -16,7 +17,6 @@ from kostantpv.cup_diagrams import (
     OrientedCupDiagram,
     WeightWord,
     antidominant_rep,
-    block,
     block_table,
     d_of,
     enumerate_admissible,
@@ -27,9 +27,11 @@ from kostantpv.cup_diagrams import (
     is_kostant_positive_maximal,
     is_positive_word,
     is_thin,
+    labeller,
     phi,
     phi_inverse,
     planar_diagrams,
+    row,
     shortest_reps,
 )
 from kostantpv.permutations import Permutation, identity, parse_permutation
@@ -288,10 +290,11 @@ def test_table_matches_object_layer_exhaustive():
             ctx = MaxParContext(n, k)
             blk, rows, thin = block_table(ctx)
             reps = shortest_reps(ctx)
+            label = labeller(ctx)
             assert len(reps) == len(blk.words)
             for x, w in enumerate(reps):
-                assert blk.index(w) == x
-                assert blk.label(x) == str(w)
+                assert phi(ctx, w).letters == blk.words[x]
+                assert label(blk.words[x]) == str(w)
                 assert rows[x] == sorted(set(rows[x]))
                 degrees = _degrees(rows[x])
                 assert blk.ncups[x] == a_value(ctx, w) == \
@@ -336,13 +339,69 @@ def test_table_matches_object_layer_random():
                 _oracle_degree(ctx, x, y), (n, ctx.k, x, y)
 
 
+def _table_row(blk, factors):
+    """A row of block_table as row lists it: (word of y, degree)."""
+    return [(blk.words[f >> DEGREE_BITS], f & ((1 << DEGREE_BITS) - 1))
+            for f in factors]
+
+
 def test_rows_match_the_table():
-    # Block.row checks each y against x; Block.table turns cups round.
+    # row walks the matchings of one word; Block.table turns cups round
     for n in range(2, 11):
         for k in range(1, n):
-            blk, rows, thin = block_table(MaxParContext(n, k))
-            for x in range(len(blk.words)):
-                assert blk.row(x) == (rows[x], thin[x])
+            ctx = MaxParContext(n, k)
+            blk, rows, thin = block_table(ctx)
+            for x, word in enumerate(blk.words):
+                assert row(ctx, word) == (_table_row(blk, rows[x]), thin[x])
+
+
+def _walk_against_oracles(ctx, w, rng, exhaustive):
+    """row at w against orient and d_of: every listed factor, and every
+    y (or 300 seeded y) for the factors left out and for thinness."""
+    factors, thin = row(ctx, phi(ctx, w).letters)
+    assert [word for word, _ in factors] == \
+        sorted({word for word, _ in factors})
+    listed = dict(factors)
+    sample = list(listed.items())
+    if len(sample) > 300:
+        sample = rng.sample(sample, 300)
+    for word, d in sample:
+        assert _oracle_degree(ctx, w, phi_inverse(ctx, WeightWord(word))) \
+            == d, (ctx, w, word)
+    reps = shortest_reps(ctx) if exhaustive else [
+        phi_inverse(ctx, WeightWord(''.join(rng.sample(
+            '^' * ctx.k + 'v' * ctx.m, ctx.n)))) for _ in range(300)]
+    for y in reps:
+        if phi(ctx, y).letters not in listed:
+            assert _oracle_degree(ctx, w, y) is None, (ctx, w, y)
+    if exhaustive:
+        assert thin == _oracle_thin(ctx, w), (ctx, w)
+    else:
+        assert thin == in_Y(ctx, phi(ctx, w)), (ctx, w)
+    return factors
+
+
+def test_row_walk_matches_the_object_layer():
+    # past the blocks the table test covers, up to the largest row
+    rng = random.Random(20261019)
+    for n in range(11, 21):
+        # a seeded rep of a block small enough to check every y
+        k = rng.choice([k for k in range(1, n) if math.comb(n, k) <= 2000])
+        ctx = MaxParContext(n, k)
+        _walk_against_oracles(ctx, rng.choice(shortest_reps(ctx)), rng, True)
+        # the identity, the alternating word and a seeded word at the
+        # middle k, against every listed factor and 300 seeded y
+        ctx = MaxParContext(n, n // 2)
+        words = ('^' * ctx.k + 'v' * ctx.m,
+                 ('^v' * n)[:n] if n % 2 == 0 else 'v' + '^v' * ctx.k,
+                 ''.join(rng.sample('^' * ctx.k + 'v' * ctx.m, n)))
+        for word in words:
+            factors = _walk_against_oracles(
+                ctx, phi_inverse(ctx, WeightWord(word)), rng, False)
+            if word == words[1] and n % 2 == 0:
+                # Catalan(k + 1)
+                assert len(factors) == math.comb(n + 2, ctx.k + 1) \
+                    // (ctx.k + 2)
 
 
 def test_factor_count_is_the_table_size(monkeypatch):
@@ -366,9 +425,12 @@ def test_masks_past_62_positions():
     ctx = MaxParContext(64, 1)
     blk, rows, thin = block_table(ctx)
     reps = shortest_reps(ctx)
+    label = labeller(ctx)
     for x, w in enumerate(reps):
-        assert blk.index(w) == x and blk.label(x) == str(w)
+        word = blk.words[x]
+        assert phi(ctx, w).letters == word and label(word) == str(w)
         assert thin[x] == _oracle_thin(ctx, w)
+        assert row(ctx, word) == (_table_row(blk, rows[x]), thin[x])
         degrees = _degrees(rows[x])
         for y, v in enumerate(reps):
             want = _oracle_degree(ctx, w, v)
@@ -380,10 +442,10 @@ def test_reps_and_verdicts_come_from_the_words():
     for n in range(2, 11):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk = block(ctx)
-            for y, (word, w) in enumerate(zip(blk.words, shortest_reps(ctx))):
+            label = labeller(ctx)
+            for word, w in zip(Block(ctx).words, shortest_reps(ctx)):
                 assert w == phi_inverse(ctx, WeightWord(word))
-                assert blk.label(y) == str(w) and blk.index(w) == y
+                assert label(word) == str(w) and phi(ctx, w).letters == word
                 assert is_positive_word(ctx, word) == \
                     is_kostant_positive_maximal(ctx, w), (n, k, word)
 
@@ -411,17 +473,41 @@ def test_table_ceiling_refuses_before_allocating(monkeypatch):
         raise Filled
 
     monkeypatch.setattr(Block, 'table', fill)
-    try:
-        for n, k in ((19, 9), (19, 8)):
-            with pytest.raises(ValueError, match='over its limit'):
+    for n, k in ((19, 9), (19, 8)):
+        with pytest.raises(ValueError, match='over its limit'):
+            block_table(MaxParContext(n, k))
+    with pytest.raises(Filled):
+        block_table(MaxParContext(18, 9))
+    ncups = Block(MaxParContext(18, 9)).ncups
+    assert sum(1 << c for c in ncups) == MAX_TABLE_FACTORS
+
+
+def test_table_refuses_degrees_past_their_bits(monkeypatch):
+    # a factor packs its degree, at most a = min(k, n - k), into
+    # DEGREE_BITS bits: every block with a >= 2**DEGREE_BITS is refused
+    # by its factor count, before a word is listed
+    def no_listing(ctx):
+        raise AssertionError('listed the words past the ceiling')
+
+    monkeypatch.setattr(cup_diagrams, '_words', no_listing)
+    top = 1 << DEGREE_BITS
+    for n in range(2 * top, 2 * top + 9):
+        for k in range(top, n - top + 1):
+            with pytest.raises(ValueError, match='composition factors'):
                 block_table(MaxParContext(n, k))
-        with pytest.raises(Filled):
-            block_table(MaxParContext(18, 9))
-        ncups = block(MaxParContext(18, 9)).ncups
-        assert sum(1 << c for c in ncups) == MAX_TABLE_FACTORS
-    finally:
-        # the three blocks take over 100 MiB; keep none of them
-        block.cache_clear()
+    with pytest.raises(ValueError, match='composition factors'):
+        block_table(MaxParContext(64, 32))
+
+
+def test_row_ceiling(monkeypatch):
+    # the largest row of the blocks with n <= 20 is admitted, and a
+    # limit one factor lower refuses it
+    ctx, word = MaxParContext(20, 10), '^v' * 10
+    assert len(row(ctx, word)[0]) == MAX_ROW_FACTORS
+    limit = MAX_ROW_FACTORS - 1
+    monkeypatch.setattr(cup_diagrams, 'MAX_ROW_FACTORS', limit)
+    with pytest.raises(ValueError, match=f'over its limit of {limit} comp'):
+        row(ctx, word)
 
 
 def test_block_builds_without_word_or_diagram_objects(monkeypatch):
@@ -434,6 +520,6 @@ def test_block_builds_without_word_or_diagram_objects(monkeypatch):
     for n in range(2, 11):
         for k in range(1, n):
             Block(MaxParContext(n, k)).table()
-    blk = Block(MaxParContext(18, 7))
-    deg, _ = blk.row(0)
-    assert deg[0] == 0
+    word = '^' * 7 + 'v' * 11
+    factors, thin = row(MaxParContext(18, 7), word)
+    assert factors[0] == (word, 0) and thin
