@@ -34,14 +34,15 @@ The walk behind `cells` (tableaux.window_shapes) is timed at n = 8,
 after its shapes have matched rsk of every element of S_8, in window
 order.
 
-The cup layer is timed at (14, 7), (16, 8) and (17, 8): setting up
-cup_diagrams.Block (the words listed and capped anew each run) and
-filling its sparse rows (Block.table), after three seeded columns of the
-rows have matched the object-level orient(d_of(word y).diagram, word x)
-at every x (orient is the reference kept in tests/oracles.py).  The walk
-that lists one row from its word (cup_diagrams.row) is timed on the
-alternating word of each of these blocks, after 20 seeded rows have
-matched Block.table, and on the largest row MAX_ROW_FACTORS admits,
+The cup layer is timed at (14, 7), (16, 8) and (17, 8): the whole of
+cup_diagrams.block_table (the words listed, capped and filled into
+sparse rows anew each run), after three seeded columns of the rows,
+decoded through cup_diagrams.factors, have matched the object-level
+orient(d_of(word y).diagram, word x) at every x (orient is the reference
+kept in tests/oracles.py).  The walk that lists one row from its word
+(cup_diagrams.row) is timed on the alternating word of each of these
+blocks, after 20 seeded rows have matched block_table, and on the
+largest row MAX_ROW_FACTORS admits,
 (^v)^10 at (20, 10), after its factor count has matched Catalan(11).
 
 The socle sweep times bigrassmannian.socle_descriptor on every element
@@ -84,13 +85,12 @@ from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.checks import _kl_table_problems
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import (
-    DEGREE_BITS,
     MAX_ROW_FACTORS,
-    Block,
     MaxParContext,
     WeightWord,
     block_table,
     d_of,
+    factors,
     labeller,
     row,
 )
@@ -204,7 +204,7 @@ def bench_parabolic_table(k, m, repeat):
     if list(lengths) != [Permutation(w).length for w in windows]:
         raise SystemExit(f'parabolic_table {k},{m} lengths disagree with '
                          'the Permutation lengths')
-    deg = dense_degrees(block_table(MaxParContext(k + m, k))[1])
+    deg = dense_degrees(block_table(MaxParContext(k + m, k)))
     lengths = np.array(lengths)
     d, odd = np.divmod(lengths[None, :] - lengths[:, None] - deg, 2)
     dense = dense_table(S)
@@ -260,31 +260,29 @@ def bench_window_shapes(n, repeat):
 
 def bench_cup_block(n, k, repeat):
     ctx = MaxParContext(n, k)
-    blk = Block(ctx)
-    rows, thin = blk.table()
-    words = [WeightWord(word) for word in blk.words]
+    table = block_table(ctx)
+    pairs = list(factors(table.ncups))
     label = labeller(ctx)
     rng = random.Random(n)
-    for y in rng.sample(range(len(words)), 3):
-        diagram = d_of(words[y]).diagram
-        for x, word in enumerate(words):
-            ocd = orient(diagram, word)
-            got = [f - (y << DEGREE_BITS) for f in rows[x]
-                   if f >> DEGREE_BITS == y]
+    for y in rng.sample(range(len(table.words)), 3):
+        diagram = d_of(WeightWord(table.words[y])).diagram
+        for x, word in enumerate(table.words):
+            ocd = orient(diagram, WeightWord(word))
+            got = [d for y2, d in map(pairs.__getitem__, table.rows[x])
+                   if y2 == y]
             if got != ([] if ocd is None else [ocd.degree]):
-                raise SystemExit(f'Block({n},{k}).table() at '
-                                 f'{label(blk.words[x])} {label(blk.words[y])}'
-                                 ' disagrees with orient')
-    for x in rng.sample(range(len(words)), 20):
-        want = [(blk.words[f >> DEGREE_BITS], f & ((1 << DEGREE_BITS) - 1))
-                for f in rows[x]]
-        if row(ctx, blk.words[x]) != (want, thin[x]):
-            raise SystemExit(f'row at {label(blk.words[x])} disagrees with '
-                             f'Block({n},{k}).table()')
-    del rows
+                raise SystemExit(f'block_table({n},{k}) at {label(word)} '
+                                 f'{label(table.words[y])} disagrees with '
+                                 'orient')
+    for x in rng.sample(range(len(table.words)), 20):
+        want = [(table.words[y], d)
+                for y, d in map(pairs.__getitem__, table.rows[x])]
+        if row(ctx, table.words[x]) != (want, table.thin[x]):
+            raise SystemExit(f'row at {label(table.words[x])} disagrees '
+                             f'with block_table({n},{k})')
+    del table, pairs
 
-    bench_case(f'Block({n},{k})', repeat, Block, ctx)
-    bench_case(f'Block.table ({n},{k})', repeat, blk.table)
+    bench_case(f'block_table ({n},{k})', repeat, block_table, ctx)
     word = '^v' * k + 'v' * (n - 2 * k)
     bench_case(f'row ({n},{k}) ^v..', repeat, row, ctx, word,
                note=f'  ({len(row(ctx, word)[0]):,} factors)')

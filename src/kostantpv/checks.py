@@ -46,7 +46,6 @@ from .compositions import (
     positive_sufficient,
 )
 from .cup_diagrams import (
-    DEGREE_BITS,
     WEDGE,
     MaxParContext,
     WeightWord,
@@ -55,6 +54,7 @@ from .cup_diagrams import (
     enumerate_admissible,
     enumerate_oriented,
     enumerate_words,
+    factors,
     graded_multiplicity,
     in_Y,
     is_kostant_positive_maximal,
@@ -229,9 +229,10 @@ def check_worked_tables(n_max: int):
     return _verdict(problems, 'section tables at (4,2) reproduced')
 
 
-def _degrees(factors) -> dict:
-    """A row of block_table as {y: the degree of L_y}."""
-    return {f >> DEGREE_BITS: f & ((1 << DEGREE_BITS) - 1) for f in factors}
+def _degrees(table) -> list:
+    """Each row of a block_table as {y: the degree of L_y}."""
+    pairs = list(factors(table.ncups))
+    return [dict(map(pairs.__getitem__, row)) for row in table.rows]
 
 
 def check_cross_oracle(n_max: int):
@@ -243,10 +244,10 @@ def check_cross_oracle(n_max: int):
     pairs = 0
     for n in range(2, top + 1):
         for k in range(1, n):
-            blk, rows, _ = block_table(MaxParContext(n, k))
+            table = block_table(MaxParContext(n, k))
             windows, lengths, S = parabolic_table((k, n - k))
             if [[v <= k for v in w] for w in windows] != \
-                    [[c == WEDGE for c in word] for word in blk.words]:
+                    [[c == WEDGE for c in word] for word in table.words]:
                 problems.append(f'({n},{k}): coset reps != block reps')
                 continue
             # the q-coefficients of each nonzero sum, and the q^d each
@@ -254,19 +255,19 @@ def check_cross_oracle(n_max: int):
             got = {(x, y): S.coefficients(P)
                    for y, col in enumerate(S) for x, P in col.items()}
             want = {}
-            for x, row in enumerate(rows):
-                for y, c in _degrees(row).items():
+            for x, degrees in enumerate(_degrees(table)):
+                for y, c in degrees.items():
                     d, odd = divmod(lengths[y] - lengths[x] - c, 2)
                     fits = odd == 0 and 0 <= d < S.ncoef
                     want[x, y] = [0] * d + [1] if fits else None
             bad = [p for p in got.keys() | want.keys()
                    if got.get(p) != want.get(p)]
-            pairs += len(rows) ** 2
+            pairs += len(table.rows) ** 2
             if bad:
                 x, y = min(bad)
                 problems.append(
                     f'({n},{k}): {len(bad)} pairs differ, '
-                    f'first x={blk.words[x]} y={blk.words[y]}'
+                    f'first x={table.words[x]} y={table.words[y]}'
                 )
     return _verdict(problems, f'{pairs} pairs agree, n <= {top}')
 
@@ -278,12 +279,12 @@ def check_thinness(n_max: int):
     for n in range(2, top + 1):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk, _, thin = block_table(ctx)
-            for word, t in zip(blk.words, thin):
+            words, _, _, thin = block_table(ctx)
+            for word, t in zip(words, thin):
                 if t != in_Y(ctx, WeightWord(word)):
                     problems.append(f'({n},{k}) w={word}')
             if (n, k) == (4, 2):
-                listed = set(map(labeller(ctx), compress(blk.words, thin)))
+                listed = set(map(labeller(ctx), compress(words, thin)))
                 if listed != {'1234', '1342', '3124', '3412'}:
                     problems.append(f'thin list at (4,2): {sorted(listed)}')
     return _verdict(problems, f'thin iff Y membership, n <= {top}')
@@ -311,9 +312,8 @@ def check_linear_quiver(n_max: int):
     problems = []
     top = min(n_max, 7)
     for n in range(2, top + 1):
-        rows = block_table(MaxParContext(n, 1))[1]
         chain = [{x: 0, x + 1: 1} for x in range(n - 1)] + [{n - 1: 0}]
-        if list(map(_degrees, rows)) != chain:
+        if _degrees(block_table(MaxParContext(n, 1))) != chain:
             problems.append(f'({n},1): not a two-step chain')
     return _verdict(problems, f'two-step chains verified, n <= {top}')
 
@@ -404,7 +404,7 @@ def check_reconciliation(n_max: int):
                 problems.append(f'(k,k) with k={k}: {len(pos)} positives')
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            _, _, cup_thin = block_table(ctx)
+            cup_thin = block_table(ctx).thin
             mu = Composition((k, n - k))
             unknowns, suff = set(), set()
             for window, verdict, thin in classify_all(mu):

@@ -220,22 +220,19 @@ def _classify_max(n: int, k: int, parabolic: str, fmt: str):
     cup = _engine('cup_diagrams')
     ctx = cup.MaxParContext(n, k)
     try:
-        blk, rows, thin = cup.block_table(ctx)
+        words, ncups, rows, thin = cup.block_table(ctx)
     except ValueError as e:
         raise UsageError(str(e)) from None
     template, sep, factor = MAX_ROW[fmt]
-    labels = list(map(cup.labeller(ctx), blk.words))
-    texts = [None] * (len(labels) << cup.DEGREE_BITS)
-    for y, label in enumerate(labels):
-        for d in range(blk.ncups[y] + 1):
-            texts[y << cup.DEGREE_BITS | d] = factor.format(label, d)
+    labels = list(map(cup.labeller(ctx), words))
+    texts = [factor.format(labels[y], d) for y, d in cup.factors(ncups)]
     columns = (
         labels,
-        blk.words,
+        words,
         ['Positive' if cup.is_positive_word(ctx, word) else 'Negative'
-         for word in blk.words],
+         for word in words],
         map(_tsv_cell, thin),
-        blk.ncups,
+        ncups,
         (sep.join(map(texts.__getitem__, factors)) for factors in rows),
     )
     head, tail = _row_frame(fmt, {'n': n, 'parabolic': parabolic},

@@ -30,7 +30,7 @@ n-1, or n/2, where only the two flip-2 words survive.
 The fast paths work on the letters and bit masks of words, in plain
 Python ints and lists: graded_multiplicity caps Phi(y) against Phi(x),
 row walks the factors of one x from its word, and the classifier fills
-the rows of every x in index space (Block).  The word and diagram
+the rows of every x in index space (block_table).  The word and diagram
 objects, with d_of and the exhaustive enumeration, are the reference
 these are tested against, with orient (one diagram decorated by one
 word), which the tests keep in tests/oracles.py.
@@ -45,7 +45,7 @@ import itertools
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import Optional
+from typing import Iterator, Optional
 
 from .permutations import Permutation, _raw, _window_text, is_shortest_coset_rep
 
@@ -358,9 +358,9 @@ def enumerate_admissible(word: WeightWord) -> frozenset:
 # The sparse rows hold a list slot per composition factor, sum_y
 # 2^ncups[y] of them, and classify max:k writes a line or a JSON block
 # per factor.  The limit is the largest table measured, (18, 9): 8.1 M
-# factors.  A CLI classify --n 18 max:9 took 3.7-5.3 s with a peak RSS
-# of 220-232 MiB as TSV (401 MB written), and 5.3-6.3 s and 261 MiB as
-# JSON (764 MB written; one core, a shared host).  It admits every
+# factors.  A CLI classify --n 18 max:9 took 4.7-5.6 s with a peak RSS
+# of 215 MiB as TSV (401 MB written), and 4.8-5.7 s and 269 MiB as
+# JSON (764 MB written; 2-core x86, a shared host).  It admits every
 # block with n <= 18 and refuses n = 19 for k = 8..11 ((19, 9) has
 # 19.3 M factors), counted from n and k alone: a CLI refusal at (20, 10)
 # takes 0.09 s and 16 MiB.
@@ -374,12 +374,6 @@ MAX_TABLE_FACTORS = 8_099_511
 # of its n: 0.25-0.44 s and 24 MiB for (^v)^11 at (22, 11).  Cost grows
 # with n too: (^v)^10 v^20 at n = 40 took 1.3 s and 83 MiB.
 MAX_ROW_FACTORS = 58_786
-
-# A factor's degree is at most a = min(k, n - k).  A block has at least
-# Catalan(a) words with a cups, each with 2^a factors (17.2 M at a = 10),
-# so every block that block_table, the one packer, admits has a <= 9,
-# and a factor packs into one int: y << 4 | degree.
-DEGREE_BITS = 4
 
 
 def _mask(letters: str) -> int:
@@ -396,72 +390,40 @@ def labeller(ctx: MaxParContext):
         {WEDGE: iter(wedges), VEE: iter(vees)}.__getitem__, letters)), ctx.n)
 
 
-class Block:
-    """Every row of one block in index space, for classify max:k.
+CupTable = namedtuple('CupTable', 'words ncups rows thin')
 
-    Reps are the shortest reps in window order (equally, the words in
-    lexicographic order with ^ before v), named by their index:
-    masks[x] has bit p - 1 set where word x has ^ at p.  d(Phi(y)) is
-    capped once per y from its letters (_cap): cups[y] holds a mask per
-    cup, and ncups[y] is its cup count, the a-value of y.
+
+def factors(ncups) -> Iterator[tuple]:
+    """(y, degree) of each factor id of a block_table, in id order: the
+    ids run column by column, one per degree 0..ncups[y] of each y.
+
+    >>> list(factors([0, 2, 1]))
+    [(0, 0), (1, 0), (1, 1), (1, 2), (2, 0), (2, 1)]
+    """
+    for y, c in enumerate(ncups):
+        for d in range(c + 1):
+            yield y, d
+
+
+def block_table(ctx: MaxParContext) -> CupTable:
+    """Every row of the block, built anew on each call, for classify
+    max:k.  Reps are the shortest reps in window order, named by their
+    index: words[x] is Phi(x), and ncups[y] the cup count of d(Phi(y)),
+    the a-value of y.  rows[x] lists the ids of the composition factors
+    of the standard module at x in increasing y, decoded by factors,
+    and thin[x] says that exactly one factor has maximal a-value.
 
     d(Phi(y)) has degree 0, so each of its cups runs from a v to a ^.
     A word x of the block orients it admissibly exactly when x is Phi(y)
     with some cups turned round, at the degree of the number turned: x
     puts one ^ on each cup, which leaves k - ncups[y] wedges for the
     strands, and admissibility puts them on the leftmost strands, where
-    Phi(y) has its own (capping leaves no v before an uncapped ^).
+    Phi(y) has its own (capping leaves no v before an uncapped ^).  So
+    column y is filled from the 2^ncups[y] masks that orient d(Phi(y)),
+    capped (_cap) while the column is filled.  Each id is one int shared
+    by every row it sits in, so a row costs a list slot per factor.
 
-    A composition factor L_y of the standard module at x, at degree d,
-    is the one int y << DEGREE_BITS | d.
-    """
-
-    def __init__(self, ctx: MaxParContext):
-        self.ctx = ctx
-        self.words = _words(ctx)
-        self.masks = list(map(_mask, self.words))
-        # one int per distinct cup, at most C(n, 2), shared by every word
-        shared = {}
-        self.cups = [tuple(map(shared.setdefault, cups, cups))
-                     for cups, _ in map(_cap, self.words)]
-        self.ncups = [len(cups) for cups in self.cups]
-
-    def table(self) -> tuple:
-        """(rows, thin) with a row per x, filled column by column from
-        the 2^ncups[y] words that orient d(Phi(y)): rows[x] lists
-        y << DEGREE_BITS | d in increasing y, and thin[x] says that
-        exactly one factor has maximal a-value.
-
-        The factors of column y are shared by every row they sit in,
-        one int per degree, so a row costs a list slot per factor.
-        """
-        rows = [[] for _ in self.masks]
-        top = [0] * len(rows)
-        index = {mask: i for i, mask in enumerate(self.masks)}
-        a = self.ctx.a
-        # degrees[c][t]: the number of cups in subset t of c cups
-        degrees = [[0]]
-        for _ in range(a):
-            degrees.append(degrees[-1] + [d + 1 for d in degrees[-1]])
-        for y, (mask, cups) in enumerate(zip(self.masks, self.cups)):
-            words = [mask]
-            for cup in cups:
-                words += [word ^ cup for word in words]
-            at = list(map(index.__getitem__, words))
-            packed = [y << DEGREE_BITS | d for d in range(len(cups) + 1)]
-            for x, d in zip(at, degrees[len(cups)]):
-                rows[x].append(packed[d])
-            if len(cups) == a:
-                for x in at:
-                    top[x] += 1
-        return rows, [t == 1 for t in top]
-
-
-def block_table(ctx: MaxParContext) -> tuple:
-    """(block, rows, thin) with every row of the block, as Block.table
-    gives them, built anew on each call.
-
-    ValueError over MAX_TABLE_FACTORS before the block is built: the
+    ValueError over MAX_TABLE_FACTORS before any word is listed: the
     words with c cups, one per planar diagram, number C(n, c) - C(n, c - 1)
     for c <= a, each with 2^c factors.
     """
@@ -473,8 +435,32 @@ def block_table(ctx: MaxParContext) -> tuple:
             f'the cup engine lists all {count} composition factors of the '
             f'({ctx.n},{ctx.k}) block, over its limit of {MAX_TABLE_FACTORS}'
         )
-    blk = Block(ctx)
-    return (blk, *blk.table())
+    words = _words(ctx)
+    # masks in window order: bit p - 1 is set where word x has ^ at p
+    index = {_mask(word): x for x, word in enumerate(words)}
+    rows = [[] for _ in words]
+    top = [0] * len(words)
+    ncups = []
+    # degrees[c][t]: the number of cups in subset t of c cups
+    degrees = [[0]]
+    for _ in range(a):
+        degrees.append(degrees[-1] + [d + 1 for d in degrees[-1]])
+    ids = 0
+    for word, mask in zip(words, index):
+        cups = _cap(word)[0]
+        masks = [mask]
+        for cup in cups:
+            masks += [m ^ cup for m in masks]
+        at = list(map(index.__getitem__, masks))
+        column = list(range(ids, ids + len(cups) + 1))
+        for x, d in zip(at, degrees[len(cups)]):
+            rows[x].append(column[d])
+        if len(cups) == a:
+            for x in at:
+                top[x] += 1
+        ids += len(column)
+        ncups.append(len(cups))
+    return CupTable(words, ncups, rows, [t == 1 for t in top])
 
 
 def row(ctx: MaxParContext, letters: str) -> tuple:
@@ -482,7 +468,7 @@ def row(ctx: MaxParContext, letters: str) -> tuple:
     factors lists (the word of y, the degree of L_y) in window order,
     and thin says that exactly one factor has maximal a-value.
 
-    By the rule in Block, the factors are the non-crossing matchings of
+    By the rule in block_table, the factors are the non-crossing matchings of
     the word with cups from ^ to v or v to ^, no strand under a cup and
     no ^-strand right of a v-strand: y rewrites each cup v...^, the
     degree counts the cups with ^ at the left, and the cups are the
@@ -531,7 +517,7 @@ def graded_multiplicity(
     """Degree at which L_y sits inside the standard module at x, or
     None when it does not appear; the multiplicity is always 0 or 1.
 
-    The diagram of d(Phi(y)) is decorated by Phi(x), in O(n) (Block).
+    The diagram of d(Phi(y)) is decorated by Phi(x), in O(n) (block_table).
     """
     word = phi(ctx, y).letters
     turned = _mask(phi(ctx, x).letters) ^ _mask(word)

@@ -13,8 +13,8 @@ package keeps one path per computation:
 - the per-column KL fill of S_n on the Bruhat matrix, by left descents
   (kl_fill_by_column), and the parabolic alternating sum taken from the
   whole-group KL table (parabolic_sums), against the fill of
-  klcells.parabolic_table, laid out densely (dense_table; the cup rows
-  of block_table lay out as dense_degrees);
+  klcells.parabolic_table, laid out densely (dense_table; the cup table
+  of block_table lays out as dense_degrees);
 - reduced words, against Bruhat order (the subword property) and the
   small cell (unique reduced word);
 - cell membership by pairs, the small and penultimate cells as sets,
@@ -22,7 +22,7 @@ package keeps one path per computation:
 - the block-permuting group G_mu and the transports omega_{mu,nu},
   against the positive set of compositions._positive_windows;
 - one cup diagram oriented by one word (orient), against the rows of
-  cup_diagrams.Block.
+  cup_diagrams.block_table.
 
 The group-index functions take a GroupIndex g as their first argument.
 """
@@ -38,10 +38,10 @@ import numpy as np
 
 from kostantpv.compositions import Composition
 from kostantpv.cup_diagrams import (
-    DEGREE_BITS,
     CupDiagram,
     OrientedCupDiagram,
     WeightWord,
+    factors,
 )
 from kostantpv.groupindex import GroupIndex, group_index
 from kostantpv.klcells import (
@@ -80,14 +80,14 @@ def dense_table(S) -> np.ndarray:
     return D
 
 
-def dense_degrees(rows) -> np.ndarray:
-    """The rows of block_table as one int8 array: deg[x, y] is the
+def dense_degrees(table) -> np.ndarray:
+    """The rows of a block_table as one int8 array: deg[x, y] is the
     degree of L_y in the standard module at x, -1 where it is no factor.
     """
-    deg = np.full((len(rows), len(rows)), -1, dtype=np.int8)
-    for x, factors in enumerate(rows):
-        f = np.array(factors)
-        deg[x, f >> DEGREE_BITS] = f & ((1 << DEGREE_BITS) - 1)
+    y, d = np.array(list(factors(table.ncups))).T
+    deg = np.full((len(table.rows), len(table.rows)), -1, dtype=np.int8)
+    for x, row in enumerate(table.rows):
+        deg[x, y[row]] = d[row]
     return deg
 
 

@@ -3,12 +3,10 @@ fail, naming the block, when one entry of a table is wrong, and the
 kl-properties oracles must name the property a planted entry of a
 copied kl_table(4) breaks."""
 
-from types import SimpleNamespace
-
 import pytest
 
 from kostantpv import _kernels, checks, groupindex, klcells
-from kostantpv.cup_diagrams import DEGREE_BITS
+from kostantpv.cup_diagrams import factors
 from kostantpv.minimal_parabolic import (
     MinParContext,
     factorize,
@@ -30,12 +28,13 @@ def test_block_table_fault(monkeypatch, k):
     # x = 2 is neither the identity nor the antidominant rep, so the
     # flipped thin flag also changes the thin non-trivial set
     def block_table(ctx):
-        blk, rows, thin = REAL_BLOCK_TABLE(ctx)
+        table = REAL_BLOCK_TABLE(ctx)
         if (ctx.n, ctx.k) == (5, k):
             # drop the factor L_2 from the standard module at x = 2
-            rows[2] = [f for f in rows[2] if f >> DEGREE_BITS != 2]
-            thin[2] = not thin[2]
-        return blk, rows, thin
+            pairs = list(factors(table.ncups))
+            table.rows[2] = [f for f in table.rows[2] if pairs[f][0] != 2]
+            table.thin[2] = not table.thin[2]
+        return table
 
     monkeypatch.setattr(checks, 'block_table', block_table)
     names = ['cross-oracle', 'thin-y', 'reconciliation']
@@ -117,8 +116,8 @@ def test_positive_window_is_the_minimal_theorem():
 
 def test_cross_oracle_compares_rep_order(monkeypatch):
     def block_table(ctx):
-        blk, rows, thin = REAL_BLOCK_TABLE(ctx)
-        return SimpleNamespace(words=blk.words[::-1]), rows, thin
+        table = REAL_BLOCK_TABLE(ctx)
+        return table._replace(words=table.words[::-1])
 
     monkeypatch.setattr(checks, 'block_table', block_table)
     ok, detail = _run('cross-oracle')

@@ -254,20 +254,19 @@ def test_cup_row_ceiling_golden():
         '7bee8c17914e54499bf0705b55f5908108d3b7eeda224c6ecaad99ac2b614123')
 
 
-def test_cup_rows_keep_no_block(capsys):
-    # a warm process keeps no block after rows of the largest blocks
-    import gc
-
+def test_cup_rows_keep_no_block(monkeypatch, capsys):
+    # a row of the largest blocks lists none of the block's words
     from kostantpv import cup_diagrams
 
+    def unlisted(ctx):
+        raise AssertionError('a cup row listed the words of its block')
+
+    monkeypatch.setattr(cup_diagrams, '_words', unlisted)
     for n, k in ((20, 10), (20, 9), (19, 9), (20, 11)):
         assert cli.main(['mult', '--n', str(n), '--k', str(k), '--x',
                          _bracket(range(1, n + 1)), '--engine', 'cup',
                          '--n-max', str(n)]) == 0
     capsys.readouterr()
-    gc.collect()
-    assert not [o for o in gc.get_objects()
-                if isinstance(o, cup_diagrams.Block)]
 
 
 @pytest.mark.parametrize('x', [_alternating(13, 6),
@@ -281,13 +280,13 @@ def test_cup_rows_agree_with_kl_at_the_largest_fill(x):
 
 
 def test_a_refused_table_caches_no_block(monkeypatch, capsys):
-    # classify max:k counts the factors before it builds the block
+    # classify max:k counts the factors before it lists the block's words
     from kostantpv import cup_diagrams
 
-    def unbuildable(ctx):
-        raise AssertionError('built a block past the ceiling')
+    def unlisted(ctx):
+        raise AssertionError('listed a block past the ceiling')
 
-    monkeypatch.setattr(cup_diagrams, 'Block', unbuildable)
+    monkeypatch.setattr(cup_diagrams, '_words', unlisted)
     for n, k in ((19, 9), (20, 10)):
         assert cli.main(['classify', '--n', str(n), '--parabolic',
                          f'max:{k}', '--n-max', str(n)]) == 2

@@ -8,10 +8,8 @@ import pytest
 
 from kostantpv import cup_diagrams
 from kostantpv.cup_diagrams import (
-    DEGREE_BITS,
     MAX_ROW_FACTORS,
     MAX_TABLE_FACTORS,
-    Block,
     CupDiagram,
     MaxParContext,
     OrientedCupDiagram,
@@ -22,6 +20,7 @@ from kostantpv.cup_diagrams import (
     enumerate_admissible,
     enumerate_oriented,
     enumerate_words,
+    factors,
     graded_multiplicity,
     in_Y,
     is_kostant_positive_maximal,
@@ -279,25 +278,26 @@ def _oracle_thin(ctx, w):
     return hits == 1
 
 
-def _degrees(factors) -> dict:
-    """y -> degree of the packed factors of one row."""
-    return {f >> DEGREE_BITS: f & ((1 << DEGREE_BITS) - 1) for f in factors}
+def _degrees(table) -> list:
+    """Each row of the table as {y: the degree of L_y}."""
+    pairs = list(factors(table.ncups))
+    return [dict(map(pairs.__getitem__, row)) for row in table.rows]
 
 
 def test_table_matches_object_layer_exhaustive():
     for n in range(2, 7):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk, rows, thin = block_table(ctx)
+            table = block_table(ctx)
+            words, ncups, rows, thin = table
             reps = shortest_reps(ctx)
             label = labeller(ctx)
-            assert len(reps) == len(blk.words)
-            for x, w in enumerate(reps):
-                assert phi(ctx, w).letters == blk.words[x]
-                assert label(blk.words[x]) == str(w)
+            assert len(reps) == len(words)
+            for x, (w, degrees) in enumerate(zip(reps, _degrees(table))):
+                assert phi(ctx, w).letters == words[x]
+                assert label(words[x]) == str(w)
                 assert rows[x] == sorted(set(rows[x]))
-                degrees = _degrees(rows[x])
-                assert blk.ncups[x] == a_value(ctx, w) == \
+                assert ncups[x] == a_value(ctx, w) == \
                     _oracle_a_value(ctx, w)
                 assert thin[x] == is_thin(ctx, w) == _oracle_thin(ctx, w)
                 for y, v in enumerate(reps):
@@ -311,7 +311,7 @@ def test_thinness_matches_object_layer():
     for n in (7, 8):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            _, _, thin = block_table(ctx)
+            thin = block_table(ctx).thin
             for x, w in enumerate(shortest_reps(ctx)):
                 assert thin[x] == is_thin(ctx, w) == _oracle_thin(ctx, w), \
                     (n, k, w)
@@ -323,14 +323,13 @@ def test_table_matches_object_layer_random():
         for _ in range(4):
             # a whole column, so that present factors are checked too
             ctx = MaxParContext(n, rng.randint(1, n - 1))
-            blk, rows, _ = block_table(ctx)
+            table = block_table(ctx)
             reps = shortest_reps(ctx)
             y = rng.randrange(len(reps))
-            assert blk.ncups[y] == _oracle_a_value(ctx, reps[y])
-            for x, w in enumerate(reps):
+            assert table.ncups[y] == _oracle_a_value(ctx, reps[y])
+            for x, (w, degrees) in enumerate(zip(reps, _degrees(table))):
                 want = _oracle_degree(ctx, w, reps[y])
-                assert _degrees(rows[x]).get(y) == want, \
-                    (n, ctx.k, w, reps[y])
+                assert degrees.get(y) == want, (n, ctx.k, w, reps[y])
         for _ in range(200):
             ctx = MaxParContext(n, rng.randint(1, n - 1))
             reps = shortest_reps(ctx)
@@ -339,20 +338,22 @@ def test_table_matches_object_layer_random():
                 _oracle_degree(ctx, x, y), (n, ctx.k, x, y)
 
 
-def _table_row(blk, factors):
-    """A row of block_table as row lists it: (word of y, degree)."""
-    return [(blk.words[f >> DEGREE_BITS], f & ((1 << DEGREE_BITS) - 1))
-            for f in factors]
+def _table_rows(table) -> list:
+    """Each row of block_table as row lists it: (word of y, degree)."""
+    pairs = list(factors(table.ncups))
+    return [[(table.words[y], d) for y, d in map(pairs.__getitem__, row)]
+            for row in table.rows]
 
 
 def test_rows_match_the_table():
-    # row walks the matchings of one word; Block.table turns cups round
+    # row walks the matchings of one word; block_table turns cups round
     for n in range(2, 11):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk, rows, thin = block_table(ctx)
-            for x, word in enumerate(blk.words):
-                assert row(ctx, word) == (_table_row(blk, rows[x]), thin[x])
+            table = block_table(ctx)
+            for word, listed, thin in zip(table.words, _table_rows(table),
+                                          table.thin):
+                assert row(ctx, word) == (listed, thin)
 
 
 def _walk_against_oracles(ctx, w, rng, exhaustive):
@@ -410,9 +411,13 @@ def test_factor_count_is_the_table_size(monkeypatch):
     for n in range(2, 13):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            blk, rows, _ = block_table(ctx)
+            _, ncups, rows, _ = block_table(ctx)
             count = sum(map(len, rows))
-            assert count == sum(2 ** c for c in blk.ncups), (n, k)
+            assert count == sum(2 ** c for c in ncups), (n, k)
+            # every id factors lists sits in some row, as one shared int
+            ids = list(itertools.chain(*rows))
+            assert set(ids) == set(range(len(list(factors(ncups)))))
+            assert len(set(map(id, ids))) == len(set(ids)), (n, k)
             monkeypatch.setattr(cup_diagrams, 'MAX_TABLE_FACTORS', count)
             block_table(ctx)
             monkeypatch.setattr(cup_diagrams, 'MAX_TABLE_FACTORS', count - 1)
@@ -423,15 +428,15 @@ def test_factor_count_is_the_table_size(monkeypatch):
 
 def test_masks_past_62_positions():
     ctx = MaxParContext(64, 1)
-    blk, rows, thin = block_table(ctx)
+    table = block_table(ctx)
     reps = shortest_reps(ctx)
     label = labeller(ctx)
-    for x, w in enumerate(reps):
-        word = blk.words[x]
+    for x, (w, listed, degrees) in enumerate(
+            zip(reps, _table_rows(table), _degrees(table))):
+        word, thin = table.words[x], table.thin[x]
         assert phi(ctx, w).letters == word and label(word) == str(w)
-        assert thin[x] == _oracle_thin(ctx, w)
-        assert row(ctx, word) == (_table_row(blk, rows[x]), thin[x])
-        degrees = _degrees(rows[x])
+        assert thin == _oracle_thin(ctx, w)
+        assert row(ctx, word) == (listed, thin)
         for y, v in enumerate(reps):
             want = _oracle_degree(ctx, w, v)
             assert degrees.get(y) == want
@@ -443,7 +448,7 @@ def test_reps_and_verdicts_come_from_the_words():
         for k in range(1, n):
             ctx = MaxParContext(n, k)
             label = labeller(ctx)
-            for word, w in zip(Block(ctx).words, shortest_reps(ctx)):
+            for word, w in zip(block_table(ctx).words, shortest_reps(ctx)):
                 assert w == phi_inverse(ctx, WeightWord(word))
                 assert label(word) == str(w) and phi(ctx, w).letters == word
                 assert is_positive_word(ctx, word) == \
@@ -465,38 +470,27 @@ def test_table_rejects_non_reps():
 
 
 def test_table_ceiling_refuses_before_allocating(monkeypatch):
-    # the ceiling is counted from n and k, before any row
-    class Filled(Exception):
+    # the ceiling is counted from n and k, before any word is listed: it
+    # refuses n = 19 at k = 8, 9, every block with a >= 16 and (64, 32),
+    # and admits (18, 9), whose table is exactly the limit
+    class Listed(Exception):
         pass
 
-    def fill(self):
-        raise Filled
+    def listing(ctx):
+        raise Listed
 
-    monkeypatch.setattr(Block, 'table', fill)
-    for n, k in ((19, 9), (19, 8)):
-        with pytest.raises(ValueError, match='over its limit'):
+    words = cup_diagrams._words(MaxParContext(18, 9))
+    assert sum(1 << len(cup_diagrams._cap(w)[0]) for w in words) == \
+        MAX_TABLE_FACTORS
+    monkeypatch.setattr(cup_diagrams, '_words', listing)
+    refused = [(19, 9), (19, 8), (64, 32)] + [
+        (n, k) for n in range(32, 41) for k in range(16, n - 15)]
+    for n, k in refused:
+        with pytest.raises(ValueError, match='composition factors of the '
+                           f'\\({n},{k}\\) block, over its limit'):
             block_table(MaxParContext(n, k))
-    with pytest.raises(Filled):
+    with pytest.raises(Listed):
         block_table(MaxParContext(18, 9))
-    ncups = Block(MaxParContext(18, 9)).ncups
-    assert sum(1 << c for c in ncups) == MAX_TABLE_FACTORS
-
-
-def test_table_refuses_degrees_past_their_bits(monkeypatch):
-    # a factor packs its degree, at most a = min(k, n - k), into
-    # DEGREE_BITS bits: every block with a >= 2**DEGREE_BITS is refused
-    # by its factor count, before a word is listed
-    def no_listing(ctx):
-        raise AssertionError('listed the words past the ceiling')
-
-    monkeypatch.setattr(cup_diagrams, '_words', no_listing)
-    top = 1 << DEGREE_BITS
-    for n in range(2 * top, 2 * top + 9):
-        for k in range(top, n - top + 1):
-            with pytest.raises(ValueError, match='composition factors'):
-                block_table(MaxParContext(n, k))
-    with pytest.raises(ValueError, match='composition factors'):
-        block_table(MaxParContext(64, 32))
 
 
 def test_row_ceiling(monkeypatch):
@@ -519,7 +513,7 @@ def test_block_builds_without_word_or_diagram_objects(monkeypatch):
         monkeypatch.setattr(cup_diagrams, name, unusable)
     for n in range(2, 11):
         for k in range(1, n):
-            Block(MaxParContext(n, k)).table()
+            block_table(MaxParContext(n, k))
     word = '^' * 7 + 'v' * 11
     factors, thin = row(MaxParContext(18, 7), word)
     assert factors[0] == (word, 0) and thin

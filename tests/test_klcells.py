@@ -398,7 +398,7 @@ def test_parabolic_table_matches_cup_degrees_to_n8():
             ctx = MaxParContext(n, k)
             windows, got_lengths, S = parabolic_table((k, n - k))
             assert windows == tuple(w.window for w in shortest_reps(ctx))
-            deg = dense_degrees(block_table(ctx)[1])
+            deg = dense_degrees(block_table(ctx))
             lengths = g.lengths[[g.index[w] for w in windows]]
             assert got_lengths == tuple(lengths.tolist()), (n, k)
             S = dense_table(S)
