@@ -11,11 +11,11 @@ also gives the entries it stores and their packed width.
 The index the fills run over is timed alone: GroupIndex(7) and
 GroupIndex(8), each after its windows have matched their Lehmer-code
 ranks (the reference rank in tests/oracles.py) and its inverses have
-matched, and groupindex.coset_index((2, 2, 2, 2)), after its windows
+matched, and klcells.coset_index((2, 2, 2, 2)), after its windows
 have matched the S_8 filter enumerate_shortest_reps and its lengths the
 Permutation lengths.
 
-The fill takes the lengths and right action of groupindex.coset_index
+The fill takes the lengths and right action of klcells.coset_index
 and the number of q-degrees kept: _kernels.kl_fill(lengths, mul, ncoef).
 The same fill over the shortest reps alone is timed at n = 6 for min:3
 (1,1,2,1,1) and max:3 (3,3), each after its dense layout has matched
@@ -94,8 +94,8 @@ from kostantpv.cup_diagrams import (
     labeller,
     row,
 )
-from kostantpv.groupindex import GroupIndex, coset_index, group_index
-from kostantpv.klcells import parabolic_table
+from kostantpv.groupindex import GroupIndex, group_index
+from kostantpv.klcells import coset_index, parabolic_table
 from kostantpv.permutations import (
     Permutation,
     bruhat_leq,

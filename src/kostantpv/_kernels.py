@@ -113,7 +113,7 @@ def kl_fill(lengths, mul, ncoef) -> Table:
 
     lengths[i]: Coxeter length of rep i; mul[s][i]: index of rep i
     composed with s_{s+1} on the right, or -1 where that is not a rep
-    (groupindex.coset_index); ncoef: the q-degrees kept.  Each column
+    (klcells.coset_index); ncoef: the q-degrees kept.  Each column
     is filled from its first right descent, in order of length.
     Returns the Table S with S[w][x] = S_{x,w} packed.  A coefficient
     outside 0 .. 2^(BITS-1) - 1, or of a degree past ncoef, raises

@@ -13,7 +13,7 @@ cross-oracle, thin-y, linear-quiver and the maximal part of
 reconciliation read the tables the CLI serves: the sparse rows and thin
 column of cup_diagrams.block_table, and, for cross-oracle, the
 klcells.parabolic_table that mult --engine kl reads, one per (n, k),
-compared entry by entry.  positivity-ratio decides the
+graded row by row as mult prints it.  positivity-ratio decides the
 minimal-parabolic verdict on the windows of permutations.coset_windows
 by positive_window, the rule is_kostant_positive_minimal reads, to
 which reconciliation holds classify min:k rep by rep.
@@ -63,6 +63,7 @@ from .cup_diagrams import (
     shortest_reps,
 )
 from .klcells import (
+    graded_row,
     kl_polynomial,
     kl_table,
     left_cell_key,
@@ -236,35 +237,30 @@ def _degrees(table) -> list:
 
 
 def check_cross_oracle(n_max: int):
-    """Cup-diagram multiplicities equal the KL alternating sums: a cup
-    degree c at (x, y) must be the single term v^c = v^(l(y)-l(x)) q^d
-    at q = v^-2 of the sum, and no cup means a zero sum."""
+    """Cup-diagram multiplicities equal the KL alternating sums: the
+    row mult prints (klcells.graded_row) has the single term v^c where a
+    cup gives degree c, and no entry where no cup does."""
     problems = []
     top = min(n_max, 6)
     pairs = 0
     for n in range(2, top + 1):
         for k in range(1, n):
             table = block_table(MaxParContext(n, k))
-            windows, lengths, S = parabolic_table((k, n - k))
+            kl = parabolic_table((k, n - k))
+            windows = kl[0]
             if [[v <= k for v in w] for w in windows] != \
                     [[c == WEDGE for c in word] for word in table.words]:
                 problems.append(f'({n},{k}): coset reps != block reps')
                 continue
-            # the q-coefficients of each nonzero sum, and the q^d each
-            # cup asks for (None where no single q^d can match it)
-            got = {(x, y): S.coefficients(P)
-                   for y, col in enumerate(S) for x, P in col.items()}
-            want = {}
-            for x, degrees in enumerate(_degrees(table)):
-                for y, c in degrees.items():
-                    d, odd = divmod(lengths[y] - lengths[x] - c, 2)
-                    fits = odd == 0 and 0 <= d < S.ncoef
-                    want[x, y] = [0] * d + [1] if fits else None
+            got = {(x, y): g for x in windows for y, g in graded_row(kl, x)}
+            want = {(windows[x], windows[y]): c
+                    for x, degrees in enumerate(_degrees(table))
+                    for y, c in degrees.items()}
             bad = [p for p in got.keys() | want.keys()
                    if got.get(p) != want.get(p)]
             pairs += len(table.rows) ** 2
-            if bad:
-                x, y = min(bad)
+            if bad:  # the windows are in order, as are their positions
+                x, y = map(windows.index, min(bad))
                 problems.append(
                     f'({n},{k}): {len(bad)} pairs differ, '
                     f'first x={table.words[x]} y={table.words[y]}'

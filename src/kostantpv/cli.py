@@ -124,7 +124,7 @@ def _parse_perm(n: int, text: str) -> Permutation:
 
 
 def _emit_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + '\n'
+    return json.dumps(payload, sort_keys=True, indent=2, default=str) + '\n'
 
 
 def _tsv_cell(value) -> str:
@@ -264,37 +264,22 @@ def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
         map(_tsv_cell, thin)), tail), 0
 
 
-def _cup_mult_rows(ctx: MaxParContext, word: str):
-    cup = _engine('cup_diagrams')
-    try:
-        factors, _ = cup.row(ctx, word)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    label = cup.labeller(ctx)
+def _mult_rows(label, factors):
+    """The rows mult prints, from factors (y, its grade): a grade that
+    is no single term v^d is written as its text (default=str)."""
     return [{'y': label(y), 'degree': d} for y, d in factors]
 
 
-def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
-    try:
-        reps, lengths, S = _engine('klcells').held_table((ctx.k, ctx.m))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
-    i = reps.index(x.window)
-    rows = []
-    for window, length, col in zip(reps, lengths, S):
-        P = col.get(i)
-        if P is None:
-            continue
-        shift, coeffs = length - lengths[i], S.coefficients(P)
-        if sum(coeffs) == 1:  # q^d: the fill's coefficients are >= 0
-            degree = shift - 2 * (len(coeffs) - 1)
-        else:
-            from .laurent import LaurentPolynomial
+def _cup_mult_rows(ctx: MaxParContext, word: str):
+    cup = _engine('cup_diagrams')
+    return _mult_rows(cup.labeller(ctx), cup.row(ctx, word)[0])
 
-            degree = str(LaurentPolynomial.from_q_coeffs(coeffs, shift))
-        rows.append({'y': _window_text(map(str, window), ctx.n),
-                     'degree': degree})
-    return rows
+
+def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
+    klcells = _engine('klcells')
+    table = klcells.held_table((ctx.k, ctx.m))
+    return _mult_rows(lambda window: _window_text(map(str, window), ctx.n),
+                      klcells.graded_row(table, x.window))
 
 
 def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
@@ -311,14 +296,12 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     except ValueError:
         raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}'
                          ) from None
-    agree = None
-    if engine == 'cup':
-        rows = _cup_mult_rows(ctx, word)
-    elif engine == 'kl':
-        rows = _kl_mult_rows(ctx, x)
-    else:
-        rows = _cup_mult_rows(ctx, word)
-        agree = rows == _kl_mult_rows(ctx, x)
+    try:  # past an engine's ceiling
+        rows = (_kl_mult_rows(ctx, x) if engine == 'kl'
+                else _cup_mult_rows(ctx, word))
+        agree = rows == _kl_mult_rows(ctx, x) if engine == 'both' else None
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     payload = {
         'context': {'n': n, 'k': k, 'x': str(x), 'engine': engine},
         'rows': rows,

@@ -1,17 +1,15 @@
 """
-The index of the shortest coset reps W^J, and of the whole of S_n.
+The index of the whole of S_n, with its Bruhat order.
 
-Everything that iterates over many permutations (Kazhdan-Lusztig
-tables, cell graphs, brute-force classifier sweeps) works on integer
-positions among the reps W^J of a parabolic subgroup W_J rather than on
-Permutation objects.  coset_index(parts) is the one builder of that
-index: the windows of the reps in window order (coset_windows), their
-positions, their lengths and the right action of the simple
-reflections.  GroupIndex(n) is its case J empty, parts 1^n, whose reps
-are the whole group in lexicographic window order, so indices are
-deterministic across runs and processes; it adds what only the whole
+Everything that iterates over many permutations works on integer
+positions among the shortest coset reps W^J of a parabolic subgroup W_J
+rather than on Permutation objects, from klcells.coset_index, the one
+builder of that index.  GroupIndex(n) is its case J empty, parts 1^n:
+the whole group in lexicographic window order, so indices are
+deterministic across runs and processes.  It adds what only the whole
 group has: inverses, the left action and the Bruhat order, as numpy
-arrays.  No command builds it; the tests do, and load numpy.
+arrays.  No command builds it or loads this module; the tests do, and
+load numpy.
 
 Ranks up to n = 8 are supported; the full pairwise Bruhat matrix is
 only materialized for n <= 7 (it is quadratic in n!).
@@ -20,29 +18,12 @@ only materialized for n <= 7 (it is quadratic in n!).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from operator import gt
 
 from . import _kernels
-from .permutations import Permutation, _raw, coset_windows
+from .klcells import coset_index
+from .permutations import Permutation, _raw
 
 MAX_N = 8
-
-
-def coset_index(parts) -> tuple:
-    """(windows, at, lengths, mul) over the shortest reps of the
-    composition parts, as lists: their windows (coset_windows),
-    at[window], the position of a window, lengths[i], the inversion
-    count of rep i, and mul[s][i], the position of rep i times s_{s+1}
-    on the right (its positions s, s + 1 swapped), or -1 where that is
-    no rep."""
-    windows = coset_windows(parts)
-    n = len(windows[0])
-    at = dict(zip(windows, range(len(windows))))
-    lengths = [sum(sum(map(gt, w, w[i:])) for i in range(1, n))
-               for w in windows]
-    mul = [[at.get(w[:s] + (w[s + 1], w[s]) + w[s + 2:], -1)
-            for w in windows] for s in range(n - 1)]
-    return windows, at, lengths, mul
 
 
 class GroupIndex:

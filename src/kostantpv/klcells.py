@@ -9,10 +9,10 @@ sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x if
 xs < x, and to -v m_x if xs is not a rep.  It returns the nonzero
 entries alone, column by column, each a polynomial in the classical
 variable q packed into one int (Table.coefficients unpacks it),
-indexed by position among the reps in groupindex.coset_index, the one
-index of W^J, built once per fill; its windows and lengths come with
-the table.  With J empty the reps are the whole group, in lexicographic
-window order (whole_group(n), the index GroupIndex(n) is built on), and
+indexed by position among the reps in coset_index, the one index of
+W^J, built once per fill; its windows and lengths come with the table.
+With J empty the reps are the whole group, in lexicographic window
+order (whole_group(n), the index GroupIndex(n) is built on), and
 
     kl_table(n)[w][x] = P_{x,w},
 
@@ -35,8 +35,9 @@ term, which the literature leaves implicit; it is taken here because
 without it S_3 already gives a negative coefficient, impossible for a
 composition-series count.  With that shift the parabolic multiplicity
 of L_y in the parabolic Verma at w is v^{l(y)-l(w)} S[y][w](v^{-2}).
-These are LaurentPolynomials, and laurent is imported only when one
-is asked for: no command's table path needs it.
+grade crosses it for one packed entry, graded_row for the row mult
+prints: the int d for a single term v^d, else a LaurentPolynomial,
+with laurent imported only then; no command's table path needs it.
 
 Cells are decided through RSK: two elements share a right cell iff
 they share the insertion tableau, and a left cell iff they share the
@@ -54,21 +55,21 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import gt
 
 from . import _kernels
-from .groupindex import coset_index
 from .permutations import (
     Permutation,
+    coset_windows,
     is_shortest_coset_rep,
     subgroup_elements,
 )
 from .tableaux import rsk
 
 __all__ = [
-    'kl_table', 'parabolic_table', 'held_table', 'kl_polynomial',
-    'verma_multiplicity', 'parabolic_verma_multiplicity',
-    'rsk',
-    'is_small_cell_member',
+    'coset_index', 'kl_table', 'parabolic_table', 'held_table', 'grade',
+    'graded_row', 'kl_polynomial', 'verma_multiplicity',
+    'parabolic_verma_multiplicity', 'rsk', 'is_small_cell_member',
 ]
 
 # parabolic_table refuses R (R + 1) ncoef over MAX_FILL_BYTES, for R
@@ -88,6 +89,23 @@ def _fill_cost(parts) -> tuple:
     count = math.factorial(n) // math.prod(map(math.factorial, parts))
     ncoef = (math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)) // 2 + 1
     return count, ncoef, count * (count + 1) * ncoef
+
+
+def coset_index(parts) -> tuple:
+    """(windows, at, lengths, mul) over the shortest reps of the
+    composition parts, as lists: their windows (coset_windows),
+    at[window], the position of a window, lengths[i], the inversion
+    count of rep i, and mul[s][i], the position of rep i times s_{s+1}
+    on the right (its positions s, s + 1 swapped), or -1 where that is
+    no rep."""
+    windows = coset_windows(parts)
+    n = len(windows[0])
+    at = dict(zip(windows, range(len(windows))))
+    lengths = [sum(sum(map(gt, w, w[i:])) for i in range(1, n))
+               for w in windows]
+    mul = [[at.get(w[:s] + (w[s + 1], w[s]) + w[s + 2:], -1)
+            for w in windows] for s in range(n - 1)]
+    return windows, at, lengths, mul
 
 
 def parabolic_table(parts) -> tuple:
@@ -127,6 +145,27 @@ def held_table(parts) -> tuple:
             del _HELD_TABLES[next(iter(_HELD_TABLES))]
     _HELD_TABLES[parts] = table
     return table
+
+
+def grade(P, shift: int):
+    """v^shift P(v^-2) for the packed entry P of a table: the int d
+    where that is the single term v^d, else a LaurentPolynomial in v."""
+    coeffs = _kernels.Table.coefficients(P)
+    if sum(coeffs) == 1:  # q^d: the fill's coefficients are >= 0
+        return shift - 2 * (len(coeffs) - 1)
+    from .laurent import LaurentPolynomial
+    return LaurentPolynomial.from_q_coeffs(coeffs, shift)
+
+
+def graded_row(table, window) -> list:
+    """The graded factors of the parabolic Verma at the rep x of window,
+    from a (windows, lengths, S) of parabolic_table or held_table: (the
+    window of y, grade(S[y][x], l(y) - l(x))) for each y with a nonzero
+    sum, in window order."""
+    windows, lengths, S = table
+    x = windows.index(window)
+    return [(y, grade(col[x], length - lengths[x]))
+            for y, length, col in zip(windows, lengths, S) if x in col]
 
 
 @lru_cache(maxsize=None)

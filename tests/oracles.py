@@ -9,7 +9,7 @@ package keeps one path per computation:
   (enumerate_shortest_reps) and as group indices (coset_reps), against
   permutations.coset_windows;
 - the Lehmer-code rank of a window (rank), against the positions of
-  groupindex.coset_index, and products of group indices (mul);
+  klcells.coset_index, and products of group indices (mul);
 - the per-column KL fill of S_n on the Bruhat matrix, by left descents
   (kl_fill_by_column), and the parabolic alternating sum taken from the
   whole-group KL table (parabolic_sums), against the fill of

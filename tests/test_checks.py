@@ -77,10 +77,8 @@ def test_cross_oracle_builds_no_group_index_and_no_kl_table(monkeypatch):
 
 def test_cross_oracle_builds_one_coset_index_per_fill(monkeypatch):
     # the lengths come with the table: every coset_index call lists its
-    # windows through groupindex.coset_windows
-    from kostantpv import _kernels
-
-    real_windows, real_fill = groupindex.coset_windows, _kernels.kl_fill
+    # windows through klcells.coset_windows
+    real_windows, real_fill = klcells.coset_windows, _kernels.kl_fill
     index, fills = [], []
 
     def listing(parts):
@@ -91,7 +89,7 @@ def test_cross_oracle_builds_one_coset_index_per_fill(monkeypatch):
         fills.append(len(args[0]))
         return real_fill(*args)
 
-    monkeypatch.setattr(groupindex, 'coset_windows', listing)
+    monkeypatch.setattr(klcells, 'coset_windows', listing)
     monkeypatch.setattr(_kernels, 'kl_fill', fill)
     ok, detail = checks.check_cross_oracle(6)
     assert ok, detail

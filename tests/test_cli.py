@@ -388,8 +388,7 @@ def test_cold_kl_request_leaves_out_numpy_ma():
 # The kostantpv modules every command loads: the package itself loads
 # permutations.
 BASE = {'kostantpv', 'kostantpv.cli', 'kostantpv.permutations'}
-KL_STACK = {'kostantpv.klcells', 'kostantpv.groupindex', 'kostantpv._kernels',
-            'kostantpv.tableaux'}
+KL_STACK = {'kostantpv.klcells', 'kostantpv._kernels', 'kostantpv.tableaux'}
 
 
 def test_cli_import_leaves_out_checks_and_numpy_ma():
@@ -427,6 +426,8 @@ def test_each_command_loads_only_its_engine(args, engine):
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         f'    assert main({list(args)!r}) == 0')
     assert {m for m in loaded if m.startswith('kostantpv')} == BASE | engine
+    # the whole-group index is the tests' alone
+    assert 'kostantpv.groupindex' not in loaded
     assert 'numpy' not in loaded
 
 
@@ -755,10 +756,10 @@ def test_one_parser_serves_a_bad_request_then_a_good_one():
 def test_kl_requests_build_one_coset_index_per_fill(monkeypatch):
     # classify min:/comp: and mult --engine kl read the windows and
     # lengths of the table's own index: every coset_index call lists its
-    # windows through groupindex.coset_windows
-    from kostantpv import _kernels, compositions, groupindex
+    # windows through klcells.coset_windows
+    from kostantpv import _kernels, compositions
 
-    real_windows, real_fill = groupindex.coset_windows, _kernels.kl_fill
+    real_windows, real_fill = klcells.coset_windows, _kernels.kl_fill
     index, fills = [], []
 
     def listing(parts):
@@ -769,7 +770,7 @@ def test_kl_requests_build_one_coset_index_per_fill(monkeypatch):
         fills.append(len(args[0]))
         return real_fill(*args)
 
-    monkeypatch.setattr(groupindex, 'coset_windows', listing)
+    monkeypatch.setattr(klcells, 'coset_windows', listing)
     monkeypatch.setattr(_kernels, 'kl_fill', fill)
     klcells._HELD_TABLES.clear()
     compositions._thin.cache_clear()
@@ -820,3 +821,22 @@ if __name__ == '__main__':
         {' '.join(a): _stdout_digest(a)
          for a in golden_invocations()},
         indent=1, sort_keys=True) + '\n')
+
+
+def test_kl_mult_writes_a_polynomial_grade_as_its_text(monkeypatch):
+    # no golden reaches a grade of more than one term: a maximal
+    # parabolic's multiplicities are single powers of v
+    from kostantpv.laurent import LaurentPolynomial
+
+    grade = LaurentPolynomial.from_q_coeffs((1, 1), 4)
+    monkeypatch.setattr(klcells, 'graded_row',
+                        lambda table, window: [(window, grade)])
+    args = ('mult', '--n', '4', '--k', '2', '--x', '1324', '--engine', 'kl')
+    code, out = run_main(*args, '--format', 'json')
+    assert code == 0
+    assert json.loads(out)['rows'] == [{'y': '1324', 'degree': 'v^2 + v^4'}]
+    assert run_main(*args, '--format', 'tsv') == (
+        0, '# y\tdegree\n1324\tv^2 + v^4\n')
+    code, out = run_main('mult', '--n', '4', '--k', '2', '--x', '1324',
+                         '--engine', 'both', '--format', 'tsv')
+    assert code == 1 and out.endswith('# agree\tfalse\n')

@@ -28,8 +28,8 @@ from kostantpv.checks import (
     _kl_table_problems,
 )
 from kostantpv.compositions import Composition
-from kostantpv.groupindex import GroupIndex, coset_index, group_index
-from kostantpv.klcells import kl_table, parabolic_table
+from kostantpv.groupindex import GroupIndex, group_index
+from kostantpv.klcells import coset_index, kl_table, parabolic_table
 from kostantpv.permutations import bruhat_leq, coset_windows
 from oracles import (
     coset_reps,

@@ -10,6 +10,7 @@ import pytest
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
 from kostantpv import klcells
+from kostantpv._kernels import BITS
 from kostantpv.klcells import (
     held_table,
     is_small_cell_member,
@@ -103,12 +104,10 @@ def test_table_ceiling():
 
 
 def test_parabolic_table_refuses_before_listing_a_window(monkeypatch):
-    from kostantpv import groupindex
-
     def refuse(parts):
         raise AssertionError(f'listed the reps of {parts}')
 
-    monkeypatch.setattr(groupindex, 'coset_windows', refuse)
+    monkeypatch.setattr(klcells, 'coset_windows', refuse)
     # S_7, 5,3,2 (2,520 reps, 16 coefficients) and 1,2519 (2,520 reps
     # of length up to 2,519)
     for parts in ((1,) * 7, (5, 3, 2), (1, 2519)):
@@ -121,10 +120,8 @@ def test_parabolic_table_refuses_before_listing_a_window(monkeypatch):
 
 def test_parabolic_table_builds_one_coset_index(monkeypatch):
     # every coset_index call lists its windows through
-    # groupindex.coset_windows, whatever module imported coset_index
-    from kostantpv import groupindex
-
-    real = groupindex.coset_windows
+    # klcells.coset_windows
+    real = klcells.coset_windows
     calls = []
 
     def listing(parts):
@@ -132,13 +129,40 @@ def test_parabolic_table_builds_one_coset_index(monkeypatch):
         return real(parts)
 
     for parts in ((1,), (2, 1), (1, 2, 1, 2), (3, 3), (1,) * 5):
-        want = groupindex.coset_index(parts)
-        monkeypatch.setattr(groupindex, 'coset_windows', listing)
+        want = klcells.coset_index(parts)
+        monkeypatch.setattr(klcells, 'coset_windows', listing)
         windows, lengths, _ = parabolic_table(parts)
-        monkeypatch.setattr(groupindex, 'coset_windows', real)
+        monkeypatch.setattr(klcells, 'coset_windows', real)
         assert calls == [parts]
         assert windows == want[0] and lengths == tuple(want[2])
         calls.clear()
+
+
+def test_grade_gives_an_int_for_one_term_and_a_polynomial_otherwise():
+    P, at = kl_table(4), klcells.whole_group(4)[1]
+    e = at[(1, 2, 3, 4)]
+    # P_{1234,3412} = 1 + q, four lengths apart: no golden reaches it
+    got = klcells.grade(P[at[(3, 4, 1, 2)]][e], 4)
+    assert got == LaurentPolynomial.from_q_coeffs((1, 1), 4)
+    assert str(got) == 'v^2 + v^4'
+    # P_{1234,2134} = 1, one length apart
+    got = klcells.grade(P[at[(2, 1, 3, 4)]][e], 1)
+    assert got == 1 and type(got) is int
+    # q^2 at shift 5 is v^1; 2 and 1 + q^2 are no single term
+    assert klcells.grade(1 << 2 * BITS, 5) == 1
+    assert klcells.grade(2, 0) == LaurentPolynomial.monomial(2, 0)
+    assert klcells.grade(1 | 1 << 2 * BITS, 0) == \
+        LaurentPolynomial.from_q_coeffs((1, 0, 1))
+
+
+def test_graded_row_is_the_row_mult_prints():
+    # the degrees of 1324 in the README's classify --n 4 max:2 table
+    want = [((1, 3, 2, 4), 0), ((1, 3, 4, 2), 1), ((3, 1, 2, 4), 1),
+            ((3, 1, 4, 2), 2), ((3, 4, 1, 2), 1)]
+    for table in (parabolic_table((2, 2)), held_table((2, 2))):
+        row = klcells.graded_row(table, (1, 3, 2, 4))
+        assert row == want
+        assert all(type(d) is int for _, d in row)
 
 
 def test_table_is_read_only():
