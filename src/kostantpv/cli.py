@@ -18,11 +18,13 @@ CLI holds none.  classify max:k refuses blocks with more than
 cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine cup
 rows of more than cup_diagrams.MAX_ROW_FACTORS, and cells n > MAX_CELLS_N.
 
-Each command returns its stdout as a sequence of chunks.  classify
-(max:k, min:k and comp:) and cells encode their rows a chunk at a time
-through a per-format row template, straight from windows and
-precomputed texts (per factor, per verdict, per shape), so no row
-object and no whole table of text is ever held.
+Each command is declared once, in COMMANDS, which builds the parser
+and binds the handler that main calls.  A handler returns its stdout
+as a sequence of chunks (selftest prints as it goes) and its exit
+code.  classify (max:k, min:k and comp:) and cells encode their rows a
+chunk at a time through a per-format row template, straight from
+windows and precomputed texts (per factor, per verdict, per shape), so
+no row object and no whole table of text is ever held.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ from .permutations import (
     parse_permutation,
 )
 
-# Each command imports the engine it runs, so a request loads (and,
-# when no bytecode is written, compiles) only that engine, and none
-# loads numpy: classify max:k and mult --engine cup the cup diagrams
-# alone.  The requests that take well under a millisecond (classify
-# max:k, mult, socle) reach their engines through the cached loader
-# below, not an import statement per call: in a warm process whose
-# caches went cold between requests, one import statement took 5-40 us,
-# a cached call 1-5 us.
+# Every command reaches the engines it runs through the cached loader
+# below, so a request loads (and, when no bytecode is written,
+# compiles) only those engines, and none loads numpy: classify max:k
+# and mult --engine cup the cup diagrams alone.  No function here has
+# an import statement: in a warm process whose caches went cold
+# between requests, one import statement took 5-40 us, a cached call
+# 1-5 us, and the requests of classify max:k, mult and socle take well
+# under a millisecond.
 
 
 @lru_cache(maxsize=None)
@@ -87,6 +89,9 @@ def _guard_n(n: int, n_max: int) -> None:
 
 
 def _parse_parabolic(n: int, text: str):
+    """(kind, context): the MaxParContext of max:k, the Composition of
+    the Levi of min:k and comp:.  A k out of range or a malformed part
+    raises the ValueError of the context or of Composition.from_text."""
     kind, sep, rest = text.partition(':')
     if not sep:
         raise UsageError(f'malformed parabolic descriptor {text!r}')
@@ -94,17 +99,16 @@ def _parse_parabolic(n: int, text: str):
         try:
             k = int(rest)
         except ValueError:
-            raise UsageError(f'malformed k in {text!r}') from None
-        if not 1 <= k <= n - 1:
-            raise UsageError(f'k={k} out of range 1..{n - 1}')
-        return kind, k
+            k = None
+        # int() alone would also take '1_0', '+2', ' 2' and '02'
+        if k is None or str(k) != rest:
+            raise UsageError(f'malformed k in {text!r}')
+        if kind == 'max':
+            return kind, _engine('cup_diagrams').MaxParContext(n, k)
+        return kind, _engine('compositions').Composition(
+            _engine('minimal_parabolic').MinParContext(n, k).parts)
     if kind == 'comp':
-        from .compositions import Composition
-
-        try:
-            mu = Composition.from_text(rest)
-        except ValueError as e:
-            raise UsageError(str(e)) from None
+        mu = _engine('compositions').Composition.from_text(rest)
         if mu.n != n:
             raise UsageError(
                 f'composition {rest} sums to {mu.n}, expected n={n}'
@@ -214,19 +218,15 @@ CELLS_ROW = {
 }
 
 
-def _classify_max(n: int, k: int, parabolic: str, fmt: str):
-    """The chunks of classify max:k, after the table is built (a
-    UsageError past its ceiling comes before any output)."""
+def _max_rows(ctx: MaxParContext, fmt: str):
+    """(template, columns) of the classify max:k rows, after the table
+    is built (its ValueError past the ceiling comes before any output)."""
     cup = _engine('cup_diagrams')
-    ctx = cup.MaxParContext(n, k)
-    try:
-        words, ncups, rows, thin = cup.block_table(ctx)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    words, ncups, rows, thin = cup.block_table(ctx)
     template, sep, factor = MAX_ROW[fmt]
     labels = list(map(cup.labeller(ctx), words))
     texts = [factor.format(labels[y], d) for y, d in cup.factors(ncups)]
-    columns = (
+    return template, (
         labels,
         words,
         ['Positive' if cup.is_positive_word(ctx, word) else 'Negative'
@@ -235,33 +235,27 @@ def _classify_max(n: int, k: int, parabolic: str, fmt: str):
         ncups,
         (sep.join(map(texts.__getitem__, factors)) for factors in rows),
     )
-    head, tail = _row_frame(fmt, {'n': n, 'parabolic': parabolic},
-                            CLASSIFY_HEADER)
-    return _row_chunks(head, template, columns, tail)
 
 
-def cmd_classify(n: int, parabolic: str, fmt: str, n_max: int):
+def cmd_classify(args):
     """Full classification table over the shortest coset reps."""
-    _guard_n(n, n_max)
-    kind, arg = _parse_parabolic(n, parabolic)
-    if kind == 'max':
-        return _classify_max(n, arg, parabolic, fmt), 0
-    from .compositions import Composition, classify_all
-
-    if kind == 'min':
-        from .minimal_parabolic import MinParContext
-
-        arg = Composition(MinParContext(n, arg).parts)
+    n, fmt = args.n, args.format
+    _guard_n(n, args.n_max)
     try:
-        classified = classify_all(arg)
+        kind, ctx = _parse_parabolic(n, args.parabolic)
+        if kind == 'max':
+            template, columns = _max_rows(ctx, fmt)
+        else:
+            ws, verdicts, thin = zip(
+                *_engine('compositions').classify_all(ctx))
+            template, columns = CLASSIFY_ROW[fmt], (
+                (_window_text(map(str, w), n) for w in ws), verdicts,
+                map(_tsv_cell, thin))
     except ValueError as e:
         raise UsageError(str(e)) from None
-    ws, verdicts, thin = zip(*classified)
-    head, tail = _row_frame(fmt, {'n': n, 'parabolic': parabolic},
+    head, tail = _row_frame(fmt, {'n': n, 'parabolic': args.parabolic},
                             CLASSIFY_HEADER)
-    return _row_chunks(head, CLASSIFY_ROW[fmt], (
-        (_window_text(map(str, w), n) for w in ws), verdicts,
-        map(_tsv_cell, thin)), tail), 0
+    return _row_chunks(head, template, columns, tail), 0
 
 
 def _mult_rows(label, factors):
@@ -282,19 +276,20 @@ def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
                       klcells.graded_row(table, x.window))
 
 
-def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
-                       n_max: int):
+def cmd_multiplicities(args):
     """Composition factors of one standard module, by either engine."""
-    _guard_n(n, n_max)
-    if not 1 <= k <= n - 1:
-        raise UsageError(f'k={k} out of range 1..{n - 1}')
+    n, k, engine = args.n, args.k, args.engine
+    _guard_n(n, args.n_max)
     cup = _engine('cup_diagrams')
-    ctx = cup.MaxParContext(n, k)
-    x = _parse_perm(n, x_text)
+    try:
+        ctx = cup.MaxParContext(n, k)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
+    x = _parse_perm(n, args.x)
     try:
         word = cup.phi(ctx, x).letters
     except ValueError:
-        raise UsageError(f'{x_text} is not a shortest coset rep for max:{k}'
+        raise UsageError(f'{args.x} is not a shortest coset rep for max:{k}'
                          ) from None
     try:  # past an engine's ceiling
         rows = (_kl_mult_rows(ctx, x) if engine == 'kl'
@@ -309,7 +304,7 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     if agree is not None:
         payload['agree'] = agree
     code = 1 if agree is False else 0
-    if fmt == 'json':
+    if args.format == 'json':
         return [_emit_json(payload)], code
     lines = [_emit_tsv(['y', 'degree'], rows)]
     if agree is not None:
@@ -317,49 +312,48 @@ def cmd_multiplicities(n: int, k: int, x_text: str, engine: str, fmt: str,
     return lines, code
 
 
-def cmd_socle(n: int, w_text: str, fmt: str, n_max: int):
+def cmd_socle(args):
     """Generators of the socle descriptor of one element."""
-    _guard_n(n, n_max)
-    w = _parse_perm(n, w_text)
+    n = args.n
+    _guard_n(n, args.n_max)
+    w = _parse_perm(n, args.w)
     generators = sorted(
         str(b) for b in _engine('bigrassmannian').socle_descriptor(w)
     )
-    if fmt == 'json':
+    if args.format == 'json':
         payload = {'context': {'n': n, 'w': str(w)}, 'generators': generators}
         return [_emit_json(payload)], 0
     return [_emit_tsv(['generator'],
                       [{'generator': g} for g in generators])], 0
 
 
-def cmd_cells(n: int, fmt: str, n_max: int):
+def cmd_cells(args):
     """Cell data for the whole group: shape, small and penultimate flags."""
-    _guard_n(n, n_max)
+    n = args.n
+    _guard_n(n, args.n_max)
     if n > MAX_CELLS_N:
         raise UsageError(
             'cells keeps a row for each of the n! elements of S_n, and is '
             f'kept to n <= {MAX_CELLS_N}'
         )
-    from .tableaux import window_shapes
-
     # small: the shape (n-1, 1); penultimate: w w_0 small, and w -> w w_0
     # reverses the window, which transposes the shape
     small, penultimate = (n - 1, 1), (2,) + (1,) * (n - 2)
-    template, shape_text = CELLS_ROW[fmt]
-    shapes, ids = window_shapes(n)
+    template, shape_text = CELLS_ROW[args.format]
+    shapes, ids = _engine('tableaux').window_shapes(n)
     texts = [shape_text.format(','.join(map(str, shape)), _tsv_cell(
         shape == small), _tsv_cell(shape == penultimate)) for shape in shapes]
     windows = map(_window_text, permutations(map(str, range(1, n + 1))),
                   repeat(n))
-    head, tail = _row_frame(fmt, {'n': n}, CELLS_HEADER)
+    head, tail = _row_frame(args.format, {'n': n}, CELLS_HEADER)
     return _row_chunks(head, template, (
         windows, map(texts.__getitem__, ids)), tail), 0
 
 
-def cmd_selftest(n_max: int) -> int:
+def cmd_selftest(args):
     """Run every named check up to n_max and print a scoreboard; the
     time each check took goes to stderr."""
-    from .checks import ALL_CHECKS
-
+    n_max = args.n_max
     if n_max > DEFAULT_N_MAX:
         raise UsageError(
             f'selftest is bounded at n_max={DEFAULT_N_MAX}; '
@@ -367,8 +361,9 @@ def cmd_selftest(n_max: int) -> int:
         )
     if n_max < 2:
         raise UsageError('selftest needs n_max >= 2')
+    checks = _engine('checks').ALL_CHECKS
     failures = 0
-    for name, fn in ALL_CHECKS:
+    for name, fn in checks:
         start = time.perf_counter()
         try:
             ok, detail = fn(n_max)
@@ -378,69 +373,59 @@ def cmd_selftest(n_max: int) -> int:
         print(f'{"ok  " if ok else "FAIL"} {name}: {detail}')
         if not ok:
             failures += 1
-    total = len(ALL_CHECKS)
+    total = len(checks)
     print(f'{total - failures}/{total} checks passed (n_max={n_max})')
-    return 1 if failures else 0
+    return (), 1 if failures else 0
+
+
+# (name, help, handler, the arguments the command alone takes, each
+# (flag, add_argument keywords)).  Every command but selftest also takes
+# --n first and --format and --n-max last; selftest takes --n-max alone.
+COMMANDS = (
+    ('classify', 'classification table for one parabolic', cmd_classify, (
+        ('--parabolic', {'required': True,
+                         'help': 'min:k, max:k, or comp:p1,p2,...'}),
+    )),
+    ('mult', 'composition factors of a standard module', cmd_multiplicities, (
+        ('--k', {'type': int, 'required': True}),
+        ('--x', {'required': True, 'help': 'shortest coset rep'}),
+        ('--engine', {'choices': ('cup', 'kl', 'both'), 'default': 'both'}),
+    )),
+    ('socle', 'socle descriptor generators', cmd_socle, (
+        ('--w', {'required': True}),
+    )),
+    ('cells', 'cell membership data for S_n', cmd_cells, ()),
+    ('selftest', 'run the named consistency checks', cmd_selftest, None),
+)
 
 
 @lru_cache(maxsize=1)
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process: parse_args keeps no
-    state between calls."""
+    """The argument parser, built once per process from COMMANDS:
+    parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog='kostantpv',
         description='Kostant positivity of parabolic Verma modules for sl_n.',
     )
     sub = parser.add_subparsers(dest='command', required=True)
-
-    p = sub.add_parser('classify', help='classification table for one parabolic')
-    p.add_argument('--n', type=int, required=True)
-    p.add_argument('--parabolic', required=True,
-                   help='min:k, max:k, or comp:p1,p2,...')
-    p.add_argument('--format', choices=('json', 'tsv'), default='json')
-    p.add_argument('--n-max', type=int, default=DEFAULT_N_MAX)
-
-    p = sub.add_parser('mult', help='composition factors of a standard module')
-    p.add_argument('--n', type=int, required=True)
-    p.add_argument('--k', type=int, required=True)
-    p.add_argument('--x', required=True, help='shortest coset rep')
-    p.add_argument('--engine', choices=('cup', 'kl', 'both'), default='both')
-    p.add_argument('--format', choices=('json', 'tsv'), default='json')
-    p.add_argument('--n-max', type=int, default=DEFAULT_N_MAX)
-
-    p = sub.add_parser('socle', help='socle descriptor generators')
-    p.add_argument('--n', type=int, required=True)
-    p.add_argument('--w', required=True)
-    p.add_argument('--format', choices=('json', 'tsv'), default='json')
-    p.add_argument('--n-max', type=int, default=DEFAULT_N_MAX)
-
-    p = sub.add_parser('cells', help='cell membership data for S_n')
-    p.add_argument('--n', type=int, required=True)
-    p.add_argument('--format', choices=('json', 'tsv'), default='json')
-    p.add_argument('--n-max', type=int, default=DEFAULT_N_MAX)
-
-    p = sub.add_parser('selftest', help='run the named consistency checks')
-    p.add_argument('--n-max', type=int, default=5)
-
+    for name, help_text, run, own in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        if own is None:
+            p.add_argument('--n-max', type=int, default=5)
+            continue
+        p.add_argument('--n', type=int, required=True)
+        for flag, options in own:
+            p.add_argument(flag, **options)
+        p.add_argument('--format', choices=('json', 'tsv'), default='json')
+        p.add_argument('--n-max', type=int, default=DEFAULT_N_MAX)
     return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == 'classify':
-            out, code = cmd_classify(args.n, args.parabolic, args.format,
-                                     args.n_max)
-        elif args.command == 'mult':
-            out, code = cmd_multiplicities(args.n, args.k, args.x,
-                                           args.engine, args.format,
-                                           args.n_max)
-        elif args.command == 'socle':
-            out, code = cmd_socle(args.n, args.w, args.format, args.n_max)
-        elif args.command == 'cells':
-            out, code = cmd_cells(args.n, args.format, args.n_max)
-        else:
-            return cmd_selftest(args.n_max)
+        out, code = args.run(args)
     except UsageError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2

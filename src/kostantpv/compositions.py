@@ -63,10 +63,15 @@ class Composition(namedtuple('Composition', 'parts')):
 
     @classmethod
     def from_text(cls, text: str) -> 'Composition':
+        """The composition whose to_text is text: int() alone would also
+        take parts such as '1_0', '+2', ' 2' and '02'."""
         try:
-            return cls(tuple(int(p) for p in text.split(',')))
+            mu = cls(tuple(int(p) for p in text.split(',')))
         except ValueError:
-            raise ValueError(f'malformed composition text: {text!r}') from None
+            mu = None
+        if mu is None or mu.to_text() != text:
+            raise ValueError(f'malformed composition text: {text!r}')
+        return mu
 
     def to_text(self) -> str:
         return ','.join(str(p) for p in self.parts)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import os
 import pathlib
 import random
 import re
@@ -181,6 +182,32 @@ def test_usage_errors():
         assert proc.returncode == 2, args
         assert proc.stderr.startswith('error:'), args
         assert proc.stdout == ''
+    # the whole of stderr: a k out of range is the contexts' own error,
+    # and k and each part are canonical decimals (int() alone would run
+    # max:1_0 as max:10 and comp:2,+2 as comp:2,2)
+    warning = ('warning: n limit raised to 12; runs beyond n=8 can take '
+               'very long and use much memory\n')
+    for args, stderr in (
+        (('classify', '--n', '4', '--parabolic', 'max:4'),
+         'error: k=4 out of range 1..3\n'),
+        (('classify', '--n', '4', '--parabolic', 'min:0'),
+         'error: k=0 out of range 1..3\n'),
+        (('mult', '--n', '4', '--k', '5', '--x', '1234'),
+         'error: k=5 out of range 1..3\n'),
+        (('classify', '--n', '12', '--parabolic', 'max:1_0', '--n-max', '12'),
+         warning + "error: malformed k in 'max:1_0'\n"),
+        (('classify', '--n', '4', '--parabolic', 'min:02'),
+         "error: malformed k in 'min:02'\n"),
+        (('classify', '--n', '4', '--parabolic', 'comp:2,+2'),
+         "error: malformed composition text: '2,+2'\n"),
+        (('classify', '--n', '4', '--parabolic', 'comp: 2,2'),
+         "error: malformed composition text: ' 2,2'\n"),
+        (('classify', '--n', '3', '--parabolic', 'comp:1, 2'),
+         "error: malformed composition text: '1, 2'\n"),
+    ):
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, '', stderr), args
     # the 3,432 reps of max:7 at n = 14; the raised --n-max warns first
     proc = run_cli('mult', '--n', '14', '--k', '7', '--x', IDENTITY_14,
                    '--engine', 'kl', '--n-max', '14')
@@ -449,12 +476,16 @@ def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):
 
 
 def test_repeat_requests_run_no_import_statement(monkeypatch):
-    # classify max:k, mult and socle reach their engines through cached
-    # loaders, so once the engine is loaded a request imports nothing.
+    # every command reaches its engines through the cached loader, so
+    # once they are loaded a request imports nothing.
     import builtins
 
     requests = (
         ('classify', '--n', '6', '--parabolic', 'max:3', '--format', 'tsv'),
+        ('classify', '--n', '5', '--parabolic', 'min:2', '--format', 'tsv'),
+        ('classify', '--n', '5', '--parabolic', 'comp:2,1,2',
+         '--format', 'json'),
+        ('cells', '--n', '5', '--format', 'tsv'),
         ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both',
          '--format', 'json'),
         ('socle', '--n', '6', '--w', '134625', '--format', 'json'),
@@ -497,7 +528,7 @@ def test_selftest_small():
 # space, the socle and cells ones before the second kernel path and
 # the grading and cell-side switches were removed, the selftest ones before
 # four checks moved onto the production tables, and cells at n = 8,
-# comp:9,1 at n = 10 and comp:1, 2 before cells and classify min:/comp:
+# comp:9,1 at n = 10 before cells and classify min:/comp:
 # were encoded from texts.  Regenerate (only for a
 # deliberate output change) with
 #   PYTHONPATH=src python tests/test_cli.py
@@ -581,8 +612,7 @@ WIDE_MULT = ((7, 3), (8, 4), (10, 5), (12, 6))
 def wide_kl_golden_invocations():
     """Past n = 6, where the KL paths used to stop: every classify min:k
     at n = 7 and classify comp:2,2,3, comp:3,4 (n = 7), comp:4,4 (n = 8)
-    and comp:9,1 (n = 10, bracket windows), in both formats, comp:1, 2
-    as typed (the context echoes the text unchanged), and two-engine
+    and comp:9,1 (n = 10, bracket windows), in both formats, and two-engine
     multiplicities of the middle rep of max:k at WIDE_MULT.  The min:k
     digests were recorded from the minimal theorem's verdicts
     (is_kostant_positive_minimal)."""
@@ -596,8 +626,6 @@ def wide_kl_golden_invocations():
                         f'comp:{mu}', '--format', fmt))
         out.append(('classify', '--n', '10', '--parabolic', 'comp:9,1',
                     '--format', fmt, '--n-max', '10'))
-    out.append(('classify', '--n', '3', '--parabolic', 'comp:1, 2',
-                '--format', 'json'))
     for n, k in WIDE_MULT:
         reps = _three_reps(n, k)
         out.append(('mult', '--n', str(n), '--k', str(k),
@@ -751,6 +779,36 @@ def test_one_parser_serves_a_bad_request_then_a_good_one():
     assert exc.value.code == 2
     assert _stdout_digest(args) == _goldens()[' '.join(args)]
     assert cli._build_parser() is cli._build_parser()
+
+
+# sha256 of `kostantpv [command] --help` at 80 columns, as Python 3.11's
+# argparse lays it out, recorded while each command's arguments were
+# still written out one add_argument call at a time
+HELP_DIGESTS = {
+    '': '47fec3129f93c43fe70f73513ee135a83835e39439cd8ba8e5b24d69a0badc74',
+    'classify':
+        'f055693fad3ff4030f31ea7dd8ac5ff78d043e506a65b8aee2f1e454f23c4bb4',
+    'mult': '70ec6b6d31ab532cb13736fda9ce98832b52b7c35508ece2b5f0f8817ac4783f',
+    'socle': '195244c5e0e77a0d2bad1f37adc7616d288ea1ea4c20ea53919bb2d312a3cb29',
+    'cells': '2f706304b04b65cb193cd8ad70b973b5dbd67e8dfe39fcf6f38fba6d8229c4aa',
+    'selftest':
+        'b6e94a6aae190a5712e40b8a2a6666e170d5eefe087a0e16cadece7c9dff4844',
+}
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="the digests are of Python 3.11's argparse layout")
+def test_help_texts_keep_every_argument_in_order():
+    for command, want in HELP_DIGESTS.items():
+        proc = subprocess.run(
+            [sys.executable, '-m', 'kostantpv.cli', *filter(None, [command]),
+             '--help'],
+            capture_output=True, text=True,
+            env={**os.environ, 'COLUMNS': '80'},
+        )
+        assert (proc.returncode, proc.stderr) == (0, ''), command
+        assert hashlib.sha256(proc.stdout.encode()).hexdigest() == want, (
+            command)
 
 
 def test_kl_requests_build_one_coset_index_per_fill(monkeypatch):

@@ -46,6 +46,11 @@ def test_composition_basics():
         Composition(())
     with pytest.raises(ValueError):
         Composition.from_text('2,,1')
+    # only the text that to_text writes: int() alone takes each of these
+    for text in ('2,+1,3,2', ' 2,1,3,2', '2, 1,3,2', '02,1,3,2', '2,1,3,2 ',
+                 '2,1_0'):
+        with pytest.raises(ValueError, match='malformed composition text'):
+            Composition.from_text(text)
 
 
 def test_similarity():
