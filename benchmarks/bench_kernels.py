@@ -87,7 +87,6 @@ from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import (
     MAX_ROW_FACTORS,
     MaxParContext,
-    WeightWord,
     block_table,
     d_of,
     factors,
@@ -265,9 +264,9 @@ def bench_cup_block(n, k, repeat):
     label = labeller(ctx)
     rng = random.Random(n)
     for y in rng.sample(range(len(table.words)), 3):
-        diagram = d_of(WeightWord(table.words[y])).diagram
+        diagram = d_of(table.words[y]).diagram
         for x, word in enumerate(table.words):
-            ocd = orient(diagram, WeightWord(word))
+            ocd = orient(diagram, word)
             got = [d for y2, d in map(pairs.__getitem__, table.rows[x])
                    if y2 == y]
             if got != ([] if ocd is None else [ocd.degree]):

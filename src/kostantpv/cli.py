@@ -16,7 +16,8 @@ counted from the parts alone; mult reads its table from
 klcells.held_table, which keeps tables within that bound in all, so the
 CLI holds none.  classify max:k refuses blocks with more than
 cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine cup
-rows of more than cup_diagrams.MAX_ROW_FACTORS, and cells n > MAX_CELLS_N.
+rows of more than cup_diagrams.MAX_ROW_FACTORS, cells n > MAX_CELLS_N
+and socle n > MAX_SOCLE_N.
 
 Each command is declared once, in COMMANDS, which builds the parser
 and binds the handler that main calls.  A handler returns its stdout
@@ -66,6 +67,15 @@ DEFAULT_N_MAX = 8
 # 0.56-0.76 s and 25-56 MiB as JSON (2-core x86, 3-4 runs each); n = 10
 # has ten times the rows.
 MAX_CELLS_N = 9
+
+# socle writes a generator, an n-window, per essential box of w: up to
+# n^2 / 8 of them, at the zigzag window h+1, h-1, h+3, h-3, ..., n-1, 1,
+# n, 2, n-2, 4, ... (h = n / 2), the most a search over small n found;
+# a random window has about n^2 / 36.  At n = 432 that window took
+# 3.0-3.4 s and a 264 MiB peak as JSON or TSV, within classify --n 18
+# max:9 (4.8-5.7 s, 269 MiB); n = 440 took 282 MiB, n = 500 439 MiB
+# (2-core x86, fresh processes).
+MAX_SOCLE_N = 432
 
 
 class UsageError(Exception):
@@ -287,7 +297,7 @@ def cmd_multiplicities(args):
         raise UsageError(str(e)) from None
     x = _parse_perm(n, args.x)
     try:
-        word = cup.phi(ctx, x).letters
+        word = cup.phi(ctx, x)
     except ValueError:
         raise UsageError(f'{args.x} is not a shortest coset rep for max:{k}'
                          ) from None
@@ -316,6 +326,11 @@ def cmd_socle(args):
     """Generators of the socle descriptor of one element."""
     n = args.n
     _guard_n(n, args.n_max)
+    if n > MAX_SOCLE_N:
+        raise UsageError(
+            'socle lists up to n^2/8 generators of n values each, and is '
+            f'kept to n <= {MAX_SOCLE_N}'
+        )
     w = _parse_perm(n, args.w)
     generators = sorted(
         str(b) for b in _engine('bigrassmannian').socle_descriptor(w)

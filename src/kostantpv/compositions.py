@@ -39,8 +39,6 @@ from .permutations import (
     Permutation,
     _raw,
     is_shortest_coset_rep,
-    longest_element,
-    longest_element_parabolic,
 )
 from .tableaux import inverse_rsk, rsk, standard_tableaux
 
@@ -113,13 +111,12 @@ def positive_sufficient(mu: Composition, w: Permutation) -> bool:
 def _quotient_cell(mu: Composition) -> tuple:
     """Windows of the right cell containing w_0^mu w_0, in window order.
 
+    w_0^mu w_0 has the blocks of mu in reverse order, each increasing.
     The cell is the elements sharing its insertion tableau P, one for
     each standard tableau Q of the shape of P: each pair (P, Q) is
     mapped back to its window by inverse row insertion.
     """
-    n = mu.n
-    w0_mu = longest_element_parabolic(n, mu.simple_reflections())
-    pair = rsk(w0_mu * longest_element(n))
+    pair = rsk(_raw(sum(reversed(mu.blocks()), ())))
     return tuple(sorted(
         inverse_rsk(pair.insertion, q) for q in standard_tableaux(pair.shape)
     ))

@@ -27,16 +27,20 @@ governed by the contiguity sets Y below.  The answer to Kostant's
 problem is positive for w iff Phi(w) lies in Y -- except at k = 1,
 n-1, or n/2, where only the two flip-2 words survive.
 
+A word is a plain str of its letters, like '^^vv': the letter at
+position p is word[p - 1].  phi returns one, and phi_inverse and in_Y
+refuse any word that is not one of the block's.
+
 The fast paths work on the letters and bit masks of words, in plain
 Python ints and lists: graded_multiplicity caps Phi(y) against Phi(x),
 row walks the factors of one x from its word, and the classifier fills
-the rows of every x in index space (block_table).  The word and diagram
-objects, with d_of and the exhaustive enumeration, are the reference
-these are tested against, with orient (one diagram decorated by one
-word), which the tests keep in tests/oracles.py.
+the rows of every x in index space (block_table).  The diagram objects,
+with d_of and the exhaustive enumeration, are the reference these are
+tested against, with orient (one diagram decorated by one word), which
+the tests keep in tests/oracles.py.
 
-Text forms: a word is a string like '^^vv'; a diagram is
-'cups=(1,4),(2,3);strands=5,6' with cups sorted by left endpoint.
+Text form of a diagram: 'cups=(1,4),(2,3);strands=5,6', with cups
+sorted by left endpoint.
 """
 
 from __future__ import annotations
@@ -56,41 +60,6 @@ VEE = 'v'
 # position p is bit p - 1
 _BITS = str.maketrans({WEDGE: '1', VEE: '0'})
 _LETTERS = str.maketrans({'1': WEDGE, '0': VEE})
-
-
-class WeightWord(namedtuple('WeightWord', 'letters')):
-    """A word in {^, v} with at least one letter of each kind.
-
-    >>> WeightWord('^v^v').k
-    2
-    >>> str(WeightWord('^v^v'))
-    '^v^v'
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, letters: str):
-        if not set(letters) <= {WEDGE, VEE}:
-            raise ValueError(f'word must use only ^ and v: {letters!r}')
-        k = letters.count(WEDGE)
-        if not 1 <= k <= len(letters) - 1:
-            raise ValueError(f'need 1 <= #wedges <= n-1 in {letters!r}')
-        return super().__new__(cls, letters)
-
-    @property
-    def n(self) -> int:
-        return len(self.letters)
-
-    @property
-    def k(self) -> int:
-        return self.letters.count(WEDGE)
-
-    def __getitem__(self, p: int) -> str:
-        """Letter at 1-based position p."""
-        return self.letters[p - 1]
-
-    def __str__(self) -> str:
-        return self.letters
 
 
 class CupDiagram(namedtuple('CupDiagram', 'cups strands n')):
@@ -128,7 +97,8 @@ class CupDiagram(namedtuple('CupDiagram', 'cups strands n')):
 
 
 class OrientedCupDiagram(namedtuple('OrientedCupDiagram', 'diagram word')):
-    """A cup diagram decorated by a word; cups join opposite letters.
+    """A cup diagram decorated by a word of ^ and v; cups join opposite
+    letters.
 
     Need not be admissible: admissibility is about strands and is
     checked by is_admissible (enumerate_admissible, and orient in
@@ -137,11 +107,13 @@ class OrientedCupDiagram(namedtuple('OrientedCupDiagram', 'diagram word')):
 
     __slots__ = ()
 
-    def __new__(cls, diagram: CupDiagram, word: WeightWord):
-        if diagram.n != word.n:
+    def __new__(cls, diagram: CupDiagram, word: str):
+        if diagram.n != len(word):
             raise ValueError('diagram and word sizes differ')
+        if not set(word) <= {WEDGE, VEE}:
+            raise ValueError(f'word must use only ^ and v: {word!r}')
         for a, b in diagram.cups:
-            if word[a] == word[b]:
+            if word[a - 1] == word[b - 1]:
                 raise ValueError(
                     f'cup ({a}, {b}) joins equal letters in {word}'
                 )
@@ -151,7 +123,7 @@ class OrientedCupDiagram(namedtuple('OrientedCupDiagram', 'diagram word')):
     def degree(self) -> int:
         """Number of clockwise cups (wedge at the left end)."""
         return sum(
-            1 for a, _ in self.diagram.cups if self.word[a] == WEDGE
+            1 for a, _ in self.diagram.cups if self.word[a - 1] == WEDGE
         )
 
     def is_admissible(self) -> bool:
@@ -159,7 +131,7 @@ class OrientedCupDiagram(namedtuple('OrientedCupDiagram', 'diagram word')):
         strands = sorted(self.diagram.strands)
         seen_vee = False
         for p in strands:
-            if self.word[p] == VEE:
+            if self.word[p - 1] == VEE:
                 seen_vee = True
             elif seen_vee:
                 return False
@@ -200,50 +172,50 @@ def _words(ctx: MaxParContext) -> tuple:
     return tuple(out)
 
 
-def enumerate_words(ctx: MaxParContext) -> frozenset:
-    """All C(n, k) words with k wedges."""
-    return frozenset(WeightWord(word) for word in _words(ctx))
+def _check_word(ctx: MaxParContext, word: str) -> None:
+    """ValueError unless word is one of the block's: n letters, k of
+    them ^ and the other n - k v."""
+    counts = len(word), word.count(WEDGE), word.count(VEE)
+    if counts != (ctx.n, ctx.k, ctx.m):
+        raise ValueError(
+            f'{word!r} is not a word of the (n,k)=({ctx.n},{ctx.k}) block')
 
 
-def phi(ctx: MaxParContext, w: Permutation) -> WeightWord:
+def phi(ctx: MaxParContext, w: Permutation) -> str:
     """Transport of the dominant word along w: letter p is dominant
     letter number w(p).
 
-    >>> str(phi(MaxParContext(4, 2), Permutation('1324')))
+    >>> phi(MaxParContext(4, 2), Permutation('1324'))
     '^v^v'
-    >>> str(phi(MaxParContext(4, 2), Permutation('3412')))
+    >>> phi(MaxParContext(4, 2), Permutation('3412'))
     'vv^^'
     """
     if w.n != ctx.n:
         raise ValueError(f'{w} has rank {w.n}, context has {ctx.n}')
     if not is_shortest_coset_rep(w, ctx.J):
         raise ValueError(f'{w} is not a shortest rep for the maximal parabolic')
-    return WeightWord(''.join(WEDGE if v <= ctx.k else VEE for v in w.window))
+    return ''.join(WEDGE if v <= ctx.k else VEE for v in w.window)
 
 
-def phi_inverse(ctx: MaxParContext, word: WeightWord) -> Permutation:
+def phi_inverse(ctx: MaxParContext, word: str) -> Permutation:
     """The unique shortest rep mapping to the word under phi: the
     wedges carry 1..k from the left, the vees k + 1..n."""
-    if word.n != ctx.n or word.k != ctx.k:
-        raise ValueError(f'{word} does not belong to the (n,k)=({ctx.n},{ctx.k}) block')
+    _check_word(ctx, word)
     wedges, vees = itertools.count(1), itertools.count(ctx.k + 1)
     return _raw(tuple(
-        next(wedges) if letter == WEDGE else next(vees)
-        for letter in word.letters
+        next(wedges) if letter == WEDGE else next(vees) for letter in word
     ))
 
 
 @lru_cache(maxsize=None)
 def shortest_reps(ctx: MaxParContext) -> tuple:
     """All shortest reps of the block, in window order."""
-    return tuple(phi_inverse(ctx, WeightWord(word)) for word in _words(ctx))
+    return tuple(phi_inverse(ctx, word) for word in _words(ctx))
 
 
 def antidominant_rep(ctx: MaxParContext) -> Permutation:
     """The rep whose word is v^m ^k -- the longest shortest rep."""
-    return phi_inverse(
-        ctx, WeightWord(VEE * ctx.m + WEDGE * ctx.k)
-    )
+    return phi_inverse(ctx, VEE * ctx.m + WEDGE * ctx.k)
 
 
 def _cap(letters: str) -> tuple:
@@ -273,18 +245,18 @@ def _positions(mask: int) -> tuple:
     )
 
 
-def d_of(word: WeightWord) -> OrientedCupDiagram:
+def d_of(word: str) -> OrientedCupDiagram:
     """The unique degree-0 admissible diagram: cap adjacent v^ pairs.
 
-    >>> d_of(WeightWord('^v^v')).diagram.to_text()
+    >>> d_of('^v^v').diagram.to_text()
     'cups=(2,3);strands=1,4'
-    >>> d_of(WeightWord('vv^^vv^')).diagram.to_text()
+    >>> d_of('vv^^vv^').diagram.to_text()
     'cups=(1,4),(2,3),(6,7);strands=5'
     """
-    cups, strands = _cap(word.letters)
+    cups, strands = _cap(word)
     return OrientedCupDiagram(
         CupDiagram(frozenset(map(_positions, cups)),
-                   frozenset(_positions(strands)), word.n),
+                   frozenset(_positions(strands)), len(word)),
         word,
     )
 
@@ -334,17 +306,17 @@ def planar_diagrams(n: int) -> tuple:
     )
 
 
-def enumerate_oriented(word: WeightWord) -> frozenset:
+def enumerate_oriented(word: str) -> frozenset:
     """All planar diagrams orientable by the word (cups join opposite
     letters); admissibility not required."""
     out = set()
-    for c in planar_diagrams(word.n):
-        if all(word[a] != word[b] for a, b in c.cups):
+    for c in planar_diagrams(len(word)):
+        if all(word[a - 1] != word[b - 1] for a, b in c.cups):
             out.add(OrientedCupDiagram(c, word))
     return frozenset(out)
 
 
-def enumerate_admissible(word: WeightWord) -> frozenset:
+def enumerate_admissible(word: str) -> frozenset:
     """The admissible subset of enumerate_oriented."""
     return frozenset(
         ocd for ocd in enumerate_oriented(word) if ocd.is_admissible()
@@ -519,36 +491,32 @@ def graded_multiplicity(
 
     The diagram of d(Phi(y)) is decorated by Phi(x), in O(n) (block_table).
     """
-    word = phi(ctx, y).letters
-    turned = _mask(phi(ctx, x).letters) ^ _mask(word)
+    word = phi(ctx, y)
+    turned = _mask(phi(ctx, x)) ^ _mask(word)
     cups = [cup for cup in _cap(word)[0] if cup & turned]
     return len(cups) if sum(cups) == turned else None
 
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:
     """Exactly one composition factor of maximal a-value min(k, m)."""
-    return row(ctx, phi(ctx, w).letters)[1]
+    return row(ctx, phi(ctx, w))[1]
 
 
-def in_Y(ctx: MaxParContext, word: WeightWord) -> bool:
-    """The contiguity predicate: for k < m all vees adjacent, for
-    k > m all wedges adjacent, for k = m either way.
+def in_Y(ctx: MaxParContext, word: str) -> bool:
+    """The contiguity predicate on a word of the block: for k < m all
+    vees adjacent, for k > m all wedges adjacent, for k = m either way.
 
-    >>> in_Y(MaxParContext(5, 2), WeightWord('^vvv^'))
+    >>> in_Y(MaxParContext(5, 2), '^vvv^')
     True
-    >>> in_Y(MaxParContext(5, 2), WeightWord('v^v^v'))
+    >>> in_Y(MaxParContext(5, 2), 'v^v^v')
     False
     """
-    if word.n != ctx.n or word.k != ctx.k:
-        raise ValueError(f'{word} not in the (n,k)=({ctx.n},{ctx.k}) block')
-    return _in_Y(ctx, word.letters)
+    _check_word(ctx, word)
 
-
-def _in_Y(ctx: MaxParContext, letters: str) -> bool:
     def contiguous(letter: str) -> bool:
-        first = letters.find(letter)
-        last = letters.rfind(letter)
-        return last - first + 1 == letters.count(letter)
+        first = word.find(letter)
+        last = word.rfind(letter)
+        return last - first + 1 == word.count(letter)
 
     if ctx.k < ctx.m:
         return contiguous(VEE)
@@ -557,17 +525,17 @@ def _in_Y(ctx: MaxParContext, letters: str) -> bool:
     return contiguous(VEE) or contiguous(WEDGE)
 
 
-def is_positive_word(ctx: MaxParContext, letters: str) -> bool:
-    """is_kostant_positive_maximal of the rep whose word, one of the
-    block's, has these letters, read off the letters alone."""
+def is_positive_word(ctx: MaxParContext, word: str) -> bool:
+    """is_kostant_positive_maximal of the rep of a word of the block,
+    read off the word alone."""
     if ctx.k in (1, ctx.n - 1) or ctx.n == 2 * ctx.k:
-        return letters in (WEDGE * ctx.k + VEE * ctx.m,
-                           VEE * ctx.m + WEDGE * ctx.k)
-    return _in_Y(ctx, letters)
+        return word in (WEDGE * ctx.k + VEE * ctx.m,
+                        VEE * ctx.m + WEDGE * ctx.k)
+    return in_Y(ctx, word)
 
 
 def is_kostant_positive_maximal(ctx: MaxParContext, w: Permutation) -> bool:
     """Positive iff Phi(w) is in Y, except that for k = 1, n-1, or n/2
     only the two extreme reps are positive: e and antidominant_rep,
     whose words are ^k v^m and v^m ^k."""
-    return is_positive_word(ctx, phi(ctx, w).letters)
+    return is_positive_word(ctx, phi(ctx, w))

@@ -12,7 +12,8 @@ package keeps one path per computation:
   klcells.coset_index, and products of group indices (mul);
 - the per-column KL fill of S_n on the Bruhat matrix, by left descents
   (kl_fill_by_column), and the parabolic alternating sum taken from the
-  whole-group KL table (parabolic_sums), against the fill of
+  whole-group KL table, densely to S_6 (parabolic_sums) and sparsely
+  past it (sparse_parabolic_sums), against the fill of
   klcells.parabolic_table, laid out densely (dense_table; the cup table
   of block_table lays out as dense_degrees);
 - reduced words, against Bruhat order (the subword property) and the
@@ -36,11 +37,11 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from kostantpv._kernels import Table
 from kostantpv.compositions import Composition
 from kostantpv.cup_diagrams import (
     CupDiagram,
     OrientedCupDiagram,
-    WeightWord,
     factors,
 )
 from kostantpv.groupindex import GroupIndex, group_index
@@ -220,6 +221,51 @@ def parabolic_sums(n: int, J, reps, targets) -> np.ndarray:
     return np.tensordot(sign, terms, axes=1)
 
 
+@lru_cache(maxsize=None)
+def wide(P: int) -> int:
+    """A polynomial packed at _kernels.BITS bits a coefficient, packed
+    again at 32 bits: a signed sum of up to 2^23 such polynomials, each
+    coefficient below 2^8, has every coefficient within +-2^31, so two
+    such sums are equal ints exactly when they are equal polynomials."""
+    return sum(c << 32 * d for d, c in enumerate(Table.coefficients(P)))
+
+
+def sparse_parabolic_sums(P, windows, lengths, parts) -> dict:
+    """{w: {x: S_{x,w}}} over the shortest reps x, w of the Levi of
+    parts, by window, S_{x,w} != 0 packed by wide, with
+
+        S_{x,w} = Sum_{z in W_J} (-1)^{l(z)} P_{z x, w},
+
+    taken sparsely from P, a KL table of S_n whose position i is the
+    element with window windows[i] and length lengths[i]: each entry y
+    of the column of w is added, with sign (-1)^{l(y) - l(x)}, to the
+    rep x of W_J y, which is y's window with each block's values sorted
+    into position order.
+    """
+    cuts = list(itertools.accumulate(parts, initial=0))
+
+    def rep(y: tuple) -> tuple:
+        out = list(y)
+        for lo, hi in zip(cuts, cuts[1:]):
+            spots = [p for p, v in enumerate(y) if lo < v <= hi]
+            for p, v in zip(spots, range(lo + 1, hi + 1)):
+                out[p] = v
+        return tuple(out)
+
+    at = {w: i for i, w in enumerate(windows)}
+    reps = list(map(rep, windows))
+    signs = [1 - 2 * ((l - lengths[at[x]]) & 1)
+             for l, x in zip(lengths, reps)]
+    sums = {}
+    for w in sorted(set(reps)):
+        col = {}
+        for y, Pyw in P[at[w]].items():
+            x = reps[y]
+            col[x] = col.get(x, 0) + signs[y] * wide(Pyw)
+        sums[w] = {x: S for x, S in col.items() if S}
+    return sums
+
+
 # ---------------------------------------------------------------------------
 # Reduced words
 
@@ -377,19 +423,19 @@ def _similar_compositions(mu: Composition) -> tuple:
 # One cup diagram oriented by one word
 
 
-def orient(c: CupDiagram, word: WeightWord) -> Optional[OrientedCupDiagram]:
+def orient(c: CupDiagram, word: str) -> Optional[OrientedCupDiagram]:
     """Decorate c by the word if valid and admissible, else None.
 
     >>> from kostantpv.cup_diagrams import d_of
-    >>> c = d_of(WeightWord('^v^v')).diagram
-    >>> orient(c, WeightWord('^^vv')).degree
+    >>> c = d_of('^v^v').diagram
+    >>> orient(c, '^^vv').degree
     1
-    >>> orient(c, WeightWord('vv^^')) is None
+    >>> orient(c, 'vv^^') is None
     True
     """
-    if c.n != word.n:
+    if c.n != len(word):
         raise ValueError('diagram and word sizes differ')
-    if any(word[a] == word[b] for a, b in c.cups):
+    if any(word[a - 1] == word[b - 1] for a, b in c.cups):
         return None
     ocd = OrientedCupDiagram(c, word)
     return ocd if ocd.is_admissible() else None

@@ -361,6 +361,20 @@ def test_cells_ceiling():
     assert proc.stdout == ''
 
 
+def test_socle_ceiling():
+    # refused on n alone, before the window is read
+    proc = run_cli('socle', '--n', str(cli.MAX_SOCLE_N + 1), '--w', 'x',
+                   '--n-max', str(cli.MAX_SOCLE_N + 1))
+    assert proc.returncode == 2
+    assert 'error: socle lists' in proc.stderr
+    assert proc.stdout == ''
+    n = cli.MAX_SOCLE_N
+    proc = run_cli('socle', '--n', str(n), '--w', _bracket(range(1, n + 1)),
+                   '--n-max', str(n), '--format', 'tsv')
+    assert proc.returncode == 0
+    assert proc.stdout == '# generator\n'
+
+
 def test_n_max_override_warns():
     proc = run_cli('classify', '--n', '4', '--parabolic', 'max:2',
                    '--n-max', '9')

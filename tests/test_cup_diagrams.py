@@ -13,13 +13,12 @@ from kostantpv.cup_diagrams import (
     CupDiagram,
     MaxParContext,
     OrientedCupDiagram,
-    WeightWord,
+    _words,
     antidominant_rep,
     block_table,
     d_of,
     enumerate_admissible,
     enumerate_oriented,
-    enumerate_words,
     factors,
     graded_multiplicity,
     in_Y,
@@ -52,25 +51,29 @@ def test_context():
         MaxParContext(2, 0)
 
 
-def test_weight_word_validation():
-    w = WeightWord('^v^v')
-    assert w.n == 4 and w.k == 2
-    assert w[1] == '^' and w[2] == 'v'
-    with pytest.raises(ValueError):
-        WeightWord('^x^v')
-    with pytest.raises(ValueError):
-        WeightWord('vvvv')
-    with pytest.raises(ValueError):
-        WeightWord('^^^^')
-    with pytest.raises(ValueError):
-        WeightWord('')
+def test_words_outside_the_block_are_refused():
+    ctx = MaxParContext(4, 2)
+    assert phi_inverse(ctx, '^v^v') == parse_permutation('1324')
+    assert in_Y(ctx, '^v^v') is False
+    diagram = d_of('vv^^').diagram
+    assert OrientedCupDiagram(diagram, '^v^v').degree == 1
+    for bad in ('^x^v', 'vvvv', '^^^^', '', '^v^', '^v^vv', '^^vvv'):
+        with pytest.raises(ValueError):
+            phi_inverse(ctx, bad)
+        with pytest.raises(ValueError):
+            in_Y(ctx, bad)
+        with pytest.raises(ValueError):
+            OrientedCupDiagram(diagram, bad)
+    # a foreign letter is refused even where no cup reads it
+    with pytest.raises(ValueError, match='only'):
+        OrientedCupDiagram(d_of('^^vv').diagram, '^x^v')
 
 
 def test_phi_round_trip():
     for n in range(2, 7):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            words = enumerate_words(ctx)
+            words = _words(ctx)
             assert len(words) == _binomial(n, k)
             reps = shortest_reps(ctx)
             assert len(reps) == len(words)
@@ -89,24 +92,24 @@ def _binomial(n, k):
 
 def test_extreme_words():
     ctx = MaxParContext(4, 2)
-    assert phi(ctx, identity(4)) == WeightWord('^^vv')
+    assert phi(ctx, identity(4)) == '^^vv'
     anti = antidominant_rep(ctx)
     assert anti.window == (3, 4, 1, 2)
-    assert str(phi(ctx, anti)) == 'vv^^'
+    assert phi(ctx, anti) == 'vv^^'
 
 
 def test_d_of_examples():
-    d = d_of(WeightWord('^^vv'))
+    d = d_of('^^vv')
     assert d.diagram.cups == frozenset()
     assert d.diagram.strands == frozenset({1, 2, 3, 4})
     assert d.degree == 0
-    nested = d_of(WeightWord('vv^^'))
+    nested = d_of('vv^^')
     assert nested.diagram.cups == frozenset({(2, 3), (1, 4)})
     assert nested.degree == 0
 
 
 def test_cup_diagram_text_round_trip():
-    d = d_of(WeightWord('vv^^vv^')).diagram
+    d = d_of('vv^^vv^').diagram
     text = d.to_text()
     assert text == 'cups=(1,4),(2,3),(6,7);strands=5'
 
@@ -121,9 +124,9 @@ def test_cup_diagram_validation():
 
 
 def test_oriented_validation():
-    d = d_of(WeightWord('vv^^')).diagram
+    d = d_of('vv^^').diagram
     with pytest.raises(ValueError):
-        OrientedCupDiagram(d, WeightWord('vvv^'))
+        OrientedCupDiagram(d, 'vvv^')
 
 
 def test_planar_diagrams_against_brute_force():
@@ -159,7 +162,7 @@ def test_capping_matches_the_diagram_enumeration():
     for n in range(2, 8):
         for k in range(1, n):
             ctx = MaxParContext(n, k)
-            words = enumerate_words(ctx)
+            words = _words(ctx)
             images = {d_of(word).diagram for word in words}
             assert len(images) == len(words)
             assert images == {
@@ -170,19 +173,19 @@ def test_capping_matches_the_diagram_enumeration():
 
 
 def test_oriented_and_admissible_counts():
-    assert len(enumerate_oriented(WeightWord('^v^v'))) == 6
-    assert len(enumerate_admissible(WeightWord('^v^v'))) == 5
-    degrees = sorted(o.degree for o in enumerate_admissible(WeightWord('^^vv')))
+    assert len(enumerate_oriented('^v^v')) == 6
+    assert len(enumerate_admissible('^v^v')) == 5
+    degrees = sorted(o.degree for o in enumerate_admissible('^^vv'))
     assert degrees == [0, 1, 2]
 
 
 def test_orient():
-    nested = d_of(WeightWord('vv^^')).diagram
-    oriented = orient(nested, WeightWord('^v^v'))
+    nested = d_of('vv^^').diagram
+    oriented = orient(nested, '^v^v')
     assert oriented is not None
     assert oriented.degree == 1
-    assert orient(nested, WeightWord('^^vv')) is not None
-    assert orient(d_of(WeightWord('^v^v')).diagram, WeightWord('vv^^')) is None
+    assert orient(nested, '^^vv') is not None
+    assert orient(d_of('^v^v').diagram, 'vv^^') is None
 
 
 def test_graded_multiplicity_tables():
@@ -231,8 +234,8 @@ def test_thin_list():
 
 def test_Y_words():
     ctx = MaxParContext(5, 2)
-    assert in_Y(ctx, WeightWord('^^vvv'))
-    assert in_Y(ctx, WeightWord('vv^^v')) is False
+    assert in_Y(ctx, '^^vvv')
+    assert in_Y(ctx, 'vv^^v') is False
     assert len(_Y_words(ctx)) == 3
     assert _Y_words(MaxParContext(4, 2)) == \
         {'^^vv', '^vv^', 'v^^v', 'vv^^'}
@@ -240,7 +243,7 @@ def test_Y_words():
 
 
 def _Y_words(ctx):
-    return {str(w) for w in enumerate_words(ctx) if in_Y(ctx, w)}
+    return {w for w in _words(ctx) if in_Y(ctx, w)}
 
 
 def test_positivity_dispatch():
@@ -294,7 +297,7 @@ def test_table_matches_object_layer_exhaustive():
             label = labeller(ctx)
             assert len(reps) == len(words)
             for x, (w, degrees) in enumerate(zip(reps, _degrees(table))):
-                assert phi(ctx, w).letters == words[x]
+                assert phi(ctx, w) == words[x]
                 assert label(words[x]) == str(w)
                 assert rows[x] == sorted(set(rows[x]))
                 assert ncups[x] == a_value(ctx, w) == \
@@ -359,7 +362,7 @@ def test_rows_match_the_table():
 def _walk_against_oracles(ctx, w, rng, exhaustive):
     """row at w against orient and d_of: every listed factor, and every
     y (or 300 seeded y) for the factors left out and for thinness."""
-    factors, thin = row(ctx, phi(ctx, w).letters)
+    factors, thin = row(ctx, phi(ctx, w))
     assert [word for word, _ in factors] == \
         sorted({word for word, _ in factors})
     listed = dict(factors)
@@ -367,13 +370,13 @@ def _walk_against_oracles(ctx, w, rng, exhaustive):
     if len(sample) > 300:
         sample = rng.sample(sample, 300)
     for word, d in sample:
-        assert _oracle_degree(ctx, w, phi_inverse(ctx, WeightWord(word))) \
-            == d, (ctx, w, word)
+        assert _oracle_degree(ctx, w, phi_inverse(ctx, word)) == d, \
+            (ctx, w, word)
     reps = shortest_reps(ctx) if exhaustive else [
-        phi_inverse(ctx, WeightWord(''.join(rng.sample(
-            '^' * ctx.k + 'v' * ctx.m, ctx.n)))) for _ in range(300)]
+        phi_inverse(ctx, ''.join(rng.sample(
+            '^' * ctx.k + 'v' * ctx.m, ctx.n))) for _ in range(300)]
     for y in reps:
-        if phi(ctx, y).letters not in listed:
+        if phi(ctx, y) not in listed:
             assert _oracle_degree(ctx, w, y) is None, (ctx, w, y)
     if exhaustive:
         assert thin == _oracle_thin(ctx, w), (ctx, w)
@@ -398,7 +401,7 @@ def test_row_walk_matches_the_object_layer():
                  ''.join(rng.sample('^' * ctx.k + 'v' * ctx.m, n)))
         for word in words:
             factors = _walk_against_oracles(
-                ctx, phi_inverse(ctx, WeightWord(word)), rng, False)
+                ctx, phi_inverse(ctx, word), rng, False)
             if word == words[1] and n % 2 == 0:
                 # Catalan(k + 1)
                 assert len(factors) == math.comb(n + 2, ctx.k + 1) \
@@ -434,7 +437,7 @@ def test_masks_past_62_positions():
     for x, (w, listed, degrees) in enumerate(
             zip(reps, _table_rows(table), _degrees(table))):
         word, thin = table.words[x], table.thin[x]
-        assert phi(ctx, w).letters == word and label(word) == str(w)
+        assert phi(ctx, w) == word and label(word) == str(w)
         assert thin == _oracle_thin(ctx, w)
         assert row(ctx, word) == (listed, thin)
         for y, v in enumerate(reps):
@@ -449,8 +452,8 @@ def test_reps_and_verdicts_come_from_the_words():
             ctx = MaxParContext(n, k)
             label = labeller(ctx)
             for word, w in zip(block_table(ctx).words, shortest_reps(ctx)):
-                assert w == phi_inverse(ctx, WeightWord(word))
-                assert label(word) == str(w) and phi(ctx, w).letters == word
+                assert w == phi_inverse(ctx, word)
+                assert label(word) == str(w) and phi(ctx, w) == word
                 assert is_positive_word(ctx, word) == \
                     is_kostant_positive_maximal(ctx, w), (n, k, word)
 

@@ -9,9 +9,10 @@ import pytest
 
 from kostantpv.compositions import Composition, _quotient_cell
 from kostantpv.cup_diagrams import MaxParContext, block_table, shortest_reps
-from kostantpv import klcells
+from kostantpv import _kernels, klcells
 from kostantpv._kernels import BITS
 from kostantpv.klcells import (
+    coset_index,
     held_table,
     is_small_cell_member,
     kl_polynomial,
@@ -49,6 +50,8 @@ from oracles import (
     same_right_cell,
     same_two_sided_cell,
     small_cell,
+    sparse_parabolic_sums,
+    wide,
 )
 
 
@@ -403,6 +406,25 @@ def test_parabolic_table_matches_parabolic_sums():
             assert not sums[:, :, ncoef:].any(), (n, sorted(J))
             count += 1
     assert count == 63
+
+
+@pytest.fixture(scope='module')
+def s7_table():
+    """(P, windows, lengths): the KL table of S_7, filled once, and the
+    window and length of each of its positions."""
+    windows, _, lengths, mul = coset_index((1,) * 7)
+    return _kernels.kl_fill(lengths, mul, 11), windows, lengths
+
+
+@pytest.mark.parametrize('parts', [
+    (4, 3), (3, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1)])
+def test_parabolic_table_matches_the_s7_sums(s7_table, parts):
+    # past S_6 the dense oracle stops: the largest admitted table of each
+    # number of parts against the alternating sum over the S_7 table
+    reps, _, S = parabolic_table(parts)
+    got = {reps[j]: {reps[i]: wide(Q) for i, Q in col.items()}
+           for j, col in enumerate(S)}
+    assert got == sparse_parabolic_sums(*s7_table, parts)
 
 
 def test_parabolic_table_without_levi_is_kl_table():
