@@ -21,7 +21,8 @@ Fulton's essential set of w, the box giving the threshold at (p, q+1)
 (W. Fulton, Duke Math. J. 65 (1992); M. Kobayashi, Electron. J.
 Combin. 17 (2010) N27).  The diagram of w is {(p, q) : w(p) > q,
 w^-1(q) > p}; its essential boxes have neither (p+1, q) nor (p, q+1)
-in it.
+in it.  socle_windows yields the window of each, which the socle
+command writes as text; socle_descriptor wraps them as Permutations.
 """
 
 from __future__ import annotations
@@ -90,17 +91,21 @@ def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
     return {b for b, bu, bw in flags if bu and not bw}
 
 
+def socle_windows(w: Permutation):
+    """The window of each maximal bigrassmannian below w, once each: the
+    least w' with D_w'(p, q+1) >= D_w(p, q+1), for each box (p, q) of
+    the essential set of w, in no particular order."""
+    n, d, inv = w.n, dominance_matrix(w), w.inverse
+    diagram = {(p, q) for p in range(1, n) for q in range(1, w(p))
+               if inv(q) > p}
+    return (_window(n, p, q + 1, d[p - 1][q]) for p, q in diagram
+            if (p + 1, q) not in diagram and (p, q + 1) not in diagram)
+
+
 def socle_descriptor(w: Permutation) -> frozenset:
-    """Maximal elements among the bigrassmannians below w: the least w'
-    with D_w'(p, q+1) >= D_w(p, q+1), for each box (p, q) of the
-    essential set of w.
+    """Maximal elements among the bigrassmannians below w.
 
     >>> sorted(str(b) for b in socle_descriptor(Permutation('321')))
     ['231', '312']
     """
-    n, d, inv = w.n, dominance_matrix(w), w.inverse
-    diagram = {(p, q) for p in range(1, n) for q in range(1, n)
-               if w(p) > q and inv(q) > p}
-    return frozenset(
-        _raw(_window(n, p, q + 1, d[p - 1][q])) for p, q in diagram
-        if (p + 1, q) not in diagram and (p, q + 1) not in diagram)
+    return frozenset(map(_raw, socle_windows(w)))

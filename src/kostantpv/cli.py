@@ -22,10 +22,10 @@ and socle n > MAX_SOCLE_N.
 Each command is declared once, in COMMANDS, which builds the parser
 and binds the handler that main calls.  A handler returns its stdout
 as a sequence of chunks (selftest prints as it goes) and its exit
-code.  classify (max:k, min:k and comp:) and cells encode their rows a
-chunk at a time through a per-format row template, straight from
-windows and precomputed texts (per factor, per verdict, per shape), so
-no row object and no whole table of text is ever held.
+code.  Every command but selftest encodes its rows a chunk at a time
+through a per-format row template, from windows and precomputed texts
+(per factor, verdict, generator or shape), so no row object and no
+whole page of output is ever held (socle sorts its generators' texts).
 """
 
 from __future__ import annotations
@@ -71,11 +71,11 @@ MAX_CELLS_N = 9
 # socle writes a generator, an n-window, per essential box of w: up to
 # n^2 / 8 of them, at the zigzag window h+1, h-1, h+3, h-3, ..., n-1, 1,
 # n, 2, n-2, 4, ... (h = n / 2), the most a search over small n found;
-# a random window has about n^2 / 36.  At n = 432 that window took
-# 3.0-3.4 s and a 264 MiB peak as JSON or TSV, within classify --n 18
-# max:9 (4.8-5.7 s, 269 MiB); n = 440 took 282 MiB, n = 500 439 MiB
-# (2-core x86, fresh processes).
-MAX_SOCLE_N = 432
+# a random window has about n^2 / 36.  It holds their texts alone, to
+# sort them: at n = 720 that window took 3.6-4.5 s and a 211 MiB peak
+# as JSON or TSV, within classify --n 18 max:9 (5.3-6.4 s, 215-219
+# MiB); n = 728 took 219 MiB (2-core x86, fresh processes).
+MAX_SOCLE_N = 720
 
 
 class UsageError(Exception):
@@ -138,27 +138,21 @@ def _parse_perm(n: int, text: str) -> Permutation:
 
 
 def _emit_json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=str) + '\n'
+    return json.dumps(payload, sort_keys=True, indent=2) + '\n'
 
 
-def _tsv_cell(value) -> str:
-    if value is True:
-        return 'true'
-    if value is False:
-        return 'false'
-    return str(value)
+def _bool_text(flag) -> str:
+    """A bool as JSON and TSV write it."""
+    return 'true' if flag else 'false'
 
 
-def _emit_tsv(header, rows) -> str:
-    lines = ['# ' + '\t'.join(header)]
-    for row in rows:
-        lines.append('\t'.join(_tsv_cell(row[col]) for col in header))
-    return '\n'.join(lines) + '\n'
+def _emit_tsv(header) -> str:
+    return '# ' + '\t'.join(header) + '\n'
 
 
 def _mult_text(template, rows) -> str:
     """The text of rows, each the tuple of its template's arguments.  It
-    encodes every row table, and keeps the name of the multiplicity
+    encodes every command's rows, and keeps the name of the multiplicity
     rows it first wrote: perfbench's tracer times it as cli.encode."""
     return ''.join(starmap(template.format, rows))
 
@@ -173,27 +167,29 @@ def _row_chunks(head, template, columns, tail):
     the row before: none for the first row, ',\n' after (which TSV
     templates leave out)."""
     rows = zip(chain(('',), repeat(',\n')), *columns)
+    text = _mult_text(template, islice(rows, CHUNK_ROWS))
+    if not text:  # json.dumps writes a list with no rows as '[]'
+        yield (head + tail).replace('[\n\n  ]', '[]')
+        return
     yield head
-    while text := _mult_text(template, islice(rows, CHUNK_ROWS)):
+    while text:
         yield text
+        text = _mult_text(template, islice(rows, CHUNK_ROWS))
     yield tail
 
 
-def _row_frame(fmt: str, context: dict, header) -> tuple:
+def _row_frame(fmt: str, fields: dict, header, key='rows') -> tuple:
     """(head, tail) around the rows: the TSV header, or the JSON of the
-    context as _emit_json writes it, its closing '\n}\n' traded for
-    the rows."""
+    head fields and of the row list under key, which sorts after them,
+    as _emit_json writes it, the list opened for the rows."""
     if fmt == 'tsv':
-        return _emit_tsv(header, ()), ''
-    head = _emit_json({'context': context})
-    return head[:-3] + ',\n  "rows": [\n', '\n  ]\n}\n'
+        return _emit_tsv(header), ''
+    head = _emit_json(fields)
+    return head[:-3] + f',\n  "{key}": [\n', '\n  ]\n}\n'
 
-
-CLASSIFY_HEADER = ['w', 'word', 'verdict', 'thin', 'a_value',
-                   'multiplicities']
 
 # A classify max:k row in each format: (template, sep, factor).  The
-# template takes the columns of _classify_max (the separator from the
+# template takes the columns of _max_rows (the separator from the
 # row before, w, word, verdict, thin, a_value) and the multiplicities
 # last: the factor texts, joined by sep.  The JSON of every row
 # template is what json.dumps(..., sort_keys=True, indent=2) writes;
@@ -215,7 +211,18 @@ CLASSIFY_ROW = {
              '      "w": "{1}",\n      "word": null\n    }}'),
 }
 
-CELLS_HEADER = ['w', 'shape', 'small', 'penultimate']
+# A mult row in each format: (template, degree).  The template takes
+# the separator, y and degree of y's grade: an int, or the text of a
+# LaurentPolynomial, a string in JSON as json.dumps(default=str) wrote.
+MULT_ROW = {
+    'tsv': ('{1}\t{2}\n', str),
+    'json': ('{0}    {{\n      "degree": {2},\n      "y": "{1}"\n    }}',
+             lambda d: d if type(d) is int else json.dumps(str(d))),
+}
+
+# A socle generator in each format; the template takes the separator
+# and the text of the generator's window.
+SOCLE_ROW = {'tsv': '{1}\n', 'json': '{0}    "{1}"'}
 
 # A cells row in each format: (template, shape).  The template takes
 # the separator, w and the text of its shape, which is shape.format of
@@ -241,7 +248,7 @@ def _max_rows(ctx: MaxParContext, fmt: str):
         words,
         ['Positive' if cup.is_positive_word(ctx, word) else 'Negative'
          for word in words],
-        map(_tsv_cell, thin),
+        map(_bool_text, thin),
         ncups,
         (sep.join(map(texts.__getitem__, factors)) for factors in rows),
     )
@@ -260,35 +267,18 @@ def cmd_classify(args):
                 *_engine('compositions').classify_all(ctx))
             template, columns = CLASSIFY_ROW[fmt], (
                 (_window_text(map(str, w), n) for w in ws), verdicts,
-                map(_tsv_cell, thin))
+                map(_bool_text, thin))
     except ValueError as e:
         raise UsageError(str(e)) from None
-    head, tail = _row_frame(fmt, {'n': n, 'parabolic': args.parabolic},
-                            CLASSIFY_HEADER)
+    head, tail = _row_frame(
+        fmt, {'context': {'n': n, 'parabolic': args.parabolic}},
+        ['w', 'word', 'verdict', 'thin', 'a_value', 'multiplicities'])
     return _row_chunks(head, template, columns, tail), 0
-
-
-def _mult_rows(label, factors):
-    """The rows mult prints, from factors (y, its grade): a grade that
-    is no single term v^d is written as its text (default=str)."""
-    return [{'y': label(y), 'degree': d} for y, d in factors]
-
-
-def _cup_mult_rows(ctx: MaxParContext, word: str):
-    cup = _engine('cup_diagrams')
-    return _mult_rows(cup.labeller(ctx), cup.row(ctx, word)[0])
-
-
-def _kl_mult_rows(ctx: MaxParContext, x: Permutation):
-    klcells = _engine('klcells')
-    table = klcells.held_table((ctx.k, ctx.m))
-    return _mult_rows(lambda window: _window_text(map(str, window), ctx.n),
-                      klcells.graded_row(table, x.window))
 
 
 def cmd_multiplicities(args):
     """Composition factors of one standard module, by either engine."""
-    n, k, engine = args.n, args.k, args.engine
+    n, k, engine, fmt = args.n, args.k, args.engine, args.format
     _guard_n(n, args.n_max)
     cup = _engine('cup_diagrams')
     try:
@@ -301,30 +291,35 @@ def cmd_multiplicities(args):
     except ValueError:
         raise UsageError(f'{args.x} is not a shortest coset rep for max:{k}'
                          ) from None
-    try:  # past an engine's ceiling
-        rows = (_kl_mult_rows(ctx, x) if engine == 'kl'
-                else _cup_mult_rows(ctx, word))
-        agree = rows == _kl_mult_rows(ctx, x) if engine == 'both' else None
+    try:  # past an engine's ceiling; a row is (the text of y, its grade)
+        if engine != 'kl':
+            label = cup.labeller(ctx)
+            rows = [(label(y), d) for y, d in cup.row(ctx, word)[0]]
+        if engine != 'cup':
+            klcells = _engine('klcells')
+            kl_rows = [(_window_text(map(str, y), n), d)
+                       for y, d in klcells.graded_row(
+                           klcells.held_table((k, n - k)), x.window)]
     except ValueError as e:
         raise UsageError(str(e)) from None
-    payload = {
-        'context': {'n': n, 'k': k, 'x': str(x), 'engine': engine},
-        'rows': rows,
-    }
-    if agree is not None:
-        payload['agree'] = agree
-    code = 1 if agree is False else 0
-    if args.format == 'json':
-        return [_emit_json(payload)], code
-    lines = [_emit_tsv(['y', 'degree'], rows)]
-    if agree is not None:
-        lines.append(f'# agree\t{_tsv_cell(agree)}\n')
-    return lines, code
+    fields = {'context': {'n': n, 'k': k, 'x': str(x), 'engine': engine}}
+    if engine == 'kl':
+        rows = kl_rows
+    elif engine == 'both':
+        fields['agree'] = rows == kl_rows
+    agree = fields.get('agree')
+    head, tail = _row_frame(fmt, fields, ['y', 'degree'])
+    if fmt == 'tsv' and agree is not None:
+        tail = f'# agree\t{_bool_text(agree)}\n'
+    template, degree = MULT_ROW[fmt]
+    return _row_chunks(head, template, (
+        (y for y, _ in rows), (degree(d) for _, d in rows)), tail), (
+        1 if agree is False else 0)
 
 
 def cmd_socle(args):
-    """Generators of the socle descriptor of one element."""
-    n = args.n
+    """Generators of the socle descriptor of one element, by text."""
+    n, fmt = args.n, args.format
     _guard_n(n, args.n_max)
     if n > MAX_SOCLE_N:
         raise UsageError(
@@ -332,14 +327,12 @@ def cmd_socle(args):
             f'kept to n <= {MAX_SOCLE_N}'
         )
     w = _parse_perm(n, args.w)
-    generators = sorted(
-        str(b) for b in _engine('bigrassmannian').socle_descriptor(w)
-    )
-    if args.format == 'json':
-        payload = {'context': {'n': n, 'w': str(w)}, 'generators': generators}
-        return [_emit_json(payload)], 0
-    return [_emit_tsv(['generator'],
-                      [{'generator': g} for g in generators])], 0
+    numerals = list(map(str, range(n + 1)))
+    texts = sorted(_window_text(map(numerals.__getitem__, window), n)
+                   for window in _engine('bigrassmannian').socle_windows(w))
+    head, tail = _row_frame(fmt, {'context': {'n': n, 'w': str(w)}},
+                            ['generator'], 'generators')
+    return _row_chunks(head, SOCLE_ROW[fmt], (texts,), tail), 0
 
 
 def cmd_cells(args):
@@ -356,11 +349,12 @@ def cmd_cells(args):
     small, penultimate = (n - 1, 1), (2,) + (1,) * (n - 2)
     template, shape_text = CELLS_ROW[args.format]
     shapes, ids = _engine('tableaux').window_shapes(n)
-    texts = [shape_text.format(','.join(map(str, shape)), _tsv_cell(
-        shape == small), _tsv_cell(shape == penultimate)) for shape in shapes]
+    texts = [shape_text.format(','.join(map(str, shape)), _bool_text(
+        shape == small), _bool_text(shape == penultimate)) for shape in shapes]
     windows = map(_window_text, permutations(map(str, range(1, n + 1))),
                   repeat(n))
-    head, tail = _row_frame(args.format, {'n': n}, CELLS_HEADER)
+    head, tail = _row_frame(args.format, {'context': {'n': n}},
+                            ['w', 'shape', 'small', 'penultimate'])
     return _row_chunks(head, template, (
         windows, map(texts.__getitem__, ids)), tail), 0
 

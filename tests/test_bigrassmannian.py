@@ -13,6 +13,7 @@ from kostantpv.bigrassmannian import (
     complement_bigrassmannians,
     is_bigrassmannian,
     socle_descriptor,
+    socle_windows,
 )
 from kostantpv.permutations import (
     Permutation,
@@ -146,3 +147,13 @@ def test_socle_descriptor_container():
     d = socle_descriptor(longest_element(3))
     assert isinstance(d, frozenset)
     assert len(d) == len(list(d))
+
+
+def test_socle_windows_come_once_each():
+    # the socle command writes what socle_windows yields, with no set
+    # in between: one window per essential box, and no two boxes alike
+    for n in range(1, 8):
+        for w in enumerate_group(n):
+            windows = list(socle_windows(w))
+            assert len(windows) == len(set(windows)), w
+            assert {b.window for b in socle_descriptor(w)} == set(windows)

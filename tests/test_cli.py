@@ -129,10 +129,48 @@ def test_mult_engines_agree():
     kl_rows = json.loads(kl_out)['rows']
     assert cup_rows == kl_rows
     assert 'agree' not in json.loads(cup_out)
+    assert run_main('mult', '--n', '4', '--k', '2', '--x', '1234',
+                    '--format', 'tsv') == (
+        0, '# y\tdegree\n1234\t0\n1324\t1\n3412\t2\n# agree\ttrue\n')
+
+
+def _zigzag(n):
+    """The window h+1, h-1, h+3, h-3, ..., n-1, 1, n, 2, n-2, 4, ... of
+    n = 4m (h = n / 2), which has n^2 / 8 socle generators."""
+    h = n // 2
+    window = [v for j in range(h // 2) for v in (h + 1 + 2 * j, h - 1 - 2 * j)]
+    window += [v for j in range(h // 2) for v in (n - 2 * j, 2 + 2 * j)]
+    return str(Permutation(window))
+
+
+@pytest.mark.parametrize('args', [
+    ('classify', '--n', '5', '--parabolic', 'max:2'),
+    ('classify', '--n', '5', '--parabolic', 'min:2'),
+    ('classify', '--n', '5', '--parabolic', 'comp:2,1,2'),
+    ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'cup'),
+    ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'kl'),
+    ('mult', '--n', '6', '--k', '3', '--x', '412356', '--engine', 'both'),
+    ('socle', '--n', '4', '--w', '1234'),
+    ('socle', '--n', '4', '--w', '4231'),
+    ('socle', '--n', '72', '--w', _zigzag(72), '--n-max', '72'),
+    ('cells', '--n', '7'),
+], ids=['max', 'min', 'comp', 'mult-cup', 'mult-kl', 'mult-both',
+        'socle-identity', 'socle', 'socle-chunks', 'cells'])
+def test_json_rows_are_what_json_dumps_writes(args):
+    # every command writes its JSON rows through a template; the page
+    # must read as json.dumps(..., sort_keys=True, indent=2) lays it out
+    with contextlib.redirect_stderr(io.StringIO()):
+        code, out = run_main(*args, '--format', 'json')
+    assert code == 0
+    data = json.loads(out)
+    assert json.dumps(data, sort_keys=True, indent=2) + '\n' == out
+    if '72' in args:  # past one chunk of rows
+        assert len(data['generators']) > cli.CHUNK_ROWS
 
 
 def test_mult_disagreement_exits_one(monkeypatch):
-    monkeypatch.setattr(cli, '_kl_mult_rows', lambda ctx, x: [])
+    # the KL engine finds no factor at all
+    monkeypatch.setattr(klcells, 'graded_row', lambda table, window: [])
     code, out = run_main('mult', '--n', '4', '--k', '2', '--x', '1234',
                          '--engine', 'both')
     assert code == 1
@@ -735,6 +773,22 @@ def test_selftest_goldens():
         assert _stdout_digest(args) == want[' '.join(args)], args
 
 
+def test_socle_builds_no_permutation_per_generator(monkeypatch):
+    # socle writes each generator's text from its window
+    from kostantpv import bigrassmannian
+
+    def refuse(window):
+        raise AssertionError('socle built a Permutation for a generator')
+
+    monkeypatch.setattr(bigrassmannian, '_raw', refuse)
+    want = _goldens()
+    requests = [args for args in socle_cells_golden_invocations()
+                if args[0] == 'socle']
+    assert len(requests) > 100
+    for args in requests:
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
 def test_kl_paths_never_build_a_whole_group_table(monkeypatch):
     from kostantpv import compositions, klcells
 
@@ -901,14 +955,20 @@ def test_kl_mult_writes_a_polynomial_grade_as_its_text(monkeypatch):
     from kostantpv.laurent import LaurentPolynomial
 
     grade = LaurentPolynomial.from_q_coeffs((1, 1), 4)
-    monkeypatch.setattr(klcells, 'graded_row',
-                        lambda table, window: [(window, grade)])
+    rows = [((1, 3, 2, 4), 0), ((3, 4, 1, 2), grade)]
+    monkeypatch.setattr(klcells, 'graded_row', lambda table, window: rows)
     args = ('mult', '--n', '4', '--k', '2', '--x', '1324', '--engine', 'kl')
     code, out = run_main(*args, '--format', 'json')
     assert code == 0
-    assert json.loads(out)['rows'] == [{'y': '1324', 'degree': 'v^2 + v^4'}]
+    # byte for byte what json.dumps wrote of the rows with default=str
+    assert out == json.dumps({
+        'context': {'n': 4, 'k': 2, 'x': '1324', 'engine': 'kl'},
+        'rows': [{'y': '1324', 'degree': 0}, {'y': '3412', 'degree': grade}],
+    }, sort_keys=True, indent=2, default=str) + '\n'
+    assert json.loads(out)['rows'][1] == {'y': '3412', 'degree': str(grade)}
+    assert str(grade) == 'v^2 + v^4'
     assert run_main(*args, '--format', 'tsv') == (
-        0, '# y\tdegree\n1324\tv^2 + v^4\n')
+        0, f'# y\tdegree\n1324\t0\n3412\t{grade}\n')
     code, out = run_main('mult', '--n', '4', '--k', '2', '--x', '1324',
                          '--engine', 'both', '--format', 'tsv')
     assert code == 1 and out.endswith('# agree\tfalse\n')
