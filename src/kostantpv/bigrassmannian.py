@@ -21,8 +21,9 @@ Fulton's essential set of w, the box giving the threshold at (p, q+1)
 (W. Fulton, Duke Math. J. 65 (1992); M. Kobayashi, Electron. J.
 Combin. 17 (2010) N27).  The diagram of w is {(p, q) : w(p) > q,
 w^-1(q) > p}; its essential boxes have neither (p+1, q) nor (p, q+1)
-in it.  socle_windows yields the window of each, which the socle
-command writes as text; socle_descriptor wraps them as Permutations.
+in it.  socle_windows yields the window of each, made of the values
+0..n the caller gives: their texts for the socle command, their ints
+for socle_descriptor, which wraps each window as a Permutation.
 """
 
 from __future__ import annotations
@@ -45,11 +46,11 @@ def is_bigrassmannian(w: Permutation) -> bool:
     return len(w.right_descents()) == 1 and len(w.left_descents()) == 1
 
 
-def _window(n: int, i: int, c: int, r: int) -> tuple:
-    """The least w with D_w(i, c) >= r: values c..c+r-1 at positions
-    i-r+1..i, every other value in increasing order."""
-    return (*range(1, i - r + 1), *range(c, c + r), *range(i - r + 1, c),
-            *range(c + r, n + 1))
+def _window(values, i: int, c: int, r: int):
+    """The least w with D_w(i, c) >= r, each value v as values[v]:
+    values c..c+r-1 at positions i-r+1..i, the rest in increasing order."""
+    return (values[1:i - r + 1] + values[c:c + r] + values[i - r + 1:c]
+            + values[c + r:])
 
 
 def _cells(n: int):
@@ -65,7 +66,8 @@ def _cells(n: int):
 @lru_cache(maxsize=None)
 def bigrassmannians(n: int) -> tuple:
     """All bigrassmannian elements of S_n, in window order."""
-    return tuple(_raw(_window(n, *cell)) for cell in _cells(n))
+    values = tuple(range(n + 1))
+    return tuple(_raw(_window(values, *cell)) for cell in _cells(n))
 
 
 def below(w: Permutation) -> list:
@@ -91,14 +93,15 @@ def complement_bigrassmannians(u: Permutation, w: Permutation) -> set:
     return {b for b, bu, bw in flags if bu and not bw}
 
 
-def socle_windows(w: Permutation):
-    """The window of each maximal bigrassmannian below w, once each: the
-    least w' with D_w'(p, q+1) >= D_w(p, q+1), for each box (p, q) of
-    the essential set of w, in no particular order."""
+def socle_windows(w: Permutation, values):
+    """The window of each maximal bigrassmannian below w, once each, as
+    _window writes it from values (indexed 0..n): the least w' with
+    D_w'(p, q+1) >= D_w(p, q+1), for each box (p, q) of the essential
+    set of w, in no particular order."""
     n, d, inv = w.n, dominance_matrix(w), w.inverse
     diagram = {(p, q) for p in range(1, n) for q in range(1, w(p))
                if inv(q) > p}
-    return (_window(n, p, q + 1, d[p - 1][q]) for p, q in diagram
+    return (_window(values, p, q + 1, d[p - 1][q]) for p, q in diagram
             if (p + 1, q) not in diagram and (p, q + 1) not in diagram)
 
 
@@ -108,4 +111,4 @@ def socle_descriptor(w: Permutation) -> frozenset:
     >>> sorted(str(b) for b in socle_descriptor(Permutation('321')))
     ['231', '312']
     """
-    return frozenset(map(_raw, socle_windows(w)))
+    return frozenset(map(_raw, socle_windows(w, tuple(range(w.n + 1)))))

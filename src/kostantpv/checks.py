@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress
+from itertools import compress, starmap
 from operator import le
 
 from .bigrassmannian import (
@@ -233,36 +233,40 @@ def _degrees(table) -> list:
     return [dict(map(pairs.__getitem__, row)) for row in table.rows]
 
 
+def _cross_oracle_problem(n: int, k: int):
+    """What check_cross_oracle finds wrong at (n, k), or None: the row
+    mult prints (klcells.graded_row) has the single term v^c where a cup
+    gives degree c, and no entry where no cup does; an entry that is no
+    single power of q, which graded_row refuses, is a failure."""
+    table = block_table(MaxParContext(n, k))
+    kl = parabolic_table((k, n - k))
+    windows = kl[0]
+    if [[v <= k for v in w] for w in windows] != \
+            [[c == WEDGE for c in word] for word in table.words]:
+        return f'({n},{k}): coset reps != block reps'
+    try:
+        got = {(x, y): g for x in windows for y, g in graded_row(kl, x)}
+    except ArithmeticError as exc:
+        return f'({n},{k}): {exc}'
+    want = {(windows[x], windows[y]): c
+            for x, degrees in enumerate(_degrees(table))
+            for y, c in degrees.items()}
+    bad = [p for p in got.keys() | want.keys() if got.get(p) != want.get(p)]
+    if bad:  # the windows are in order, as are their positions
+        x, y = map(windows.index, min(bad))
+        return (f'({n},{k}): {len(bad)} pairs differ, '
+                f'first x={table.words[x]} y={table.words[y]}')
+    return None
+
+
 def check_cross_oracle(n_max: int):
-    """Cup-diagram multiplicities equal the KL alternating sums: the
-    row mult prints (klcells.graded_row) has the single term v^c where a
-    cup gives degree c, and no entry where no cup does."""
-    problems = []
+    """Cup-diagram multiplicities equal the KL alternating sums, at
+    every (n, k) up to n = 6 (_cross_oracle_problem)."""
     top = min(n_max, 6)
-    pairs = 0
-    for n in range(2, top + 1):
-        for k in range(1, n):
-            table = block_table(MaxParContext(n, k))
-            kl = parabolic_table((k, n - k))
-            windows = kl[0]
-            if [[v <= k for v in w] for w in windows] != \
-                    [[c == WEDGE for c in word] for word in table.words]:
-                problems.append(f'({n},{k}): coset reps != block reps')
-                continue
-            got = {(x, y): g for x in windows for y, g in graded_row(kl, x)}
-            want = {(windows[x], windows[y]): c
-                    for x, degrees in enumerate(_degrees(table))
-                    for y, c in degrees.items()}
-            bad = [p for p in got.keys() | want.keys()
-                   if got.get(p) != want.get(p)]
-            pairs += len(table.rows) ** 2
-            if bad:  # the windows are in order, as are their positions
-                x, y = map(windows.index, min(bad))
-                problems.append(
-                    f'({n},{k}): {len(bad)} pairs differ, '
-                    f'first x={table.words[x]} y={table.words[y]}'
-                )
-    return _verdict(problems, f'{pairs} pairs agree, n <= {top}')
+    cases = [(n, k) for n in range(2, top + 1) for k in range(1, n)]
+    pairs = sum(math.comb(n, k) ** 2 for n, k in cases)
+    return _verdict([p for p in starmap(_cross_oracle_problem, cases) if p],
+                    f'{pairs} pairs agree, n <= {top}')
 
 
 def check_thinness(n_max: int):
@@ -396,30 +400,35 @@ def check_reconciliation(n_max: int):
             if pos != {identity(n), w0J * longest_element(n)}:
                 problems.append(f'(k,k) with k={k}: {len(pos)} positives')
         for k in range(1, n):
-            ctx = MaxParContext(n, k)
-            cup_thin = block_table(ctx).thin
-            mu = Composition((k, n - k))
-            unknowns, suff = set(), set()
-            for window, verdict, thin in classify_all(mu):
-                w = _raw(window)
-                if verdict == 'Positive':
-                    suff.add(w)
-                    if not thin:
-                        problems.append(
-                            f'maximal ({n},{k}) w={w}: positive but not thin'
-                        )
-                elif verdict == 'Unknown':
-                    unknowns.add(w)
-            thin_nontrivial = {
-                w for w, t in zip(shortest_reps(ctx), cup_thin) if t
-            } - {identity(n), antidominant_rep(ctx)}
-            if unknowns != thin_nontrivial:
-                problems.append(
-                    f'maximal ({n},{k}): unknowns != thin non-trivial set'
-                )
-            if not all(is_kostant_positive_maximal(ctx, w) for w in suff):
-                problems.append(f'maximal ({n},{k}): spurious positive')
+            problems.extend(_maximal_reconciliation_problems(n, k))
     return _verdict(problems, f'classifier reconciled, n <= {top}')
+
+
+def _maximal_reconciliation_problems(n: int, k: int) -> list:
+    """The maximal part of check_reconciliation at (n, k): the verdicts
+    of classify comp:k,n-k against the cup engine.  Every Positive is
+    thin and Kostant positive, and the Unknowns are the thin reps but
+    the identity and the antidominant one."""
+    problems = []
+    ctx = MaxParContext(n, k)
+    unknowns, suff = set(), set()
+    for window, verdict, thin in classify_all(Composition((k, n - k))):
+        w = _raw(window)
+        if verdict == 'Positive':
+            suff.add(w)
+            if not thin:
+                problems.append(
+                    f'maximal ({n},{k}) w={w}: positive but not thin')
+        elif verdict == 'Unknown':
+            unknowns.add(w)
+    thin_nontrivial = {
+        w for w, t in zip(shortest_reps(ctx), block_table(ctx).thin) if t
+    } - {identity(n), antidominant_rep(ctx)}
+    if unknowns != thin_nontrivial:
+        problems.append(f'maximal ({n},{k}): unknowns != thin non-trivial set')
+    if not all(is_kostant_positive_maximal(ctx, w) for w in suff):
+        problems.append(f'maximal ({n},{k}): spurious positive')
+    return problems
 
 
 def r_polynomial(x: Permutation, w: Permutation,

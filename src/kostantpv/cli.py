@@ -6,7 +6,10 @@ Output is deterministic: identical invocations produce byte-identical
 stdout.  JSON objects are emitted with sorted keys; TSV rows use the
 permutation digit form and '^'/'v' weight words so tables stay
 grep-able.  Exit codes: 0 success, 1 check failure (an engine
-disagreement or a failing selftest), 2 usage error.
+disagreement or a failing selftest), 2 usage error: main prints any
+ValueError a command raises before it writes, its own or an engine's
+(a malformed argument, a request past a ceiling), as 'error: ...'.
+Every other exception is a fault, and main does not catch it.
 
 The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
@@ -24,8 +27,9 @@ and binds the handler that main calls.  A handler returns its stdout
 as a sequence of chunks (selftest prints as it goes) and its exit
 code.  Every command but selftest encodes its rows a chunk at a time
 through a per-format row template, from windows and precomputed texts
-(per factor, verdict, generator or shape), so no row object and no
-whole page of output is ever held (socle sorts its generators' texts).
+(per factor, verdict, generator or shape) and the ints the engines
+return, so no row object and no whole page of output is ever held
+(socle sorts its generators' texts).
 """
 
 from __future__ import annotations
@@ -72,21 +76,17 @@ MAX_CELLS_N = 9
 # n^2 / 8 of them, at the zigzag window h+1, h-1, h+3, h-3, ..., n-1, 1,
 # n, 2, n-2, 4, ... (h = n / 2), the most a search over small n found;
 # a random window has about n^2 / 36.  It holds their texts alone, to
-# sort them: at n = 720 that window took 3.6-4.5 s and a 211 MiB peak
-# as JSON or TSV, within classify --n 18 max:9 (5.3-6.4 s, 215-219
-# MiB); n = 728 took 219 MiB (2-core x86, fresh processes).
+# sort them: at n = 720 that window took 1.4-2.2 s and a 211 MiB peak
+# as JSON or TSV, within classify --n 18 max:9 TSV (3.6 s, 215 MiB);
+# memory binds, n = 724 took 214 MiB (2-core x86, fresh processes).
 MAX_SOCLE_N = 720
-
-
-class UsageError(Exception):
-    pass
 
 
 def _guard_n(n: int, n_max: int) -> None:
     if n < 1:
-        raise UsageError(f'n must be positive, got {n}')
+        raise ValueError(f'n must be positive, got {n}')
     if n > n_max:
-        raise UsageError(
+        raise ValueError(
             f'n={n} exceeds the limit {n_max}; '
             'raise it with --n-max if you mean it'
         )
@@ -104,15 +104,12 @@ def _parse_parabolic(n: int, text: str):
     raises the ValueError of the context or of Composition.from_text."""
     kind, sep, rest = text.partition(':')
     if not sep:
-        raise UsageError(f'malformed parabolic descriptor {text!r}')
+        raise ValueError(f'malformed parabolic descriptor {text!r}')
     if kind in ('min', 'max'):
-        try:
-            k = int(rest)
-        except ValueError:
-            k = None
         # int() alone would also take '1_0', '+2', ' 2' and '02'
-        if k is None or str(k) != rest:
-            raise UsageError(f'malformed k in {text!r}')
+        if not (rest.removeprefix('-').isdecimal()
+                and str(k := int(rest)) == rest):
+            raise ValueError(f'malformed k in {text!r}')
         if kind == 'max':
             return kind, _engine('cup_diagrams').MaxParContext(n, k)
         return kind, _engine('compositions').Composition(
@@ -120,20 +117,18 @@ def _parse_parabolic(n: int, text: str):
     if kind == 'comp':
         mu = _engine('compositions').Composition.from_text(rest)
         if mu.n != n:
-            raise UsageError(
+            raise ValueError(
                 f'composition {rest} sums to {mu.n}, expected n={n}'
             )
         return kind, mu
-    raise UsageError(f'unknown parabolic kind {kind!r}; use min, max or comp')
+    raise ValueError(f'unknown parabolic kind {kind!r}; use min, max or comp')
 
 
 def _parse_perm(n: int, text: str) -> Permutation:
-    try:
-        w = parse_permutation(text)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    w = parse_permutation(text)
     if len(w.window) != n:
-        raise UsageError(f'{text!r} is a window of size {len(w.window)}, not {n}')
+        raise ValueError(
+            f'{text!r} is a window of size {len(w.window)}, not {n}')
     return w
 
 
@@ -211,13 +206,11 @@ CLASSIFY_ROW = {
              '      "w": "{1}",\n      "word": null\n    }}'),
 }
 
-# A mult row in each format: (template, degree).  The template takes
-# the separator, y and degree of y's grade: an int, or the text of a
-# LaurentPolynomial, a string in JSON as json.dumps(default=str) wrote.
+# A mult row in each format; the template takes the separator, y and
+# the degree of y's factor, an int.
 MULT_ROW = {
-    'tsv': ('{1}\t{2}\n', str),
-    'json': ('{0}    {{\n      "degree": {2},\n      "y": "{1}"\n    }}',
-             lambda d: d if type(d) is int else json.dumps(str(d))),
+    'tsv': '{1}\t{2}\n',
+    'json': '{0}    {{\n      "degree": {2},\n      "y": "{1}"\n    }}',
 }
 
 # A socle generator in each format; the template takes the separator
@@ -258,18 +251,14 @@ def cmd_classify(args):
     """Full classification table over the shortest coset reps."""
     n, fmt = args.n, args.format
     _guard_n(n, args.n_max)
-    try:
-        kind, ctx = _parse_parabolic(n, args.parabolic)
-        if kind == 'max':
-            template, columns = _max_rows(ctx, fmt)
-        else:
-            ws, verdicts, thin = zip(
-                *_engine('compositions').classify_all(ctx))
-            template, columns = CLASSIFY_ROW[fmt], (
-                (_window_text(map(str, w), n) for w in ws), verdicts,
-                map(_bool_text, thin))
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    kind, ctx = _parse_parabolic(n, args.parabolic)
+    if kind == 'max':
+        template, columns = _max_rows(ctx, fmt)
+    else:
+        ws, verdicts, thin = zip(*_engine('compositions').classify_all(ctx))
+        template, columns = CLASSIFY_ROW[fmt], (
+            (_window_text(map(str, w), n) for w in ws), verdicts,
+            map(_bool_text, thin))
     head, tail = _row_frame(
         fmt, {'context': {'n': n, 'parabolic': args.parabolic}},
         ['w', 'word', 'verdict', 'thin', 'a_value', 'multiplicities'])
@@ -281,27 +270,22 @@ def cmd_multiplicities(args):
     n, k, engine, fmt = args.n, args.k, args.engine, args.format
     _guard_n(n, args.n_max)
     cup = _engine('cup_diagrams')
-    try:
-        ctx = cup.MaxParContext(n, k)
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    ctx = cup.MaxParContext(n, k)
     x = _parse_perm(n, args.x)
-    try:
+    try:  # phi's own message does not echo the text given
         word = cup.phi(ctx, x)
     except ValueError:
-        raise UsageError(f'{args.x} is not a shortest coset rep for max:{k}'
+        raise ValueError(f'{args.x} is not a shortest coset rep for max:{k}'
                          ) from None
-    try:  # past an engine's ceiling; a row is (the text of y, its grade)
-        if engine != 'kl':
-            label = cup.labeller(ctx)
-            rows = [(label(y), d) for y, d in cup.row(ctx, word)[0]]
-        if engine != 'cup':
-            klcells = _engine('klcells')
-            kl_rows = [(_window_text(map(str, y), n), d)
-                       for y, d in klcells.graded_row(
-                           klcells.held_table((k, n - k)), x.window)]
-    except ValueError as e:
-        raise UsageError(str(e)) from None
+    # a row is (the text of y, the degree of its factor)
+    if engine != 'kl':
+        label = cup.labeller(ctx)
+        rows = [(label(y), d) for y, d in cup.row(ctx, word)[0]]
+    if engine != 'cup':
+        klcells = _engine('klcells')
+        kl_rows = [(_window_text(map(str, y), n), d)
+                   for y, d in klcells.graded_row(
+                       klcells.held_table((k, n - k)), x.window)]
     fields = {'context': {'n': n, 'k': k, 'x': str(x), 'engine': engine}}
     if engine == 'kl':
         rows = kl_rows
@@ -311,9 +295,8 @@ def cmd_multiplicities(args):
     head, tail = _row_frame(fmt, fields, ['y', 'degree'])
     if fmt == 'tsv' and agree is not None:
         tail = f'# agree\t{_bool_text(agree)}\n'
-    template, degree = MULT_ROW[fmt]
-    return _row_chunks(head, template, (
-        (y for y, _ in rows), (degree(d) for _, d in rows)), tail), (
+    return _row_chunks(head, MULT_ROW[fmt], (
+        (y for y, _ in rows), (d for _, d in rows)), tail), (
         1 if agree is False else 0)
 
 
@@ -322,14 +305,13 @@ def cmd_socle(args):
     n, fmt = args.n, args.format
     _guard_n(n, args.n_max)
     if n > MAX_SOCLE_N:
-        raise UsageError(
+        raise ValueError(
             'socle lists up to n^2/8 generators of n values each, and is '
             f'kept to n <= {MAX_SOCLE_N}'
         )
     w = _parse_perm(n, args.w)
-    numerals = list(map(str, range(n + 1)))
-    texts = sorted(_window_text(map(numerals.__getitem__, window), n)
-                   for window in _engine('bigrassmannian').socle_windows(w))
+    texts = sorted(_window_text(window, n) for window in _engine(
+        'bigrassmannian').socle_windows(w, list(map(str, range(n + 1)))))
     head, tail = _row_frame(fmt, {'context': {'n': n, 'w': str(w)}},
                             ['generator'], 'generators')
     return _row_chunks(head, SOCLE_ROW[fmt], (texts,), tail), 0
@@ -340,7 +322,7 @@ def cmd_cells(args):
     n = args.n
     _guard_n(n, args.n_max)
     if n > MAX_CELLS_N:
-        raise UsageError(
+        raise ValueError(
             'cells keeps a row for each of the n! elements of S_n, and is '
             f'kept to n <= {MAX_CELLS_N}'
         )
@@ -364,12 +346,12 @@ def cmd_selftest(args):
     time each check took goes to stderr."""
     n_max = args.n_max
     if n_max > DEFAULT_N_MAX:
-        raise UsageError(
+        raise ValueError(
             f'selftest is bounded at n_max={DEFAULT_N_MAX}; '
             f'{n_max} would not finish at a desk'
         )
     if n_max < 2:
-        raise UsageError('selftest needs n_max >= 2')
+        raise ValueError('selftest needs n_max >= 2')
     checks = _engine('checks').ALL_CHECKS
     failures = 0
     for name, fn in checks:
@@ -435,7 +417,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         out, code = args.run(args)
-    except UsageError as exc:
+    except ValueError as exc:
         print(f'error: {exc}', file=sys.stderr)
         return 2
     sys.stdout.writelines(out)

@@ -36,8 +36,10 @@ without it S_3 already gives a negative coefficient, impossible for a
 composition-series count.  With that shift the parabolic multiplicity
 of L_y in the parabolic Verma at w is v^{l(y)-l(w)} S[y][w](v^{-2}).
 grade crosses it for one packed entry, graded_row for the row mult
-prints: the int d for a single term v^d, else a LaurentPolynomial,
-with laurent imported only then; no command's table path needs it.
+prints: the int d of the single term v^d.  mult reads only the tables
+of maximal parabolics, whose entries are single powers of q (their KL
+polynomials are monomials: Lascoux-Schutzenberger, Asterisque 87-88
+(1981)); grade refuses any other entry with an ArithmeticError.
 
 Cells are decided through RSK: two elements share a right cell iff
 they share the insertion tableau, and a left cell iff they share the
@@ -147,14 +149,16 @@ def held_table(parts) -> tuple:
     return table
 
 
-def grade(P, shift: int):
-    """v^shift P(v^-2) for the packed entry P of a table: the int d
-    where that is the single term v^d, else a LaurentPolynomial in v."""
-    coeffs = _kernels.Table.coefficients(P)
-    if sum(coeffs) == 1:  # q^d: the fill's coefficients are >= 0
-        return shift - 2 * (len(coeffs) - 1)
-    from .laurent import LaurentPolynomial
-    return LaurentPolynomial.from_q_coeffs(coeffs, shift)
+def grade(P, shift: int) -> int:
+    """The degree d of v^shift P(v^-2) = v^d, for the packed entry P of
+    a table that is a power of q: its one set bit sits at a multiple of
+    BITS.  ArithmeticError for any other P."""
+    e, off = divmod(P.bit_length() - 1, _kernels.BITS)
+    if off or P & (P - 1):
+        raise ArithmeticError(f'q-coefficients '
+                              f'{_kernels.Table.coefficients(P)} are no '
+                              'single power of q')
+    return shift - 2 * e
 
 
 def graded_row(table, window) -> list:

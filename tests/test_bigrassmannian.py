@@ -151,9 +151,13 @@ def test_socle_descriptor_container():
 
 def test_socle_windows_come_once_each():
     # the socle command writes what socle_windows yields, with no set
-    # in between: one window per essential box, and no two boxes alike
+    # in between: one window per essential box, and no two boxes alike;
+    # a window is made of the values given, whatever they are
     for n in range(1, 8):
+        texts = [f'<{v}>' for v in range(n + 1)]
         for w in enumerate_group(n):
-            windows = list(socle_windows(w))
+            windows = list(socle_windows(w, tuple(range(n + 1))))
             assert len(windows) == len(set(windows)), w
             assert {b.window for b in socle_descriptor(w)} == set(windows)
+            assert [[texts[v] for v in window] for window in windows] == \
+                list(socle_windows(w, texts)), w

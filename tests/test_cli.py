@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from kostantpv import checks, cli, klcells
+from kostantpv._kernels import BITS
 from kostantpv.permutations import (
     Permutation,
     enumerate_group,
@@ -208,11 +209,8 @@ def test_usage_errors():
         ('classify', '--n', '4', '--parabolic', 'max:4'),
         ('classify', '--n', '4', '--parabolic', 'bogus'),
         ('classify', '--n', '4', '--parabolic', 'comp:2,3'),
-        # past the KL fill's bound: 20,160 and 5,040 reps
-        ('classify', '--n', '8', '--parabolic', 'min:3'),
+        # past the KL fill's bound: 5,040 reps
         ('classify', '--n', '7', '--parabolic', 'comp:1,1,1,1,1,1,1'),
-        ('mult', '--n', '4', '--k', '2', '--x', '2134'),
-        ('mult', '--n', '4', '--k', '2', '--x', '213'),
         ('selftest', '--n-max', '9'),
     ]
     for args in cases:
@@ -222,9 +220,12 @@ def test_usage_errors():
         assert proc.stdout == ''
     # the whole of stderr: a k out of range is the contexts' own error,
     # and k and each part are canonical decimals (int() alone would run
-    # max:1_0 as max:10 and comp:2,+2 as comp:2,2)
-    warning = ('warning: n limit raised to 12; runs beyond n=8 can take '
-               'very long and use much memory\n')
+    # max:1_0 as max:10 and comp:2,+2 as comp:2,2); an engine's
+    # ValueError is printed as it is raised, and only phi's is reworded
+    def warning(n):
+        return (f'warning: n limit raised to {n}; runs beyond n=8 can take '
+                'very long and use much memory\n')
+
     for args, stderr in (
         (('classify', '--n', '4', '--parabolic', 'max:4'),
          'error: k=4 out of range 1..3\n'),
@@ -233,7 +234,7 @@ def test_usage_errors():
         (('mult', '--n', '4', '--k', '5', '--x', '1234'),
          'error: k=5 out of range 1..3\n'),
         (('classify', '--n', '12', '--parabolic', 'max:1_0', '--n-max', '12'),
-         warning + "error: malformed k in 'max:1_0'\n"),
+         warning(12) + "error: malformed k in 'max:1_0'\n"),
         (('classify', '--n', '4', '--parabolic', 'min:02'),
          "error: malformed k in 'min:02'\n"),
         (('classify', '--n', '4', '--parabolic', 'comp:2,+2'),
@@ -242,17 +243,29 @@ def test_usage_errors():
          "error: malformed composition text: ' 2,2'\n"),
         (('classify', '--n', '3', '--parabolic', 'comp:1, 2'),
          "error: malformed composition text: '1, 2'\n"),
+        (('mult', '--n', '4', '--k', '2', '--x', '213'),
+         "error: '213' is a window of size 3, not 4\n"),
+        (('mult', '--n', '4', '--k', '2', '--x', '2134'),
+         'error: 2134 is not a shortest coset rep for max:2\n'),
+        (('socle', '--n', '4', '--w', 'x'),
+         "error: not a permutation text: 'x'\n"),
+        (('classify', '--n', '19', '--parabolic', 'max:9', '--n-max', '19'),
+         warning(19) + 'error: the cup engine lists all 19319845 '
+         'composition factors of the (19,9) block, over its limit of '
+         '8099511\n'),
+        # past the KL fill's bound: 20,160 reps, and the 3,432 of max:7
+        # at n = 14, where the raised --n-max warns first
+        (('classify', '--n', '8', '--parabolic', 'min:3'),
+         'error: the KL fill over the 20160 reps of (1, 1, 2, 1, 1, 1, 1) '
+         'is over its limit of 82587960 bytes\n'),
+        (('mult', '--n', '14', '--k', '7', '--x', IDENTITY_14, '--engine',
+          'kl', '--n-max', '14'),
+         warning(14) + 'error: the KL fill over the 3432 reps of (7, 7) is '
+         'over its limit of 82587960 bytes\n'),
     ):
         proc = run_cli(*args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, '', stderr), args
-    # the 3,432 reps of max:7 at n = 14; the raised --n-max warns first
-    proc = run_cli('mult', '--n', '14', '--k', '7', '--x', IDENTITY_14,
-                   '--engine', 'kl', '--n-max', '14')
-    assert proc.returncode == 2
-    warning, error = proc.stderr.splitlines()
-    assert warning.startswith('warning:') and error.startswith('error:')
-    assert proc.stdout == ''
 
 
 def test_cup_table_ceiling():
@@ -505,6 +518,9 @@ def test_each_command_loads_only_its_engine(args, engine):
         'with contextlib.redirect_stdout(io.StringIO()):\n'
         f'    assert main({list(args)!r}) == 0')
     assert {m for m in loaded if m.startswith('kostantpv')} == BASE | engine
+    # every degree a command prints is an int: only selftest's oracles
+    # take Laurent polynomials
+    assert ('kostantpv.laurent' in loaded) == (args[0] == 'selftest')
     # the whole-group index is the tests' alone
     assert 'kostantpv.groupindex' not in loaded
     assert 'numpy' not in loaded
@@ -949,26 +965,26 @@ if __name__ == '__main__':
         indent=1, sort_keys=True) + '\n')
 
 
-def test_kl_mult_writes_a_polynomial_grade_as_its_text(monkeypatch):
-    # no golden reaches a grade of more than one term: a maximal
-    # parabolic's multiplicities are single powers of v
-    from kostantpv.laurent import LaurentPolynomial
-
-    grade = LaurentPolynomial.from_q_coeffs((1, 1), 4)
-    rows = [((1, 3, 2, 4), 0), ((3, 4, 1, 2), grade)]
-    monkeypatch.setattr(klcells, 'graded_row', lambda table, window: rows)
-    args = ('mult', '--n', '4', '--k', '2', '--x', '1324', '--engine', 'kl')
-    code, out = run_main(*args, '--format', 'json')
-    assert code == 0
-    # byte for byte what json.dumps wrote of the rows with default=str
-    assert out == json.dumps({
-        'context': {'n': 4, 'k': 2, 'x': '1324', 'engine': 'kl'},
-        'rows': [{'y': '1324', 'degree': 0}, {'y': '3412', 'degree': grade}],
-    }, sort_keys=True, indent=2, default=str) + '\n'
-    assert json.loads(out)['rows'][1] == {'y': '3412', 'degree': str(grade)}
-    assert str(grade) == 'v^2 + v^4'
-    assert run_main(*args, '--format', 'tsv') == (
-        0, f'# y\tdegree\n1324\t0\n3412\t{grade}\n')
-    code, out = run_main('mult', '--n', '4', '--k', '2', '--x', '1324',
-                         '--engine', 'both', '--format', 'tsv')
-    assert code == 1 and out.endswith('# agree\tfalse\n')
+def test_kl_mult_raises_on_a_grade_of_more_than_one_term(monkeypatch):
+    # a maximal parabolic's multiplicities are single powers of v, so a
+    # table entry 1 + q is a fault of the fill: mult raises, writes
+    # nothing and is no usage error, and cross-oracle reports it
+    windows, lengths, S = klcells.parabolic_table((2, 2))
+    cols = [dict(col) for col in S]
+    x, y = windows.index((1, 3, 2, 4)), windows.index((3, 4, 1, 2))
+    assert cols[y][x] == 1 << BITS  # q
+    cols[y][x] |= 1
+    table = windows, lengths, type(S)(cols, S.ncoef)
+    monkeypatch.setattr(klcells, 'held_table', lambda parts: table)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), pytest.raises(
+            ArithmeticError, match=r'\[1, 1\] are no single power of q'):
+        cli.main(['mult', '--n', '4', '--k', '2', '--x', '1324',
+                  '--engine', 'kl'])
+    assert out.getvalue() == ''
+    real = checks.parabolic_table
+    monkeypatch.setattr(checks, 'parabolic_table', lambda parts: (
+        table if parts == (2, 2) else real(parts)))
+    ok, detail = checks.check_cross_oracle(4)
+    assert not ok
+    assert detail.startswith('(4,2): q-coefficients [1, 1]'), detail

@@ -141,21 +141,22 @@ def test_parabolic_table_builds_one_coset_index(monkeypatch):
         calls.clear()
 
 
-def test_grade_gives_an_int_for_one_term_and_a_polynomial_otherwise():
+def test_grade_gives_an_int_for_a_power_of_q_and_refuses_the_rest():
     P, at = kl_table(4), klcells.whole_group(4)[1]
     e = at[(1, 2, 3, 4)]
-    # P_{1234,3412} = 1 + q, four lengths apart: no golden reaches it
-    got = klcells.grade(P[at[(3, 4, 1, 2)]][e], 4)
-    assert got == LaurentPolynomial.from_q_coeffs((1, 1), 4)
-    assert str(got) == 'v^2 + v^4'
     # P_{1234,2134} = 1, one length apart
     got = klcells.grade(P[at[(2, 1, 3, 4)]][e], 1)
     assert got == 1 and type(got) is int
-    # q^2 at shift 5 is v^1; 2 and 1 + q^2 are no single term
-    assert klcells.grade(1 << 2 * BITS, 5) == 1
-    assert klcells.grade(2, 0) == LaurentPolynomial.monomial(2, 0)
-    assert klcells.grade(1 | 1 << 2 * BITS, 0) == \
-        LaurentPolynomial.from_q_coeffs((1, 0, 1))
+    # q^2 at shift 5 is v^1
+    got = klcells.grade(1 << 2 * BITS, 5)
+    assert got == 1 and type(got) is int
+    # P_{1234,3412} = 1 + q, 2 and 1 + q^2 are no single power of q: no
+    # maximal parabolic's table holds one
+    one_plus_q = P[at[(3, 4, 1, 2)]][e]
+    assert _kernels.Table.coefficients(one_plus_q) == [1, 1]
+    for entry in (one_plus_q, 2, 1 | 1 << 2 * BITS):
+        with pytest.raises(ArithmeticError, match='no single power of q'):
+            klcells.grade(entry, 4)
 
 
 def test_graded_row_is_the_row_mult_prints():
