@@ -93,6 +93,7 @@ from .permutations import (
     longest_element_parabolic,
     parse_permutation,
     simple_reflection,
+    w0_conjugate,
 )
 
 
@@ -355,7 +356,7 @@ def _kl_table_problems(n: int, P) -> list:
     if any(x != w and 2 * len(c) - 2 > lengths[w] - lengths[x] - 1
            for x, w, c in entries):
         problems.append(f'n={n}: degree bound violated')
-    conjugate = [at[tuple(n + 1 - v for v in reversed(w))] for w in windows]
+    conjugate = [at[w0_conjugate(w)] for w in windows]
     for name, image in (('inverse', _inverses(windows, at)),
                         ('w0-conjugation', conjugate)):
         if any({image[x]: p for x, p in col.items()} != P[image[w]]

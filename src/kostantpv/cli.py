@@ -106,9 +106,14 @@ def _parse_parabolic(n: int, text: str):
     if not sep:
         raise ValueError(f'malformed parabolic descriptor {text!r}')
     if kind in ('min', 'max'):
-        # int() alone would also take '1_0', '+2', ' 2' and '02'
-        if not (rest.removeprefix('-').isdecimal()
-                and str(k := int(rest)) == rest):
+        # k is read as Composition.from_text reads a part: int() alone
+        # would also take '1_0', '+2', ' 2' and '02', and past
+        # sys.get_int_max_str_digits() digits it refuses in its own words
+        try:
+            k = int(rest)
+        except ValueError:
+            k = None
+        if k is None or str(k) != rest:
             raise ValueError(f'malformed k in {text!r}')
         if kind == 'max':
             return kind, _engine('cup_diagrams').MaxParContext(n, k)

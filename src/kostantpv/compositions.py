@@ -21,7 +21,11 @@ Unknown -- deliberately: they are open in general.
 Both conditions are decided for every shortest rep of mu at once: the
 positive set is built once per mu, and thinness is read from one fill
 of the parabolic KL table over the reps (klcells.parabolic_table),
-summed at q = 1 over the columns of the cell.  classify_all gives each
+summed at q = 1 over the columns of the cell.  mu and its reverse
+share that fill: conjugation by w_0 (the diagram automorphism
+s_i -> s_{n-i}) carries the reps, the cell and the table of one onto
+those of the other, so only the one with the smaller parts is filled
+and the other's thinness is read through it.  classify_all gives each
 rep as its window.
 
 Composition text form: "2,1,3,2".
@@ -34,11 +38,12 @@ from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
 
-from .klcells import parabolic_table
+from .klcells import admit_fill, parabolic_table
 from .permutations import (
     Permutation,
     _raw,
     is_shortest_coset_rep,
+    w0_conjugate,
 )
 from .tableaux import inverse_rsk, rsk, standard_tableaux
 
@@ -128,22 +133,15 @@ def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
     return frozenset(map(_raw, _quotient_cell(mu)))
 
 
-@lru_cache(maxsize=None)
-def _thin(mu: Composition) -> tuple:
-    """(reps, thin): the windows of the shortest reps of mu in window
-    order, and the thinness of each: exactly one u in the cell of
-    w_0^mu w_0 with nonzero ungraded multiplicity, and that one 1.  The
-    fill checks every coefficient to be nonnegative, so that is a sum
-    of 1 over the cell's columns at q = 1.  The "and that one 1" has
-    never decided a rep: over every composition that MAX_FILL_BYTES
-    admits at n = 7 and 8 (63 of the 64 of 7, 69 of the 128 of 8;
-    97,528 reps) no cell has a single nonzero factor of multiplicity
-    other than 1.
-
-    Both tuples, kept for the life of the process (600 KB for all 63
-    compositions with n <= 6, 5.4 MB for the 126 with n <= 7, mostly
-    the windows); the table they are read from is not.  min:k and the
-    comp: of the same Levi share one entry."""
+def _filled_thin(mu: Composition) -> tuple:
+    """(reps, thin) for mu from one fill of its parabolic table: a rep
+    is thin when exactly one u in the cell of w_0^mu w_0 has nonzero
+    ungraded multiplicity, and that one 1.  The fill checks every
+    coefficient to be nonnegative, so that is a sum of 1 over the
+    cell's columns at q = 1.  The "and that one 1" has never decided a
+    rep: over every composition that MAX_FILL_BYTES admits at n = 7 and
+    8 (63 of the 64 of 7, 69 of the 128 of 8; 97,528 reps) no cell has
+    a single nonzero factor of multiplicity other than 1."""
     reps, _, S = parabolic_table(mu.parts)
     quotient = _quotient_cell(mu)
     cell = [bisect_left(reps, w) for w in quotient]
@@ -157,6 +155,32 @@ def _thin(mu: Composition) -> tuple:
         for x, P in S[u].items():
             total[x] += sum(S.coefficients(P))
     return reps, tuple(t == 1 for t in total)
+
+
+@lru_cache(maxsize=None)
+def _thin(mu: Composition) -> tuple:
+    """(reps, thin): the windows of the shortest reps of mu in window
+    order, and the thinness of each (_filled_thin).
+
+    Only the member of {mu, reversed mu} with the smaller parts is
+    filled; the other reads it through c(w) = w_0 w w_0
+    (w0_conjugate), which maps the reps of one onto those of the other
+    keeping lengths, Bruhat order and KL polynomials, and maps
+    w_0^mu w_0 and its right cell to those of the reversed mu: so
+    thin at c(x) for the reversed mu is thin at x for mu.  The fill's
+    bound is checked on the parts asked for, so a refusal names them.
+
+    Both tuples, kept for the life of the process (570 KB for all 63
+    compositions with n <= 6, 5.3 MB for the 126 with n <= 7, mostly
+    the windows, as tracemalloc counts what the cache keeps); the table
+    they are read from is not.  min:k and the comp: of the same Levi
+    share one entry, and min:k and min:(n-k) one fill."""
+    mirror = mu.parts[::-1]
+    if mirror >= mu.parts:
+        return _filled_thin(mu)
+    admit_fill(mu.parts)
+    reps, thin = _thin(Composition(mirror))
+    return tuple(zip(*sorted(zip(map(w0_conjugate, reps), thin))))
 
 
 def is_thin_general(mu: Composition, w: Permutation) -> bool:

@@ -69,12 +69,12 @@ from .permutations import (
 from .tableaux import rsk
 
 __all__ = [
-    'coset_index', 'kl_table', 'parabolic_table', 'held_table', 'grade',
-    'graded_row', 'kl_polynomial', 'verma_multiplicity',
+    'admit_fill', 'coset_index', 'kl_table', 'parabolic_table',
+    'held_table', 'grade', 'graded_row', 'kl_polynomial', 'verma_multiplicity',
     'parabolic_verma_multiplicity', 'rsk', 'is_small_cell_member',
 ]
 
-# parabolic_table refuses R (R + 1) ncoef over MAX_FILL_BYTES, for R
+# admit_fill refuses R (R + 1) ncoef over MAX_FILL_BYTES, for R
 # reps and ncoef q-degrees: the bytes of the dense int8 buffer an
 # earlier fill took, kept as the unit of every KL path, the tables
 # held_table keeps included, until a bound is measured for the sparse
@@ -91,6 +91,17 @@ def _fill_cost(parts) -> tuple:
     count = math.factorial(n) // math.prod(map(math.factorial, parts))
     ncoef = (math.comb(n, 2) - sum(math.comb(p, 2) for p in parts)) // 2 + 1
     return count, ncoef, count * (count + 1) * ncoef
+
+
+def admit_fill(parts) -> int:
+    """The q-degrees ncoef a fill over the reps of the composition parts
+    keeps; ValueError, naming parts, when its cost is over
+    MAX_FILL_BYTES."""
+    count, ncoef, cost = _fill_cost(parts)
+    if cost > MAX_FILL_BYTES:
+        raise ValueError(f'the KL fill over the {count} reps of {parts} '
+                         f'is over its limit of {MAX_FILL_BYTES} bytes')
+    return ncoef
 
 
 def coset_index(parts) -> tuple:
@@ -123,10 +134,7 @@ def parabolic_table(parts) -> tuple:
     keeps the tables mult reads).  ValueError over MAX_FILL_BYTES,
     before any window is listed.
     """
-    count, ncoef, cost = _fill_cost(parts)
-    if cost > MAX_FILL_BYTES:
-        raise ValueError(f'the KL fill over the {count} reps of {parts} '
-                         f'is over its limit of {MAX_FILL_BYTES} bytes')
+    ncoef = admit_fill(parts)
     windows, _, lengths, mul = coset_index(parts)
     return windows, tuple(lengths), _kernels.kl_fill(lengths, mul, ncoef)
 

@@ -329,3 +329,17 @@ def coset_windows(parts) -> tuple:
         else:
             out.append(tuple(window))
     return tuple(out)
+
+
+def w0_conjugate(window: tuple) -> tuple:
+    """The window of w_0 w w_0 for the window of w:
+    (n+1-w(n), ..., n+1-w(1)).  Conjugation by w_0 sends s_i to
+    s_{n-i}, so it maps the shortest reps of a composition onto those
+    of the reversed composition, keeping lengths, Bruhat order and KL
+    polynomials.
+
+    >>> w0_conjugate((2, 3, 1, 4))
+    (1, 4, 2, 3)
+    """
+    n1 = len(window) + 1
+    return tuple(n1 - v for v in reversed(window))

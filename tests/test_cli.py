@@ -237,6 +237,9 @@ def test_usage_errors():
          warning(12) + "error: malformed k in 'max:1_0'\n"),
         (('classify', '--n', '4', '--parabolic', 'min:02'),
          "error: malformed k in 'min:02'\n"),
+        # past the 4,300 digits int() converts, in the program's words
+        (('classify', '--n', '4', '--parabolic', 'max:' + '1' * 4301),
+         f"error: malformed k in 'max:{'1' * 4301}'\n"),
         (('classify', '--n', '4', '--parabolic', 'comp:2,+2'),
          "error: malformed composition text: '2,+2'\n"),
         (('classify', '--n', '4', '--parabolic', 'comp: 2,2'),

@@ -1,5 +1,8 @@
 """Blocks, transports, and the three-valued classifier."""
 
+import contextlib
+import io
+
 import pytest
 
 from kostantpv import compositions
@@ -183,10 +186,38 @@ def test_classify_all_thinness_matches_object_loop():
 
 
 def test_thinness_is_filled_once_per_composition(monkeypatch):
-    from kostantpv import klcells
+    from kostantpv import _kernels, cli, klcells
+
+    # the 30 parabolic comp: and the 5 min:k requests at n = 6, served
+    # in one process, fill each composition or its reverse once: the 6
+    # palindromes other than 6 and 1^6, and one of each of 12 pairs
+    real_table, real_fill = compositions.parabolic_table, _kernels.kl_fill
+    tables, fills = [], []
+
+    def table(parts):
+        assert parts not in tables, f'refilled the table of {parts}'
+        tables.append(parts)
+        return real_table(parts)
+
+    def fill(*args):
+        fills.append(len(args[0]))
+        return real_fill(*args)
+
+    monkeypatch.setattr(compositions, 'parabolic_table', table)
+    monkeypatch.setattr(_kernels, 'kl_fill', fill)
+    compositions._thin.cache_clear()
+    comps = [p for p in _compositions_of(6) if 1 < len(p) < 6]
+    assert len(comps) == 30
+    requests = [f'comp:{Composition(p).to_text()}' for p in comps]
+    requests += [f'min:{k}' for k in range(1, 6)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        for parabolic in requests:
+            assert cli.main(['classify', '--n', '6', '--parabolic',
+                             parabolic, '--format', 'tsv']) == 0, parabolic
+    assert len(fills) == len(tables) == 18
+    assert all(parts <= parts[::-1] for parts in tables)
 
     mu = Composition((2, 1, 2))
-    compositions._thin.cache_clear()
     first_reps, first_thin = compositions._thin(mu)
 
     def refuse(parts):
@@ -198,6 +229,30 @@ def test_thinness_is_filled_once_per_composition(monkeypatch):
     assert reps == first_reps and thin is first_thin
     assert isinstance(reps, tuple) and isinstance(thin, tuple)
     assert is_thin_general(mu, Permutation(reps[0])) == bool(thin[0])
+
+
+def _assert_mirror_matches_fill(parts):
+    mu = Composition(parts)
+    reps, thin = compositions._thin(mu)
+    filled_reps, filled_thin = compositions._filled_thin(mu)
+    assert reps == filled_reps == coset_windows(parts), parts
+    for w, t, filled_t in zip(reps, thin, filled_thin, strict=True):
+        assert t == filled_t, (parts, w)
+
+
+def test_mirrored_thinness_matches_a_direct_fill():
+    # _thin fills only the member of {mu, reversed mu} with the smaller
+    # parts and reads the other through w -> w_0 w w_0
+    compositions._thin.cache_clear()
+    mirrored = 0
+    for n in range(1, 7):
+        for parts in _compositions_of(n):
+            _assert_mirror_matches_fill(parts)
+            mirrored += parts[::-1] < parts
+    assert mirrored == 21
+    # the 2,520 reps of min:3 at n = 7, read off those of min:4
+    for parts in ((1, 1, 1, 2, 1, 1), (1, 1, 2, 1, 1, 1)):
+        _assert_mirror_matches_fill(parts)
 
 
 def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):
