@@ -2,12 +2,16 @@ r"""
 Named consistency checks tying the three classification engines and
 the supporting machinery together.
 
-Each check function takes an n_max bound, exercises one documented
-claim up to that bound (or up to its own natural ceiling, whichever is
-smaller), and returns (ok, detail).  Failures are collected and
+Each check is declared once, in CHECKS: a function listing the problems
+it finds at one n, the first n and the top n that selftest runs it to
+(x-sets and worked-tables at 4 alone, kl-properties to 5,
+factorization, case-chains, cross-oracle, socle-shadow and
+reconciliation to 6, positivity-ratio, thin-y, branch-consistency and
+linear-quiver to 7), and the text of a pass.  ALL_CHECKS holds each as
+a function of n_max returning (ok, detail): failures are collected and
 reported, never thrown, so the selftest command can print a full
-scoreboard.  The acceptance test suite calls the same functions at
-their full bounds.
+scoreboard.  The acceptance tests run the same functions at their tops,
+and tier-1 runs each per-n function past its top.
 
 cross-oracle, thin-y, linear-quiver and the maximal part of
 reconciliation read the tables the CLI serves: the sparse rows and thin
@@ -32,7 +36,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import compress, starmap
+from itertools import compress
 from operator import le
 
 from .bigrassmannian import (
@@ -97,112 +101,83 @@ from .permutations import (
 )
 
 
-def _verdict(problems, detail):
-    if problems:
-        head = problems[0]
-        if len(problems) > 1:
-            head = f'{len(problems)} failures, first: {head}'
-        return False, head
-    return True, detail
-
-
-def check_x_sets(n_max: int):
+def _x_set_problems(n: int) -> list:
     """The six minimal-parabolic seeds at (n, k) = (4, 2)."""
-    if n_max < 4:
-        return True, 'skipped (needs n_max >= 4)'
     problems = []
-    plus, minus = enumerate_X(MinParContext(4, 2))
+    plus, minus = enumerate_X(MinParContext(n, 2))
     want_plus = {parse_permutation(t) for t in ('2314', '1234', '1423')}
     want_minus = {parse_permutation(t) for t in ('2134', '1243', '2143')}
     if set(plus) != want_plus:
         problems.append(f'X+ = {sorted(str(w) for w in plus)}')
     if set(minus) != want_minus:
         problems.append(f'X- = {sorted(str(w) for w in minus)}')
-    return _verdict(problems, 'X+(4,2) and X-(4,2) both match')
+    return problems
 
 
-def check_factorization(n_max: int):
+def _factorization_problems(n: int) -> list:
     """Unique factorization w = sigma tau covers all shortest reps."""
     problems = []
-    top = min(n_max, 6)
-    seen = 0
-    for n in range(2, top + 1):
-        for k in range(1, n):
-            ctx = MinParContext(n, k)
-            plus, minus = enumerate_X(ctx)
-            taus = set(plus) | set(minus)
-            ghat = hat_G(ctx)
-            products = {g * t for g in ghat for t in taus}
-            reps = set(map(_raw, coset_windows(ctx.parts)))
-            if len(products) != len(ghat) * len(taus):
-                problems.append(f'({n},{k}): collision in G x X')
-            if products != reps:
-                problems.append(f'({n},{k}): image is not the rep set')
-            if len(reps) * 2 != math.factorial(n):
-                problems.append(f'({n},{k}): |reps| != n!/2')
-            for w in reps:
-                f = factorize(ctx, w)
-                if not (f.sigma in ghat and f.tau in taus
-                        and f.sigma * f.tau == w):
-                    problems.append(f'({n},{k}): bad factorization of {w}')
-                    break
-            seen += len(reps)
-    return _verdict(problems, f'bijection on {seen} reps, n <= {top}')
+    for k in range(1, n):
+        ctx = MinParContext(n, k)
+        plus, minus = enumerate_X(ctx)
+        taus = set(plus) | set(minus)
+        ghat = hat_G(ctx)
+        products = {g * t for g in ghat for t in taus}
+        reps = set(map(_raw, coset_windows(ctx.parts)))
+        if len(products) != len(ghat) * len(taus):
+            problems.append(f'({n},{k}): collision in G x X')
+        if products != reps:
+            problems.append(f'({n},{k}): image is not the rep set')
+        if len(reps) * 2 != math.factorial(n):
+            problems.append(f'({n},{k}): |reps| != n!/2')
+        for w in reps:
+            f = factorize(ctx, w)
+            if not (f.sigma in ghat and f.tau in taus
+                    and f.sigma * f.tau == w):
+                problems.append(f'({n},{k}): bad factorization of {w}')
+                break
+    return problems
 
 
-def check_case_chains(n_max: int):
+def _case_chain_problems(n: int) -> list:
     """Predicted bigrassmannian chains match brute-force complements."""
     problems = []
-    top = min(n_max, 6)
-    count = 0
-    for n in range(3, top + 1):
-        for k in range(1, n):
-            ctx = MinParContext(n, k)
-            s = simple_reflection(n, k)
-            for i in range(1, n):
-                for j in range(i + 2, n + 1):
-                    t = tau(ctx, i, j)
-                    predicted = set(case_analysis(ctx, i, j).predicted)
-                    brute = complement_bigrassmannians(s * t, t)
-                    count += 1
-                    if predicted != brute:
-                        problems.append(
-                            f'({n},{k}) tau({i},{j}): chain mismatch'
-                        )
-                        continue
-                    if len(predicted) < 2:
-                        problems.append(
-                            f'({n},{k}) tau({i},{j}): chain too short'
-                        )
-                    descents = [b.right_descents() for b in predicted]
-                    if len(set(descents)) != len(descents):
-                        problems.append(
-                            f'({n},{k}) tau({i},{j}): repeated descent'
-                        )
-    return _verdict(problems, f'{count} chains verified, n <= {top}')
+    for k in range(1, n):
+        ctx = MinParContext(n, k)
+        s = simple_reflection(n, k)
+        for i in range(1, n):
+            for j in range(i + 2, n + 1):
+                t = tau(ctx, i, j)
+                predicted = set(case_analysis(ctx, i, j).predicted)
+                if predicted != complement_bigrassmannians(s * t, t):
+                    problems.append(f'({n},{k}) tau({i},{j}): chain mismatch')
+                    continue
+                if len(predicted) < 2:
+                    problems.append(f'({n},{k}) tau({i},{j}): chain too short')
+                descents = [b.right_descents() for b in predicted]
+                if len(set(descents)) != len(descents):
+                    problems.append(
+                        f'({n},{k}) tau({i},{j}): repeated descent')
+    return problems
 
 
-def check_ratio(n_max: int):
+def _ratio_problems(n: int) -> list:
     """Positive-to-negative count is (n-1) : (C(n,2)-(n-1)), any k."""
     problems = []
-    top = min(n_max, 7)
-    for n in range(3, top + 1):
-        expected = Fraction(n - 1, n * (n - 1) // 2 - (n - 1))
-        for k in range(1, n):
-            reps = coset_windows(MinParContext(n, k).parts)
-            pos = sum(positive_window(w, k) for w in reps)
-            neg = len(reps) - pos
-            if Fraction(pos, neg) != expected:
-                problems.append(f'({n},{k}): {pos}/{neg} != {expected}')
-    return _verdict(problems, f'ratio matches for all k, n <= {top}')
+    expected = Fraction(n - 1, n * (n - 1) // 2 - (n - 1))
+    for k in range(1, n):
+        reps = coset_windows(MinParContext(n, k).parts)
+        pos = sum(positive_window(w, k) for w in reps)
+        neg = len(reps) - pos
+        if Fraction(pos, neg) != expected:
+            problems.append(f'({n},{k}): {pos}/{neg} != {expected}')
+    return problems
 
 
-def check_worked_tables(n_max: int):
+def _worked_table_problems(n: int) -> list:
     """Diagram counts and both graded multiplicity tables at (4, 2)."""
-    if n_max < 4:
-        return True, 'skipped (needs n_max >= 4)'
     problems = []
-    ctx = MaxParContext(4, 2)
+    ctx = MaxParContext(n, 2)
     words = _words(ctx)
     if words != ('^^vv', '^v^v', '^vv^', 'v^^v', 'v^v^', 'vv^^'):
         problems.append(f'W(4,2) = {words}')
@@ -225,7 +200,7 @@ def check_worked_tables(n_max: int):
                 got[str(y)] = d
         if got != want:
             problems.append(f'table for x={x_text}: {got}')
-    return _verdict(problems, 'section tables at (4,2) reproduced')
+    return problems
 
 
 def _degrees(table) -> list:
@@ -234,97 +209,81 @@ def _degrees(table) -> list:
     return [dict(map(pairs.__getitem__, row)) for row in table.rows]
 
 
-def _cross_oracle_problem(n: int, k: int):
-    """What check_cross_oracle finds wrong at (n, k), or None: the row
-    mult prints (klcells.graded_row) has the single term v^c where a cup
-    gives degree c, and no entry where no cup does; an entry that is no
-    single power of q, which graded_row refuses, is a failure."""
-    table = block_table(MaxParContext(n, k))
-    kl = parabolic_table((k, n - k))
-    windows = kl[0]
-    if [[v <= k for v in w] for w in windows] != \
-            [[c == WEDGE for c in word] for word in table.words]:
-        return f'({n},{k}): coset reps != block reps'
-    try:
-        got = {(x, y): g for x in windows for y, g in graded_row(kl, x)}
-    except ArithmeticError as exc:
-        return f'({n},{k}): {exc}'
-    want = {(windows[x], windows[y]): c
-            for x, degrees in enumerate(_degrees(table))
-            for y, c in degrees.items()}
-    bad = [p for p in got.keys() | want.keys() if got.get(p) != want.get(p)]
-    if bad:  # the windows are in order, as are their positions
-        x, y = map(windows.index, min(bad))
-        return (f'({n},{k}): {len(bad)} pairs differ, '
-                f'first x={table.words[x]} y={table.words[y]}')
-    return None
+def _cross_oracle_problems(n: int) -> list:
+    """Cup-diagram multiplicities equal the KL alternating sums, at each
+    (n, k): the row mult prints (klcells.graded_row) has the single term
+    v^c where a cup gives degree c, and no entry where no cup does; an
+    entry that is no single power of q, which graded_row refuses, is a
+    failure."""
+    problems = []
+    for k in range(1, n):
+        table = block_table(MaxParContext(n, k))
+        kl = parabolic_table((k, n - k))
+        windows = kl[0]
+        if [[v <= k for v in w] for w in windows] != \
+                [[c == WEDGE for c in word] for word in table.words]:
+            problems.append(f'({n},{k}): coset reps != block reps')
+            continue
+        try:
+            got = {(x, y): g for x in windows for y, g in graded_row(kl, x)}
+        except ArithmeticError as exc:
+            problems.append(f'({n},{k}): {exc}')
+            continue
+        want = {(windows[x], windows[y]): c
+                for x, degrees in enumerate(_degrees(table))
+                for y, c in degrees.items()}
+        bad = [p for p in got.keys() | want.keys()
+               if got.get(p) != want.get(p)]
+        if bad:  # the windows are in order, as are their positions
+            x, y = map(windows.index, min(bad))
+            problems.append(f'({n},{k}): {len(bad)} pairs differ, '
+                            f'first x={table.words[x]} y={table.words[y]}')
+    return problems
 
 
-def check_cross_oracle(n_max: int):
-    """Cup-diagram multiplicities equal the KL alternating sums, at
-    every (n, k) up to n = 6 (_cross_oracle_problem)."""
-    top = min(n_max, 6)
-    cases = [(n, k) for n in range(2, top + 1) for k in range(1, n)]
-    pairs = sum(math.comb(n, k) ** 2 for n, k in cases)
-    return _verdict([p for p in starmap(_cross_oracle_problem, cases) if p],
-                    f'{pairs} pairs agree, n <= {top}')
-
-
-def check_thinness(n_max: int):
+def _thinness_problems(n: int) -> list:
     """Thinness is exactly membership of Phi(w) in the Y set."""
     problems = []
-    top = min(n_max, 7)
-    for n in range(2, top + 1):
-        for k in range(1, n):
-            ctx = MaxParContext(n, k)
-            words, _, _, thin = block_table(ctx)
-            for word, t in zip(words, thin):
-                if t != in_Y(ctx, word):
-                    problems.append(f'({n},{k}) w={word}')
-            if (n, k) == (4, 2):
-                listed = set(map(labeller(ctx), compress(words, thin)))
-                if listed != {'1234', '1342', '3124', '3412'}:
-                    problems.append(f'thin list at (4,2): {sorted(listed)}')
-    return _verdict(problems, f'thin iff Y membership, n <= {top}')
+    for k in range(1, n):
+        ctx = MaxParContext(n, k)
+        words, _, _, thin = block_table(ctx)
+        for word, t in zip(words, thin):
+            if t != in_Y(ctx, word):
+                problems.append(f'({n},{k}) w={word}')
+        if (n, k) == (4, 2):
+            listed = set(map(labeller(ctx), compress(words, thin)))
+            if listed != {'1234', '1342', '3124', '3412'}:
+                problems.append(f'thin list at (4,2): {sorted(listed)}')
+    return problems
 
 
-def check_branch_consistency(n_max: int):
+def _branch_problems(n: int) -> list:
     """For k in {1, n-1} the closed form and the Y test agree: 2 positives."""
     problems = []
-    top = min(n_max, 7)
-    for n in range(2, top + 1):
-        for k in {1, n - 1}:
-            ctx = MaxParContext(n, k)
-            reps = shortest_reps(ctx)
-            closed = {w for w in reps if is_kostant_positive_maximal(ctx, w)}
-            via_y = {w for w in reps if in_Y(ctx, phi(ctx, w))}
-            if not closed == via_y == {identity(n), antidominant_rep(ctx)}:
-                problems.append(f'({n},{k}): {sorted(str(w) for w in closed)}')
-    return _verdict(problems, f'branches agree for k in {{1, n-1}}, n <= {top}')
+    for k in {1, n - 1}:
+        ctx = MaxParContext(n, k)
+        reps = shortest_reps(ctx)
+        closed = {w for w in reps if is_kostant_positive_maximal(ctx, w)}
+        via_y = {w for w in reps if in_Y(ctx, phi(ctx, w))}
+        if not closed == via_y == {identity(n), antidominant_rep(ctx)}:
+            problems.append(f'({n},{k}): {sorted(str(w) for w in closed)}')
+    return problems
 
 
-def check_linear_quiver(n_max: int):
+def _linear_quiver_problems(n: int) -> list:
     """At k = 1 the standard modules form a linear chain of length n:
     the standard at rep x has L_x at degree 0 and L_{x+1} at degree 1,
     and no other factor."""
-    problems = []
-    top = min(n_max, 7)
-    for n in range(2, top + 1):
-        chain = [{x: 0, x + 1: 1} for x in range(n - 1)] + [{n - 1: 0}]
-        if _degrees(block_table(MaxParContext(n, 1))) != chain:
-            problems.append(f'({n},1): not a two-step chain')
-    return _verdict(problems, f'two-step chains verified, n <= {top}')
+    chain = [{x: 0, x + 1: 1} for x in range(n - 1)] + [{n - 1: 0}]
+    if _degrees(block_table(MaxParContext(n, 1))) != chain:
+        return [f'({n},1): not a two-step chain']
+    return []
 
 
-def check_socle_shadow(n_max: int):
+def _socle_shadow_problems(n: int) -> list:
     """Singleton socle descriptors are exactly the bigrassmannians."""
-    problems = []
-    top = min(n_max, 6)
-    for n in range(2, top + 1):
-        for w in enumerate_group(n):
-            if (len(socle_descriptor(w)) == 1) != is_bigrassmannian(w):
-                problems.append(f'n={n} w={w}')
-    return _verdict(problems, f'shadow equivalence exhaustive, n <= {top}')
+    return [f'n={n} w={w}' for w in enumerate_group(n)
+            if (len(socle_descriptor(w)) == 1) != is_bigrassmannian(w)]
 
 
 def _dominance(windows) -> list:
@@ -365,70 +324,65 @@ def _kl_table_problems(n: int, P) -> list:
     return problems
 
 
-def check_kl_properties(n_max: int):
-    """Normalization, vanishing, degree bound, symmetries, both oracles,
-    and one involution per one-sided cell."""
+def _kl_problems(n: int) -> list:
+    """Normalization, vanishing, degree bound, symmetries, both oracles
+    (the R-polynomial inversion at n = 4), and one involution per
+    one-sided cell, on one kl_table(n)."""
+    P = kl_table(n)
+    problems = _kl_table_problems(n, P)
+    if n == 4:
+        problems += _kl_against_r_oracle(n)
+    return problems + _cells_against_mu_graph(n, P)
+
+
+def _minimal_reconciliation_problems(n: int) -> list:
+    """The verdicts of classify min:k against the minimal theorem, rep
+    by rep."""
     problems = []
-    top = min(n_max, 5)
-    for n in range(2, top + 1):
-        problems.extend(_kl_table_problems(n, kl_table(n)))
-    if n_max >= 4:
-        problems.extend(_kl_against_r_oracle(4))
-    for n in range(2, top + 1):
-        problems.extend(_cells_against_mu_graph(n, kl_table(n)))
-    return _verdict(problems, f'tables, oracles, and cells agree, n <= {top}')
+    for k in range(1, n):
+        ctx = MinParContext(n, k)
+        for window, verdict, _ in classify_all(Composition(ctx.parts)):
+            w = _raw(window)
+            positive = is_kostant_positive_minimal(ctx, w)
+            if verdict != ('Positive' if positive else 'Negative'):
+                problems.append(f'minimal ({n},{k}) w={w}: {verdict}')
+    return problems
 
 
-def check_reconciliation(n_max: int):
-    """The sufficient-condition classifier against both theorems."""
+def _maximal_reconciliation_problems(n: int) -> list:
+    """The verdicts of classify comp:k,n-k against the cup engine.  The
+    sufficient condition finds the two positives of (k, k) alone; every
+    Positive is thin and Kostant positive, and the Unknowns are the thin
+    reps but the identity and the antidominant one."""
     problems = []
-    top = min(n_max, 6)
-    for n in range(2, top + 1):
-        for k in range(1, n):
-            ctx = MinParContext(n, k)
-            mu = Composition(ctx.parts)
-            for window, verdict, _ in classify_all(mu):
-                w = _raw(window)
-                positive = is_kostant_positive_minimal(ctx, w)
-                if verdict != ('Positive' if positive else 'Negative'):
-                    problems.append(f'minimal ({n},{k}) w={w}: {verdict}')
-        if n % 2 == 0:
-            k = n // 2
-            mu = Composition((k, k))
-            pos = {w for w in map(_raw, coset_windows(mu.parts))
-                   if positive_sufficient(mu, w)}
-            w0J = longest_element_parabolic(n, mu.simple_reflections())
-            if pos != {identity(n), w0J * longest_element(n)}:
-                problems.append(f'(k,k) with k={k}: {len(pos)} positives')
-        for k in range(1, n):
-            problems.extend(_maximal_reconciliation_problems(n, k))
-    return _verdict(problems, f'classifier reconciled, n <= {top}')
-
-
-def _maximal_reconciliation_problems(n: int, k: int) -> list:
-    """The maximal part of check_reconciliation at (n, k): the verdicts
-    of classify comp:k,n-k against the cup engine.  Every Positive is
-    thin and Kostant positive, and the Unknowns are the thin reps but
-    the identity and the antidominant one."""
-    problems = []
-    ctx = MaxParContext(n, k)
-    unknowns, suff = set(), set()
-    for window, verdict, thin in classify_all(Composition((k, n - k))):
-        w = _raw(window)
-        if verdict == 'Positive':
-            suff.add(w)
-            if not thin:
-                problems.append(
-                    f'maximal ({n},{k}) w={w}: positive but not thin')
-        elif verdict == 'Unknown':
-            unknowns.add(w)
-    thin_nontrivial = {
-        w for w, t in zip(shortest_reps(ctx), block_table(ctx).thin) if t
-    } - {identity(n), antidominant_rep(ctx)}
-    if unknowns != thin_nontrivial:
-        problems.append(f'maximal ({n},{k}): unknowns != thin non-trivial set')
-    if not all(is_kostant_positive_maximal(ctx, w) for w in suff):
-        problems.append(f'maximal ({n},{k}): spurious positive')
+    if n % 2 == 0:
+        k = n // 2
+        mu = Composition((k, k))
+        pos = {w for w in map(_raw, coset_windows(mu.parts))
+               if positive_sufficient(mu, w)}
+        w0J = longest_element_parabolic(n, mu.simple_reflections())
+        if pos != {identity(n), w0J * longest_element(n)}:
+            problems.append(f'(k,k) with k={k}: {len(pos)} positives')
+    for k in range(1, n):
+        ctx = MaxParContext(n, k)
+        unknowns, suff = set(), set()
+        for window, verdict, thin in classify_all(Composition((k, n - k))):
+            w = _raw(window)
+            if verdict == 'Positive':
+                suff.add(w)
+                if not thin:
+                    problems.append(
+                        f'maximal ({n},{k}) w={w}: positive but not thin')
+            elif verdict == 'Unknown':
+                unknowns.add(w)
+        thin_nontrivial = {
+            w for w, t in zip(shortest_reps(ctx), block_table(ctx).thin) if t
+        } - {identity(n), antidominant_rep(ctx)}
+        if unknowns != thin_nontrivial:
+            problems.append(
+                f'maximal ({n},{k}): unknowns != thin non-trivial set')
+        if not all(is_kostant_positive_maximal(ctx, w) for w in suff):
+            problems.append(f'maximal ({n},{k}): spurious positive')
     return problems
 
 
@@ -561,17 +515,58 @@ def _cells_against_mu_graph(n: int, P) -> list:
     return problems
 
 
-ALL_CHECKS = (
-    ('x-sets', check_x_sets),
-    ('factorization', check_factorization),
-    ('case-chains', check_case_chains),
-    ('positivity-ratio', check_ratio),
-    ('worked-tables', check_worked_tables),
-    ('cross-oracle', check_cross_oracle),
-    ('thin-y', check_thinness),
-    ('branch-consistency', check_branch_consistency),
-    ('linear-quiver', check_linear_quiver),
-    ('socle-shadow', check_socle_shadow),
-    ('kl-properties', check_kl_properties),
-    ('reconciliation', check_reconciliation),
+# Each check, declared once: (name, problems, first, top, detail).
+# selftest lists problems(n), what the check finds wrong at n, for
+# first <= n <= min(n_max, top), and a pass reads detail(t), t the last
+# n reached; the tests run the same problems(n) past top.
+CHECKS = (
+    ('x-sets', _x_set_problems, 4, 4,
+     lambda t: 'X+(4,2) and X-(4,2) both match'),
+    # n!/2 reps of each min:k
+    ('factorization', _factorization_problems, 2, 6, lambda t: (
+        'bijection on {} reps, n <= {}'.format(sum(
+            (n - 1) * math.factorial(n) // 2 for n in range(2, t + 1)), t))),
+    # one chain per tau(i, j), j >= i + 2, of each min:k
+    ('case-chains', _case_chain_problems, 3, 6, lambda t: (
+        '{} chains verified, n <= {}'.format(sum(
+            (n - 1) * math.comb(n - 1, 2) for n in range(3, t + 1)), t))),
+    ('positivity-ratio', _ratio_problems, 3, 7,
+     lambda t: f'ratio matches for all k, n <= {t}'),
+    ('worked-tables', _worked_table_problems, 4, 4,
+     lambda t: 'section tables at (4,2) reproduced'),
+    # C(n, k)^2 pairs of reps of each max:k, C(2n, n) - 2 in all
+    ('cross-oracle', _cross_oracle_problems, 2, 6, lambda t: (
+        '{} pairs agree, n <= {}'.format(sum(
+            math.comb(2 * n, n) - 2 for n in range(2, t + 1)), t))),
+    ('thin-y', _thinness_problems, 2, 7,
+     lambda t: f'thin iff Y membership, n <= {t}'),
+    ('branch-consistency', _branch_problems, 2, 7,
+     lambda t: f'branches agree for k in {{1, n-1}}, n <= {t}'),
+    ('linear-quiver', _linear_quiver_problems, 2, 7,
+     lambda t: f'two-step chains verified, n <= {t}'),
+    ('socle-shadow', _socle_shadow_problems, 2, 6,
+     lambda t: f'shadow equivalence exhaustive, n <= {t}'),
+    ('kl-properties', _kl_problems, 2, 5,
+     lambda t: f'tables, oracles, and cells agree, n <= {t}'),
+    ('reconciliation', lambda n: (_minimal_reconciliation_problems(n)
+                                  + _maximal_reconciliation_problems(n)),
+     2, 6, lambda t: f'classifier reconciled, n <= {t}'),
 )
+
+
+def _runner(problems, first, top, detail):
+    """The check as selftest runs it, a function of n_max: (ok, detail),
+    the failures collected, never thrown.  A check of one size is
+    skipped below it."""
+    def run(n_max: int):
+        if first == top > n_max:
+            return True, f'skipped (needs n_max >= {top})'
+        reached = min(n_max, top)
+        found = [p for n in range(first, reached + 1) for p in problems(n)]
+        if len(found) > 1:
+            return False, f'{len(found)} failures, first: {found[0]}'
+        return (False, found[0]) if found else (True, detail(reached))
+    return run
+
+
+ALL_CHECKS = tuple((name, _runner(*check)) for name, *check in CHECKS)

@@ -45,6 +45,7 @@ from itertools import chain, islice, permutations, repeat, starmap
 from .permutations import (
     Permutation,
     _window_text,
+    decimal,
     parse_permutation,
 )
 
@@ -106,15 +107,10 @@ def _parse_parabolic(n: int, text: str):
     if not sep:
         raise ValueError(f'malformed parabolic descriptor {text!r}')
     if kind in ('min', 'max'):
-        # k is read as Composition.from_text reads a part: int() alone
-        # would also take '1_0', '+2', ' 2' and '02', and past
-        # sys.get_int_max_str_digits() digits it refuses in its own words
         try:
-            k = int(rest)
+            k = decimal(rest)
         except ValueError:
-            k = None
-        if k is None or str(k) != rest:
-            raise ValueError(f'malformed k in {text!r}')
+            raise ValueError(f'malformed k in {text!r}') from None
         if kind == 'max':
             return kind, _engine('cup_diagrams').MaxParContext(n, k)
         return kind, _engine('compositions').Composition(
@@ -129,11 +125,16 @@ def _parse_parabolic(n: int, text: str):
     raise ValueError(f'unknown parabolic kind {kind!r}; use min, max or comp')
 
 
-def _parse_perm(n: int, text: str) -> Permutation:
-    w = parse_permutation(text)
+def _parse_perm(n: int, flag: str, text: str) -> Permutation:
+    """The window of size n given as the argument flag; a ValueError
+    names the flag."""
+    try:
+        w = parse_permutation(text)
+    except ValueError as exc:
+        raise ValueError(f'argument {flag}: {exc}') from None
     if len(w.window) != n:
-        raise ValueError(
-            f'{text!r} is a window of size {len(w.window)}, not {n}')
+        raise ValueError(f'argument {flag}: {text!r} is a window of size '
+                         f'{len(w.window)}, not {n}')
     return w
 
 
@@ -276,7 +277,7 @@ def cmd_multiplicities(args):
     _guard_n(n, args.n_max)
     cup = _engine('cup_diagrams')
     ctx = cup.MaxParContext(n, k)
-    x = _parse_perm(n, args.x)
+    x = _parse_perm(n, '--x', args.x)
     try:  # phi's own message does not echo the text given
         word = cup.phi(ctx, x)
     except ValueError:
@@ -314,7 +315,7 @@ def cmd_socle(args):
             'socle lists up to n^2/8 generators of n values each, and is '
             f'kept to n <= {MAX_SOCLE_N}'
         )
-    w = _parse_perm(n, args.w)
+    w = _parse_perm(n, '--w', args.w)
     texts = sorted(_window_text(window, n) for window in _engine(
         'bigrassmannian').socle_windows(w, list(map(str, range(n + 1)))))
     head, tail = _row_frame(fmt, {'context': {'n': n, 'w': str(w)}},
@@ -383,7 +384,7 @@ COMMANDS = (
                          'help': 'min:k, max:k, or comp:p1,p2,...'}),
     )),
     ('mult', 'composition factors of a standard module', cmd_multiplicities, (
-        ('--k', {'type': int, 'required': True}),
+        ('--k', {'type': decimal, 'required': True}),
         ('--x', {'required': True, 'help': 'shortest coset rep'}),
         ('--engine', {'choices': ('cup', 'kl', 'both'), 'default': 'both'}),
     )),
@@ -408,13 +409,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
         if own is None:
-            p.add_argument('--n-max', type=int, default=5)
+            p.add_argument('--n-max', type=decimal, default=5)
             continue
-        p.add_argument('--n', type=int, required=True)
+        p.add_argument('--n', type=decimal, required=True)
         for flag, options in own:
             p.add_argument(flag, **options)
         p.add_argument('--format', choices=('json', 'tsv'), default='json')
-        p.add_argument('--n-max', type=int, default=DEFAULT_N_MAX)
+        p.add_argument('--n-max', type=decimal, default=DEFAULT_N_MAX)
     return parser
 
 

@@ -42,6 +42,7 @@ from .klcells import admit_fill, parabolic_table
 from .permutations import (
     Permutation,
     _raw,
+    decimal,
     is_shortest_coset_rep,
     w0_conjugate,
 )
@@ -66,15 +67,13 @@ class Composition(namedtuple('Composition', 'parts')):
 
     @classmethod
     def from_text(cls, text: str) -> 'Composition':
-        """The composition whose to_text is text: int() alone would also
-        take parts such as '1_0', '+2', ' 2' and '02'."""
+        """The composition whose to_text is text: each part a canonical
+        decimal (permutations.decimal)."""
         try:
-            mu = cls(tuple(int(p) for p in text.split(',')))
+            return cls(tuple(map(decimal, text.split(','))))
         except ValueError:
-            mu = None
-        if mu is None or mu.to_text() != text:
-            raise ValueError(f'malformed composition text: {text!r}')
-        return mu
+            raise ValueError(
+                f'malformed composition text: {text!r}') from None
 
     def to_text(self) -> str:
         return ','.join(str(p) for p in self.parts)

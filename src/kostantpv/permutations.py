@@ -20,7 +20,9 @@ Conventions, fixed once and relied on everywhere else in the package:
   for every j in J, i.e. ``w^{-1}(j) < w^{-1}(j+1)``.
 
 Text forms: a window is written as a digit string like ``'2314'`` when
-n <= 9 and as ``'[2,3,1,4]'`` in general; both are accepted on input.
+n <= 9 and as ``'[2,3,1,4]'`` in general; both are accepted on input,
+each value a canonical decimal (``decimal``): no space, sign, leading
+zero or digit of another script.
 """
 
 from __future__ import annotations
@@ -139,18 +141,36 @@ def _raw(window: tuple) -> Permutation:
     return p
 
 
+def decimal(text: str) -> int:
+    """The int whose text is text, a canonical decimal, as every integer
+    the CLI reads must be: int() alone would also take '1_0', '+2',
+    ' 2', '02' and the digits of other scripts, and past
+    sys.get_int_max_str_digits() digits it refuses in its own words.
+
+    >>> decimal('12'), decimal('-3')
+    (12, -3)
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
+        raise ValueError(f'not a canonical decimal: {text!r}')
+    return value
+
+
 def _window_from_text(text: str) -> tuple:
-    text = text.strip()
-    if text.startswith('['):
-        if not text.endswith(']'):
-            raise ValueError(f'unterminated bracket form: {text!r}')
-        body = text[1:-1].strip()
-        if not body:
-            raise ValueError('empty window')
-        return tuple(int(part) for part in body.split(','))
-    if not text.isdigit():
+    """The values of a window written as digits or in brackets, each
+    one a canonical decimal."""
+    bracketed = text[:1] == '[' and text[-1:] == ']'
+    try:
+        window = tuple(map(decimal, text[1:-1].split(',') if bracketed
+                           else text))
+    except ValueError:
+        window = ()
+    if not window:
         raise ValueError(f'not a permutation text: {text!r}')
-    return tuple(int(ch) for ch in text)
+    return window
 
 
 def parse_permutation(text: str) -> Permutation:

@@ -19,8 +19,8 @@ REAL_PARABOLIC_TABLE = checks.parabolic_table
 CHECKS = dict(checks.ALL_CHECKS)
 
 
-def _run(name):
-    return CHECKS[name](5)
+def _run(name, n_max=5):
+    return CHECKS[name](n_max)
 
 
 @pytest.mark.parametrize('k', [1, 2])
@@ -70,7 +70,7 @@ def test_cross_oracle_builds_no_group_index_and_no_kl_table(monkeypatch):
     monkeypatch.setattr(groupindex, 'group_index', refuse)
     monkeypatch.setattr(klcells, 'kl_table', refuse)
     monkeypatch.setattr(checks, 'kl_table', refuse)
-    ok, detail = checks.check_cross_oracle(6)
+    ok, detail = _run('cross-oracle', 6)
     assert ok, detail
     assert detail == '1262 pairs agree, n <= 6'
 
@@ -91,7 +91,7 @@ def test_cross_oracle_builds_one_coset_index_per_fill(monkeypatch):
 
     monkeypatch.setattr(klcells, 'coset_windows', listing)
     monkeypatch.setattr(_kernels, 'kl_fill', fill)
-    ok, detail = checks.check_cross_oracle(6)
+    ok, detail = _run('cross-oracle', 6)
     assert ok, detail
     # one fill for each (n, k) with 1 <= k < n <= 6
     assert len(index) == len(fills) == 15
@@ -158,13 +158,30 @@ def test_mu_graph_cells_name_a_zeroed_mu():
         ['S_4 left cells: graph != tableau']
 
 
+# The sizes past its selftest top at which each check's problems(n) is
+# run here: mult --engine both serves every (n, k) up to n = 13, and
+# classify comp: every (k, n - k) the KL fill admits; at n = 12 the cup
+# engine and the KL tables agree on 2,704,154 pairs (x, y), 69,781 of
+# them with a factor.  x-sets and worked-tables hold at (4, 2) alone.
+PAST_THE_TOPS = {
+    'factorization': (7,),
+    'case-chains': (7, 8),
+    'positivity-ratio': (8,),
+    'cross-oracle': range(7, 13),
+    'thin-y': range(8, 13),
+    'branch-consistency': range(8, 13),
+    'linear-quiver': range(8, 13),
+    'socle-shadow': (7,),
+    'kl-properties': (6,),
+    'reconciliation': (7,),
+}
+
+
 def test_oracles_at_the_sizes_the_cli_serves():
-    # selftest stops cross-oracle and reconciliation at n = 6, but mult
-    # --engine both serves every (n, k) up to n = 13 and classify comp:
-    # every (k, n - k) the KL fill admits; at n = 12 the cup engine and
-    # the KL tables agree on 2,704,154 pairs (x, y), 69,781 of them with
-    # a factor
-    for n in range(7, 13):
-        for k in range(1, n):
-            assert checks._cross_oracle_problem(n, k) is None, (n, k)
-            assert checks._maximal_reconciliation_problems(n, k) == [], (n, k)
+    for name, problems, _, top, _ in checks.CHECKS:
+        for n in PAST_THE_TOPS.get(name, ()):
+            assert n > top, (name, n)
+            assert problems(n) == [], (name, n)
+    # the maximal part of reconciliation, as far as cross-oracle
+    for n in range(8, 13):
+        assert checks._maximal_reconciliation_problems(n) == [], n

@@ -247,11 +247,21 @@ def test_usage_errors():
         (('classify', '--n', '3', '--parabolic', 'comp:1, 2'),
          "error: malformed composition text: '1, 2'\n"),
         (('mult', '--n', '4', '--k', '2', '--x', '213'),
-         "error: '213' is a window of size 3, not 4\n"),
+         "error: argument --x: '213' is a window of size 3, not 4\n"),
         (('mult', '--n', '4', '--k', '2', '--x', '2134'),
          'error: 2134 is not a shortest coset rep for max:2\n'),
         (('socle', '--n', '4', '--w', 'x'),
-         "error: not a permutation text: 'x'\n"),
+         "error: argument --w: not a permutation text: 'x'\n"),
+        # each value of a window is a canonical decimal, as k and the
+        # parts are: int() alone would read '٣١٢' and '[3, 1,2]' as 312
+        (('socle', '--n', '3', '--w', '٣١٢'),
+         "error: argument --w: not a permutation text: '٣١٢'\n"),
+        (('socle', '--n', '3', '--w', '[3, 1,2]'),
+         "error: argument --w: not a permutation text: '[3, 1,2]'\n"),
+        (('socle', '--n', '3', '--w', '3²1'),
+         "error: argument --w: not a permutation text: '3²1'\n"),
+        (('mult', '--n', '4', '--k', '2', '--x', '١٣٢٤'),
+         "error: argument --x: not a permutation text: '١٣٢٤'\n"),
         (('classify', '--n', '19', '--parabolic', 'max:9', '--n-max', '19'),
          warning(19) + 'error: the cup engine lists all 19319845 '
          'composition factors of the (19,9) block, over its limit of '
@@ -269,6 +279,26 @@ def test_usage_errors():
         proc = run_cli(*args)
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, '', stderr), args
+    # and so is every integer argument, refused by the parser under the
+    # usage text
+    for args, stderr in (
+        (('classify', '--n', '0_4', '--parabolic', 'max:2'),
+         "kostantpv classify: error: argument --n: invalid decimal value: "
+         "'0_4'"),
+        (('mult', '--n', '٤', '--k', '2', '--x', '1324'),
+         "kostantpv mult: error: argument --n: invalid decimal value: '٤'"),
+        (('mult', '--n', '4', '--k', '+2', '--x', '1324'),
+         "kostantpv mult: error: argument --k: invalid decimal value: '+2'"),
+        (('socle', '--n', '4', '--w', '1234', '--n-max', '08'),
+         "kostantpv socle: error: argument --n-max: invalid decimal value: "
+         "'08'"),
+        (('selftest', '--n-max', ' 3'),
+         "kostantpv selftest: error: argument --n-max: invalid decimal "
+         "value: ' 3'"),
+    ):
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stdout, proc.stderr.splitlines()[-1]
+                ) == (2, '', stderr), args
 
 
 def test_cup_table_ceiling():
@@ -988,6 +1018,6 @@ def test_kl_mult_raises_on_a_grade_of_more_than_one_term(monkeypatch):
     real = checks.parabolic_table
     monkeypatch.setattr(checks, 'parabolic_table', lambda parts: (
         table if parts == (2, 2) else real(parts)))
-    ok, detail = checks.check_cross_oracle(4)
+    ok, detail = dict(checks.ALL_CHECKS)['cross-oracle'](4)
     assert not ok
     assert detail.startswith('(4,2): q-coefficients [1, 1]'), detail

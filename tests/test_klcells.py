@@ -417,11 +417,18 @@ def s7_table():
     return _kernels.kl_fill(lengths, mul, 11), windows, lengths
 
 
-@pytest.mark.parametrize('parts', [
-    (4, 3), (3, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1, 1), (2, 1, 1, 1, 1, 1)])
+# The largest admitted table of each number of parts of 7.
+S7_LARGEST = [(4, 3), (3, 2, 2), (2, 2, 2, 1), (2, 2, 1, 1, 1),
+              (2, 1, 1, 1, 1, 1)]
+
+
+@pytest.mark.parametrize('parts', S7_LARGEST + [
+    pytest.param(_parts(7, J), marks=pytest.mark.slow)
+    for J in _subsets(7) if J and _parts(7, J) not in S7_LARGEST])
 def test_parabolic_table_matches_the_s7_sums(s7_table, parts):
-    # past S_6 the dense oracle stops: the largest admitted table of each
-    # number of parts against the alternating sum over the S_7 table
+    # past S_6 the dense oracle stops: each table against the alternating
+    # sum over the S_7 table, the five largest by default and every
+    # composition of 7 but 1^7 under -m slow
     reps, _, S = parabolic_table(parts)
     got = {reps[j]: {reps[i]: wide(Q) for i, Q in col.items()}
            for j, col in enumerate(S)}
