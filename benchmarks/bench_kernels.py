@@ -25,6 +25,12 @@ The whole of klcells.parabolic_table, the reps listed and filled anew each run,
 is timed at 4,4 (max:4 at n = 8, where no whole-group table exists),
 after it has matched the cup degree table of that block.
 
+Thinness (compositions._filled_thin, which fills the columns of the
+cell of w_0^mu w_0 and the columns they read alone) is timed for min:3
+at n = 6 (1,1,2,1,1), for 1,1,2,1,1,1 and for 2,2,2,2, each
+after it has matched the thinness summed over the cell's columns of the
+full parabolic_table; its row gives the columns filled out of the reps.
+
 The quotient cell (compositions._quotient_cell, by inverse row
 insertion, uncached) is timed over every composition of 6, after each
 cell has matched the RSK partition of S_6 (the elements whose insertion
@@ -83,7 +89,7 @@ import numpy as np
 from kostantpv import _kernels, cli
 from kostantpv.bigrassmannian import bigrassmannians, socle_descriptor
 from kostantpv.checks import _kl_table_problems
-from kostantpv.compositions import Composition, _quotient_cell
+from kostantpv.compositions import Composition, _filled_thin, _quotient_cell
 from kostantpv.cup_diagrams import (
     MAX_ROW_FACTORS,
     MaxParContext,
@@ -215,6 +221,23 @@ def bench_parabolic_table(k, m, repeat):
                          'cup degrees')
     bench_case(f'parabolic_table {k},{m}', repeat, parabolic_table, (k, m),
                note=f'  ({len(windows)} reps, {entries(S)})')
+
+
+def bench_thinness(parts, repeat):
+    mu = Composition(parts)
+    quotient = _quotient_cell(mu)
+    reps, _, S = parabolic_table(parts)
+    total = [0] * len(reps)
+    for w in quotient:
+        for x, P in S[reps.index(w)].items():
+            total[x] += sum(S.coefficients(P))
+    name = f'thinness {",".join(map(str, parts))}'
+    if _filled_thin(mu) != (reps, tuple(t == 1 for t in total)):
+        raise SystemExit(f'{name} disagrees with the full fill')
+    filled = sum(col is not None for col in parabolic_table(parts,
+                                                            quotient)[2])
+    bench_case(name, repeat, _filled_thin, mu,
+               note=f'  ({filled:,} of {len(reps):,} columns filled)')
 
 
 def compositions(n):
@@ -419,6 +442,8 @@ def main():
     bench_parabolic_fill('min', 3, (1, 1, 2, 1, 1), args.repeat)
     bench_parabolic_fill('max', 3, (3, 3), args.repeat)
     bench_parabolic_table(4, 4, args.repeat)
+    for parts in ((1, 1, 2, 1, 1), (1, 1, 2, 1, 1, 1), (2, 2, 2, 2)):
+        bench_thinness(parts, args.repeat)
     bench_quotient_cell(6, args.repeat)
     bench_window_shapes(8, args.repeat)
     for n, k in ((14, 7), (16, 8), (17, 8)):

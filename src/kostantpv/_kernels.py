@@ -50,9 +50,15 @@ def leq_matrix(dom):
 #             -v m_x                      if xs is not a rep.
 #
 # Its KL basis n_w = sum_x v^{l(w)-l(x)} S_{x,w}(v^-2) m_x is filled in
-# the classical variable q, a column w at a time in order of length: a
-# column only reads strictly shorter ones.  With s the first right
-# descent of w and v = w s:
+# the classical variable q, a column w at a time, each after the
+# strictly shorter columns it reads: v below, and each z with
+# mu(z, v) != 0 and z s < z.  The caller names the columns it wants, and
+# the fill computes those and the columns they read, no others; a column
+# still missing waits on an explicit stack.  A whole table asks for every
+# column in order of length, so that each finds what it reads filled and
+# the stack holds it alone.  Thinness asks for the right cell of
+# w_0^J w_0 alone (compositions): 84 of the 360 columns for min:3 at
+# n = 6.  With s the first right descent of w and v = w s:
 #
 #   S_{xs,w} = S_{x,w}, so only the rows with xs > x a rep are computed,
 #   and each is stored under x and xs; the rows with xs not a rep are 0;
@@ -86,13 +92,16 @@ BITS = 8
 
 class Table(tuple):
     """The columns of one fill: self[w] maps each x with S_{x,w} != 0 to
-    S_{x,w} packed, read-only.  size counts the entries stored, and
-    itemsize is the packed width of ncoef coefficients, in bytes."""
+    S_{x,w} packed, read-only, and is None where column w was not
+    filled.  size counts the entries stored, and itemsize is the packed
+    width of ncoef coefficients, in bytes."""
 
     def __new__(cls, columns, ncoef):
-        table = super().__new__(cls, map(MappingProxyType, columns))
+        table = super().__new__(cls, (
+            None if col is None else MappingProxyType(col)
+            for col in columns))
         table.ncoef = ncoef
-        table.size = sum(map(len, columns))
+        table.size = sum(len(col) for col in columns if col is not None)
         table.itemsize = -(-BITS * ncoef // 8)
         return table
 
@@ -108,23 +117,28 @@ class Table(tuple):
         return out
 
 
-def kl_fill(lengths, mul, ncoef) -> Table:
-    """KL table over the shortest reps, a column at a time.
+def kl_fill(lengths, mul, ncoef, columns=None) -> Table:
+    """KL table over the shortest reps: the columns named, and the
+    columns they read, alone.
 
     lengths[i]: Coxeter length of rep i; mul[s][i]: index of rep i
     composed with s_{s+1} on the right, or -1 where that is not a rep
-    (klcells.coset_index); ncoef: the q-degrees kept.  Each column
-    is filled from its first right descent, in order of length.
-    Returns the Table S with S[w][x] = S_{x,w} packed.  A coefficient
-    outside 0 .. 2^(BITS-1) - 1, or of a degree past ncoef, raises
-    OverflowError.
+    (klcells.coset_index); ncoef: the q-degrees kept; columns: the
+    reps whose columns are wanted, by default every rep in order of
+    length.  Each column is filled from its first right descent once
+    the columns it reads are filled; the missing ones wait on a stack,
+    not the call stack, as lengths reach several hundred.
+    Returns the Table S with S[w][x] = S_{x,w} packed, and S[w] None
+    for a column not filled.  A coefficient outside 0 .. 2^(BITS-1) - 1,
+    or of a degree past ncoef, raises OverflowError.
     """
     B = BITS
     mask = (1 << B) - 1
     # the bits no stored polynomial may set (a negative one sets them all)
     bad = ~sum(((1 << B - 1) - 1) << B * d for d in range(ncoef))
     R = len(lengths)
-    order = sorted(range(R), key=lengths.__getitem__)
+    if columns is None:
+        columns = sorted(range(R), key=lengths.__getitem__)
     # ups[s][x]: x s > x is a rep; downs[s][z]: z s < z is a rep
     ups = [[y >= 0 and lengths[y] > l for y, l in zip(row, lengths)]
            for row in mul]
@@ -132,36 +146,53 @@ def kl_fill(lengths, mul, ncoef) -> Table:
              for row in mul]
     cols = [None] * R
     mus = [None] * R
-    cols[order[0]] = {order[0]: 1}
-    for w in order[1:]:
-        lw = lengths[w]
-        s = next(s for s, down in enumerate(downs) if down[w])
-        row, up = mul[s], ups[s]
-        v = row[w]
-        col = {}
-        for y, P in cols[v].items():
-            if up[y]:
-                col[y] = col.get(y, 0) + P
-            elif row[y] >= 0:
-                col[row[y]] = col.get(row[y], 0) + (P << B)
-        if mus[v] is None:
-            lv = lengths[v]
-            mus[v] = [(z, m) for z, P in cols[v].items()
-                      if (lv - lengths[z]) & 1
-                      and (m := P >> B * ((lv - lengths[z]) >> 1) & mask)]
-        down = downs[s]
-        for z, m in mus[v]:
-            if down[z]:
-                shift = B * ((lw - lengths[z]) >> 1)
-                for x, P in cols[z].items():
-                    if up[x]:
-                        col[x] = col.get(x, 0) - (m * P << shift)
-        out = cols[w] = {}
-        for x, P in col.items():
-            if P:
-                if P & bad:
-                    raise OverflowError(
-                        f'a KL coefficient of column {w} is outside '
-                        f'0..{(1 << B - 1) - 1} or past degree {ncoef - 1}')
-                out[x] = out[row[x]] = P
+    for want in columns:
+        stack = [want]
+        while stack:
+            w = stack[-1]
+            if cols[w] is not None:
+                stack.pop()
+                continue
+            s = next((s for s, down in enumerate(downs) if down[w]), None)
+            if s is None:
+                # the identity, the one rep with no right descent
+                cols[w] = {w: 1}
+                continue
+            row, up = mul[s], ups[s]
+            v = row[w]
+            if cols[v] is None:
+                stack.append(v)
+                continue
+            if mus[v] is None:
+                lv = lengths[v]
+                mus[v] = [(z, m) for z, P in cols[v].items()
+                          if (lv - lengths[z]) & 1
+                          and (m := P >> B * ((lv - lengths[z]) >> 1) & mask)]
+            down = downs[s]
+            missing = [z for z, _ in mus[v] if down[z] and cols[z] is None]
+            if missing:
+                stack += missing
+                continue
+            lw = lengths[w]
+            col = {}
+            for y, P in cols[v].items():
+                if up[y]:
+                    col[y] = col.get(y, 0) + P
+                elif row[y] >= 0:
+                    col[row[y]] = col.get(row[y], 0) + (P << B)
+            for z, m in mus[v]:
+                if down[z]:
+                    shift = B * ((lw - lengths[z]) >> 1)
+                    for x, P in cols[z].items():
+                        if up[x]:
+                            col[x] = col.get(x, 0) - (m * P << shift)
+            out = cols[w] = {}
+            for x, P in col.items():
+                if P:
+                    if P & bad:
+                        raise OverflowError(
+                            f'a KL coefficient of column {w} is outside '
+                            f'0..{(1 << B - 1) - 1} or past degree '
+                            f'{ncoef - 1}')
+                    out[x] = out[row[x]] = P
     return Table(cols, ncoef)

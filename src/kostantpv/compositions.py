@@ -21,7 +21,10 @@ Unknown -- deliberately: they are open in general.
 Both conditions are decided for every shortest rep of mu at once: the
 positive set is built once per mu, and thinness is read from one fill
 of the parabolic KL table over the reps (klcells.parabolic_table),
-summed at q = 1 over the columns of the cell.  mu and its reverse
+summed at q = 1 over the columns of the cell.  The fill computes the
+cell's columns and the columns they read alone (84 of the 360 for
+1,1,2,1,1, min:3 at n = 6, and 247 of the 2,520 for 1,1,1,2,1,1, which
+min:3 and min:4 at n = 7 read).  mu and its reverse
 share that fill: conjugation by w_0 (the diagram automorphism
 s_i -> s_{n-i}) carries the reps, the cell and the table of one onto
 those of the other, so only the one with the smaller parts is filled
@@ -133,25 +136,27 @@ def right_cell_of_longest_quotient(mu: Composition) -> frozenset:
 
 
 def _filled_thin(mu: Composition) -> tuple:
-    """(reps, thin) for mu from one fill of its parabolic table: a rep
-    is thin when exactly one u in the cell of w_0^mu w_0 has nonzero
-    ungraded multiplicity, and that one 1.  The fill checks every
-    coefficient to be nonnegative, so that is a sum of 1 over the
-    cell's columns at q = 1.  The "and that one 1" has never decided a
+    """(reps, thin) for mu from one fill of its parabolic table, of the
+    columns of the cell of w_0^mu w_0 and those they read alone: a rep
+    is thin when exactly one u in the cell has nonzero ungraded
+    multiplicity, and that one 1.  The fill checks every coefficient
+    to be nonnegative, so that is a sum of 1 over the cell's columns
+    at q = 1.  A cell window that is no rep is an AssertionError,
+    before the fill.  The "and that one 1" has never decided a
     rep: over every composition that MAX_FILL_BYTES admits at n = 7 and
     8 (63 of the 64 of 7, 69 of the 128 of 8; 97,528 reps) no cell has
     a single nonzero factor of multiplicity other than 1."""
-    reps, _, S = parabolic_table(mu.parts)
     quotient = _quotient_cell(mu)
-    cell = [bisect_left(reps, w) for w in quotient]
-    if tuple(reps[i] for i in cell if i < len(reps)) != quotient:
+    J = mu.simple_reflections()
+    if not all(is_shortest_coset_rep(_raw(w), J) for w in quotient):
         raise AssertionError(
             f'the cell of w_0^mu w_0 leaves the shortest reps of '
             f'{mu.to_text()}'
         )
+    reps, _, S = parabolic_table(mu.parts, quotient)
     total = [0] * len(reps)
-    for u in cell:
-        for x, P in S[u].items():
+    for w in quotient:
+        for x, P in S[bisect_left(reps, w)].items():
             total[x] += sum(S.coefficients(P))
     return reps, tuple(t == 1 for t in total)
 
@@ -167,7 +172,8 @@ def _thin(mu: Composition) -> tuple:
     keeping lengths, Bruhat order and KL polynomials, and maps
     w_0^mu w_0 and its right cell to those of the reversed mu: so
     thin at c(x) for the reversed mu is thin at x for mu.  The fill's
-    bound is checked on the parts asked for, so a refusal names them.
+    bound is checked first, on the parts asked for, so a refusal names
+    them and lists no cell.
 
     Both tuples, kept for the life of the process (570 KB for all 63
     compositions with n <= 6, 5.3 MB for the 126 with n <= 7, mostly
@@ -175,9 +181,9 @@ def _thin(mu: Composition) -> tuple:
     they are read from is not.  min:k and the comp: of the same Levi
     share one entry, and min:k and min:(n-k) one fill."""
     mirror = mu.parts[::-1]
+    admit_fill(mu.parts)
     if mirror >= mu.parts:
         return _filled_thin(mu)
-    admit_fill(mu.parts)
     reps, thin = _thin(Composition(mirror))
     return tuple(zip(*sorted(zip(map(w0_conjugate, reps), thin))))
 

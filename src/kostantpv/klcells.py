@@ -3,14 +3,18 @@ Kazhdan-Lusztig polynomials, graded Verma multiplicities, and cells.
 
 One fill (see _kernels) serves every table: it runs over the shortest
 coset representatives W^J of a parabolic subgroup W_J, a column at a
-time in order of length and without the Bruhat matrix, with the right
-action of the sign parabolic module (Deodhar's u = -1 family): H_s
-sends m_x to m_{xs} if xs > x is a rep, to m_{xs} + (v^-1 - v) m_x if
-xs < x, and to -v m_x if xs is not a rep.  It returns the nonzero
-entries alone, column by column, each a polynomial in the classical
-variable q packed into one int (Table.coefficients unpacks it),
-indexed by position among the reps in coset_index, the one index of
-W^J, built once per fill; its windows and lengths come with the table.
+time, each after the columns it reads and without the Bruhat matrix,
+with the right action of the sign parabolic module (Deodhar's u = -1
+family): H_s sends m_x to m_{xs} if xs > x is a rep, to
+m_{xs} + (v^-1 - v) m_x if xs < x, and to -v m_x if xs is not a rep.
+It fills the columns asked for and the columns they read, no others
+(every column for a whole table, in order of length), and returns the
+nonzero entries alone, column by column, each a polynomial in the
+classical variable q packed into one int (Table.coefficients unpacks
+it), indexed by position among the reps in coset_index, the one index
+of W^J, built once per fill; its windows and lengths come with the
+table.  Thinness (compositions) asks for the columns of one right
+cell alone.
 With J empty the reps are the whole group, in lexicographic window
 order (whole_group(n), the index GroupIndex(n) is built on), and
 
@@ -57,7 +61,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from operator import gt
 
 from . import _kernels
 from .permutations import (
@@ -110,18 +113,28 @@ def coset_index(parts) -> tuple:
     at[window], the position of a window, lengths[i], the inversion
     count of rep i, and mul[s][i], the position of rep i times s_{s+1}
     on the right (its positions s, s + 1 swapped), or -1 where that is
-    no rep."""
+    no rep.  The lengths are read off mul, not counted per window."""
     windows = coset_windows(parts)
     n = len(windows[0])
     at = dict(zip(windows, range(len(windows))))
-    lengths = [sum(sum(map(gt, w, w[i:])) for i in range(1, n))
-               for w in windows]
     mul = [[at.get(w[:s] + (w[s + 1], w[s]) + w[s + 2:], -1)
             for w in windows] for s in range(n - 1)]
+    # a rep's length is its distance along mul from the identity,
+    # window 0 (each prefix of a reduced word of a rep is a rep): one
+    # breadth-first pass
+    lengths = [-1] * len(windows)
+    lengths[0] = 0
+    queue = [0]
+    for i in queue:
+        for row in mul:
+            j = row[i]
+            if j >= 0 and lengths[j] < 0:
+                lengths[j] = lengths[i] + 1
+                queue.append(j)
     return windows, at, lengths, mul
 
 
-def parabolic_table(parts) -> tuple:
+def parabolic_table(parts, wanted=None) -> tuple:
     """(windows, lengths, S): the windows of the shortest reps of the
     composition parts and their lengths, from the one coset_index the
     fill runs over, and the read-only table (a _kernels.Table)
@@ -130,13 +143,17 @@ def parabolic_table(parts) -> tuple:
 
     packed, for J the Levi of parts, with the degrees past the longest
     rep's l // 2 left out (they are zero); an i is absent where the sum
-    is zero.  Filled over the reps alone, anew on each call (held_table
-    keeps the tables mult reads).  ValueError over MAX_FILL_BYTES,
-    before any window is listed.
+    is zero.  Every column is filled, or, given the windows wanted (reps
+    all), theirs and those they read alone, the others None.  Filled
+    over the reps alone, anew on each call (held_table keeps the tables
+    mult reads).  ValueError over MAX_FILL_BYTES, before any window is
+    listed.
     """
     ncoef = admit_fill(parts)
-    windows, _, lengths, mul = coset_index(parts)
-    return windows, tuple(lengths), _kernels.kl_fill(lengths, mul, ncoef)
+    windows, at, lengths, mul = coset_index(parts)
+    columns = None if wanted is None else [at[w] for w in wanted]
+    return windows, tuple(lengths), _kernels.kl_fill(lengths, mul, ncoef,
+                                                     columns)
 
 
 # held_table's tables by composition, least recently used first.

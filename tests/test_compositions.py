@@ -5,7 +5,7 @@ import io
 
 import pytest
 
-from kostantpv import compositions
+from kostantpv import _kernels, compositions
 from kostantpv.compositions import (
     Composition,
     classify_all,
@@ -14,7 +14,11 @@ from kostantpv.compositions import (
     right_cell_of_longest_quotient,
 )
 from kostantpv.cup_diagrams import MaxParContext, is_thin, shortest_reps
-from kostantpv.klcells import parabolic_verma_multiplicity
+from kostantpv.klcells import (
+    admit_fill,
+    parabolic_table,
+    parabolic_verma_multiplicity,
+)
 from kostantpv.minimal_parabolic import MinParContext, is_kostant_positive_minimal
 from kostantpv.permutations import (
     Permutation,
@@ -186,7 +190,7 @@ def test_classify_all_thinness_matches_object_loop():
 
 
 def test_thinness_is_filled_once_per_composition(monkeypatch):
-    from kostantpv import _kernels, cli, klcells
+    from kostantpv import cli, klcells
 
     # the 30 parabolic comp: and the 5 min:k requests at n = 6, served
     # in one process, fill each composition or its reverse once: the 6
@@ -194,10 +198,10 @@ def test_thinness_is_filled_once_per_composition(monkeypatch):
     real_table, real_fill = compositions.parabolic_table, _kernels.kl_fill
     tables, fills = [], []
 
-    def table(parts):
+    def table(parts, *wanted):
         assert parts not in tables, f'refilled the table of {parts}'
         tables.append(parts)
-        return real_table(parts)
+        return real_table(parts, *wanted)
 
     def fill(*args):
         fills.append(len(args[0]))
@@ -253,6 +257,67 @@ def test_mirrored_thinness_matches_a_direct_fill():
     # the 2,520 reps of min:3 at n = 7, read off those of min:4
     for parts in ((1, 1, 1, 2, 1, 1), (1, 1, 2, 1, 1, 1)):
         _assert_mirror_matches_fill(parts)
+
+
+def _cell_fill_against_the_full_fill(parts, monkeypatch) -> int:
+    """Hold the fill _filled_thin makes to the full table: each column
+    it holds, entry by entry, and _thin to the thinness summed from the
+    full table over the cell of w_0^mu w_0, rep by rep.  Returns the
+    columns the fill holds."""
+    mu = Composition(parts)
+    reps, _, full = parabolic_table(parts)
+    real_fill, fills = _kernels.kl_fill, []
+
+    def fill(*args):
+        fills.append(real_fill(*args))
+        return fills[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(_kernels, 'kl_fill', fill)
+        compositions._filled_thin(mu)
+    [part] = fills
+    filled = stored = 0
+    for j, (col, want) in enumerate(zip(part, full, strict=True)):
+        if col is not None:
+            assert dict(col) == dict(want), (parts, reps[j])
+            filled += 1
+            stored += len(want)
+    assert part.size == stored, parts
+    total = [0] * len(reps)
+    for w in compositions._quotient_cell(mu):
+        for x, P in full[reps.index(w)].items():
+            total[x] += sum(full.coefficients(P))
+    got_reps, thin = compositions._thin(mu)
+    assert got_reps == reps, parts
+    for w, t, n in zip(reps, thin, total, strict=True):
+        assert t == (n == 1), (parts, w)
+    return filled
+
+
+def test_thinness_fills_only_the_cell_and_what_it_reads(monkeypatch):
+    compositions._thin.cache_clear()
+    for n in range(1, 7):
+        for parts in _compositions_of(n):
+            _cell_fill_against_the_full_fill(parts, monkeypatch)
+    # min:3 at n = 6: 84 of the 360 columns, not all of them
+    assert _cell_fill_against_the_full_fill((1, 1, 2, 1, 1),
+                                            monkeypatch) == 84
+    for parts in ((1, 1, 1, 2, 1, 1), (1, 1, 2, 1, 1, 1)):
+        _cell_fill_against_the_full_fill(parts, monkeypatch)
+
+
+@pytest.mark.slow
+def test_thinness_fills_only_the_cell_past_n6(monkeypatch):
+    compositions._thin.cache_clear()
+    count = 0
+    for parts in _compositions_of(7):
+        try:
+            admit_fill(parts)
+        except ValueError:
+            continue
+        _cell_fill_against_the_full_fill(parts, monkeypatch)
+        count += 1
+    assert count == 63
 
 
 def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):

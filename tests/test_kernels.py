@@ -134,6 +134,18 @@ def test_packing_refuses_out_of_range_coefficients(monkeypatch):
         _kernels.kl_fill(lengths, mul, 1)
 
 
+def test_a_demanded_column_keeps_the_overflow_checks(monkeypatch):
+    # the top column alone reads a 1 + q at (2, 2), and a 2 at (2, 2, 2, 2)
+    # that 2 bits, holding 0..1, refuse
+    for parts, ncoef, bits, match in (((2, 2), 1, 8, 'past degree 0'),
+                                      ((2, 2, 2, 2), 13, 2, 'outside 0..1')):
+        _, _, lengths, mul = coset_index(parts)
+        top = max(range(len(lengths)), key=lengths.__getitem__)
+        monkeypatch.setattr(_kernels, 'BITS', bits)
+        with pytest.raises(OverflowError, match=match):
+            _kernels.kl_fill(lengths, mul, ncoef, [top])
+
+
 def test_kl_table_never_builds_the_bruhat_matrix(monkeypatch):
     def refuse(self):
         raise AssertionError('kl_table read GroupIndex.leq')
@@ -185,5 +197,18 @@ def test_coset_index_matches_the_group_index():
             assert [g.index[w] for w in windows] == reps.tolist()
             for a, b in zip(got, want):
                 assert a == b.tolist(), parts
+            count += 1
+    assert count == 127
+
+
+def test_coset_index_lengths_are_inversion_counts():
+    # the lengths are read off the right action, not counted per window
+    count = 0
+    for n in range(1, 8):
+        for parts in _compositions(n):
+            windows, _, lengths, _ = coset_index(parts)
+            assert lengths == [
+                sum(a > b for a, b in itertools.combinations(w, 2))
+                for w in windows], parts
             count += 1
     assert count == 127
