@@ -31,10 +31,10 @@ at n = 6 (1,1,2,1,1), for 1,1,2,1,1,1 and for 2,2,2,2, each
 after it has matched the thinness summed over the cell's columns of the
 full parabolic_table; its row gives the columns filled out of the reps.
 
-The quotient cell (compositions._quotient_cell, by inverse row
-insertion, uncached) is timed over every composition of 6, after each
-cell has matched the RSK partition of S_6 (the elements whose insertion
-tableau is that of w_0^mu w_0).
+The quotient cell (compositions._quotient_cell, by Knuth moves,
+uncached) is timed over every composition of 6 and of 8, after each
+cell has matched the RSK partition of S_6 or S_8 (the elements whose
+insertion tableau is that of w_0^mu w_0).
 
 The walk behind `cells` (tableaux.window_shapes) is timed at n = 8,
 after its shapes have matched rsk of every element of S_8, in window
@@ -252,15 +252,14 @@ def compositions(n):
 
 
 def bench_quotient_cell(n, repeat):
-    g = group_index(n)
-    tableau = [rsk(g.perm(i)).insertion for i in range(g.N)]
+    fibers = {}
+    for w in enumerate_group(n):
+        fibers.setdefault(rsk(w).insertion, []).append(w.window)
     mus = list(compositions(n))
     for mu in mus:
         seed = rsk(longest_element_parabolic(n, mu.simple_reflections())
                    * longest_element(n)).insertion
-        want = tuple(g.perm(i).window for i in range(g.N)
-                     if tableau[i] == seed)
-        if _quotient_cell(mu) != want:
+        if _quotient_cell(mu) != tuple(fibers[seed]):
             raise SystemExit(f'_quotient_cell {mu.to_text()} is not the '
                              'right cell of the RSK partition')
 
@@ -269,7 +268,7 @@ def bench_quotient_cell(n, repeat):
             _quotient_cell(mu)
 
     bench_case(f'quotient_cell S_{n}', repeat, run_all,
-               note=f'  ({len(mus)} compositions, inverse RSK)')
+               note=f'  ({len(mus)} compositions, Knuth moves)')
 
 
 def bench_window_shapes(n, repeat):
@@ -444,7 +443,8 @@ def main():
     bench_parabolic_table(4, 4, args.repeat)
     for parts in ((1, 1, 2, 1, 1), (1, 1, 2, 1, 1, 1), (2, 2, 2, 2)):
         bench_thinness(parts, args.repeat)
-    bench_quotient_cell(6, args.repeat)
+    for n in (6, 8):
+        bench_quotient_cell(n, args.repeat)
     bench_window_shapes(8, args.repeat)
     for n, k in ((14, 7), (16, 8), (17, 8)):
         bench_cup_block(n, k, args.repeat)

@@ -123,11 +123,12 @@ def kl_fill(lengths, mul, ncoef, columns=None) -> Table:
 
     lengths[i]: Coxeter length of rep i; mul[s][i]: index of rep i
     composed with s_{s+1} on the right, or -1 where that is not a rep
-    (klcells.coset_index); ncoef: the q-degrees kept; columns: the
-    reps whose columns are wanted, by default every rep in order of
-    length.  Each column is filled from its first right descent once
-    the columns it reads are filled; the missing ones wait on a stack,
-    not the call stack, as lengths reach several hundred.
+    (klcells.coset_index, whose reps are in window order, so x s > x
+    exactly when x s has the larger index); ncoef: the q-degrees kept;
+    columns: the reps whose columns are wanted, by default every rep in
+    order of length.  Each column is filled from its first right descent
+    once the columns it reads are filled; the missing ones wait on a
+    stack, not the call stack, as lengths reach several hundred.
     Returns the Table S with S[w][x] = S_{x,w} packed, and S[w] None
     for a column not filled.  A coefficient outside 0 .. 2^(BITS-1) - 1,
     or of a degree past ncoef, raises OverflowError.
@@ -139,11 +140,6 @@ def kl_fill(lengths, mul, ncoef, columns=None) -> Table:
     R = len(lengths)
     if columns is None:
         columns = sorted(range(R), key=lengths.__getitem__)
-    # ups[s][x]: x s > x is a rep; downs[s][z]: z s < z is a rep
-    ups = [[y >= 0 and lengths[y] > l for y, l in zip(row, lengths)]
-           for row in mul]
-    downs = [[y >= 0 and lengths[y] < l for y, l in zip(row, lengths)]
-             for row in mul]
     cols = [None] * R
     mus = [None] * R
     for want in columns:
@@ -153,12 +149,13 @@ def kl_fill(lengths, mul, ncoef, columns=None) -> Table:
             if cols[w] is not None:
                 stack.pop()
                 continue
-            s = next((s for s, down in enumerate(downs) if down[w]), None)
+            s = next((s for s, row in enumerate(mul) if 0 <= row[w] < w),
+                     None)
             if s is None:
                 # the identity, the one rep with no right descent
                 cols[w] = {w: 1}
                 continue
-            row, up = mul[s], ups[s]
+            row = mul[s]
             v = row[w]
             if cols[v] is None:
                 stack.append(v)
@@ -168,24 +165,25 @@ def kl_fill(lengths, mul, ncoef, columns=None) -> Table:
                 mus[v] = [(z, m) for z, P in cols[v].items()
                           if (lv - lengths[z]) & 1
                           and (m := P >> B * ((lv - lengths[z]) >> 1) & mask)]
-            down = downs[s]
-            missing = [z for z, _ in mus[v] if down[z] and cols[z] is None]
+            # the z with mu(z, v) != 0 and z s < z a rep
+            down = [(z, m) for z, m in mus[v] if 0 <= row[z] < z]
+            missing = [z for z, _ in down if cols[z] is None]
             if missing:
                 stack += missing
                 continue
             lw = lengths[w]
             col = {}
             for y, P in cols[v].items():
-                if up[y]:
+                t = row[y]
+                if t > y:
                     col[y] = col.get(y, 0) + P
-                elif row[y] >= 0:
-                    col[row[y]] = col.get(row[y], 0) + (P << B)
-            for z, m in mus[v]:
-                if down[z]:
-                    shift = B * ((lw - lengths[z]) >> 1)
-                    for x, P in cols[z].items():
-                        if up[x]:
-                            col[x] = col.get(x, 0) - (m * P << shift)
+                elif t >= 0:
+                    col[t] = col.get(t, 0) + (P << B)
+            for z, m in down:
+                shift = B * ((lw - lengths[z]) >> 1)
+                for x, P in cols[z].items():
+                    if row[x] > x:
+                        col[x] = col.get(x, 0) - (m * P << shift)
             out = cols[w] = {}
             for x, P in col.items():
                 if P:

@@ -49,7 +49,7 @@ from .permutations import (
     is_shortest_coset_rep,
     w0_conjugate,
 )
-from .tableaux import inverse_rsk, rsk, standard_tableaux
+from .tableaux import knuth_class
 
 class Composition(namedtuple('Composition', 'parts')):
     """A sequence of positive parts; blocks are consecutive intervals.
@@ -119,14 +119,10 @@ def _quotient_cell(mu: Composition) -> tuple:
     """Windows of the right cell containing w_0^mu w_0, in window order.
 
     w_0^mu w_0 has the blocks of mu in reverse order, each increasing.
-    The cell is the elements sharing its insertion tableau P, one for
-    each standard tableau Q of the shape of P: each pair (P, Q) is
-    mapped back to its window by inverse row insertion.
+    The cell is the windows sharing its insertion tableau, which Knuth
+    moves reach from it (tableaux.knuth_class).
     """
-    pair = rsk(_raw(sum(reversed(mu.blocks()), ())))
-    return tuple(sorted(
-        inverse_rsk(pair.insertion, q) for q in standard_tableaux(pair.shape)
-    ))
+    return knuth_class(sum(reversed(mu.blocks()), ()))
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,7 @@ from .permutations import (
     _raw,
     from_word,
     is_shortest_coset_rep,
-    longest_element,
+    w0_conjugate,
 )
 
 
@@ -159,10 +159,9 @@ def case_analysis(ctx: MinParContext, i: int, j: int) -> CaseAnalysis:
         mirror = case_analysis(
             MinParContext(n, n - k), n + 1 - j, n + 1 - i
         )
-        w0 = longest_element(n)
         return CaseAnalysis(
             2 if j == k + 1 else 4,
-            tuple(w0 * b * w0 for b in mirror.predicted),
+            tuple(_raw(w0_conjugate(b.window)) for b in mirror.predicted),
         )
     # i < k < k+1 < j: an up-chain and a down-chain from s_k
     up = [from_word(n, tuple(range(k, t + 1))) for t in range(k, j)]

@@ -30,8 +30,6 @@ from __future__ import annotations
 import itertools
 from typing import Iterable, Iterator, Union
 
-SimpleReflectionSet = frozenset  # indices in 1..n-1
-
 
 class Permutation:
     """A permutation of {1, ..., n} in window notation.
@@ -102,7 +100,7 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.window))
 
-    def right_descents(self) -> SimpleReflectionSet:
+    def right_descents(self) -> frozenset:
         """Indices i with l(w s_i) < l(w), i.e. w(i) > w(i+1).
 
         >>> sorted(Permutation('3412').right_descents())
@@ -111,7 +109,7 @@ class Permutation:
         w = self.window
         return frozenset(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
 
-    def left_descents(self) -> SimpleReflectionSet:
+    def left_descents(self) -> frozenset:
         """Indices j with l(s_j w) < l(w), i.e. j appears after j+1."""
         return self.inverse.right_descents()
 
@@ -206,9 +204,7 @@ def simple_reflection(n: int, i: int) -> Permutation:
     """The transposition s_i of i, i+1 inside S_n, for 1 <= i <= n-1."""
     if not 1 <= i <= n - 1:
         raise ValueError(f's_{i} not a simple reflection of S_{n}')
-    window = list(range(1, n + 1))
-    window[i - 1], window[i] = window[i], window[i - 1]
-    return _raw(tuple(window))
+    return from_word(n, (i,))
 
 
 def from_word(n: int, word: Iterable[int]) -> Permutation:

@@ -1,9 +1,10 @@
-"""Robinson-Schensted correspondence by row insertion, its inverse, the
-standard tableaux of a shape, and the shapes of all of S_n at once."""
+"""Robinson-Schensted correspondence by row insertion, the shapes of
+all of S_n at once, and the Knuth class of a window: the windows that
+share its insertion tableau."""
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import namedtuple
 
 from .permutations import Permutation
@@ -89,45 +90,29 @@ def _insert(rows: tuple, value: int) -> tuple:
     return rows + ((value,),)
 
 
-def inverse_rsk(insertion: tuple, recording: tuple) -> tuple:
-    """The window whose rsk is (insertion, recording): for step = n down
-    to 1, take the entry of the insertion tableau where the recording
-    tableau holds step, and bump it back up through the rows above.
+def knuth_class(window: tuple) -> tuple:
+    """The windows that share the insertion tableau of window, in window
+    order.  By Knuth's theorem (Pacific J. Math. 34 (1970)) they are the
+    windows that elementary Knuth moves connect to it, found here by a
+    breadth-first walk.  In three adjacent letters a, b, c, a move swaps
+    b and c when a lies between them (y x z <-> y z x), and otherwise
+    swaps a and b when c lies between them (x z y <-> z x y).
 
-    >>> inverse_rsk(((1, 2), (3,)), ((1, 3), (2,)))
-    (3, 1, 2)
+    >>> knuth_class((2, 1, 3))
+    ((2, 1, 3), (2, 3, 1))
     """
-    rows = [list(r) for r in insertion]
-    row_of = {step: r for r, q_row in enumerate(recording) for step in q_row}
-    window = []
-    for step in range(len(row_of), 0, -1):
-        r = row_of[step]
-        value = rows[r].pop()
-        for row in reversed(rows[:r]):
-            spot = bisect_left(row, value) - 1
-            row[spot], value = value, row[spot]
-        window.append(value)
-    return tuple(reversed(window))
-
-
-def standard_tableaux(shape: tuple) -> list:
-    """Every standard tableau of the given shape, as rows: the largest
-    entry goes into each outer corner in turn, depth-first on a stack,
-    not by recursion, so n is not bounded by the recursion limit.
-
-    >>> standard_tableaux((2, 1))
-    [((1, 3), (2,)), ((1, 2), (3,))]
-    """
-    out = []
-    # (shape left, rows so far); corners pushed last first keep the order
-    stack = [(tuple(shape), tuple(() for _ in shape))]
-    while stack:
-        left, rows = stack.pop()
-        if not any(left):
-            out.append(rows)
-        m = sum(left)
-        for r in reversed(range(len(left))):
-            if left[r] and (r + 1 == len(left) or left[r + 1] < left[r]):
-                stack.append((left[:r] + (left[r] - 1,) + left[r + 1:],
-                              rows[:r] + ((m,) + rows[r],) + rows[r + 1:]))
-    return out
+    queue = [tuple(window)]
+    seen = set(queue)
+    for w in queue:
+        for i in range(len(w) - 2):
+            a, b, c = w[i:i + 3]
+            if b < a < c or c < a < b:
+                u = w[:i] + (a, c, b) + w[i + 3:]
+            elif a < c < b or b < c < a:
+                u = w[:i] + (b, a, c) + w[i + 3:]
+            else:
+                continue
+            if u not in seen:
+                seen.add(u)
+                queue.append(u)
+    return tuple(sorted(seen))

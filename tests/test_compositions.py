@@ -23,12 +23,14 @@ from kostantpv.minimal_parabolic import MinParContext, is_kostant_positive_minim
 from kostantpv.permutations import (
     Permutation,
     coset_windows,
+    enumerate_group,
     identity,
     is_shortest_coset_rep,
     longest_element,
     longest_element_parabolic,
     parse_permutation,
 )
+from kostantpv.tableaux import rsk
 from oracles import (
     G_mu,
     _similar_compositions,
@@ -318,6 +320,27 @@ def test_thinness_fills_only_the_cell_past_n6(monkeypatch):
         _cell_fill_against_the_full_fill(parts, monkeypatch)
         count += 1
     assert count == 63
+
+
+@pytest.mark.slow
+def test_quotient_cell_is_the_rsk_fiber_at_n9():
+    # every composition of 9: the Knuth walk against bumping all of S_9
+    n = 9
+    seeds = {}
+    for parts in _compositions_of(n):
+        m = Composition(parts)
+        seed = (longest_element_parabolic(n, m.simple_reflections())
+                * longest_element(n))
+        seeds[parts] = rsk(seed).insertion
+    fibers = {tableau: [] for tableau in seeds.values()}
+    for w in enumerate_group(n):
+        fiber = fibers.get(rsk(w).insertion)
+        if fiber is not None:
+            fiber.append(w.window)
+    for parts, tableau in seeds.items():
+        assert compositions._quotient_cell(Composition(parts)) == \
+            tuple(fibers[tableau]), parts
+    assert len(seeds) == 256
 
 
 def test_thinness_refuses_a_cell_outside_the_reps(monkeypatch):

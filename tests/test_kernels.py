@@ -206,9 +206,14 @@ def test_coset_index_lengths_are_inversion_counts():
     count = 0
     for n in range(1, 8):
         for parts in _compositions(n):
-            windows, _, lengths, _ = coset_index(parts)
+            windows, _, lengths, mul = coset_index(parts)
             assert lengths == [
                 sum(a > b for a, b in itertools.combinations(w, 2))
                 for w in windows], parts
+            # kl_fill reads x s > x as the larger index: window order
+            assert list(windows) == sorted(windows), parts
+            assert all(lengths[y] == lengths[x] + (1 if y > x else -1)
+                       for row in mul for x, y in enumerate(row)
+                       if y >= 0), parts
             count += 1
     assert count == 127

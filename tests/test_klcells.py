@@ -466,7 +466,7 @@ def test_parabolic_table_matches_cup_degrees_to_n8():
 
 
 # -- cells: the right cells of all of S_n by RSK, the oracle that the
-# classifier's quotient cell (found by inverse row insertion) is held to
+# classifier's quotient cell (found by Knuth moves) is held to
 
 
 @lru_cache(maxsize=None)

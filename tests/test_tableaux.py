@@ -1,15 +1,14 @@
 """Row insertion and the cell invariants it carries."""
 
-import itertools
 import math
 
-from kostantpv.permutations import enumerate_group, longest_element, identity
-from kostantpv.tableaux import (
-    inverse_rsk,
-    rsk,
-    standard_tableaux,
-    window_shapes,
+from kostantpv.permutations import (
+    _raw,
+    enumerate_group,
+    identity,
+    longest_element,
 )
+from kostantpv.tableaux import knuth_class, rsk, window_shapes
 
 
 def _is_partition(shape, n):
@@ -89,28 +88,41 @@ def _hook_length_count(shape):
     return math.factorial(sum(shape)) // hooks
 
 
-def test_standard_tableaux_count_is_the_hook_length_formula():
+def _reading_word(shape):
+    """The rows of the tableau of the given shape filled with 1, 2, ...
+    row by row, read from the last row up: its insertion tableau is
+    that tableau."""
+    rows, start = [], 1
+    for row in shape:
+        rows.append(tuple(range(start, start + row)))
+        start += row
+    return sum(reversed(rows), ())
+
+
+def test_knuth_class_count_is_the_hook_length_formula():
     shapes = 0
     for n in range(1, 9):
         for shape in _partitions(n):
-            tableaux = standard_tableaux(shape)
-            assert len(tableaux) == _hook_length_count(shape), shape
-            assert len(set(tableaux)) == len(tableaux)
-            for tab in tableaux:
-                assert tuple(len(row) for row in tab) == shape
-                assert sorted(itertools.chain(*tab)) == list(range(1, n + 1))
-                assert all(list(row) == sorted(row) for row in tab)
-                assert all(a < b for upper, lower in zip(tab, tab[1:])
-                           for a, b in zip(upper, lower))
+            window = _reading_word(shape)
+            tableau = rsk(_raw(window)).insertion
+            assert tuple(map(len, tableau)) == shape
+            cell = knuth_class(window)
+            assert len(cell) == _hook_length_count(shape), shape
+            assert list(cell) == sorted(set(cell))
+            assert all(rsk(_raw(w)).insertion == tableau for w in cell)
             shapes += 1
     assert shapes == 1 + 2 + 3 + 5 + 7 + 11 + 15 + 22
 
 
-def test_inverse_rsk_inverts_rsk():
-    for n in range(1, 7):
+def test_knuth_class_is_the_rsk_fiber():
+    # the windows sharing an insertion tableau, found by bumping each
+    for n in range(1, 8):
+        fibers = {}
         for w in enumerate_group(n):
-            pair = rsk(w)
-            assert inverse_rsk(pair.insertion, pair.recording) == w.window
+            fibers.setdefault(rsk(w).insertion, []).append(w.window)
+        for w in enumerate_group(n):
+            assert knuth_class(w.window) == \
+                tuple(fibers[rsk(w).insertion]), w
 
 
 def test_window_shapes_are_the_rsk_shapes_in_window_order():
