@@ -44,6 +44,7 @@ from functools import lru_cache
 from .klcells import admit_fill, parabolic_table
 from .permutations import (
     Permutation,
+    _blocks,
     _raw,
     decimal,
     is_shortest_coset_rep,
@@ -86,12 +87,7 @@ class Composition(namedtuple('Composition', 'parts')):
         return sum(self.parts)
 
     def blocks(self) -> tuple:
-        out = []
-        start = 1
-        for p in self.parts:
-            out.append(tuple(range(start, start + p)))
-            start += p
-        return tuple(out)
+        return tuple(map(tuple, _blocks(self.n, self.simple_reflections())))
 
     def simple_reflections(self) -> frozenset:
         """Generators of the Levi: all indices except block boundaries."""
@@ -137,18 +133,12 @@ def _filled_thin(mu: Composition) -> tuple:
     is thin when exactly one u in the cell has nonzero ungraded
     multiplicity, and that one 1.  The fill checks every coefficient
     to be nonnegative, so that is a sum of 1 over the cell's columns
-    at q = 1.  A cell window that is no rep is an AssertionError,
-    before the fill.  The "and that one 1" has never decided a
-    rep: over every composition that MAX_FILL_BYTES admits at n = 7 and
-    8 (63 of the 64 of 7, 69 of the 128 of 8; 97,528 reps) no cell has
-    a single nonzero factor of multiplicity other than 1."""
+    at q = 1.  A cell window that is no rep is parabolic_table's
+    AssertionError, before the fill.  The "and that one 1" has never
+    decided a rep: over every composition that MAX_FILL_BYTES admits at
+    n = 7 and 8 (63 of the 64 of 7, 69 of the 128 of 8; 97,528 reps) no
+    cell has a single nonzero factor of multiplicity other than 1."""
     quotient = _quotient_cell(mu)
-    J = mu.simple_reflections()
-    if not all(is_shortest_coset_rep(_raw(w), J) for w in quotient):
-        raise AssertionError(
-            f'the cell of w_0^mu w_0 leaves the shortest reps of '
-            f'{mu.to_text()}'
-        )
     reps, _, S = parabolic_table(mu.parts, quotient)
     total = [0] * len(reps)
     for w in quotient:

@@ -32,8 +32,8 @@ position p is word[p - 1].  phi returns one, and phi_inverse and in_Y
 refuse any word that is not one of the block's.
 
 The fast paths work on the letters and bit masks of words, in plain
-Python ints and lists: graded_multiplicity caps Phi(y) against Phi(x),
-row walks the factors of one x from its word, and the classifier fills
+Python ints and lists: row walks the factors of one x from its word
+(graded_multiplicity reads one factor off it), and the classifier fills
 the rows of every x in index space (block_table).  The diagram objects,
 with d_of and the exhaustive enumeration, are the reference these are
 tested against, with orient (one diagram decorated by one word), which
@@ -489,12 +489,11 @@ def graded_multiplicity(
     """Degree at which L_y sits inside the standard module at x, or
     None when it does not appear; the multiplicity is always 0 or 1.
 
-    The diagram of d(Phi(y)) is decorated by Phi(x), in O(n) (block_table).
+    Read off row(ctx, Phi(x)), the factors of x, so past
+    MAX_ROW_FACTORS it raises row's ValueError.
     """
     word = phi(ctx, y)
-    turned = _mask(phi(ctx, x)) ^ _mask(word)
-    cups = [cup for cup in _cap(word)[0] if cup & turned]
-    return len(cups) if sum(cups) == turned else None
+    return dict(row(ctx, phi(ctx, x))[0]).get(word)
 
 
 def is_thin(ctx: MaxParContext, w: Permutation) -> bool:

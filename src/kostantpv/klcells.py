@@ -71,12 +71,6 @@ from .permutations import (
 )
 from .tableaux import rsk
 
-__all__ = [
-    'admit_fill', 'coset_index', 'kl_table', 'parabolic_table',
-    'held_table', 'grade', 'graded_row', 'kl_polynomial', 'verma_multiplicity',
-    'parabolic_verma_multiplicity', 'rsk', 'is_small_cell_member',
-]
-
 # admit_fill refuses R (R + 1) ncoef over MAX_FILL_BYTES, for R
 # reps and ncoef q-degrees: the bytes of the dense int8 buffer an
 # earlier fill took, kept as the unit of every KL path, the tables
@@ -143,15 +137,20 @@ def parabolic_table(parts, wanted=None) -> tuple:
 
     packed, for J the Levi of parts, with the degrees past the longest
     rep's l // 2 left out (they are zero); an i is absent where the sum
-    is zero.  Every column is filled, or, given the windows wanted (reps
-    all), theirs and those they read alone, the others None.  Filled
-    over the reps alone, anew on each call (held_table keeps the tables
-    mult reads).  ValueError over MAX_FILL_BYTES, before any window is
-    listed.
+    is zero.  Every column is filled, or, given the windows wanted,
+    theirs and those they read alone, the others None.  Filled over the
+    reps alone, anew on each call (held_table keeps the tables mult
+    reads).  ValueError over MAX_FILL_BYTES, before any window is
+    listed; AssertionError, naming it, for a wanted window that is no
+    rep, after the index is listed and before the fill.
     """
     ncoef = admit_fill(parts)
     windows, at, lengths, mul = coset_index(parts)
-    columns = None if wanted is None else [at[w] for w in wanted]
+    try:
+        columns = None if wanted is None else [at[w] for w in wanted]
+    except KeyError as missing:
+        raise AssertionError(f'the window {missing.args[0]} leaves the '
+                             f'shortest reps of {parts}') from None
     return windows, tuple(lengths), _kernels.kl_fill(lengths, mul, ncoef,
                                                      columns)
 

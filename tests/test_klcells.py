@@ -141,6 +141,19 @@ def test_parabolic_table_builds_one_coset_index(monkeypatch):
         calls.clear()
 
 
+def test_parabolic_table_refuses_a_wanted_window_before_the_fill(
+        monkeypatch):
+    def refuse(*args):
+        raise AssertionError('filled a column')
+
+    monkeypatch.setattr(_kernels, 'kl_fill', refuse)
+    # 2134 is no shortest rep of 2,2: its value 2 comes before 1
+    with pytest.raises(AssertionError,
+                       match=r'\(2, 1, 3, 4\) leaves the shortest reps '
+                             r'of \(2, 2\)'):
+        parabolic_table((2, 2), ((2, 1, 3, 4),))
+
+
 def test_grade_gives_an_int_for_a_power_of_q_and_refuses_the_rest():
     P, at = kl_table(4), klcells.whole_group(4)[1]
     e = at[(1, 2, 3, 4)]
