@@ -57,6 +57,11 @@ pairwise definition (Bruhat-maximal among the bigrassmannians b with
 permutations.bruhat_leq(b, w)).  The S_12 row times 1,000 seeded w,
 after checking 50 of them the same way.
 
+The parse rows time reading every argv of tests/cli_goldens.json into
+its namespace, by cli._read_args and by the argparse parser
+(cli._build_parser().parse_args, the parser built once beforehand),
+after every namespace the two build has matched.
+
 The cold-start rows give the median wall time of 5 fresh interpreters
 each, and the largest peak RSS among them (getrusage of each child),
 with PYTHONPATH pointing at this checkout's src/ and no bytecode
@@ -75,6 +80,7 @@ import contextlib
 import hashlib
 import io
 import itertools
+import json
 import math
 import os
 import random
@@ -123,6 +129,7 @@ from oracles import (  # noqa: E402
     parabolic_sums,
     rank,
 )
+GOLDENS = ROOT / 'tests' / 'cli_goldens.json'
 COLD_RUNS = 5
 
 
@@ -358,6 +365,23 @@ def bench_socle(repeat):
     print(f'{"socle S_12":24s} {t * 1e3:10.2f} ms  (1,000 seeded w)')
 
 
+def bench_parse(repeat):
+    argvs = [key.split(' ') for key in json.loads(GOLDENS.read_text())]
+    parse_args = cli._build_parser().parse_args
+    for argv in argvs:
+        if vars(cli._read_args(argv)) != vars(parse_args(argv)):
+            raise SystemExit(f'_read_args {argv} disagrees with argparse')
+
+    def read_all(read):
+        for argv in argvs:
+            read(argv)
+
+    note = f'  ({len(argvs)} golden argvs)'
+    for name, read in (('parse _read_args', cli._read_args),
+                       ('parse argparse', parse_args)):
+        bench_case(name, repeat, read_all, read, note=note)
+
+
 # Starts one child and prints its wall time, its peak RSS in MiB (from
 # getrusage), its exit code and the sha256 of its stdout.  It runs in a
 # small interpreter of its own: a child started straight from this
@@ -450,6 +474,7 @@ def main():
         bench_cup_block(n, k, args.repeat)
     bench_cup_row_ceiling(args.repeat)
     bench_socle(args.repeat)
+    bench_parse(args.repeat)
     bench_cold_start()
 
 

@@ -8,8 +8,10 @@ permutation digit form and '^'/'v' weight words so tables stay
 grep-able.  Exit codes: 0 success, 1 check failure (an engine
 disagreement or a failing selftest), 2 usage error: main prints any
 ValueError a command raises before it writes, its own or an engine's
-(a malformed argument, a request past a ceiling), as 'error: ...'.
-Every other exception is a fault, and main does not catch it.
+(a malformed argument, a request past a ceiling), as 'error: ...';
+141 when stdout is closed early (a reader such as head that stops), as
+SIGPIPE would, with nothing on stderr.  Every other exception is a
+fault, and main does not catch it.
 
 The default n ceiling is 8.  It can be raised with --n-max, with a
 warning, except for selftest where 8 is a hard bound.  Paths that need
@@ -22,25 +24,30 @@ cup_diagrams.MAX_TABLE_FACTORS composition factors, mult --engine cup
 rows of more than cup_diagrams.MAX_ROW_FACTORS, cells n > MAX_CELLS_N
 and socle n > MAX_SOCLE_N.
 
-Each command is declared once, in COMMANDS, which builds the parser
-and binds the handler that main calls.  A handler returns its stdout
-as a sequence of chunks (selftest prints as it goes) and its exit
-code.  Every command but selftest encodes its rows a chunk at a time
-through a per-format row template, from windows and precomputed texts
-(per factor, verdict, generator or shape) and the ints the engines
-return, so no row object and no whole page of output is ever held
-(socle sorts its generators' texts).
+Each command is declared once, in COMMANDS, with the options they
+share beside it.  main reads a request's argv off that table
+(_read_args) and calls the command's handler; only an argv the reader
+declines (help, a flag abbreviated, repeated or given as --flag=value,
+a missing or malformed argument) goes to the argparse parser built
+from the same table, which prints help, usage and refusals.  A
+handler returns its stdout as a sequence of chunks (selftest prints as
+it goes) and its exit code.  Every command but selftest encodes its
+rows a chunk at a time through a per-format row template, from windows
+and precomputed texts (per factor, verdict, generator or shape) and
+the ints the engines return, so no row object and no whole page of
+output is ever held (socle sorts its generators' texts).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
+import os
 import sys
 import time
 from functools import lru_cache
 from importlib import import_module
 from itertools import chain, islice, permutations, repeat, starmap
+from types import SimpleNamespace
 
 from .permutations import (
     Permutation,
@@ -52,11 +59,12 @@ from .permutations import (
 # Every command reaches the engines it runs through the cached loader
 # below, so a request loads (and, when no bytecode is written,
 # compiles) only those engines, and none loads numpy: classify max:k
-# and mult --engine cup the cup diagrams alone.  No function here has
-# an import statement: in a warm process whose caches went cold
-# between requests, one import statement took 5-40 us, a cached call
-# 1-5 us, and the requests of classify max:k, mult and socle take well
-# under a millisecond.
+# and mult --engine cup the cup diagrams alone.  No function a request
+# runs has an import statement: in a warm process whose caches went
+# cold between requests, one import statement took 5-40 us, a cached
+# call 1-5 us, and the requests of classify max:k, mult and socle take
+# well under a millisecond.  argparse is imported in _build_parser
+# alone, which runs only for help and refusals.
 
 
 @lru_cache(maxsize=None)
@@ -375,58 +383,129 @@ def cmd_selftest(args):
     return (), 1 if failures else 0
 
 
-# (name, help, handler, the arguments the command alone takes, each
-# (flag, add_argument keywords)).  Every command but selftest also takes
-# --n first and --format and --n-max last; selftest takes --n-max alone.
+# The options every command but selftest shares, each (flag,
+# add_argument keywords): --n first, --format and --n-max last, around
+# the command's own.  selftest takes --n-max alone, default 5.
+N_OPTION = ('--n', {'type': decimal, 'required': True})
+TAIL_OPTIONS = (
+    ('--format', {'choices': ('json', 'tsv'), 'default': 'json'}),
+    ('--n-max', {'type': decimal, 'default': DEFAULT_N_MAX}),
+)
+
+# (name, help, handler, every argument the command takes, in help order)
 COMMANDS = (
     ('classify', 'classification table for one parabolic', cmd_classify, (
+        N_OPTION,
         ('--parabolic', {'required': True,
                          'help': 'min:k, max:k, or comp:p1,p2,...'}),
+        *TAIL_OPTIONS,
     )),
     ('mult', 'composition factors of a standard module', cmd_multiplicities, (
+        N_OPTION,
         ('--k', {'type': decimal, 'required': True}),
         ('--x', {'required': True, 'help': 'shortest coset rep'}),
         ('--engine', {'choices': ('cup', 'kl', 'both'), 'default': 'both'}),
+        *TAIL_OPTIONS,
     )),
     ('socle', 'socle descriptor generators', cmd_socle, (
-        ('--w', {'required': True}),
+        N_OPTION, ('--w', {'required': True}), *TAIL_OPTIONS,
     )),
-    ('cells', 'cell membership data for S_n', cmd_cells, ()),
-    ('selftest', 'run the named consistency checks', cmd_selftest, None),
+    ('cells', 'cell membership data for S_n', cmd_cells, (
+        N_OPTION, *TAIL_OPTIONS,
+    )),
+    ('selftest', 'run the named consistency checks', cmd_selftest, (
+        ('--n-max', {'type': decimal, 'default': 5}),
+    )),
 )
 
 
 @lru_cache(maxsize=1)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
     """The argument parser, built once per process from COMMANDS:
-    parse_args keeps no state between calls."""
+    parse_args keeps no state between calls.  main builds it only for
+    an argv _read_args declines (help, usage and refusals), so a
+    request that reads cleanly never imports argparse."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog='kostantpv',
         description='Kostant positivity of parabolic Verma modules for sl_n.',
     )
     sub = parser.add_subparsers(dest='command', required=True)
-    for name, help_text, run, own in COMMANDS:
+    for name, help_text, run, options in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(run=run)
-        if own is None:
-            p.add_argument('--n-max', type=decimal, default=5)
-            continue
-        p.add_argument('--n', type=decimal, required=True)
-        for flag, options in own:
-            p.add_argument(flag, **options)
-        p.add_argument('--format', choices=('json', 'tsv'), default='json')
-        p.add_argument('--n-max', type=decimal, default=DEFAULT_N_MAX)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
     return parser
 
 
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a flag's value under."""
+    return flag[2:].replace('-', '_')
+
+
+# What _read_args reads off COMMANDS, per command: (handler, {flag:
+# (dest, type, choices)}, {dest: default}, the required flags).
+_READING = {
+    name: (
+        run,
+        {flag: (_dest(flag), kw.get('type'), kw.get('choices'))
+         for flag, kw in options},
+        {_dest(flag): kw.get('default') for flag, kw in options},
+        {flag for flag, kw in options if kw.get('required')},
+    )
+    for name, _, run, options in COMMANDS
+}
+
+
+def _read_args(argv):
+    """The namespace the parser builds for argv, when argv is a command
+    then (flag, value) pairs, each flag the command's, in full and once,
+    each value not starting with '-' and of its type and choices, every
+    required flag given; otherwise None, and the parser reads argv."""
+    if not argv or argv[0] not in _READING:
+        return None
+    run, flags, defaults, required = _READING[argv[0]]
+    given = argv[1::2]
+    if len(argv) % 2 == 0 or len(set(given)) < len(given) or not (
+            required.issubset(given)):
+        return None
+    values = dict(defaults)
+    for flag, text in zip(given, argv[2::2]):
+        if flag not in flags or text[:1] == '-':
+            return None
+        dest, kind, choices = flags[flag]
+        if kind is not None:
+            try:
+                text = kind(text)
+            except ValueError:
+                return None
+        if choices is not None and text not in choices:
+            return None
+        values[dest] = text
+    return SimpleNamespace(command=argv[0], run=run, **values)
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_args(argv) or _build_parser().parse_args(argv)
     try:
-        out, code = args.run(args)
-    except ValueError as exc:
-        print(f'error: {exc}', file=sys.stderr)
-        return 2
-    sys.stdout.writelines(out)
+        try:
+            out, code = args.run(args)
+        except ValueError as exc:
+            print(f'error: {exc}', file=sys.stderr)
+            return 2
+        sys.stdout.writelines(out)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: point fd 1 at devnull, so the flush
+        # at exit cannot raise again, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return code
 
 

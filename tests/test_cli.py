@@ -521,6 +521,7 @@ def test_cli_import_leaves_out_checks_and_numpy_ma():
     loaded = _modules_after('import kostantpv.cli')
     assert {m for m in loaded if m.startswith('kostantpv')} == BASE
     assert 'numpy' not in loaded
+    assert 'argparse' not in loaded
 
 
 @pytest.mark.parametrize('args, engine', [
@@ -557,6 +558,7 @@ def test_each_command_loads_only_its_engine(args, engine):
     # the whole-group index is the tests' alone
     assert 'kostantpv.groupindex' not in loaded
     assert 'numpy' not in loaded
+    assert 'argparse' not in loaded
 
 
 def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):
@@ -896,6 +898,96 @@ def test_one_parser_serves_a_bad_request_then_a_good_one():
     assert exc.value.code == 2
     assert _stdout_digest(args) == _goldens()[' '.join(args)]
     assert cli._build_parser() is cli._build_parser()
+
+
+def _parsed(argv):
+    """vars() of the parser's namespace for argv, or None where it
+    exits (a refusal, or help)."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _mutations(argv, rng):
+    """argv as the parser alone should read it: a flag or a pair
+    dropped, a pair repeated, a flag cut to 3 characters or joined to
+    its value by '=', a value led by '-' or bad for its type, -h or --
+    added, --help first, the arguments reversed; and the pairs
+    reversed, which the reader reads."""
+    command, rest = argv[0], list(argv[1:])
+    pairs = [rest[i:i + 2] for i in range(0, len(rest), 2)]
+    i = rng.randrange(len(pairs))
+    flag, value = pairs[i]
+    before, after = rest[:2 * i], rest[2 * i + 2:]
+    for mutated in (
+        before + after,
+        before + [value] + after,
+        rest + pairs[i],
+        rest + [flag, 'x'],
+        before + [flag[:3], value] + after,
+        before + [f'{flag}={value}'] + after,
+        before + [flag, '-' + value] + after,
+        before + [flag, 'x'] + after,
+        rest + ['-h'],
+        before + ['--'] + pairs[i] + after,
+        list(reversed(rest)),
+        [x for pair in reversed(pairs) for x in pair],
+    ):
+        yield [command, *mutated]
+    yield ['--help', *argv]
+
+
+def test_the_reader_reads_every_golden_as_the_parser_does():
+    keys = [key.split(' ') for key in _goldens()]
+    for argv in keys:
+        args = cli._read_args(argv)
+        assert args is not None, argv
+        assert vars(args) == _parsed(argv), argv
+    # elsewhere it declines, or reads what the parser reads; whatever
+    # the parser refuses it declines
+    rng = random.Random(0)
+    read = declined = 0
+    for argv in keys:
+        for mutated in _mutations(argv, rng):
+            args = cli._read_args(mutated)
+            if args is None:
+                declined += 1
+            else:
+                read += 1
+                assert vars(args) == _parsed(mutated), mutated
+    assert read > len(keys) and declined > 8 * len(keys)
+    for argv in (['--help'], ['-h'], [], ['classify'], ['cells', '--n'],
+                 ['bogus', '--n', '4'], ['selftest', '--n-max', '9', '-h'],
+                 ['cells', '--n', '4', '--n-max', '8', '--n', '5'],
+                 ['cells', '--n', '-4'], ['cells', '--n=4'],
+                 ['socle', '--n', '4', '--w', '-1']):
+        assert cli._read_args(argv) is None, argv
+
+
+def test_goldens_are_served_without_the_parser(monkeypatch):
+    def refuse():
+        raise AssertionError('a golden request built the parser')
+
+    monkeypatch.setattr(cli, '_build_parser', refuse)
+    want = _goldens()
+    for args in golden_invocations():
+        assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_a_closed_stdout_exits_141_with_no_traceback():
+    # cells --n 8 writes far more than a pipe holds
+    with subprocess.Popen(
+            [sys.executable, '-m', 'kostantpv.cli', 'cells', '--n', '8',
+             '--format', 'tsv'],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.readline() == (
+            '# w\tshape\tsmall\tpenultimate\n')
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == ''
 
 
 # sha256 of `kostantpv [command] --help` at 80 columns, as Python 3.11's
