@@ -62,11 +62,13 @@ its namespace, by cli._read_args and by the argparse parser
 (cli._build_parser().parse_args, the parser built once beforehand),
 after every namespace the two build has matched.
 
-The cold-start rows give the median wall time of 5 fresh interpreters
-each, and the largest peak RSS among them (getrusage of each child),
-with PYTHONPATH pointing at this checkout's src/ and no bytecode
-written (so each compiles every module it loads): `import kostantpv.cli`,
-a `classify max:5` at n = 10, a `classify min:3` at n = 6,
+The cold-start rows give the median wall time of 11 fresh interpreters
+each, with its quartiles, so a difference between two runs can be read
+against their spread, and the largest peak RSS among them (getrusage
+of each child), with PYTHONPATH pointing at this checkout's src/ and
+no bytecode written (so each compiles every module it loads):
+`import kostantpv.cli`, a `classify max:5` at n = 10, a
+`classify min:3` at n = 6,
 `classify max:8` at n = 16 in both formats, and `mult --engine cup` at
 (20, 10) for the x of word (^v)^10, the largest row
 cup_diagrams.MAX_ROW_FACTORS admits, whose stdout must match
@@ -130,7 +132,7 @@ from oracles import (  # noqa: E402
     rank,
 )
 GOLDENS = ROOT / 'tests' / 'cli_goldens.json'
-COLD_RUNS = 5
+COLD_RUNS = 11
 
 
 def best_of(repeat, fn, *args):
@@ -442,9 +444,10 @@ def bench_cold_start():
             if code != 0 or (want is not None and digest != want):
                 raise SystemExit(f'{name}: a fresh process disagrees with '
                                  'cli.main in process')
-        print(f'{name:24s} {statistics.median(times) * 1e3:10.2f} ms'
-              f'  (median of {COLD_RUNS} fresh processes, '
-              f'peak {peak:.0f} MiB)')
+        q1, median, q3 = (t * 1e3 for t in statistics.quantiles(times))
+        print(f'{name:24s} {median:10.2f} ms'
+              f'  (median of {COLD_RUNS} fresh processes, quartiles '
+              f'{q1:.2f}-{q3:.2f} ms, peak {peak:.0f} MiB)')
 
 
 def main():

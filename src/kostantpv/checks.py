@@ -35,7 +35,6 @@ dominance rows.  Like every command, selftest loads no numpy.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from itertools import compress
 from operator import le
 
@@ -164,13 +163,14 @@ def _case_chain_problems(n: int) -> list:
 def _ratio_problems(n: int) -> list:
     """Positive-to-negative count is (n-1) : (C(n,2)-(n-1)), any k."""
     problems = []
-    expected = Fraction(n - 1, n * (n - 1) // 2 - (n - 1))
+    want_pos, want_neg = n - 1, math.comb(n, 2) - (n - 1)
     for k in range(1, n):
         reps = coset_windows(MinParContext(n, k).parts)
         pos = sum(positive_window(w, k) for w in reps)
         neg = len(reps) - pos
-        if Fraction(pos, neg) != expected:
-            problems.append(f'({n},{k}): {pos}/{neg} != {expected}')
+        if pos * want_neg != neg * want_pos:
+            problems.append(
+                f'({n},{k}): {pos}/{neg} != {want_pos}/{want_neg}')
     return problems
 
 

@@ -30,12 +30,13 @@ share beside it.  main reads a request's argv off that table
 declines (help, a flag abbreviated, repeated or given as --flag=value,
 a missing or malformed argument) goes to the argparse parser built
 from the same table, which prints help, usage and refusals.  A
-handler returns its stdout as a sequence of chunks (selftest prints as
-it goes) and its exit code.  Every command but selftest encodes its
+handler returns its stdout as a sequence of chunks and its exit code,
+and main alone writes them.  Every command but selftest encodes its
 rows a chunk at a time through a per-format row template, from windows
 and precomputed texts (per factor, verdict, generator or shape) and
 the ints the engines return, so no row object and no whole page of
-output is ever held (socle sorts its generators' texts).
+output is ever held (socle sorts its generators' texts); selftest
+returns its scoreboard, a line per check and the total.
 """
 
 from __future__ import annotations
@@ -356,8 +357,8 @@ def cmd_cells(args):
 
 
 def cmd_selftest(args):
-    """Run every named check up to n_max and print a scoreboard; the
-    time each check took goes to stderr."""
+    """Run every named check up to n_max and return the scoreboard; the
+    time each check took goes to stderr as it ends."""
     n_max = args.n_max
     if n_max > DEFAULT_N_MAX:
         raise ValueError(
@@ -367,7 +368,7 @@ def cmd_selftest(args):
     if n_max < 2:
         raise ValueError('selftest needs n_max >= 2')
     checks = _engine('checks').ALL_CHECKS
-    failures = 0
+    lines, passed = [], 0
     for name, fn in checks:
         start = time.perf_counter()
         try:
@@ -375,12 +376,10 @@ def cmd_selftest(args):
         except Exception as exc:
             ok, detail = False, f'unexpected {type(exc).__name__}: {exc}'
         print(f'{name}: {time.perf_counter() - start:.3f} s', file=sys.stderr)
-        print(f'{"ok  " if ok else "FAIL"} {name}: {detail}')
-        if not ok:
-            failures += 1
-    total = len(checks)
-    print(f'{total - failures}/{total} checks passed (n_max={n_max})')
-    return (), 1 if failures else 0
+        lines.append(f'{"ok  " if ok else "FAIL"} {name}: {detail}\n')
+        passed += ok
+    lines.append(f'{passed}/{len(checks)} checks passed (n_max={n_max})\n')
+    return lines, 0 if passed == len(checks) else 1
 
 
 # The options every command but selftest shares, each (flag,

@@ -266,24 +266,10 @@ def d_of(word: str) -> OrientedCupDiagram:
 
 
 @lru_cache(maxsize=None)
-def _perfect_matchings(points: tuple) -> tuple:
-    """All non-crossing perfect matchings of an ordered point tuple."""
-    if not points:
-        return ((),)
-    out = []
-    p = points[0]
-    for t in range(1, len(points), 2):
-        q = points[t]
-        for inner in _perfect_matchings(points[1:t]):
-            for outer in _perfect_matchings(points[t + 1:]):
-                out.append(((p, q),) + inner + outer)
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _planar_diagrams(points: tuple) -> tuple:
     """All (cups, strands) splittings of the points, planar in the
-    strict sense: non-crossing cups and no strand inside a cup."""
+    strict sense: non-crossing cups and no strand inside a cup.  So the
+    inside of a cup is a strandless diagram on the points it spans."""
     if not points:
         return (((), ()),)
     out = []
@@ -292,7 +278,9 @@ def _planar_diagrams(points: tuple) -> tuple:
         out.append((cups, (p,) + strands))
     for t in range(1, len(points), 2):
         q = points[t]
-        for inner in _perfect_matchings(points[1:t]):
+        for inner, inner_strands in _planar_diagrams(points[1:t]):
+            if inner_strands:
+                continue
             for cups, strands in _planar_diagrams(points[t + 1:]):
                 out.append((((p, q),) + inner + cups, strands))
     return tuple(out)

@@ -559,6 +559,9 @@ def test_each_command_loads_only_its_engine(args, engine):
     assert 'kostantpv.groupindex' not in loaded
     assert 'numpy' not in loaded
     assert 'argparse' not in loaded
+    # the positivity ratio is compared in ints: fractions, which loads
+    # decimal and numbers, stays out
+    assert 'fractions' not in loaded
 
 
 def test_min_reads_the_thinness_of_the_matching_comp(monkeypatch):
@@ -622,6 +625,34 @@ def test_selftest_small():
     assert [t.partition(':')[0] for t in timings] == \
         [name for name, _ in checks.ALL_CHECKS]
     assert all(re.fullmatch(r'[a-z-]+: \d+\.\d{3} s', t) for t in timings)
+
+
+def test_selftest_writes_stdout_only_through_main(monkeypatch):
+    # the handler returns its scoreboard as its chunks, as every other
+    # handler does, and main writes them
+    args = cli._read_args(['selftest', '--n-max', '3'])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        chunks, code = cli.cmd_selftest(args)
+        text = ''.join(chunks)
+    assert (out.getvalue(), code) == ('', 0)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        _goldens()['selftest --n-max 3']
+    # a check that raises is a FAIL line, and the exit code is 1
+
+    def raising(n_max):
+        raise RuntimeError('boom')
+
+    monkeypatch.setattr(checks, 'ALL_CHECKS', (
+        checks.ALL_CHECKS[0], ('raising', raising)))
+    with contextlib.redirect_stderr(io.StringIO()):
+        chunks, code = cli.cmd_selftest(args)
+    assert code == 1
+    assert list(chunks)[1:] == [
+        'FAIL raising: unexpected RuntimeError: boom\n',
+        '1/2 checks passed (n_max=3)\n',
+    ]
 
 
 # Byte-exact stdout of the maximal-parabolic and Kazhdan-Lusztig paths
@@ -711,20 +742,29 @@ def kl_golden_invocations():
 
 WIDE_MULT = ((7, 3), (8, 4), (10, 5), (12, 6))
 
+# The compositions of 8 that classify comp: has goldens for: every one
+# of two and of three parts, and 2,2,2,2, whose fill is the largest
+# klcells.MAX_FILL_BYTES admits.
+WIDE_COMP = [mu for mu in _proper_compositions(8)
+             if mu.count(',') < 3] + ['2,2,2,2']
+
 
 def wide_kl_golden_invocations():
     """Past n = 6, where the KL paths used to stop: every classify min:k
-    at n = 7 and classify comp:2,2,3, comp:3,4 (n = 7), comp:4,4 (n = 8)
-    and comp:9,1 (n = 10, bracket windows), in both formats, and two-engine
-    multiplicities of the middle rep of max:k at WIDE_MULT.  The min:k
-    digests were recorded from the minimal theorem's verdicts
-    (is_kostant_positive_minimal)."""
+    at n = 7 and classify comp:2,2,3, comp:3,4 (n = 7), comp: of
+    WIDE_COMP (n = 8) and comp:9,1 (n = 10, bracket windows), in both
+    formats, and two-engine multiplicities of the middle rep of max:k at
+    WIDE_MULT.  The min:k digests were recorded from the minimal
+    theorem's verdicts (is_kostant_positive_minimal), the WIDE_COMP ones
+    after each thin column had matched an independent verdict
+    (test_wide_comp_thin_columns_match_an_independent_verdict)."""
     out = []
     for fmt in ('json', 'tsv'):
         for k in range(1, 7):
             out.append(('classify', '--n', '7', '--parabolic', f'min:{k}',
                         '--format', fmt))
-        for n, mu in ((7, '2,2,3'), (7, '3,4'), (8, '4,4')):
+        for n, mu in ((7, '2,2,3'), (7, '3,4'),
+                      *((8, mu) for mu in WIDE_COMP)):
             out.append(('classify', '--n', str(n), '--parabolic',
                         f'comp:{mu}', '--format', fmt))
         out.append(('classify', '--n', '10', '--parabolic', 'comp:9,1',
@@ -810,6 +850,40 @@ def test_wide_kl_goldens():
     want = _goldens()
     for args in wide_kl_golden_invocations():
         assert _stdout_digest(args) == want[' '.join(args)], args
+
+
+def test_wide_comp_thin_columns_match_an_independent_verdict():
+    # comp:k,8-k against the thin column of the cup engine's max:k block;
+    # the others against the thinness summed over the cell of
+    # w_0^mu w_0 in the full parabolic table, not the cell's fill alone
+    from kostantpv.compositions import Composition, _quotient_cell
+    from kostantpv.cup_diagrams import (
+        MaxParContext,
+        block_table,
+        shortest_reps,
+    )
+
+    assert len(WIDE_COMP) == 29
+    for mu in WIDE_COMP:
+        code, out = run_main('classify', '--n', '8', '--parabolic',
+                             f'comp:{mu}', '--format', 'tsv')
+        assert code == 0, mu
+        thin = {row[0]: row[3] == 'true' for row in (
+            line.split('\t') for line in out.splitlines()[1:])}
+        parts = tuple(map(int, mu.split(',')))
+        if len(parts) == 2:
+            ctx = MaxParContext(8, parts[0])
+            want = dict(zip(map(str, shortest_reps(ctx)),
+                            block_table(ctx).thin))
+        else:
+            reps, _, full = klcells.parabolic_table(parts)
+            total = [0] * len(reps)
+            for w in _quotient_cell(Composition(parts)):
+                for x, P in full[reps.index(w)].items():
+                    total[x] += sum(full.coefficients(P))
+            want = {''.join(map(str, w)): t == 1
+                    for w, t in zip(reps, total)}
+        assert thin == want, mu
 
 
 def test_socle_cells_goldens():
@@ -1083,13 +1157,6 @@ def test_classify_comp_past_the_recursion_limit():
     ]
 
 
-if __name__ == '__main__':
-    GOLDENS.write_text(json.dumps(
-        {' '.join(a): _stdout_digest(a)
-         for a in golden_invocations()},
-        indent=1, sort_keys=True) + '\n')
-
-
 def test_kl_mult_raises_on_a_grade_of_more_than_one_term(monkeypatch):
     # a maximal parabolic's multiplicities are single powers of v, so a
     # table entry 1 + q is a fault of the fill: mult raises, writes
@@ -1113,3 +1180,10 @@ def test_kl_mult_raises_on_a_grade_of_more_than_one_term(monkeypatch):
     ok, detail = dict(checks.ALL_CHECKS)['cross-oracle'](4)
     assert not ok
     assert detail.startswith('(4,2): q-coefficients [1, 1]'), detail
+
+
+if __name__ == '__main__':
+    GOLDENS.write_text(json.dumps(
+        {' '.join(a): _stdout_digest(a)
+         for a in golden_invocations()},
+        indent=1, sort_keys=True) + '\n')
